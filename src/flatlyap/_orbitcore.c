@@ -1,0 +1,305 @@
+/* The compiled half of the orbit core: the canonical form of a pair and
+ * the breadth-first closure of a canonical pair under T and S.
+ *
+ * kernel.py builds this file into a shared library, calls it through
+ * ctypes and holds the pure-Python oracle of every function here; the
+ * two must agree byte for byte.  A pair of 0-based image arrays (r, u)
+ * of degree d <= 255 is packed as the 2d-byte key r || u.  kernel.py
+ * passes buffers of the stated lengths; fl_canonical checks that r and u
+ * are permutations, and every other entry point takes only keys that
+ * fl_canonical produced.
+ */
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef unsigned char u8;
+
+enum {
+    ST_DONE = 0,          /* closure complete */
+    ST_MORE = 1,          /* step budget spent, frontier not empty */
+    ST_CAP = -1,          /* a new element would exceed max_size */
+    ST_NOMEM = -2,
+    ST_AREA = -3,         /* cylinder areas do not add up to d */
+    ST_DISCONNECTED = -4, /* a pair that is not transitive */
+    ST_RANGE = -5         /* images that are not a permutation of 0..d-1 */
+};
+
+#define UNSET 0xff        /* no label yet; labels are 0..d-1 <= 254 */
+
+/* Least relabelling of (r, u) by BFS order (r first, then u) over all
+ * base squares, into out[0..2d).  Bases fixed by r give a key starting
+ * with 0, so only they are tried when r has a fixed point.  A base is
+ * abandoned as soon as its r half exceeds the best one so far.  Returns
+ * 0, or ST_DISCONNECTED when the pair is not transitive. */
+static int canonical(int d, const u8 *r, const u8 *u, u8 *out)
+{
+    u8 label[256], order[256];
+    int any_fixed = 0, have = 0;
+    for (int x = 0; x < d; x++)
+        if (r[x] == x) {
+            any_fixed = 1;
+            break;
+        }
+    for (int base = 0; base < d; base++) {
+        if (any_fixed && r[base] != base)
+            continue;
+        memset(label, UNSET, (size_t)d);
+        label[base] = 0;
+        order[0] = (u8)base;
+        int filled = 1;
+        int cmp = have ? 0 : -1;   /* r half against out[], so far */
+        for (int i = 0; i < filled; i++) {
+            int x = order[i], y = r[x];
+            if (label[y] == UNSET) {
+                label[y] = (u8)filled;
+                order[filled++] = (u8)y;
+            }
+            if (cmp == 0 && label[y] != out[i]) {
+                cmp = label[y] > out[i] ? 1 : -1;
+                if (cmp > 0)
+                    break;
+            }
+            y = u[x];
+            if (label[y] == UNSET) {
+                label[y] = (u8)filled;
+                order[filled++] = (u8)y;
+            }
+        }
+        if (cmp > 0)
+            continue;
+        /* a full search from the first base decides transitivity */
+        if (filled != d)
+            return ST_DISCONNECTED;
+        u8 cand[512];
+        for (int k = 0; k < d; k++) {
+            int x = order[k];
+            cand[k] = label[r[x]];
+            cand[d + k] = label[u[x]];
+        }
+        if (cmp < 0 || memcmp(cand + d, out + d, (size_t)d) < 0) {
+            memcpy(out, cand, (size_t)(2 * d));
+            have = 1;
+        }
+    }
+    return 0;
+}
+
+/* Adds one to hist[w * (d + 1) + h] for every horizontal cylinder of
+ * width w and height h; see orbits.horizontal_cylinders.  Returns 0, or
+ * ST_AREA when the cylinder areas do not add up to d. */
+static int cylinders(int d, const u8 *r, const u8 *u, long *hist)
+{
+    int row_of[256], first[256], width[256], above[256];
+    u8 has_below[256], seen[256];
+    int n = 0, area = 0;
+    for (int x = 0; x < d; x++)
+        row_of[x] = -1;
+    for (int start = 0; start < d; start++) {
+        if (row_of[start] >= 0)
+            continue;
+        int len = 0, x = start;
+        do {
+            row_of[x] = n;
+            len++;
+            x = r[x];
+        } while (x != start);
+        first[n] = start;
+        width[n++] = len;
+    }
+    memset(has_below, 0, (size_t)n);
+    memset(seen, 0, (size_t)n);
+    for (int i = 0; i < n; i++) {
+        int j = first[i], glued = 1;
+        do {
+            if (u[r[j]] != r[u[j]]) {
+                glued = 0;
+                break;
+            }
+            j = r[j];
+        } while (j != first[i]);
+        above[i] = glued ? row_of[u[first[i]]] : -1;
+        if (glued)
+            has_below[above[i]] = 1;
+    }
+    /* chains from a bottom row first, then closed loops of rows */
+    for (int pass = 0; pass < 2; pass++)
+        for (int i = 0; i < n; i++) {
+            if (seen[i] || (pass == 0 && has_below[i]))
+                continue;
+            int h = 0;
+            for (int j = i; j >= 0 && !seen[j]; j = above[j]) {
+                seen[j] = 1;
+                h++;
+            }
+            hist[width[i] * (d + 1) + h]++;
+            area += width[i] * h;
+        }
+    return area == d ? 0 : ST_AREA;
+}
+
+/* -- breadth-first closure -------------------------------------------- */
+
+struct scan {
+    int d, k;           /* degree and key length 2d */
+    long n, head;       /* keys found, keys expanded */
+    long room;          /* keys the arrays hold */
+    u8 *keys;           /* n keys in discovery order */
+    long *t_next;       /* index of the T image of each expanded key */
+    uint32_t *slots;    /* open addressing: key index + 1, 0 when free */
+    size_t mask;        /* slot count - 1, a power of two less one */
+    long *hist;         /* (d + 1)^2 cylinder counts, by w * (d + 1) + h */
+};
+
+static size_t hash(const u8 *key, int k)
+{
+    uint64_t h = 1469598103934665603u;    /* FNV-1a */
+    for (int i = 0; i < k; i++)
+        h = (h ^ key[i]) * 1099511628211u;
+    return (size_t)(h ^ (h >> 29));
+}
+
+/* Room for one more key: doubles the key arrays when full and the slot
+ * table when it would pass half full. */
+static int reserve(struct scan *s)
+{
+    if ((unsigned long)s->n >= UINT32_MAX - 1)   /* slots hold index + 1 */
+        return ST_NOMEM;
+    if (s->n == s->room) {
+        long room = 2 * s->room;
+        u8 *keys = realloc(s->keys, (size_t)room * (size_t)s->k);
+        if (!keys)
+            return ST_NOMEM;
+        s->keys = keys;
+        long *t_next = realloc(s->t_next, (size_t)room * sizeof(long));
+        if (!t_next)
+            return ST_NOMEM;
+        s->t_next = t_next;
+        s->room = room;
+    }
+    if (2 * (size_t)(s->n + 1) > s->mask + 1) {
+        size_t mask = 2 * (s->mask + 1) - 1;
+        uint32_t *slots = calloc(mask + 1, sizeof(uint32_t));
+        if (!slots)
+            return ST_NOMEM;
+        for (long j = 0; j < s->n; j++) {
+            size_t i = hash(s->keys + j * s->k, s->k) & mask;
+            while (slots[i])
+                i = (i + 1) & mask;
+            slots[i] = (uint32_t)(j + 1);
+        }
+        free(s->slots);
+        s->slots = slots;
+        s->mask = mask;
+    }
+    return 0;
+}
+
+/* Index of key in the visited set, appending it when new; a negative
+ * status when it is new and max_size keys are already stored. */
+static long visit(struct scan *s, const u8 *key, long max_size)
+{
+    int st = reserve(s);
+    if (st)
+        return st;
+    size_t i = hash(key, s->k) & s->mask;
+    while (s->slots[i]) {
+        long j = (long)s->slots[i] - 1;
+        if (!memcmp(s->keys + j * s->k, key, (size_t)s->k))
+            return j;
+        i = (i + 1) & s->mask;
+    }
+    if (s->n >= max_size)
+        return ST_CAP;
+    memcpy(s->keys + s->n * s->k, key, (size_t)s->k);
+    s->t_next[s->n] = -1;
+    s->slots[i] = (uint32_t)(s->n + 1);
+    return s->n++;
+}
+
+void fl_scan_free(struct scan *s)
+{
+    if (!s)
+        return;
+    free(s->keys);
+    free(s->t_next);
+    free(s->slots);
+    free(s->hist);
+    free(s);
+}
+
+/* A closure holding only ``start``, a canonical key of degree d; NULL
+ * when out of memory. */
+struct scan *fl_scan_new(int d, const u8 *start)
+{
+    struct scan *s = calloc(1, sizeof *s);
+    if (!s)
+        return NULL;
+    s->d = d;
+    s->k = 2 * d;
+    s->room = 1024;
+    s->mask = 2047;
+    s->keys = malloc((size_t)s->room * (size_t)s->k);
+    s->t_next = malloc((size_t)s->room * sizeof(long));
+    s->slots = calloc(s->mask + 1, sizeof(uint32_t));
+    s->hist = calloc((size_t)(d + 1) * (size_t)(d + 1), sizeof(long));
+    if (!s->keys || !s->t_next || !s->slots || !s->hist) {
+        fl_scan_free(s);
+        return NULL;
+    }
+    visit(s, start, 1);
+    return s;
+}
+
+/* Expands at most ``budget`` keys in discovery order: adds each one's
+ * cylinders to the histogram and visits its T image (r, u r^-1), then
+ * its S image (u^-1, r).  Returns a status from the enum above. */
+int fl_scan_step(struct scan *s, long max_size, long budget)
+{
+    int d = s->d;
+    u8 key[512], img[512], inv[256], moved[256];
+    for (; budget > 0 && s->head < s->n; budget--) {
+        memcpy(key, s->keys + s->head * s->k, (size_t)s->k);
+        const u8 *r = key, *u = key + d;
+        if (cylinders(d, r, u, s->hist))
+            return ST_AREA;
+        for (int x = 0; x < d; x++)
+            inv[r[x]] = (u8)x;
+        for (int x = 0; x < d; x++)
+            moved[x] = u[inv[x]];
+        if (canonical(d, r, moved, img))
+            return ST_DISCONNECTED;
+        long j = visit(s, img, max_size);
+        if (j < 0)
+            return (int)j;
+        s->t_next[s->head] = j;
+        for (int x = 0; x < d; x++)
+            inv[u[x]] = (u8)x;
+        if (canonical(d, inv, r, img))
+            return ST_DISCONNECTED;
+        j = visit(s, img, max_size);
+        if (j < 0)
+            return (int)j;
+        s->head++;
+    }
+    return s->head < s->n ? ST_MORE : ST_DONE;
+}
+
+long fl_scan_size(const struct scan *s) { return s->n; }
+const u8 *fl_scan_keys(const struct scan *s) { return s->keys; }
+const long *fl_scan_t_next(const struct scan *s) { return s->t_next; }
+const long *fl_scan_hist(const struct scan *s) { return s->hist; }
+
+/* Canonical key of (r, u) into out[0..2d); 0, ST_RANGE or
+ * ST_DISCONNECTED. */
+int fl_canonical(int d, const u8 *r, const u8 *u, u8 *out)
+{
+    u8 hit[256] = {0};   /* bit 0: an image of r, bit 1: of u */
+    for (int x = 0; x < d; x++) {
+        if (r[x] >= d || u[x] >= d || hit[r[x]] & 1 || hit[u[x]] & 2)
+            return ST_RANGE;
+        hit[r[x]] |= 1;
+        hit[u[x]] |= 2;
+    }
+    return canonical(d, r, u, out);
+}

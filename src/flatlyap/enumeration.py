@@ -19,18 +19,16 @@ from fractions import Fraction
 import numpy as np
 
 from .components import component_label
-from .errors import InputError, InternalCheckError
+from .errors import DisconnectedError, InputError, InternalCheckError
+from .kernel import canonical_key, s_key, t_key
 from .origami import Origami, Stratum
 from .orbits import (
     OrbitCache,
     OrbitSummary,
     Pair,
     _pair_to_origami,
-    _s_key,
     _summary_from_parts,
-    _t_key,
     _unpack,
-    canonical_key,
     format_rational,
     summarize_pairs,
 )
@@ -137,26 +135,11 @@ def _scan_degree(
                     mask &= counts[l] == want[l]
                 for row in np.nonzero(mask)[0]:
                     uz = tuple(int(x) for x in u[row])
-                    if not _transitive(rz, uz):
-                        continue
-                    found[s].add(canonical_key(rz, uz))
+                    try:
+                        found[s].add(canonical_key(rz, uz))
+                    except DisconnectedError:
+                        continue  # a disconnected surface
     return found
-
-
-def _transitive(rz, uz) -> bool:
-    d = len(rz)
-    seen = [False] * d
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        x = stack.pop()
-        for y in (rz[x], uz[x]):
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == d
 
 
 def enumerate_origamis(d: int, s: Stratum) -> list[Origami]:
@@ -218,7 +201,7 @@ def orbit_partition(
             parent[max(ri, rj)] = min(ri, rj)
 
     for i, k in enumerate(keys):
-        for neighbor in (_t_key(k, degree), _s_key(k, degree)):
+        for neighbor in (t_key(k, degree), s_key(k, degree)):
             j = index.get(neighbor)
             if j is None:
                 raise InternalCheckError("enumerated set is not closed under T and S")

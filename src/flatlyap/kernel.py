@@ -1,0 +1,350 @@
+"""The orbit core: canonical forms, T/S images and the orbit closure.
+
+Every origami in an orbit search passes through three steps: the
+canonical form of a permutation pair under simultaneous relabelling, its
+T and S images, and its horizontal cylinders.  This module runs them in
+two interchangeable ways:
+
+* compiled, from ``_orbitcore.c``: built once with the system C compiler
+  into ``${XDG_CACHE_HOME:-~/.cache}/flatlyap/``, named by the sha256 of
+  the source and flags, and loaded with ctypes on the first call;
+* in pure Python, the code below, which is the oracle the compiled code
+  must match byte for byte.
+
+The compiled library is used whenever it builds and loads; any failure
+there falls back to Python for the life of the process.  A pair of
+0-based image sequences (r, u) of degree d <= 255 is packed as the 2d-byte
+key ``bytes(r) + bytes(u)``, whose lexicographic order is tuple order.
+"""
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import tempfile
+from array import array
+from collections import Counter
+from pathlib import Path
+
+from .errors import DisconnectedError, InputError, InternalCheckError, ResourceCapError
+
+#: bytes keys hold images and labels below 256
+MAX_DEGREE = 255
+
+_SOURCE = Path(__file__).with_name("_orbitcore.c")
+_FLAGS = ("-O2", "-shared", "-fPIC")
+#: elements the compiled closure expands per call (about 15 ms), so that
+#: signal handlers (Ctrl-C, timers) run during long scans
+_STEP_BUDGET = 8192
+_LONG_MAX = 2 ** (8 * ctypes.sizeof(ctypes.c_long) - 1) - 1
+
+_DISCONNECTED_MESSAGE = "canonical form needs a transitive pair"
+_RANGE_MESSAGE = "a pair needs two permutations of 0..d-1"
+_CAP_MESSAGE = "orbit exceeds the configured cap of {} elements"
+
+_UNLOADED = object()
+#: the ctypes library, None when it cannot be built or loaded, or
+#: _UNLOADED before the first call
+_lib = _UNLOADED
+
+
+def _library():
+    global _lib
+    if _lib is _UNLOADED:
+        _lib = _load()
+    return _lib
+
+
+def _load():
+    try:
+        source = _SOURCE.read_bytes()
+        digest = hashlib.sha256(source + " ".join(_FLAGS).encode()).hexdigest()[:16]
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "flatlyap"
+        path = cache / f"_orbitcore-{digest}.so"
+        if not path.exists() and not _build(path):
+            return None
+        lib = ctypes.CDLL(str(path))
+        _declare(lib)
+        return lib
+    # RuntimeError: no home directory; AttributeError: a file under our
+    # name that lacks our symbols
+    except (OSError, RuntimeError, AttributeError):
+        return None
+
+
+def _build(path: Path) -> bool:
+    """Compile into a temporary file beside ``path``, then rename it into
+    place, so that processes building at once never load a partial library."""
+    import subprocess  # only a first run in a fresh cache needs it
+
+    cc = shutil.which("cc")
+    if cc is None:
+        return False
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + "-", suffix=".tmp")
+    os.close(fd)
+    try:
+        done = subprocess.run(
+            [cc, *_FLAGS, "-o", tmp, str(_SOURCE)], capture_output=True, timeout=120
+        )
+        if done.returncode != 0:
+            return False
+        os.replace(tmp, path)
+        return True
+    except subprocess.TimeoutExpired:
+        return False
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _declare(lib) -> None:
+    c_long, c_int, ptr = ctypes.c_long, ctypes.c_int, ctypes.c_void_p
+    signatures = {
+        "fl_canonical": (c_int, [c_int, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p]),
+        "fl_scan_new": (ptr, [c_int, ctypes.c_char_p]),
+        "fl_scan_step": (c_int, [ptr, c_long, c_long]),
+        "fl_scan_free": (None, [ptr]),
+        "fl_scan_size": (c_long, [ptr]),
+        "fl_scan_keys": (ptr, [ptr]),
+        "fl_scan_t_next": (ptr, [ptr]),
+        "fl_scan_hist": (ptr, [ptr]),
+    }
+    for name, (restype, argtypes) in signatures.items():
+        fn = getattr(lib, name)
+        fn.restype = restype
+        fn.argtypes = argtypes
+
+
+# -- canonical form ----------------------------------------------------------
+
+def canonical_key(rz, uz) -> bytes:
+    """Packed canonical form of the pair of 0-based image sequences.
+
+    For every base square the pair is relabelled by BFS order over the
+    moves (r first, then u); the key is the least relabelling.  Two
+    transitive pairs are simultaneously conjugate iff their keys agree.
+    Raises DisconnectedError for a pair that is not transitive and
+    InputError unless both are permutations of 0..d-1 with d <= 255.
+    """
+    d = len(rz)
+    try:
+        r, u = bytes(rz), bytes(uz)
+    except (TypeError, ValueError):
+        raise InputError(_RANGE_MESSAGE) from None
+    if d == 0:
+        raise DisconnectedError(_DISCONNECTED_MESSAGE)
+    if d > MAX_DEGREE or len(r) != d or len(u) != d:
+        raise InputError(f"a pair needs two image sequences of one length d <= {MAX_DEGREE}")
+    lib = _library()
+    if lib is None:
+        return _py_canonical_key(r, u)
+    out = (ctypes.c_char * (2 * d))()
+    status = lib.fl_canonical(d, r, u, out)
+    if status:
+        _raise_status(status)
+    return out.raw
+
+
+def _py_canonical_key(rz, uz) -> bytes:
+    d = len(rz)
+    if max(rz) >= d or max(uz) >= d or len(set(rz)) != d or len(set(uz)) != d:
+        raise InputError(_RANGE_MESSAGE)
+    best = None
+    # the first output byte is 0 exactly when the base square is fixed by
+    # r, so bases at r-fixed points dominate whenever any exist
+    bases = [x for x in range(d) if rz[x] == x] or range(d)
+    for base in bases:
+        label = [-1] * d
+        order = [0] * d
+        label[base] = 0
+        order[0] = base
+        filled = 1
+        i = 0
+        while i < filled:
+            x = order[i]
+            i += 1
+            y = rz[x]
+            if label[y] < 0:
+                label[y] = filled
+                order[filled] = y
+                filled += 1
+            y = uz[x]
+            if label[y] < 0:
+                label[y] = filled
+                order[filled] = y
+                filled += 1
+        if filled != d:
+            raise DisconnectedError(_DISCONNECTED_MESSAGE)
+        out = bytearray(2 * d)
+        for k in range(d):
+            x = order[k]
+            lx = label[x]
+            out[lx] = label[rz[x]]
+            out[d + lx] = label[uz[x]]
+        cand = bytes(out)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def t_key(key: bytes, d: int) -> bytes:
+    """Canonical key of T applied to a packed pair: (r, u r^-1)."""
+    rz = key[:d]
+    uz = key[d:]
+    rinv = [0] * d
+    for i in range(d):
+        rinv[rz[i]] = i
+    return canonical_key(rz, [uz[x] for x in rinv])
+
+
+def s_key(key: bytes, d: int) -> bytes:
+    """Canonical key of S applied to a packed pair: (u^-1, r)."""
+    rz = key[:d]
+    uz = key[d:]
+    uinv = [0] * d
+    for i in range(d):
+        uinv[uz[i]] = i
+    return canonical_key(uinv, rz)
+
+
+# -- horizontal cylinders ----------------------------------------------------
+
+def cylinders(rz, uz) -> tuple[tuple[int, int], ...]:
+    """(width, height) of every horizontal cylinder, widest first; see
+    ``orbits.horizontal_cylinders``."""
+    d = len(rz)
+    row_of = [-1] * d
+    rows: list[list[int]] = []
+    for start in range(d):
+        if row_of[start] >= 0:
+            continue
+        idx = len(rows)
+        cyc = [start]
+        row_of[start] = idx
+        x = rz[start]
+        while x != start:
+            cyc.append(x)
+            row_of[x] = idx
+            x = rz[x]
+        rows.append(cyc)
+
+    n = len(rows)
+    # above[i] = row glued on top of row i across a cone-point-free circle
+    above = [-1] * n
+    has_below = [False] * n
+    for i, cyc in enumerate(rows):
+        if all(uz[rz[j]] == rz[uz[j]] for j in cyc):
+            k = row_of[uz[cyc[0]]]
+            above[i] = k
+            has_below[k] = True
+
+    found = []
+    seen = [False] * n
+    for i in range(n):
+        if seen[i] or has_below[i]:
+            continue
+        height = 0
+        j = i
+        while j >= 0 and not seen[j]:
+            seen[j] = True
+            height += 1
+            j = above[j]
+        found.append((len(rows[i]), height))
+    for i in range(n):
+        if seen[i]:
+            continue
+        height = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            height += 1
+            j = above[j]
+        found.append((len(rows[i]), height))
+
+    if sum(w * h for w, h in found) != d:
+        raise InternalCheckError("cylinder areas do not add up to the degree")
+    return tuple(sorted(found, reverse=True))
+
+
+# -- orbit closure -----------------------------------------------------------
+
+def orbit_closure(start: bytes, max_size: int) -> tuple[list[bytes], array, Counter]:
+    """Breadth-first closure of the canonical key ``start`` under T and S.
+
+    Returns the keys in discovery order, the index of each key's T image,
+    and how many cylinders of each (width, height) the orbit has in all.
+    Raises ResourceCapError as soon as a key beyond ``max_size`` is found.
+    """
+    d = len(start) // 2
+    # the compiled closure trusts its start key: check it in full
+    if canonical_key(start[:d], start[d:]) != start:
+        raise InputError("an orbit closure starts from a canonical key")
+    lib = _library()
+    if lib is None:
+        return _py_orbit_closure(start, max_size)
+    scan = lib.fl_scan_new(d, start)
+    if not scan:
+        raise MemoryError("no memory for the orbit search")
+    try:
+        while True:
+            status = lib.fl_scan_step(scan, min(max_size, _LONG_MAX), _STEP_BUDGET)
+            if status == 0:
+                break
+            if status != 1:
+                _raise_status(status, max_size)
+        n = lib.fl_scan_size(scan)
+        k = 2 * d
+        blob = ctypes.string_at(lib.fl_scan_keys(scan), n * k)
+        t_next = array("l")
+        t_next.frombytes(ctypes.string_at(lib.fl_scan_t_next(scan), n * t_next.itemsize))
+        counts = array("l")
+        counts.frombytes(ctypes.string_at(lib.fl_scan_hist(scan), (d + 1) ** 2 * counts.itemsize))
+    finally:
+        lib.fl_scan_free(scan)
+    keys = [blob[i : i + k] for i in range(0, n * k, k)]
+    hist = Counter({divmod(i, d + 1): c for i, c in enumerate(counts) if c})
+    return keys, t_next, hist
+
+
+def _raise_status(status: int, max_size: int = 0):
+    """The exception for a negative status of ``_orbitcore.c``."""
+    if status == -1:
+        raise ResourceCapError(_CAP_MESSAGE.format(max_size))
+    if status == -2:
+        raise MemoryError("no memory for the orbit search")
+    if status == -3:
+        raise InternalCheckError("cylinder areas do not add up to the degree")
+    if status == -4:
+        raise DisconnectedError(_DISCONNECTED_MESSAGE)
+    raise InputError(_RANGE_MESSAGE)
+
+
+def _py_orbit_closure(start: bytes, max_size: int) -> tuple[list[bytes], array, Counter]:
+    d = len(start) // 2
+    index = {start: 0}
+    keys = [start]
+    t_next = array("l", [-1])
+    hist: Counter = Counter()
+
+    def visit(key: bytes) -> int:
+        j = index.get(key)
+        if j is None:
+            j = len(keys)
+            if j >= max_size:
+                raise ResourceCapError(_CAP_MESSAGE.format(max_size))
+            index[key] = j
+            keys.append(key)
+            t_next.append(-1)
+        return j
+
+    # keys[i:] is the frontier: each key is appended once, when found
+    i = 0
+    while i < len(keys):
+        key = keys[i]
+        hist.update(cylinders(key[:d], key[d:]))
+        t_next[i] = visit(t_key(key, d))
+        visit(s_key(key, d))
+        i += 1
+    return keys, t_next, hist

@@ -17,19 +17,20 @@ arithmetic; no floating point enters anywhere in this module.
 Degree-11 orbits run into the millions of elements, so the breadth-first
 search works on packed byte strings: a canonical pair of 0-based image
 tuples (r, u) is stored as the 2d-byte key bytes(r) + bytes(u), whose
-lexicographic order agrees with tuple order.
+lexicographic order agrees with tuple order.  The search itself, with the
+canonical form and the cylinder sums, runs in ``kernel``.
 """
 from __future__ import annotations
 
 import hashlib
 import os
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import InputError, InternalCheckError, ResourceCapError
+from .errors import InputError, InternalCheckError
+from .kernel import canonical_key, cylinders, orbit_closure, t_key
 from .origami import Origami, Stratum, kappa
 from .permutation import Permutation
 
@@ -71,68 +72,6 @@ def _pair_to_origami(p: Pair) -> Origami:
     )
 
 
-def canonical_key(rz, uz) -> bytes:
-    """Packed canonical form; ``rz``/``uz`` may be any int sequences."""
-    d = len(rz)
-    best = None
-    # the first output byte is 0 exactly when the base square is fixed by
-    # r, so bases at r-fixed points dominate whenever any exist
-    bases = [x for x in range(d) if rz[x] == x] or range(d)
-    for base in bases:
-        label = [-1] * d
-        order = [0] * d
-        label[base] = 0
-        order[0] = base
-        filled = 1
-        i = 0
-        while i < filled:
-            x = order[i]
-            i += 1
-            y = rz[x]
-            if label[y] < 0:
-                label[y] = filled
-                order[filled] = y
-                filled += 1
-            y = uz[x]
-            if label[y] < 0:
-                label[y] = filled
-                order[filled] = y
-                filled += 1
-        if filled != d:
-            raise InputError("canonical form needs a transitive pair")
-        out = bytearray(2 * d)
-        for k in range(d):
-            x = order[k]
-            lx = label[x]
-            out[lx] = label[rz[x]]
-            out[d + lx] = label[uz[x]]
-        cand = bytes(out)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
-
-
-def _t_key(key: bytes, d: int) -> bytes:
-    """Canonical key of T applied to a packed pair: (r, u r^-1)."""
-    rz = key[:d]
-    uz = key[d:]
-    rinv = [0] * d
-    for i in range(d):
-        rinv[rz[i]] = i
-    return canonical_key(rz, [uz[x] for x in rinv])
-
-
-def _s_key(key: bytes, d: int) -> bytes:
-    """Canonical key of S applied to a packed pair: (u^-1, r)."""
-    rz = key[:d]
-    uz = key[d:]
-    uinv = [0] * d
-    for i in range(d):
-        uinv[uz[i]] = i
-    return canonical_key(uinv, rz)
-
-
 @dataclass(frozen=True)
 class CylinderDecomposition:
     """Horizontal cylinders as (width, height) pairs, widest first."""
@@ -165,66 +104,11 @@ def horizontal_cylinders(o: Origami) -> CylinderDecomposition:
     up into a torus happens in genus one only.
     """
     o.validate()
-    return CylinderDecomposition(_cylinders(o.right.zero_based(), o.up.zero_based()))
-
-
-def _cylinders(rz, uz) -> tuple[tuple[int, int], ...]:
-    d = len(rz)
-    row_of = [-1] * d
-    rows: list[list[int]] = []
-    for start in range(d):
-        if row_of[start] >= 0:
-            continue
-        idx = len(rows)
-        cyc = [start]
-        row_of[start] = idx
-        x = rz[start]
-        while x != start:
-            cyc.append(x)
-            row_of[x] = idx
-            x = rz[x]
-        rows.append(cyc)
-
-    n = len(rows)
-    # above[i] = row glued on top of row i across a cone-point-free circle
-    above = [-1] * n
-    has_below = [False] * n
-    for i, cyc in enumerate(rows):
-        if all(uz[rz[j]] == rz[uz[j]] for j in cyc):
-            k = row_of[uz[cyc[0]]]
-            above[i] = k
-            has_below[k] = True
-
-    cylinders = []
-    seen = [False] * n
-    for i in range(n):
-        if seen[i] or has_below[i]:
-            continue
-        height = 0
-        j = i
-        while j >= 0 and not seen[j]:
-            seen[j] = True
-            height += 1
-            j = above[j]
-        cylinders.append((len(rows[i]), height))
-    for i in range(n):
-        if seen[i]:
-            continue
-        height = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            height += 1
-            j = above[j]
-        cylinders.append((len(rows[i]), height))
-
-    if sum(w * h for w, h in cylinders) != d:
-        raise InternalCheckError("cylinder areas do not add up to the degree")
-    return tuple(sorted(cylinders, reverse=True))
+    return CylinderDecomposition(cylinders(o.right.zero_based(), o.up.zero_based()))
 
 
 def _hw_sum(rz, uz) -> Fraction:
-    return sum((Fraction(h, w) for w, h in _cylinders(rz, uz)), Fraction(0))
+    return sum((Fraction(h, w) for w, h in cylinders(rz, uz)), Fraction(0))
 
 
 # -- orbit scan ---------------------------------------------------------------
@@ -275,53 +159,14 @@ def orbit_scan(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitScan:
 
     The visited set is keyed by packed canonical forms, so the resulting
     set is independent of scheduling; the cylinder sums are accumulated
-    along the way.
+    along the way, as a histogram of (width, height) counts.
     """
     if max_size < 1:
         raise InputError("orbit-size cap must be at least 1")
     o.validate()
-    d = o.degree
-    start = canonical_key(*_pair_of(o))
-    index: dict[bytes, int] = {start: 0}
-    keys = [start]
-    t_next = array("l", [-1])
-    total = Fraction(0)
-    frontier = deque((0,))
-    while frontier:
-        i = frontier.popleft()
-        key = keys[i]
-        total += _hw_sum(key[:d], key[d:])
-        tk = _t_key(key, d)
-        j = index.get(tk)
-        if j is None:
-            j = len(keys)
-            if j >= max_size:
-                raise ResourceCapError(
-                    f"orbit exceeds the configured cap of {max_size} elements"
-                )
-            index[tk] = j
-            keys.append(tk)
-            t_next.append(-1)
-            frontier.append(j)
-        t_next[i] = j
-        sk = _s_key(key, d)
-        if sk not in index:
-            j = len(keys)
-            if j >= max_size:
-                raise ResourceCapError(
-                    f"orbit exceeds the configured cap of {max_size} elements"
-                )
-            index[sk] = j
-            keys.append(sk)
-            t_next.append(-1)
-            frontier.append(j)
-    return OrbitScan(degree=d, keys=keys, t_next=t_next, total_hw=total)
-
-
-def orbit_pairs(start: Pair, max_size: int = DEFAULT_ORBIT_CAP) -> set[Pair]:
-    """BFS closure as a set of canonical pairs (small-scale API)."""
-    scan = orbit_scan(_pair_to_origami(start), max_size=max_size)
-    return {_unpack(k) for k in scan.keys}
+    keys, t_next, hist = orbit_closure(canonical_key(*_pair_of(o)), max_size)
+    total = sum((Fraction(h * n, w) for (w, h), n in hist.items()), Fraction(0))
+    return OrbitScan(degree=o.degree, keys=keys, t_next=t_next, total_hw=total)
 
 
 def orbit(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> list[Origami]:
@@ -421,7 +266,7 @@ def _t_widths_of_pairs(pairs: set[Pair], d: int) -> list[int]:
         while True:
             remaining.discard(x)
             width += 1
-            x = _t_key(x, d)
+            x = t_key(x, d)
             if x == seed:
                 break
             if x not in remaining:
@@ -443,7 +288,7 @@ def cusps(
     out = []
     for width, key in scan.cusp_widths():
         p = _unpack(key)
-        out.append((width, _pair_to_origami(p), CylinderDecomposition(_cylinders(p[0], p[1]))))
+        out.append((width, _pair_to_origami(p), CylinderDecomposition(cylinders(p[0], p[1]))))
     return out
 
 

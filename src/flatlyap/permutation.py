@@ -12,11 +12,11 @@ what makes hash-based orbit enumeration possible.
 from __future__ import annotations
 
 import re
-from collections import deque
 from math import lcm
 from typing import Sequence
 
-from .errors import DisconnectedError, InputError
+from .errors import InputError
+from .kernel import canonical_key
 
 _TOKEN = re.compile(r"\d+")
 
@@ -252,48 +252,14 @@ def canonical_form(r: Permutation, u: Permutation) -> tuple[Permutation, Permuta
     For every base square the pair is relabelled by BFS order over the
     moves (r first, then u); the lexicographic minimum over base squares
     is a normal form: two transitive pairs are simultaneously conjugate
-    iff their canonical forms coincide.
+    iff their canonical forms coincide (see ``kernel.canonical_key``).
     """
-    if not is_transitive(r, u):
-        raise DisconnectedError("canonical form needs a transitive pair")
-    rc, uc = canonical_pair_tuples(r.zero_based(), u.zero_based())
+    key = canonical_key(r.zero_based(), u.zero_based())
+    d = r.degree
     return (
-        Permutation(tuple(x + 1 for x in rc)),
-        Permutation(tuple(x + 1 for x in uc)),
+        Permutation(tuple(x + 1 for x in key[:d])),
+        Permutation(tuple(x + 1 for x in key[d:])),
     )
-
-
-def canonical_pair_tuples(
-    rz: Sequence[int], uz: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Canonical form on 0-based image tuples; assumes transitivity."""
-    d = len(rz)
-    best = None
-    for base in range(d):
-        label = [-1] * d
-        label[base] = 0
-        order = [base]
-        queue = deque((base,))
-        next_label = 1
-        while queue:
-            x = queue.popleft()
-            for y in (rz[x], uz[x]):
-                if label[y] < 0:
-                    label[y] = next_label
-                    next_label += 1
-                    order.append(y)
-                    queue.append(y)
-        rr = [0] * d
-        uu = [0] * d
-        for x in order:
-            lx = label[x]
-            rr[lx] = label[rz[x]]
-            uu[lx] = label[uz[x]]
-        cand = (tuple(rr), tuple(uu))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
 
 
 def random_permutation(degree: int, rng) -> Permutation:
