@@ -144,9 +144,6 @@ def cmd_classify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     s = _parse_stratum(args.stratum)
-    if args.dmax is None:
-        # single-zero strata stay cheap a little longer
-        args.dmax = 10 if len(s.orders) == 1 else 9
     if args.per_orbit:
         rows = []
         support = sum(m + 1 for m in s.orders)
@@ -277,23 +274,23 @@ def cmd_verify_tables(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 
-def _add_common(p, origami=False):
-    p.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="output format",
-    )
-    p.add_argument(
-        "--cache-dir", default=None,
-        help=f"orbit cache directory (default: ${OrbitCache.ENV_VAR})",
-    )
-    p.add_argument(
-        "--max-orbit", type=int, default=DEFAULT_ORBIT_CAP,
-        help="abort orbit searches beyond this many elements",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker count; results are identical for any value",
-    )
+def _add_common(p, origami=False, fmt=True, cache=False, cap=False):
+    """The shared options a subcommand reads."""
+    if fmt:
+        p.add_argument(
+            "--format", choices=("text", "json"), default="text",
+            help="output format",
+        )
+    if cache:
+        p.add_argument(
+            "--cache-dir", default=None,
+            help=f"orbit cache directory (default: ${OrbitCache.ENV_VAR})",
+        )
+    if cap:
+        p.add_argument(
+            "--max-orbit", type=int, default=DEFAULT_ORBIT_CAP,
+            help="abort orbit searches beyond this many elements",
+        )
     if origami:
         p.add_argument("origami", help="inline origami text or JSON file path")
 
@@ -311,11 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stratum)
 
     p = sub.add_parser("lyap", help="orbit invariants: L, c, s")
-    _add_common(p, origami=True)
+    _add_common(p, origami=True, cache=True, cap=True)
     p.set_defaults(func=cmd_lyap)
 
     p = sub.add_parser("orbit", help="SL(2,Z) orbit of an origami")
-    _add_common(p, origami=True)
+    _add_common(p, origami=True, cap=True)
     p.add_argument("--list", action="store_true", help="print orbit members")
     p.add_argument("--limit", type=int, default=100, help="cap listed members")
     p.set_defaults(func=cmd_orbit)
@@ -329,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("enumerate", help="exhaustive stratum report")
-    _add_common(p)
+    _add_common(p, cache=True)
     p.add_argument("--stratum", required=True, help="zero orders, e.g. 3,1")
     p.add_argument("--dmax", type=int, required=True, help="largest degree")
     p.add_argument("--dmin", type=int, default=None, help="smallest degree")
@@ -365,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_double_cover)
 
     p = sub.add_parser("verify-tables", help="run the golden verification suite")
-    _add_common(p)
+    _add_common(p, fmt=False, cache=True)
     p.add_argument(
         "genus", nargs="?", default="all", choices=("2", "3", "4", "5", "6", "all"),
         help="restrict to one genus",
@@ -383,10 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
-    if args.max_orbit is not None and args.max_orbit < 1:
+    if getattr(args, "max_orbit", 1) < 1:
         print("error: --max-orbit must be at least 1", file=sys.stderr)
         return EXIT_INPUT
     try:

@@ -27,6 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InputError, InternalCheckError
+from .kernel import invert
 from .origami import Origami
 from .permutation import Permutation
 
@@ -60,8 +61,8 @@ def hyperelliptic_involution(o: Origami) -> Involution | None:
     target = 2 * s.genus + 2
     d = o.degree
     rz, uz = o.right.zero_based(), o.up.zero_based()
-    rinv = _invert(rz)
-    uinv = _invert(uz)
+    rinv = invert(rz)
+    uinv = invert(uz)
     for seed in range(d):
         sigma = _propagate_involution(rz, uz, rinv, uinv, seed)
         if sigma is None:
@@ -73,13 +74,6 @@ def hyperelliptic_involution(o: Origami) -> Involution | None:
                 fixed_point_count=count,
             )
     return None
-
-
-def _invert(p):
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return inv
 
 
 def _propagate_involution(rz, uz, rinv, uinv, seed):
@@ -121,19 +115,7 @@ def _flat_fixed_points(rz, uz, rinv, uinv, sigma) -> int:
     count += sum(1 for i in range(d) if sigma[i] == rz[i])
     count += sum(1 for i in range(d) if sigma[i] == uz[i])
 
-    vertex_of = [-1] * d
-    n_vertices = 0
-    for start in range(d):
-        if vertex_of[start] >= 0:
-            continue
-        x = start
-        while vertex_of[x] < 0:
-            vertex_of[x] = n_vertices
-            x = uz[rz[uinv[rinv[x]]]]
-        if vertex_of[x] != n_vertices:
-            raise InternalCheckError("corner walk left its own cycle")
-        n_vertices += 1
-
+    vertex_of, _ = _corner_walk(rz, uz, rinv, uinv)
     image_of_vertex = {}
     for i in range(d):
         v = vertex_of[i]
@@ -142,6 +124,28 @@ def _flat_fixed_points(rz, uz, rinv, uinv, sigma) -> int:
             raise InternalCheckError("involution does not permute vertices")
     count += sum(1 for v, w in image_of_vertex.items() if v == w)
     return count
+
+
+def _corner_walk(rz, uz, rinv, uinv) -> tuple[list[int], list[int]]:
+    """Vertices as the cycles of phi = u r u^-1 r^-1 on lower-left corner
+    slots: the vertex holding each slot, and the slot count of each vertex."""
+    d = len(rz)
+    vertex_of = [-1] * d
+    sizes = []
+    for start in range(d):
+        if vertex_of[start] >= 0:
+            continue
+        idx = len(sizes)
+        size = 0
+        x = start
+        while vertex_of[x] < 0:
+            vertex_of[x] = idx
+            size += 1
+            x = uz[rz[uinv[rinv[x]]]]
+        if vertex_of[x] != idx:
+            raise InternalCheckError("corner walk left its own cycle")
+        sizes.append(size)
+    return vertex_of, sizes
 
 
 # -- spin parity -------------------------------------------------------------
@@ -199,7 +203,7 @@ def make_cycle(o: Origami, start: int, moves) -> CenterCycle:
     """Build a CenterCycle from a closed move word based at ``start``
     (0-based square), reducing backtracks cyclically."""
     rz, uz = o.right.zero_based(), o.up.zero_based()
-    rinv, uinv = _invert(rz), _invert(uz)
+    rinv, uinv = invert(rz), invert(uz)
     moves = list(moves)
     squares = [start]
     for m in moves[:-1]:
@@ -236,7 +240,7 @@ def fundamental_cycles(o: Origami) -> list[CenterCycle]:
     o.validate()
     d = o.degree
     rz, uz = o.right.zero_based(), o.up.zero_based()
-    rinv, uinv = _invert(rz), _invert(uz)
+    rinv, uinv = invert(rz), invert(uz)
 
     parent: list[tuple[int, int] | None] = [None] * d  # (square, move into me)
     depth = [-1] * d
@@ -318,7 +322,7 @@ def _strands(o: Origami, cycles) -> dict[int, list[tuple[int, tuple, tuple]]]:
     being a boundary position on the square (see _port_angle).
     """
     rz, uz = o.right.zero_based(), o.up.zero_based()
-    rinv, uinv = _invert(rz), _invert(uz)
+    rinv, uinv = invert(rz), invert(uz)
 
     traversal_count: dict[tuple, int] = {}
     crossings = []  # per cycle: list of (edge, offset) per move
@@ -509,21 +513,7 @@ def _zeros_exchanged(o: Origami, sigma) -> bool:
     one holding u(r(sigma(i))).
     """
     rz, uz = o.right.zero_based(), o.up.zero_based()
-    rinv, uinv = _invert(rz), _invert(uz)
-    d = len(rz)
-    vertex_of = [-1] * d
-    sizes = []
-    for start in range(d):
-        if vertex_of[start] >= 0:
-            continue
-        idx = len(sizes)
-        size = 0
-        x = start
-        while vertex_of[x] < 0:
-            vertex_of[x] = idx
-            size += 1
-            x = uz[rz[uinv[rinv[x]]]]
-        sizes.append(size)
+    vertex_of, sizes = _corner_walk(rz, uz, invert(rz), invert(uz))
     zeros = [v for v, size in enumerate(sizes) if size >= 2]
     if len(zeros) != 2:
         raise InternalCheckError("expected exactly two cone points")

@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .components import component_label
-from .errors import DisconnectedError, InputError, InternalCheckError
-from .kernel import canonical_key, s_key, t_key
+from .errors import DisconnectedError, InputError, InternalCheckError, ResourceCapError
+from .kernel import canonical_key
 from .origami import Origami, Stratum
 from .orbits import (
     OrbitCache,
@@ -28,9 +28,10 @@ from .orbits import (
     Pair,
     _pair_to_origami,
     _summary_from_parts,
+    _summary_of_scan,
     _unpack,
     format_rational,
-    summarize_pairs,
+    orbit_scan,
 )
 
 _CHUNK = 200_000
@@ -169,7 +170,8 @@ def orbit_partition(
     """Partition conjugacy classes into SL(2,Z) orbits.
 
     The input must be closed under the action (it is when it comes from
-    ``enumerate_origamis``: T and S preserve degree and stratum).
+    ``enumerate_origamis``: T and S preserve degree and stratum).  Each
+    orbit is closed by ``orbit_scan`` from its least key, in key order.
     """
     if not origamis:
         return []
@@ -180,57 +182,40 @@ def orbit_partition(
     (degree,) = degrees
     (stratum,) = strata
 
-    keys = [
-        canonical_key(o.right.zero_based(), o.up.zero_based()) for o in origamis
-    ]
-    index = {k: i for i, k in enumerate(keys)}
-    if len(index) != len(keys):
+    by_key = {
+        canonical_key(o.right.zero_based(), o.up.zero_based()): o for o in origamis
+    }
+    if len(by_key) != len(origamis):
         raise InputError("duplicate conjugacy classes in the input")
 
-    parent = list(range(len(keys)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for i, k in enumerate(keys):
-        for neighbor in (t_key(k, degree), s_key(k, degree)):
-            j = index.get(neighbor)
-            if j is None:
-                raise InternalCheckError("enumerated set is not closed under T and S")
-            union(i, j)
-
-    groups: dict[int, list[bytes]] = {}
-    for i in range(len(keys)):
-        groups.setdefault(find(i), []).append(keys[i])
-
+    covered: set[bytes] = set()
     out = []
-    for root in sorted(groups, key=lambda i: keys[i]):
-        members = {_unpack(k) for k in groups[root]}
-        least = min(groups[root])
+    for least in sorted(by_key):
+        if least in covered:
+            continue
+        try:
+            scan = orbit_scan(by_key[least], max_size=len(by_key))
+        except ResourceCapError:
+            scan = None  # the orbit outgrows the input
+        if scan is None or not by_key.keys() >= set(scan.keys):
+            raise InternalCheckError("enumerated set is not closed under T and S")
+        covered.update(scan.keys)
         summary = None
         if cache is not None:
             hit = cache.lookup(least)
             if hit is not None:
                 n, cusp_count, total = hit
-                if n != len(members):
+                if n != scan.size:
                     raise InternalCheckError("cached orbit size disagrees")
                 summary = _summary_from_parts(degree, stratum, n, cusp_count, total)
         if summary is None:
-            summary = summarize_pairs(members, degree, stratum)
+            summary = _summary_of_scan(scan, stratum)
             if cache is not None:
                 cache.store(least, summary.orbit_size, summary.cusp_count, summary.total_hw)
         out.append(
             OrbitClass(
                 representative=_pair_to_origami(_unpack(least)),
-                members=tuple(sorted(members)),
+                members=tuple(_unpack(k) for k in sorted(scan.keys)),
                 summary=summary,
             )
         )

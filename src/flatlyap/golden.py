@@ -301,18 +301,6 @@ _DISPATCH = {
     "enum": _check_enum,
 }
 
-#: kinds that finish in well under a second each
-FAST_KINDS = (
-    "slope",
-    "bound",
-    "hyploc",
-    "triple",
-    "table",
-    "hypclosed",
-    "extremal",
-)
-
-
 def select_checks(
     checks: list[GoldenCheck],
     genus: str = "all",

@@ -189,24 +189,26 @@ def _py_canonical_key(rz, uz) -> bytes:
     return best
 
 
+def invert(p) -> list[int]:
+    """Images of the inverse of the 0-based image sequence ``p``."""
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return inv
+
+
 def t_key(key: bytes, d: int) -> bytes:
     """Canonical key of T applied to a packed pair: (r, u r^-1)."""
     rz = key[:d]
     uz = key[d:]
-    rinv = [0] * d
-    for i in range(d):
-        rinv[rz[i]] = i
-    return canonical_key(rz, [uz[x] for x in rinv])
+    return canonical_key(rz, [uz[x] for x in invert(rz)])
 
 
 def s_key(key: bytes, d: int) -> bytes:
     """Canonical key of S applied to a packed pair: (u^-1, r)."""
     rz = key[:d]
     uz = key[d:]
-    uinv = [0] * d
-    for i in range(d):
-        uinv[uz[i]] = i
-    return canonical_key(uinv, rz)
+    return canonical_key(invert(uz), rz)
 
 
 # -- horizontal cylinders ----------------------------------------------------

@@ -189,9 +189,6 @@ def logan_divisor(g: int, w: Sequence[int]) -> DivisorClass:
     )
 
 
-#: bump when a catalog entry changes; consumers can pin against it
-CATALOG_VERSION = 1
-
 # Built-in catalog of named classes.  Each entry: genus -> coefficients.
 # Lin1_3 is stored with positive omega coefficients: the negative variant
 # fails every cross-check that pins this entry (the solved slope must come

@@ -30,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputError, InternalCheckError
-from .kernel import canonical_key, cylinders, orbit_closure, t_key
+from .kernel import canonical_key, cylinders, orbit_closure
 from .origami import Origami, Stratum, kappa
 from .permutation import Permutation
 
@@ -51,10 +51,6 @@ def act_S(o: Origami) -> Origami:
 
 
 # -- packed-pair plumbing ----------------------------------------------------
-
-def _pack(p: Pair) -> bytes:
-    return bytes(p[0]) + bytes(p[1])
-
 
 def _unpack(key: bytes) -> Pair:
     d = len(key) // 2
@@ -105,10 +101,6 @@ def horizontal_cylinders(o: Origami) -> CylinderDecomposition:
     """
     o.validate()
     return CylinderDecomposition(cylinders(o.right.zero_based(), o.up.zero_based()))
-
-
-def _hw_sum(rz, uz) -> Fraction:
-    return sum((Fraction(h, w) for w, h in cylinders(rz, uz)), Fraction(0))
 
 
 # -- orbit scan ---------------------------------------------------------------
@@ -241,38 +233,11 @@ def _summary_from_parts(
     )
 
 
-def summarize_pairs(pairs: set[Pair], degree: int, stratum: Stratum) -> OrbitSummary:
-    """Exact invariants from a complete orbit given as canonical pairs.
-
-    The reduction runs in canonical-form order, so the result does not
-    depend on how the orbit was discovered.
-    """
-    total = Fraction(0)
-    for p in sorted(pairs):
-        total += _hw_sum(p[0], p[1])
-    widths = _t_widths_of_pairs(pairs, degree)
-    if sum(widths) != len(pairs):
-        raise InternalCheckError("cusp widths do not partition the orbit")
-    return _summary_from_parts(degree, stratum, len(pairs), len(widths), total)
-
-
-def _t_widths_of_pairs(pairs: set[Pair], d: int) -> list[int]:
-    remaining = {_pack(p) for p in pairs}
-    widths = []
-    while remaining:
-        seed = min(remaining)
-        width = 0
-        x = seed
-        while True:
-            remaining.discard(x)
-            width += 1
-            x = t_key(x, d)
-            if x == seed:
-                break
-            if x not in remaining:
-                raise InternalCheckError("T-orbit left the computed SL(2,Z) orbit")
-        widths.append(width)
-    return widths
+def _summary_of_scan(scan: OrbitScan, stratum: Stratum) -> OrbitSummary:
+    """Exact invariants of a closed orbit; its cusps are its T-cycles."""
+    return _summary_from_parts(
+        scan.degree, stratum, scan.size, len(scan.cusp_widths()), scan.total_hw
+    )
 
 
 def cusps(
@@ -284,7 +249,6 @@ def cusps(
     if s.genus < 2:
         raise InputError("cusp data needs genus >= 2")
     scan = orbit_scan(o, max_size=max_size)
-    d = o.degree
     out = []
     for width, key in scan.cusp_widths():
         p = _unpack(key)
@@ -309,13 +273,10 @@ def lyapunov_sum(
             n, cusp_count, total = hit
             return _summary_from_parts(o.degree, stratum, n, cusp_count, total)
     scan = orbit_scan(o, max_size=max_size)
-    cusp_count = len(scan.cusp_widths())
-    summary = _summary_from_parts(
-        o.degree, stratum, scan.size, cusp_count, scan.total_hw
-    )
+    summary = _summary_of_scan(scan, stratum)
     if cache is not None:
         cache.store(
-            scan.min_key(), summary.orbit_size, cusp_count, summary.total_hw
+            scan.min_key(), summary.orbit_size, summary.cusp_count, summary.total_hw
         )
         cache.store_alias(canonical_key(*_pair_of(o)), scan.min_key())
     return summary

@@ -16,7 +16,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import InputError
-from .kernel import canonical_key
+from .kernel import canonical_key, invert
 
 _TOKEN = re.compile(r"\d+")
 
@@ -122,10 +122,7 @@ class Permutation:
     # -- structure -------------------------------------------------------
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, x in enumerate(self._images):
-            inv[x - 1] = i + 1
-        return Permutation(inv)
+        return Permutation(x + 1 for x in invert(self.zero_based()))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """All cycles including fixed points, each starting at its least

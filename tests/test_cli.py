@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from flatlyap.cli import main
 
 from conftest import FIG1, WOLLMILCHSAU
@@ -223,6 +225,27 @@ def test_verify_tables_detects_corruption(tmp_path, capsys):
     assert "g3/slope/4-odd" in diff_lines[0]
 
 
-def test_jobs_validation(capsys):
-    code, _, err = run(capsys, "lyap", FIG1, "--jobs", "0")
+def test_max_orbit_must_be_positive(capsys):
+    code, _, err = run(capsys, "orbit", FIG1, "--max-orbit", "0")
     assert code == 2
+    assert "--max-orbit must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lyap", FIG1, "--jobs", "2"),
+        ("stratum", FIG1, "--format", "csv"),
+        ("enumerate", "--stratum", "2", "--dmax", "4", "--format", "csv"),
+        ("classify", FIG1, "--cache-dir", "x"),
+        ("orbit", FIG1, "--cache-dir", "x"),
+        ("cylinders", FIG1, "--max-orbit", "5"),
+        ("enumerate", "--stratum", "2", "--dmax", "4", "--max-orbit", "5"),
+        ("verify-tables", "3", "--format", "json"),
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from flatlyap.enumeration import (
     partition_representative,
     partitions,
 )
-from flatlyap.errors import InputError
+from flatlyap.errors import InputError, InternalCheckError
 from flatlyap.origami import Origami, Stratum
 from flatlyap.orbits import OrbitCache, canonical_key, lyapunov_sum, orbit
 from flatlyap.permutation import Permutation, cycle_type, is_transitive
@@ -153,6 +153,28 @@ def test_partition_rejects_mixed_input():
     mixed = enumerate_origamis(4, Stratum((2,))) + enumerate_origamis(5, Stratum((2,)))
     with pytest.raises(InputError):
         orbit_partition(mixed)
+
+
+def test_partition_rejects_set_not_closed_under_the_action():
+    # one orbit of 9: the scan from the least class outgrows the 8 left
+    single = enumerate_origamis(4, Stratum((2,)))
+    assert len(orbit_partition(single)) == 1
+    with pytest.raises(InternalCheckError, match="not closed"):
+        orbit_partition(single[1:])
+    # orbits of 18 and 9: whichever class is missing, its orbit's scan
+    # reaches a key outside the input
+    classes = enumerate_origamis(5, Stratum((2,)))
+    assert len(orbit_partition(classes)) == 2
+    for i in range(len(classes)):
+        with pytest.raises(InternalCheckError, match="not closed"):
+            orbit_partition(classes[:i] + classes[i + 1 :])
+    # ten orbits: drop a class of the last one, after nine closed orbits
+    classes = enumerate_origamis(6, Stratum((2, 2)))
+    parts = orbit_partition(classes)
+    assert len(parts) == 10
+    dropped = parts[-1].representative
+    with pytest.raises(InternalCheckError, match="not closed"):
+        orbit_partition([o for o in classes if o != dropped])
 
 
 def test_partition_uses_cache(tmp_path):

@@ -229,28 +229,34 @@ def test_canonical_form_rejects_intransitive():
 
 
 def _exhaustive_class_check(d):
-    # oracle: orbits of simultaneous conjugation over all d! relabellings
+    # oracle: orbits of simultaneous conjugation over all d! relabellings,
+    # each class built once, on 0-based images: s p s^-1 sends x to s(p(s^-1(x)))
     elements = [Permutation(p) for p in itertools.permutations(range(1, d + 1))]
+    relabellings = [(s.zero_based(), s.inverse().zero_based()) for s in elements]
     transitive = [
         (r, u) for r in elements for u in elements if is_transitive(r, u)
     ]
-    oracle_classes = set()
+    class_of = {}
+    n_classes = 0
     for r, u in transitive:
-        orbit = frozenset(
-            (conjugate(r, s).images, conjugate(u, s).images) for s in elements
-        )
-        oracle_classes.add(orbit)
-    canon_classes = {
-        tuple(p.images for p in canonical_form(r, u)) for r, u in transitive
-    }
-    assert len(canon_classes) == len(oracle_classes)
-    # and the canonical form is a member of its own conjugacy class
+        rz, uz = r.zero_based(), u.zero_based()
+        if (rz, uz) in class_of:
+            continue
+        for s, s_inv in relabellings:
+            conjugates = (
+                tuple(s[rz[x]] for x in s_inv),
+                tuple(s[uz[x]] for x in s_inv),
+            )
+            class_of[conjugates] = n_classes
+        n_classes += 1
+    canon_classes = set()
     for r, u in transitive:
         cr, cu = canonical_form(r, u)
-        orbit = frozenset(
-            (conjugate(r, s).images, conjugate(u, s).images) for s in elements
-        )
-        assert (cr.images, cu.images) in orbit
+        canon = (cr.zero_based(), cu.zero_based())
+        canon_classes.add(canon)
+        # the canonical form is a member of its own conjugacy class
+        assert class_of[canon] == class_of[r.zero_based(), u.zero_based()]
+    assert len(canon_classes) == n_classes
 
 
 def test_canonical_form_separates_classes_d4():
