@@ -1,14 +1,17 @@
-/* The compiled half of the orbit core: the canonical form of a pair and
- * the breadth-first closure of a canonical pair under T and S.
+/* The compiled half of the orbit core: the canonical form of a pair, the
+ * breadth-first closure of a canonical pair under T and S, and the
+ * exhaustive scan of S_d for pairs with a given commutator cycle type.
  *
  * kernel.py builds this file into a shared library, calls it through
  * ctypes and holds the pure-Python oracle of every function here; the
  * two must agree byte for byte.  A pair of 0-based image arrays (r, u)
  * of degree d <= 255 is packed as the 2d-byte key r || u.  kernel.py
  * passes buffers of the stated lengths; fl_canonical checks that r and u
- * are permutations, and every other entry point takes only keys that
- * fl_canonical produced.
+ * are permutations, fl_scan_new takes only keys that fl_canonical
+ * produced, and fl_enum_new takes permutations and cycle types that
+ * kernel.py has checked.
  */
+#include <limits.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -228,9 +231,8 @@ void fl_scan_free(struct scan *s)
     free(s);
 }
 
-/* A closure holding only ``start``, a canonical key of degree d; NULL
- * when out of memory. */
-struct scan *fl_scan_new(int d, const u8 *start)
+/* An empty key set of degree d; NULL when out of memory. */
+static struct scan *scan_alloc(int d)
 {
     struct scan *s = calloc(1, sizeof *s);
     if (!s)
@@ -247,7 +249,16 @@ struct scan *fl_scan_new(int d, const u8 *start)
         fl_scan_free(s);
         return NULL;
     }
-    visit(s, start, 1);
+    return s;
+}
+
+/* A closure holding only ``start``, a canonical key of degree d; NULL
+ * when out of memory. */
+struct scan *fl_scan_new(int d, const u8 *start)
+{
+    struct scan *s = scan_alloc(d);
+    if (s)
+        visit(s, start, 1);
     return s;
 }
 
@@ -303,3 +314,144 @@ int fl_canonical(int d, const u8 *r, const u8 *u, u8 *out)
     }
     return canonical(d, r, u, out);
 }
+
+/* -- exhaustive scan -------------------------------------------------- */
+
+/* Every pair (r, u) with r one of the given ``right`` permutations and u
+ * any permutation of 0..d-1, walked right by right and, for each right,
+ * u in lexicographic order by next-permutation.  A pair whose commutator
+ * u^-1 r^-1 u r has one of the target cycle types is put, by canonical
+ * key, into that target's key set. */
+struct enumeration {
+    int d, nrights, ntargets;
+    int right;          /* index of the current right, nrights when done */
+    u8 *rights;         /* nrights images of length d */
+    u8 *targets;        /* ntargets rows of d + 1 cycle counts by length */
+    struct scan **sets; /* one key set per target */
+    u8 u[256], uinv[256], rinv[256];   /* the next pair to test */
+};
+
+void fl_enum_free(struct enumeration *e)
+{
+    if (!e)
+        return;
+    if (e->sets)
+        for (int t = 0; t < e->ntargets; t++)
+            fl_scan_free(e->sets[t]);
+    free(e->sets);
+    free(e->rights);
+    free(e->targets);
+    free(e);
+}
+
+/* Starts the walk of the current right at u = identity. */
+static void enum_start_right(struct enumeration *e)
+{
+    const u8 *r = e->rights + (size_t)e->right * (size_t)e->d;
+    for (int x = 0; x < e->d; x++) {
+        e->u[x] = e->uinv[x] = (u8)x;
+        e->rinv[r[x]] = (u8)x;
+    }
+}
+
+/* A scan of the given rights against the given targets, where
+ * targets[t * (d + 1) + l] counts the l-cycles of target t; NULL when out
+ * of memory. */
+struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
+                                int ntargets, const u8 *targets)
+{
+    struct enumeration *e = calloc(1, sizeof *e);
+    if (!e)
+        return NULL;
+    e->d = d;
+    e->nrights = nrights;
+    e->ntargets = ntargets;
+    /* one spare byte or slot each: malloc(0) may return NULL */
+    e->rights = malloc((size_t)nrights * (size_t)d + 1);
+    e->targets = malloc((size_t)ntargets * (size_t)(d + 1) + 1);
+    e->sets = calloc((size_t)ntargets + 1, sizeof *e->sets);
+    if (!e->rights || !e->targets || !e->sets) {
+        fl_enum_free(e);
+        return NULL;
+    }
+    memcpy(e->rights, rights, (size_t)nrights * (size_t)d);
+    memcpy(e->targets, targets, (size_t)ntargets * (size_t)(d + 1));
+    for (int t = 0; t < ntargets; t++)
+        if (!(e->sets[t] = scan_alloc(d))) {
+            fl_enum_free(e);
+            return NULL;
+        }
+    if (nrights > 0)
+        enum_start_right(e);
+    return e;
+}
+
+/* Steps u to its lexicographic successor and keeps uinv its inverse;
+ * returns 0 after the last permutation. */
+static int next_permutation(int d, u8 *u, u8 *uinv)
+{
+    int i = d - 2;
+    while (i >= 0 && u[i] > u[i + 1])
+        i--;
+    if (i < 0)
+        return 0;
+    int j = d - 1;
+    while (u[j] < u[i])
+        j--;
+    u8 swap = u[i];
+    u[i] = u[j];
+    u[j] = swap;
+    for (int lo = i + 1, hi = d - 1; lo < hi; lo++, hi--) {
+        swap = u[lo];
+        u[lo] = u[hi];
+        u[hi] = swap;
+    }
+    for (int k = i; k < d; k++)
+        uinv[u[k]] = (u8)k;
+    return 1;
+}
+
+/* Tests at most ``budget`` pairs.  Returns ST_DONE, ST_MORE or ST_NOMEM;
+ * a pair that is not transitive is skipped. */
+int fl_enum_step(struct enumeration *e, long budget)
+{
+    int d = e->d;
+    u8 c[256], cycles[257], key[512];
+    for (; budget > 0 && e->right < e->nrights; budget--) {
+        const u8 *r = e->rights + (size_t)e->right * (size_t)d;
+        for (int x = 0; x < d; x++)
+            c[x] = e->uinv[e->rinv[e->u[r[x]]]];
+        memset(cycles, 0, sizeof cycles);
+        /* each cycle of c is walked once and erased as it goes */
+        for (int x = 0; x < d; x++) {
+            if (c[x] == UNSET)
+                continue;
+            int len = 0, y = x;
+            do {
+                int next = c[y];
+                c[y] = UNSET;
+                y = next;
+                len++;
+            } while (y != x);
+            cycles[len]++;
+        }
+        int keyed = 0;   /* 1: key holds the canonical form; -1: disconnected */
+        for (int t = 0; t < e->ntargets && keyed >= 0; t++) {
+            if (memcmp(cycles, e->targets + (size_t)t * (size_t)(d + 1), (size_t)(d + 1)))
+                continue;
+            if (!keyed)
+                keyed = canonical(d, r, e->u, key) ? -1 : 1;
+            if (keyed > 0) {
+                long j = visit(e->sets[t], key, LONG_MAX);
+                if (j < 0)
+                    return (int)j;
+            }
+        }
+        if (!next_permutation(d, e->u, e->uinv) && ++e->right < e->nrights)
+            enum_start_right(e);
+    }
+    return e->right < e->nrights ? ST_MORE : ST_DONE;
+}
+
+/* The key set of target t. */
+const struct scan *fl_enum_set(const struct enumeration *e, int t) { return e->sets[t]; }

@@ -6,21 +6,19 @@ non-increasing length on consecutive symbols).  So it suffices to fix
 ``right`` to one representative per partition of d and scan all d!
 candidates for ``up``, keeping those whose commutator has the cycle type
 demanded by the stratum; canonical forms deduplicate the survivors.  The
-scan over S_d is vectorized with numpy and processed in chunks.
+scan itself is ``kernel.scan_degree``: compiled, streaming S_d one
+permutation at a time, or in numpy where the compiled kernel is missing.
 """
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .components import component_label
-from .errors import DisconnectedError, InputError, InternalCheckError, ResourceCapError
-from .kernel import canonical_key
+from .errors import InputError, InternalCheckError, ResourceCapError
+from .kernel import canonical_key, scan_degree
 from .origami import Origami, Stratum
 from .orbits import (
     OrbitCache,
@@ -33,8 +31,6 @@ from .orbits import (
     format_rational,
     orbit_scan,
 )
-
-_CHUNK = 200_000
 
 
 def partitions(n: int):
@@ -82,65 +78,23 @@ def commutator_cycle_type(s: Stratum, degree: int) -> tuple[int, ...] | None:
     )
 
 
-def _perm_table(d: int) -> np.ndarray:
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(d))),
-        dtype=np.int8,
-    )
-    return flat.reshape(-1, d)
-
-
 def _scan_degree(
     d: int, targets: dict[Stratum, tuple[int, ...]]
 ) -> dict[Stratum, set[bytes]]:
     """All canonical transitive pairs of degree d per target stratum,
     as packed canonical keys."""
-    found: dict[Stratum, set[bytes]] = {s: set() for s in targets}
     if not targets:
-        return found
-    lengths = sorted({l for t in targets.values() for l in t})
-    wants = {}
-    for s, target in targets.items():
-        want = {l: 0 for l in lengths}
-        for l in target:
-            want[l] += l
-        if sum(want.values()) != d:
-            raise InternalCheckError("cycle-type target does not fill the degree")
-        wants[s] = want
-    table = _perm_table(d)
-    idx = np.arange(d, dtype=np.int8)
-
-    for parts in partitions(d):
-        r = np.array(partition_representative(parts), dtype=np.int8)
-        rinv = np.empty(d, dtype=np.int8)
-        rinv[r] = idx
-        rz = tuple(int(x) for x in r)
-        for lo in range(0, len(table), _CHUNK):
-            u = table[lo : lo + _CHUNK]
-            uinv = np.argsort(u, axis=1).astype(np.int8)
-            # commutator c = u^-1 r^-1 u r, evaluated right to left
-            t2 = rinv[u[:, r]]
-            c = np.take_along_axis(uinv, t2, axis=1)
-            # minimal period of every symbol under c
-            period = np.zeros_like(c)
-            power = c.copy()
-            for k in range(1, d + 1):
-                hit = (power == idx) & (period == 0)
-                period[hit] = k
-                if k < d:
-                    power = np.take_along_axis(c, power, axis=1)
-            counts = {l: (period == l).sum(axis=1) for l in lengths}
-            for s, want in wants.items():
-                mask = np.ones(len(u), dtype=bool)
-                for l in lengths:
-                    mask &= counts[l] == want[l]
-                for row in np.nonzero(mask)[0]:
-                    uz = tuple(int(x) for x in u[row])
-                    try:
-                        found[s].add(canonical_key(rz, uz))
-                    except DisconnectedError:
-                        continue  # a disconnected surface
-    return found
+        return {}
+    # a trivial right has a trivial commutator: it serves only H(0)
+    ones = (1,) * d
+    keep_identity = ones in targets.values()
+    rights = [
+        partition_representative(parts)
+        for parts in partitions(d)
+        if keep_identity or parts != ones
+    ]
+    strata = list(targets)
+    return dict(zip(strata, scan_degree(d, rights, [targets[s] for s in strata])))
 
 
 def enumerate_origamis(d: int, s: Stratum) -> list[Origami]:

@@ -1,15 +1,17 @@
-"""The orbit core: canonical forms, T/S images and the orbit closure.
+"""The orbit core: canonical forms, T/S images, the orbit closure and
+the exhaustive scan.
 
 Every origami in an orbit search passes through three steps: the
 canonical form of a permutation pair under simultaneous relabelling, its
-T and S images, and its horizontal cylinders.  This module runs them in
-two interchangeable ways:
+T and S images, and its horizontal cylinders.  An exhaustive enumeration
+tests pairs by the cycle type of their commutator and canonicalises the
+survivors.  This module runs both in two interchangeable ways:
 
 * compiled, from ``_orbitcore.c``: built once with the system C compiler
   into ``${XDG_CACHE_HOME:-~/.cache}/flatlyap/``, named by the sha256 of
   the source and flags, and loaded with ctypes on the first call;
-* in pure Python, the code below, which is the oracle the compiled code
-  must match byte for byte.
+* in pure Python (the scan in numpy), the code below, which is the
+  oracle the compiled code must match byte for byte.
 
 The compiled library is used whenever it builds and loads; any failure
 there falls back to Python for the life of the process.  A pair of
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import os
 import shutil
 import tempfile
@@ -37,6 +40,10 @@ _FLAGS = ("-O2", "-shared", "-fPIC")
 #: elements the compiled closure expands per call (about 15 ms), so that
 #: signal handlers (Ctrl-C, timers) run during long scans
 _STEP_BUDGET = 8192
+#: pairs the compiled scan tests per call (about 15 ms), for the same reason
+_SCAN_BUDGET = 1 << 17
+#: rows of S_d per block of the numpy scan
+_CHUNK = 200_000
 _LONG_MAX = 2 ** (8 * ctypes.sizeof(ctypes.c_long) - 1) - 1
 
 _DISCONNECTED_MESSAGE = "canonical form needs a transitive pair"
@@ -110,6 +117,10 @@ def _declare(lib) -> None:
         "fl_scan_keys": (ptr, [ptr]),
         "fl_scan_t_next": (ptr, [ptr]),
         "fl_scan_hist": (ptr, [ptr]),
+        "fl_enum_new": (ptr, [c_int, c_int, ctypes.c_char_p, c_int, ctypes.c_char_p]),
+        "fl_enum_step": (c_int, [ptr, c_long]),
+        "fl_enum_set": (ptr, [ptr, c_int]),
+        "fl_enum_free": (None, [ptr]),
     }
     for name, (restype, argtypes) in signatures.items():
         fn = getattr(lib, name)
@@ -350,3 +361,96 @@ def _py_orbit_closure(start: bytes, max_size: int) -> tuple[list[bytes], array, 
         visit(s_key(key, d))
         i += 1
     return keys, t_next, hist
+
+
+# -- exhaustive scan ---------------------------------------------------------
+
+def scan_degree(d: int, rights, targets) -> list[set[bytes]]:
+    """Canonical keys of the transitive pairs (r, u) of degree d, with r
+    one of the 0-based image sequences ``rights`` and u any permutation,
+    whose commutator u^-1 r^-1 u r has cycle type ``targets[i]``: one set
+    per target, in order.  A cycle type is a sequence of cycle lengths."""
+    if not 0 < d <= MAX_DEGREE or any(sorted(r) != list(range(d)) for r in rights):
+        raise InputError(_RANGE_MESSAGE)
+    if any(sum(t) != d or min(t) < 1 for t in targets):
+        raise InternalCheckError("cycle-type target does not fill the degree")
+    lib = _library()
+    if lib is None:
+        return _py_scan_degree(d, rights, targets)
+    counts = bytearray(len(targets) * (d + 1))
+    for i, target in enumerate(targets):
+        for length in target:
+            counts[i * (d + 1) + length] += 1
+    scan = lib.fl_enum_new(
+        d, len(rights), b"".join(bytes(r) for r in rights), len(targets), bytes(counts)
+    )
+    if not scan:
+        raise MemoryError("no memory for the scan")
+    try:
+        while True:
+            status = lib.fl_enum_step(scan, _SCAN_BUDGET)
+            if status == 0:
+                break
+            if status != 1:
+                _raise_status(status)
+        found = []
+        for i in range(len(targets)):
+            keys = lib.fl_enum_set(scan, i)
+            blob = ctypes.string_at(lib.fl_scan_keys(keys), lib.fl_scan_size(keys) * 2 * d)
+            found.append({blob[j : j + 2 * d] for j in range(0, len(blob), 2 * d)})
+    finally:
+        lib.fl_enum_free(scan)
+    return found
+
+
+def _py_scan_degree(d: int, rights, targets) -> list[set[bytes]]:
+    import numpy as np  # only this fallback needs it
+
+    lengths = sorted({l for t in targets for l in t})
+    wants = []
+    for target in targets:
+        want = {l: 0 for l in lengths}
+        for l in target:
+            want[l] += l
+        wants.append(want)
+    found: list[set[bytes]] = [set() for _ in targets]
+    idx = np.arange(d, dtype=np.int8)
+    reps = []
+    for rz in rights:
+        r = np.array(rz, dtype=np.int8)
+        rinv = np.empty(d, dtype=np.int8)
+        rinv[r] = idx
+        reps.append((tuple(rz), r, rinv))
+
+    # S_d streamed in blocks of _CHUNK rows; every right meets each block
+    perms = itertools.permutations(range(d))
+    while True:
+        block = itertools.islice(perms, _CHUNK)
+        flat = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int8)
+        if not flat.size:
+            return found
+        u = flat.reshape(-1, d)
+        uinv = np.argsort(u, axis=1).astype(np.int8)
+        for rz, r, rinv in reps:
+            # commutator c = u^-1 r^-1 u r, evaluated right to left
+            t2 = rinv[u[:, r]]
+            c = np.take_along_axis(uinv, t2, axis=1)
+            # minimal period of every symbol under c
+            period = np.zeros_like(c)
+            power = c.copy()
+            for k in range(1, d + 1):
+                hit = (power == idx) & (period == 0)
+                period[hit] = k
+                if k < d:
+                    power = np.take_along_axis(c, power, axis=1)
+            counts = {l: (period == l).sum(axis=1) for l in lengths}
+            for keys, want in zip(found, wants):
+                mask = np.ones(len(u), dtype=bool)
+                for l in lengths:
+                    mask &= counts[l] == want[l]
+                for row in np.nonzero(mask)[0]:
+                    uz = tuple(int(x) for x in u[row])
+                    try:
+                        keys.add(canonical_key(rz, uz))
+                    except DisconnectedError:
+                        continue  # a disconnected surface

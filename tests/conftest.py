@@ -1,5 +1,6 @@
 import pytest
 
+from flatlyap import kernel
 from flatlyap.origami import Origami
 
 
@@ -8,6 +9,40 @@ def _no_ambient_cache(monkeypatch):
     # tests control caching explicitly; a cache directory inherited from
     # the environment would make cap/recompute behavior nondeterministic
     monkeypatch.delenv("FLATLYAP_CACHE_DIR", raising=False)
+
+
+# -- kernel backends: the compiled library, or None for pure Python ------------
+
+def compiled_library():
+    lib = kernel._library()
+    if lib is None:
+        pytest.skip("the compiled kernel does not build here")
+    return lib
+
+
+def on_each(fn) -> list:
+    """fn() with the compiled kernel, where it builds, then in pure Python."""
+    lib = kernel._library()
+    results = [] if lib is None else [fn()]
+    kernel._lib = None
+    try:
+        results.append(fn())
+    finally:
+        kernel._lib = lib
+    return results
+
+
+def on_both(fn):
+    """(fn() with the compiled kernel, fn() in pure Python)."""
+    compiled_library()
+    return tuple(on_each(fn))
+
+
+@pytest.fixture(params=["compiled", "python"])
+def backend(request, monkeypatch):
+    lib = compiled_library() if request.param == "compiled" else None
+    monkeypatch.setattr(kernel, "_lib", lib)
+    return request.param
 
 # named surfaces used across the suite
 FIG1 = "r=(1 2 3 4)(5); u=(1 5); d=5"

@@ -16,7 +16,7 @@ from flatlyap.origami import Origami, Stratum
 from flatlyap.orbits import OrbitCache, canonical_key, lyapunov_sum, orbit
 from flatlyap.permutation import Permutation, cycle_type, is_transitive
 
-from conftest import FIG1, origami
+from conftest import FIG1, on_each, origami
 
 
 # -- partitions ------------------------------------------------------------------
@@ -90,11 +90,21 @@ def brute_force_classes(d: int, s: Stratum) -> set[bytes]:
 )
 def test_generator_matches_brute_force(d, orders):
     s = Stratum(orders)
-    generated = {
+    expected = brute_force_classes(d, s)
+    # the compiled scan, where it builds, and the numpy scan
+    for generated in on_each(lambda: {
         canonical_key(o.right.zero_based(), o.up.zero_based())
         for o in enumerate_origamis(d, s)
-    }
-    assert generated == brute_force_classes(d, s)
+    }):
+        assert generated == expected
+
+
+def test_torus_covers_keep_the_identity_right(backend):
+    # H(0) is the one stratum whose commutator is trivial, so the scan
+    # must still try the identity as ``right`` for it
+    classes = enumerate_origamis(4, Stratum(()))
+    assert len(classes) == 7
+    assert Origami(Permutation((1, 2, 3, 4)), Permutation((2, 3, 4, 1))).canonical() in classes
 
 
 def test_enumerate_empty_below_support():

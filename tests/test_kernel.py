@@ -2,8 +2,9 @@
 
 Each parity test runs the same call twice: once with the compiled
 library and once with ``kernel._lib`` set to None, which routes every
-kernel call through the Python code.  Tests that need the compiled
-library are skipped where it does not build.
+kernel call through the Python code (``on_both`` and the ``backend``
+fixture of conftest.py).  Tests that need the compiled library are
+skipped where it does not build.
 """
 import os
 import signal
@@ -15,38 +16,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flatlyap import golden, kernel
-from flatlyap.errors import DisconnectedError, InputError, ResourceCapError
+from flatlyap import enumeration, golden, kernel
+from flatlyap.errors import DisconnectedError, InputError, InternalCheckError, ResourceCapError
 from flatlyap.orbits import OrbitCache, lyapunov_sum, orbit_scan
+from flatlyap.origami import Stratum
 from flatlyap.permutation import Permutation, is_transitive
 
-from conftest import FIG1, TEN_71, origami
-
-
-def compiled_library():
-    lib = kernel._library()
-    if lib is None:
-        pytest.skip("the compiled kernel does not build here")
-    return lib
-
-
-def on_both(fn):
-    """(fn() with the compiled kernel, fn() in pure Python)."""
-    lib = compiled_library()
-    compiled = fn()
-    kernel._lib = None
-    try:
-        python = fn()
-    finally:
-        kernel._lib = lib
-    return compiled, python
-
-
-@pytest.fixture(params=["compiled", "python"])
-def backend(request, monkeypatch):
-    lib = compiled_library() if request.param == "compiled" else None
-    monkeypatch.setattr(kernel, "_lib", lib)
-    return request.param
+from conftest import FIG1, TEN_71, compiled_library, on_both, origami
 
 
 # -- parity ------------------------------------------------------------------------
@@ -82,6 +58,31 @@ def test_canonical_key_matches_python(pair):
     assert compiled == python
 
 
+# genus 2 and 3: the zero orders add up to 2 and to 4
+GENUS_2_3 = [Stratum(p) for n in (2, 4) for p in enumeration.partitions(n)]
+
+
+def _targets(d: int) -> dict:
+    """The strata of GENUS_2_3 that fit in degree d, with their cycle types."""
+    return {
+        s: t for s in GENUS_2_3 if (t := enumeration.commutator_cycle_type(s, d)) is not None
+    }
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_enumeration_scan_matches_python(d):
+    targets = _targets(d)
+    compiled, python = on_both(lambda: enumeration._scan_degree(d, targets))
+    assert compiled == python
+    assert set(compiled) == set(targets) and all(compiled.values())
+
+
+def test_one_scan_serves_every_target(backend):
+    targets = _targets(6)
+    together = enumeration._scan_degree(6, targets)
+    assert together == {s: enumeration._scan_degree(6, {s: t})[s] for s, t in targets.items()}
+
+
 # -- errors, on both backends ----------------------------------------------------------
 
 def test_non_transitive_pair_is_rejected(backend):
@@ -111,6 +112,18 @@ def test_closure_rejects_a_start_that_is_not_a_canonical_key(backend, start):
         kernel.orbit_closure(start, 10)
 
 
+@pytest.mark.parametrize(
+    "rights,targets,error",
+    [
+        ([(0, 0, 1)], [(3,)], InputError),            # a right that is not a permutation
+        ([(1, 2, 0)], [(2,)], InternalCheckError),    # a cycle type that does not fill d
+    ],
+)
+def test_enumeration_scan_rejects_bad_input(backend, rights, targets, error):
+    with pytest.raises(error):
+        kernel.scan_degree(3, rights, targets)
+
+
 def test_cap_boundary(backend, tmp_path):
     o = origami(FIG1)
     n = orbit_scan(o).size
@@ -126,7 +139,8 @@ def test_cap_boundary(backend, tmp_path):
     assert lyapunov_sum(o, max_size=1, cache=OrbitCache(tmp_path)) == first
 
 
-def test_compiled_scan_lets_signal_handlers_run():
+def _raises_on_alarm(fn):
+    """fn() must be cut short by a SIGALRM handler after 20 ms."""
     compiled_library()
 
     class Alarm(Exception):
@@ -138,12 +152,44 @@ def test_compiled_scan_lets_signal_handlers_run():
     previous = signal.signal(signal.SIGALRM, ring)
     signal.setitimer(signal.ITIMER_REAL, 0.02)
     try:
-        # a 307,200-element orbit: the alarm goes off long before the end
         with pytest.raises(Alarm):
-            orbit_scan(origami(TEN_71))
+            fn()
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_compiled_scan_lets_signal_handlers_run():
+    # a 307,200-element orbit: the alarm goes off long before the end
+    _raises_on_alarm(lambda: orbit_scan(origami(TEN_71)))
+
+
+def test_compiled_enumeration_scan_lets_signal_handlers_run():
+    # 29 rights times 9! candidates, about a second of scanning
+    _raises_on_alarm(lambda: enumeration.enumerate_origamis(9, Stratum((2,))))
+
+
+def _run_with_src(script: str, **env):
+    src = str(Path(kernel.__file__).resolve().parents[1])
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True
+    )
+
+
+def test_compiled_enumeration_does_not_import_numpy():
+    compiled_library()
+    script = (
+        "import sys\n"
+        "from flatlyap.enumeration import enumerate_origamis\n"
+        "from flatlyap.origami import Stratum\n"
+        "print(len(enumerate_origamis(6, Stratum((2,)))), 'numpy' in sys.modules)\n"
+    )
+    proc = _run_with_src(script)
+    out = proc.communicate(timeout=120)[0].split()
+    assert proc.returncode == 0
+    assert out == ["45", "False"]
 
 
 # -- building ----------------------------------------------------------------------------
@@ -175,19 +221,13 @@ def test_a_failing_compiler_leaves_nothing_behind(monkeypatch, tmp_path):
 
 def test_concurrent_builds_share_one_library(tmp_path):
     compiled_library()
-    src = str(Path(kernel.__file__).resolve().parents[1])
-    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "from flatlyap import kernel\n"
         "lib = kernel._library()\n"
         "print(lib._name if lib is not None else 'python')\n"
         "print(kernel.canonical_key((1, 2, 0), (0, 2, 1)).hex())\n"
     )
-    procs = [
-        subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True)
-        for _ in range(2)
-    ]
+    procs = [_run_with_src(script, XDG_CACHE_HOME=str(tmp_path)) for _ in range(2)]
     outputs = [p.communicate(timeout=120)[0].split() for p in procs]
     assert [p.returncode for p in procs] == [0, 0]
     (path,) = {out[0] for out in outputs}
