@@ -16,7 +16,9 @@ Three ingredients, all combinatorial:
   square centers; for an immersed representative drawn this way,
   q = turning number + 1 + number of transverse self-crossings (mod 2),
   which is invariant under regular homotopy moves and extends the
-  simple-curve formula.
+  simple-curve formula.  One joint drawing of all the fundamental cycles
+  gives both their mod-2 intersection (Gram) matrix and their
+  self-crossings.
 
 * the component label combines both with the classification of strata
   components (hyperelliptic / even / odd / nonhyperelliptic / connected).
@@ -31,10 +33,18 @@ from .kernel import invert
 from .origami import Origami
 from .permutation import Permutation
 
-# moves through square centers; E/W follow the right gluing, N/S the up one
+# moves through square centers, counterclockwise; E/W follow the right
+# gluing, N/S the up one
 E, N, W, S = 0, 1, 2, 3
-_OPPOSITE = {E: W, W: E, N: S, S: N}
+_OPPOSITE = (W, S, E, N)
 _LEFT_TURN = {(E, N), (N, W), (W, S), (S, E)}
+
+
+def _moves(o: Origami) -> tuple:
+    """The square each move reaches from each square (0-based), indexed
+    E, N, W, S."""
+    rz, uz = o.right.zero_based(), o.up.zero_based()
+    return rz, uz, invert(rz), invert(uz)
 
 
 # -- hyperelliptic involution ----------------------------------------------
@@ -59,15 +69,12 @@ def hyperelliptic_involution(o: Origami) -> Involution | None:
     if s.genus < 2:
         raise InputError("hyperelliptic involution search needs genus >= 2")
     target = 2 * s.genus + 2
-    d = o.degree
-    rz, uz = o.right.zero_based(), o.up.zero_based()
-    rinv = invert(rz)
-    uinv = invert(uz)
-    for seed in range(d):
-        sigma = _propagate_involution(rz, uz, rinv, uinv, seed)
+    moves = _moves(o)
+    for seed in range(o.degree):
+        sigma = _propagate_involution(moves, seed)
         if sigma is None:
             continue
-        count = _flat_fixed_points(rz, uz, rinv, uinv, sigma)
+        count = _flat_fixed_points(moves, sigma)
         if count == target:
             return Involution(
                 sigma=Permutation(tuple(x + 1 for x in sigma)),
@@ -76,7 +83,8 @@ def hyperelliptic_involution(o: Origami) -> Involution | None:
     return None
 
 
-def _propagate_involution(rz, uz, rinv, uinv, seed):
+def _propagate_involution(moves, seed):
+    rz, uz, rinv, uinv = moves
     d = len(rz)
     sigma = [-1] * d
     sigma[0] = seed
@@ -100,7 +108,7 @@ def _propagate_involution(rz, uz, rinv, uinv, seed):
     return sigma
 
 
-def _flat_fixed_points(rz, uz, rinv, uinv, sigma) -> int:
+def _flat_fixed_points(moves, sigma) -> int:
     """Fixed points of the induced rotation-by-pi involution.
 
     Square centers: sigma(i) = i.  The right-edge midpoint of square i is
@@ -110,12 +118,13 @@ def _flat_fixed_points(rz, uz, rinv, uinv, sigma) -> int:
     involution sends the vertex holding slot i to the one holding slot
     u(r(sigma(i))).
     """
+    rz, uz = moves[E], moves[N]
     d = len(rz)
     count = sum(1 for i in range(d) if sigma[i] == i)
     count += sum(1 for i in range(d) if sigma[i] == rz[i])
     count += sum(1 for i in range(d) if sigma[i] == uz[i])
 
-    vertex_of, _ = _corner_walk(rz, uz, rinv, uinv)
+    vertex_of, _ = _corner_walk(moves)
     image_of_vertex = {}
     for i in range(d):
         v = vertex_of[i]
@@ -126,9 +135,10 @@ def _flat_fixed_points(rz, uz, rinv, uinv, sigma) -> int:
     return count
 
 
-def _corner_walk(rz, uz, rinv, uinv) -> tuple[list[int], list[int]]:
+def _corner_walk(moves) -> tuple[list[int], list[int]]:
     """Vertices as the cycles of phi = u r u^-1 r^-1 on lower-left corner
     slots: the vertex holding each slot, and the slot count of each vertex."""
+    rz, uz, rinv, uinv = moves
     d = len(rz)
     vertex_of = [-1] * d
     sizes = []
@@ -165,11 +175,8 @@ def spin_parity(o: Origami) -> str:
     if s.genus < 2:
         raise InputError("spin parity needs genus >= 2")
     cycles = fundamental_cycles(o)
-    q = [cycle_form_value(o, c) for c in cycles]
-    gram = [
-        [0 if i == j else crossing_parity(o, ci, cj) for j, cj in enumerate(cycles)]
-        for i, ci in enumerate(cycles)
-    ]
+    gram, self_crossings = _intersections(cycles)
+    q = [(turning_number(c) + 1 + x) % 2 for c, x in zip(cycles, self_crossings)]
     arf = _arf_invariant(gram, q, s.genus)
     return "odd" if arf else "even"
 
@@ -189,31 +196,29 @@ class CenterCycle:
         return len(self.moves)
 
 
-def _step(rz, uz, rinv, uinv, x, move):
-    if move == E:
-        return rz[x]
-    if move == N:
-        return uz[x]
-    if move == W:
-        return rinv[x]
-    return uinv[x]
-
-
 def make_cycle(o: Origami, start: int, moves) -> CenterCycle:
-    """Build a CenterCycle from a closed move word based at ``start``
-    (0-based square), reducing backtracks cyclically."""
-    rz, uz = o.right.zero_based(), o.up.zero_based()
-    rinv, uinv = invert(rz), invert(uz)
-    moves = list(moves)
+    """Build a CenterCycle from a closed move word (of E, N, W, S) based at
+    ``start`` (0-based square), reducing backtracks cyclically."""
+    word = list(moves)
+    if not word:
+        raise InputError("empty move word")
+    if any(m not in (E, N, W, S) for m in word):
+        raise InputError(f"moves must be E={E}, N={N}, W={W} or S={S}")
+    if start not in range(o.degree):
+        raise InputError(f"start square {start} is not in 0..{o.degree - 1}")
+    return _make_cycle(_moves(o), start, word)
+
+
+def _make_cycle(moves, start, word) -> CenterCycle:
     squares = [start]
-    for m in moves[:-1]:
-        squares.append(_step(rz, uz, rinv, uinv, squares[-1], m))
-    if _step(rz, uz, rinv, uinv, squares[-1], moves[-1]) != start:
+    for m in word[:-1]:
+        squares.append(moves[m][squares[-1]])
+    if moves[word[-1]][squares[-1]] != start:
         raise InputError("move word is not closed")
-    moves, squares = _reduce_cyclic(moves, squares)
-    if not moves:
+    word, squares = _reduce_cyclic(word, squares)
+    if not word:
         raise InputError("move word reduces to the trivial loop")
-    return CenterCycle(tuple(squares), tuple(moves))
+    return CenterCycle(tuple(squares), tuple(word))
 
 
 def _reduce_cyclic(moves, squares):
@@ -239,59 +244,52 @@ def fundamental_cycles(o: Origami) -> list[CenterCycle]:
     spanning tree on the squares (d + 1 cycles in total)."""
     o.validate()
     d = o.degree
-    rz, uz = o.right.zero_based(), o.up.zero_based()
-    rinv, uinv = invert(rz), invert(uz)
+    moves = _moves(o)
 
     parent: list[tuple[int, int] | None] = [None] * d  # (square, move into me)
     depth = [-1] * d
     depth[0] = 0
     tree_edges = set()
     queue = deque((0,))
-    order = {E: rz, N: uz, W: rinv, S: uinv}
     while queue:
         x = queue.popleft()
-        for move in (E, N, W, S):
-            y = order[move][x]
+        for move, images in enumerate(moves):
+            y = images[x]
             if depth[y] < 0:
                 depth[y] = depth[x] + 1
                 parent[y] = (x, move)
-                tree_edges.add(_edge_id(x, move, rinv, uinv))
+                tree_edges.add(_edge(x, move, y))
                 queue.append(y)
 
     def path_from_root(x):
-        moves = []
+        word = []
         while parent[x] is not None:
             px, mv = parent[x]
-            moves.append(mv)
+            word.append(mv)
             x = px
-        return list(reversed(moves))
+        return list(reversed(word))
 
     cycles = []
     for x in range(d):
         for move in (E, N):
-            if _edge_id(x, move, rinv, uinv) in tree_edges:
+            y = moves[move][x]
+            if _edge(x, move, y) in tree_edges:
                 continue
-            y = rz[x] if move == E else uz[x]
             word = (
                 path_from_root(x)
                 + [move]
                 + [_OPPOSITE[m] for m in reversed(path_from_root(y))]
             )
-            cycles.append(make_cycle(o, 0, word))
+            cycles.append(_make_cycle(moves, 0, word))
     if len(cycles) != d + 1:
         raise InternalCheckError("expected d + 1 fundamental cycles")
     return cycles
 
 
-def _edge_id(x, move, rinv, uinv):
-    # geometric edges: ('v', i) right edge of square i, ('h', i) top edge
-    if move == E:
-        return ("v", x)
-    if move == W:
-        return ("v", rinv[x])
-    if move == N:
-        return ("h", x)
-    return ("h", uinv[x])
+def _edge(x, move, y):
+    """The edge crossed by ``move`` from square x to square y: (0, i) is
+    the right edge of square i, (1, i) its top edge."""
+    return (move % 2, x if move in (E, N) else y)
 
 
 def turning_number(c: CenterCycle) -> int:
@@ -313,111 +311,63 @@ def turning_number(c: CenterCycle) -> int:
     return total // 4
 
 
-def _strands(o: Origami, cycles) -> dict[int, list[tuple[int, tuple, tuple]]]:
-    """Joint generic drawing of several cycles.
+def _port(side, offset):
+    """Position of a strand end on a square's boundary, counterclockwise
+    from the SW corner: sides in the order S, E, N, W; the offset runs
+    left to right or bottom to top, so it is reversed on N and W."""
+    return ((side + 1) % 4, offset if side in (E, S) else -offset)
+
+
+def _intersections(cycles) -> tuple[list[list[int]], list[int]]:
+    """Mod-2 intersection matrix and self-crossing parities of center
+    cycles, from one generic drawing of them all.
 
     Every edge traversal gets its own offset on the crossed edge, shared
-    by the two squares adjacent to that edge.  Returns, per square, the
-    strands through it as (cycle_index, entry_port, exit_port), a port
-    being a boundary position on the square (see _port_angle).
+    by the two squares beside it; offsets are handed out in cycle order,
+    so any two cycles sit on each edge as they would in a drawing of the
+    two alone.  Strands meeting in one square cross exactly when their
+    boundary endpoints interleave; summing the parity over squares is
+    independent of the chosen offsets.  Each crossed edge is read off the
+    squares a cycle passes through, so the drawing needs no move table.
     """
-    rz, uz = o.right.zero_based(), o.up.zero_based()
-    rinv, uinv = invert(rz), invert(uz)
-
-    traversal_count: dict[tuple, int] = {}
-    crossings = []  # per cycle: list of (edge, offset) per move
-    for c in cycles:
-        marks = []
-        for x, m in zip(c.squares, c.moves):
-            edge = _edge_id(x, m, rinv, uinv)
-            k = traversal_count.get(edge, 0)
-            traversal_count[edge] = k + 1
-            marks.append((edge, k))
-        crossings.append(marks)
-
+    traversals: dict[tuple[int, int], int] = {}
     by_square: dict[int, list[tuple[int, tuple, tuple]]] = {}
-    for ci, (c, marks) in enumerate(zip(cycles, crossings)):
+    for ci, c in enumerate(cycles):
         L = len(c.moves)
-        for k in range(L):
-            sq = c.squares[k]
-            prev_move = c.moves[(k - 1) % L]
-            entry = (_entry_side(prev_move), marks[(k - 1) % L])
-            exit_ = (_exit_side(c.moves[k]), marks[k])
-            by_square.setdefault(sq, []).append((ci, entry, exit_))
-    return by_square
+        offsets = []
+        for k, m in enumerate(c.moves):
+            edge = _edge(c.squares[k], m, c.squares[(k + 1) % L])
+            offsets.append(traversals.get(edge, 0))
+            traversals[edge] = offsets[-1] + 1
+        for k, m in enumerate(c.moves):
+            entry = _port(_OPPOSITE[c.moves[k - 1]], offsets[k - 1])
+            lo, hi = sorted((entry, _port(m, offsets[k])))
+            by_square.setdefault(c.squares[k], []).append((ci, lo, hi))
 
-
-def _entry_side(prev_move):
-    # after moving E you enter the next square through its W side, etc.
-    return _OPPOSITE[prev_move]
-
-
-def _exit_side(move):
-    return move
-
-
-def _port_angle(port):
-    """Total order of boundary points, counterclockwise from the SW corner.
-
-    Sides come in the order S, E, N, W; within a side the traversal
-    offset orders points along the boundary orientation (reversed on N
-    and W, which run right-to-left and top-to-bottom).
-    """
-    side, (_, offset) = port
-    rank = {S: 0, E: 1, N: 2, W: 3}[side]
-    signed = offset if rank < 2 else -offset
-    return (rank, signed)
-
-
-def _interleaved(a_in, a_out, b_in, b_out) -> bool:
-    lo, hi = sorted((a_in, a_out))
-    inside = sum(1 for t in (b_in, b_out) if lo < t < hi)
-    return inside == 1
+    n = len(cycles)
+    gram = [[0] * n for _ in range(n)]
+    self_crossings = [0] * n
+    for strands in by_square.values():
+        for a, (ca, lo, hi) in enumerate(strands):
+            for cb, b_lo, b_hi in strands[a + 1:]:
+                if (lo < b_lo < hi) == (lo < b_hi < hi):
+                    continue
+                if ca == cb:
+                    self_crossings[ca] ^= 1
+                else:
+                    gram[ca][cb] ^= 1
+                    gram[cb][ca] ^= 1
+    return gram, self_crossings
 
 
 def crossing_parity(o: Origami, c1: CenterCycle, c2: CenterCycle) -> int:
-    """Mod-2 intersection number of two center cycles.
-
-    Strands meeting in one square cross exactly when their boundary
-    endpoints interleave; summing the parity over squares is independent
-    of the chosen offsets.
-    """
-    by_square = _strands(o, [c1, c2])
-    total = 0
-    for strands in by_square.values():
-        for i in range(len(strands)):
-            for j in range(i + 1, len(strands)):
-                ci, a_in, a_out = strands[i]
-                cj, b_in, b_out = strands[j]
-                if ci == cj:
-                    continue
-                if _interleaved(
-                    _port_angle(a_in), _port_angle(a_out),
-                    _port_angle(b_in), _port_angle(b_out),
-                ):
-                    total ^= 1
-    return total
-
-
-def self_crossing_parity(o: Origami, c: CenterCycle) -> int:
-    by_square = _strands(o, [c])
-    total = 0
-    for strands in by_square.values():
-        for i in range(len(strands)):
-            for j in range(i + 1, len(strands)):
-                _, a_in, a_out = strands[i]
-                _, b_in, b_out = strands[j]
-                if _interleaved(
-                    _port_angle(a_in), _port_angle(a_out),
-                    _port_angle(b_in), _port_angle(b_out),
-                ):
-                    total ^= 1
-    return total
+    """Mod-2 intersection number of two center cycles of ``o``."""
+    return _intersections([c1, c2])[0][0][1]
 
 
 def cycle_form_value(o: Origami, c: CenterCycle) -> int:
     """q of the homology class of ``c``: turning + 1 + self-crossings (mod 2)."""
-    return (turning_number(c) + 1 + self_crossing_parity(o, c)) % 2
+    return (turning_number(c) + 1 + _intersections([c])[1][0]) % 2
 
 
 def _arf_invariant(gram, q, genus) -> int:
@@ -512,13 +462,13 @@ def _zeros_exchanged(o: Origami, sigma) -> bool:
     map on vertices sends the vertex holding lower-left slot i to the
     one holding u(r(sigma(i))).
     """
-    rz, uz = o.right.zero_based(), o.up.zero_based()
-    vertex_of, sizes = _corner_walk(rz, uz, invert(rz), invert(uz))
+    moves = _moves(o)
+    vertex_of, sizes = _corner_walk(moves)
     zeros = [v for v, size in enumerate(sizes) if size >= 2]
     if len(zeros) != 2:
         raise InternalCheckError("expected exactly two cone points")
     slot = vertex_of.index(zeros[0])
-    return vertex_of[uz[rz[sigma[slot]]]] == zeros[1]
+    return vertex_of[moves[N][moves[E][sigma[slot]]]] == zeros[1]
 
 
 def in_hyperelliptic_component(o: Origami, inv: Involution | None = None) -> bool:

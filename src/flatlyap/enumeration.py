@@ -126,27 +126,31 @@ def orbit_partition(
     The input must be closed under the action (it is when it comes from
     ``enumerate_origamis``: T and S preserve degree and stratum).  Each
     orbit is closed by ``orbit_scan`` from its least key, in key order.
+    Every class lands in a scanned orbit, so checking the stratum of each
+    orbit's least class checks the whole input.
     """
     if not origamis:
         return []
+    mixed = "orbit partition needs a single degree and stratum"
     degrees = {o.degree for o in origamis}
-    strata = {o.stratum() for o in origamis}
-    if len(degrees) != 1 or len(strata) != 1:
-        raise InputError("orbit partition needs a single degree and stratum")
+    if len(degrees) != 1:
+        raise InputError(mixed)
     (degree,) = degrees
-    (stratum,) = strata
 
     by_key = {
         canonical_key(o.right.zero_based(), o.up.zero_based()): o for o in origamis
     }
     if len(by_key) != len(origamis):
         raise InputError("duplicate conjugacy classes in the input")
+    stratum = origamis[0].stratum()
 
     covered: set[bytes] = set()
     out = []
     for least in sorted(by_key):
         if least in covered:
             continue
+        if by_key[least].stratum() != stratum:
+            raise InputError(mixed)
         try:
             scan = orbit_scan(by_key[least], max_size=len(by_key))
         except ResourceCapError:

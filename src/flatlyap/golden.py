@@ -25,6 +25,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from . import moduli
 from .components import component_label
@@ -61,7 +62,7 @@ class CheckResult:
 
 def load_golden(path=None) -> list[GoldenCheck]:
     if path is not None:
-        text = open(path).read()
+        text = Path(path).read_text()
     else:
         text = (
             importlib.resources.files("flatlyap") / "data" / "golden.txt"

@@ -3,6 +3,10 @@ import random
 import pytest
 
 from flatlyap.components import (
+    E,
+    N,
+    S,
+    _intersections,
     component_label,
     crossing_parity,
     cycle_form_value,
@@ -81,6 +85,29 @@ def test_turning_number_of_straight_loops():
     assert cycle_form_value(o, row) == 1  # simple flat loop: q = 0 + 1
 
 
+@pytest.mark.parametrize(
+    "start,word",
+    [
+        (0, []),  # empty word
+        (0, [-1, 1]),  # not a move
+        (0, [N, 7]),  # not a move, though N then S would close
+        (8, [E] * 4),  # start past the last square
+        (-1, [E] * 4),
+    ],
+)
+def test_make_cycle_rejects_bad_words(start, word):
+    with pytest.raises(InputError):
+        make_cycle(origami(WOLLMILCHSAU), start, word)
+
+
+def test_make_cycle_rejects_open_and_trivial_words():
+    o = origami(WOLLMILCHSAU)
+    with pytest.raises(InputError, match="not closed"):
+        make_cycle(o, 0, [E])
+    with pytest.raises(InputError, match="trivial loop"):
+        make_cycle(o, 0, [N, S])
+
+
 def test_crossing_parity_symmetric():
     o = origami(TEN_44_EVEN)
     cycles = fundamental_cycles(o)
@@ -125,6 +152,61 @@ def test_form_is_quadratic_under_splicing():
                 ) % 2
                 assert lhs == rhs, (text, i, j)
         assert checked > 10
+
+
+SPIN_ANCHORS = (ELEVEN_10_ODD, ELEVEN_10_EVEN, TEN_44_EVEN, TEN_44_ODD)
+
+
+def _with_conjugates(texts, count=5, seed=29):
+    """Each origami followed by ``count`` random relabellings of it."""
+    rng = random.Random(seed)
+    for text in texts:
+        o = origami(text)
+        yield o
+        for _ in range(count):
+            sig = random_permutation(o.degree, rng)
+            yield Origami(conjugate(o.right, sig), conjugate(o.up, sig))
+
+
+def test_joint_drawing_matches_small_drawings():
+    # offsets in the joint drawing follow cycle order, so every pair and
+    # every single cycle must come out as in a drawing of its own
+    for o in _with_conjugates(SPIN_ANCHORS):
+        cycles = fundamental_cycles(o)
+        gram, self_crossings = _intersections(cycles)
+        for i, ci in enumerate(cycles):
+            assert gram[i][i] == 0
+            assert self_crossings[i] == _intersections([ci])[1][0]
+            for j, cj in enumerate(cycles):
+                if i != j:
+                    assert gram[i][j] == crossing_parity(o, ci, cj) == crossing_parity(o, cj, ci)
+
+
+def _majority_parity(o) -> str:
+    """Arf invariant by counting: q is 1 on more than half of H_1(X; Z/2)
+    exactly when the form is odd.  The generators may be dependent, but
+    every class is hit equally often by the 2^n generator combinations
+    and the radical carries q = 0, so counting over combinations is fair."""
+    cycles = fundamental_cycles(o)
+    n = len(cycles)
+    q = [cycle_form_value(o, c) for c in cycles]
+    rows = [
+        sum(crossing_parity(o, ci, cj) << j for j, cj in enumerate(cycles) if j != i)
+        for i, ci in enumerate(cycles)
+    ]
+    # q(x + y) = q(x) + q(y) + <x, y>, adding one generator at a time
+    values = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        values[mask] = values[rest] ^ q[top] ^ ((rows[top] & rest).bit_count() & 1)
+    return "odd" if 2 * sum(values) > len(values) else "even"
+
+
+def test_spin_parity_matches_counting_oracle():
+    for o in _with_conjugates(SPIN_ANCHORS + (FIG1,)):
+        assert o.degree + 1 <= 12
+        assert spin_parity(o) == _majority_parity(o)
 
 
 # -- spin parity ----------------------------------------------------------------------

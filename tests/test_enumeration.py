@@ -165,6 +165,15 @@ def test_partition_rejects_mixed_input():
         orbit_partition(mixed)
 
 
+def test_partition_rejects_mixed_strata():
+    # same degree, two strata: the check runs on each orbit's least class
+    mixed = enumerate_origamis(5, Stratum((2,))) + enumerate_origamis(5, Stratum((1, 1)))
+    with pytest.raises(InputError, match="single degree and stratum"):
+        orbit_partition(mixed)
+    with pytest.raises(InputError, match="single degree and stratum"):
+        orbit_partition(mixed[::-1])
+
+
 def test_partition_rejects_set_not_closed_under_the_action():
     # one orbit of 9: the scan from the least class outgrows the 8 left
     single = enumerate_origamis(4, Stratum((2,)))
