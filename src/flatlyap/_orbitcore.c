@@ -1,6 +1,6 @@
 /* The compiled half of the orbit core: the canonical form of a pair, the
  * breadth-first closure of a canonical pair under T and S, and the
- * exhaustive scan of S_d for pairs with a given commutator cycle type.
+ * exhaustive scan for pairs with a given commutator cycle type.
  *
  * kernel.py builds this file into a shared library, calls it through
  * ctypes and holds the pure-Python oracle of every function here; the
@@ -317,18 +317,54 @@ int fl_canonical(int d, const u8 *r, const u8 *u, u8 *out)
 
 /* -- exhaustive scan -------------------------------------------------- */
 
-/* Every pair (r, u) with r one of the given ``right`` permutations and u
- * any permutation of 0..d-1, walked right by right and, for each right,
- * u in lexicographic order by next-permutation.  A pair whose commutator
- * u^-1 r^-1 u r has one of the target cycle types is put, by canonical
- * key, into that target's key set. */
+/* Every pair (r, u) with r one of the given ``right`` permutations whose
+ * commutator u^-1 r^-1 u r has one of the target cycle types goes, by
+ * canonical key, into that target's key set.
+ *
+ * The commutator is s r with s = u^-1 r^-1 u, a conjugate of r, so each
+ * right walks its conjugacy class for s and tests the cycle type of s r:
+ * d!/z elements, z the order of the centralizer C(r), where a walk of u
+ * would test d!.  The u of one s are those with u s = r^-1 u; they map
+ * each cycle of s onto a cycle of r^-1 of the same length, at any
+ * rotation, z of them in all.  Conjugating by c in C(r) fixes r and
+ * carries the u of s onto those of c s c^-1, which give the same classes,
+ * so a survivor s is expanded only when it is the least image array among
+ * its conjugates under C(r). */
+
+/* The cycles of a permutation, longest first: cycle i is
+ * sym[off[i] .. off[i] + len[i]), each symbol followed by its image. */
+struct cycles {
+    int n;
+    u8 off[256], len[256], sym[256];
+};
+
+/* A map from the symbols of one struct cycles onto those of another with
+ * the same lengths: cycle i goes onto cycle to[i], a cycle of its own
+ * length, its first symbol onto symbol rot[i] of that cycle. */
+struct matching {
+    u8 to[256], rot[256];
+};
+
+enum { PH_TEST, PH_LEAST, PH_EXPAND };
+
 struct enumeration {
     int d, nrights, ntargets;
     int right;          /* index of the current right, nrights when done */
     u8 *rights;         /* nrights images of length d */
     u8 *targets;        /* ntargets rows of d + 1 cycle counts by length */
     struct scan **sets; /* one key set per target */
-    u8 u[256], uinv[256], rinv[256];   /* the next pair to test */
+    int *hits;          /* the nhits targets the survivor s matched */
+    int nhits;
+    /* PH_TEST: test s; PH_LEAST: compare s with its conjugate under the
+     * element of C(r) after m; PH_EXPAND: visit the pair (r, u) of m */
+    int phase;
+    struct cycles rc, ric, sc;   /* of r, of r^-1 (slot by slot), of s */
+    struct matching m;
+    /* the class walk: s in cycle notation as seq[0..d), each cycle
+     * starting at its least symbol, which is the least one unused; the
+     * cycle through position p starts at position head[p] and is
+     * clen[head[p]] long; left[l] cycles of length l are still to open */
+    u8 seq[256], head[256], clen[256], used[256], left[256], s[256];
 };
 
 void fl_enum_free(struct enumeration *e)
@@ -339,19 +375,210 @@ void fl_enum_free(struct enumeration *e)
         for (int t = 0; t < e->ntargets; t++)
             fl_scan_free(e->sets[t]);
     free(e->sets);
+    free(e->hits);
     free(e->rights);
     free(e->targets);
     free(e);
 }
 
-/* Starts the walk of the current right at u = identity. */
+/* The cycles of p into out, longest first and otherwise by least symbol,
+ * each listed from its least symbol. */
+static void cycles_of(int d, const u8 *p, struct cycles *out)
+{
+    u8 seen[256], first[256], len[256], order[256];
+    int count[256], slot[256], n = 0;
+    memset(seen, 0, (size_t)d);
+    memset(count, 0, (size_t)(d + 1) * sizeof *count);
+    for (int x = 0; x < d; x++) {
+        if (seen[x])
+            continue;
+        int l = 0;
+        for (int y = x; !seen[y]; y = p[y]) {
+            seen[y] = 1;
+            l++;
+        }
+        first[n] = (u8)x;
+        len[n++] = (u8)l;
+        count[l]++;
+    }
+    for (int l = d, at = 0; l >= 1; l--) {
+        slot[l] = at;
+        at += count[l];
+    }
+    for (int i = 0; i < n; i++)
+        order[slot[len[i]]++] = (u8)i;
+    out->n = n;
+    for (int j = 0, at = 0; j < n; j++) {
+        int i = order[j], y = first[i];
+        out->off[j] = (u8)at;
+        out->len[j] = len[i];
+        for (int k = 0; k < len[i]; k++, y = p[y])
+            out->sym[at++] = (u8)y;
+    }
+}
+
+static void matching_first(struct matching *m, int n)
+{
+    for (int i = 0; i < n; i++) {
+        m->to[i] = (u8)i;
+        m->rot[i] = 0;
+    }
+}
+
+/* Steps a[0..n) to its lexicographic successor; after the last one,
+ * back to ascending order, returning 0. */
+static int next_order(u8 *a, int n)
+{
+    int i = n - 2;
+    while (i >= 0 && a[i] > a[i + 1])
+        i--;
+    if (i >= 0) {
+        int j = n - 1;
+        while (a[j] < a[i])
+            j--;
+        u8 swap = a[i];
+        a[i] = a[j];
+        a[j] = swap;
+    }
+    for (int lo = i + 1, hi = n - 1; lo < hi; lo++, hi--) {
+        u8 swap = a[lo];
+        a[lo] = a[hi];
+        a[hi] = swap;
+    }
+    return i >= 0;
+}
+
+/* Steps m to the next map of the cycles shaped as c, rotations fastest;
+ * after the last one, back to the first, returning 0. */
+static int matching_next(struct matching *m, const struct cycles *c)
+{
+    for (int i = c->n - 1; i >= 0; i--) {
+        if (++m->rot[i] < c->len[i])
+            return 1;
+        m->rot[i] = 0;
+    }
+    /* the cycles of one length are adjacent: reorder one run of them */
+    for (int end = c->n; end > 0;) {
+        int begin = end - 1;
+        while (begin > 0 && c->len[begin - 1] == c->len[end - 1])
+            begin--;
+        if (next_order(m->to + begin, end - begin))
+            return 1;
+        end = begin;
+    }
+    return 0;
+}
+
+/* out[x] for every symbol x of src under the map m onto dst. */
+static void matching_apply(const struct matching *m, const struct cycles *src,
+                           const struct cycles *dst, u8 *out)
+{
+    for (int i = 0; i < src->n; i++) {
+        const u8 *a = src->sym + src->off[i], *b = dst->sym + dst->off[m->to[i]];
+        int l = src->len[i], j = m->rot[i];
+        for (int k = 0; k < l; k++) {
+            out[a[k]] = b[j];
+            if (++j == l)
+                j = 0;
+        }
+    }
+}
+
+/* Writes x at position p of the walk; head[p] and the length of its
+ * cycle are set. */
+static void walk_put(struct enumeration *e, int p, int x)
+{
+    int h = e->head[p];
+    e->seq[p] = (u8)x;
+    e->used[x] = 1;
+    if (p > h)
+        e->s[e->seq[p - 1]] = (u8)x;
+    if (p == h + e->clen[h] - 1)
+        e->s[x] = e->seq[h];
+}
+
+/* Fills positions p..d-1 with their first choices: the least unused
+ * symbol, and the shortest length left where a cycle opens. */
+static void walk_fill(struct enumeration *e, int p)
+{
+    for (int x = 0; p < e->d; p++) {
+        while (e->used[x])
+            x++;
+        if (p == 0 || p == e->head[p - 1] + e->clen[e->head[p - 1]]) {
+            int l = 1;
+            while (!e->left[l])
+                l++;
+            e->left[l]--;
+            e->head[p] = (u8)p;
+            e->clen[p] = (u8)l;
+        } else {
+            e->head[p] = e->head[p - 1];
+        }
+        walk_put(e, p, x);
+    }
+}
+
+/* Steps s to the next element of the class: the last position that has
+ * a next choice takes it (a longer length left for a cycle's head, a
+ * larger unused symbol elsewhere) and the positions after it start over;
+ * returns 0 after the last element. */
+static int walk_next(struct enumeration *e)
+{
+    int d = e->d;
+    for (int p = d - 1; p >= 0; p--) {
+        int x = e->seq[p];
+        e->used[x] = 0;
+        if (e->head[p] == p) {
+            int l = e->clen[p];
+            e->left[l]++;
+            while (++l <= d && !e->left[l])
+                ;
+            if (l <= d) {
+                e->left[l]--;
+                e->clen[p] = (u8)l;
+                walk_put(e, p, x);
+                walk_fill(e, p + 1);
+                return 1;
+            }
+        } else {
+            int y = x + 1;
+            while (y < d && e->used[y])
+                y++;
+            if (y < d) {
+                walk_put(e, p, y);
+                walk_fill(e, p + 1);
+                return 1;
+            }
+        }
+    }
+    return 0;
+}
+
+/* Starts the class walk of the current right. */
 static void enum_start_right(struct enumeration *e)
 {
-    const u8 *r = e->rights + (size_t)e->right * (size_t)e->d;
-    for (int x = 0; x < e->d; x++) {
-        e->u[x] = e->uinv[x] = (u8)x;
-        e->rinv[r[x]] = (u8)x;
+    int d = e->d;
+    cycles_of(d, e->rights + (size_t)e->right * (size_t)d, &e->rc);
+    e->ric = e->rc;
+    memset(e->used, 0, (size_t)d);
+    memset(e->left, 0, (size_t)d + 1);
+    for (int i = 0; i < e->rc.n; i++) {
+        int l = e->rc.len[i];
+        const u8 *a = e->rc.sym + e->rc.off[i];
+        for (int k = 1; k < l; k++)   /* r^-1 from the same first symbol */
+            e->ric.sym[e->rc.off[i] + k] = a[l - k];
+        e->left[l]++;
     }
+    walk_fill(e, 0);
+    e->phase = PH_TEST;
+}
+
+/* Done with s: on to the next element of the class, or the next right. */
+static void enum_advance(struct enumeration *e)
+{
+    e->phase = PH_TEST;
+    if (!walk_next(e) && ++e->right < e->nrights)
+        enum_start_right(e);
 }
 
 /* A scan of the given rights against the given targets, where
@@ -370,7 +597,8 @@ struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
     e->rights = malloc((size_t)nrights * (size_t)d + 1);
     e->targets = malloc((size_t)ntargets * (size_t)(d + 1) + 1);
     e->sets = calloc((size_t)ntargets + 1, sizeof *e->sets);
-    if (!e->rights || !e->targets || !e->sets) {
+    e->hits = malloc(((size_t)ntargets + 1) * sizeof *e->hits);
+    if (!e->rights || !e->targets || !e->sets || !e->hits) {
         fl_enum_free(e);
         return NULL;
     }
@@ -386,69 +614,80 @@ struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
     return e;
 }
 
-/* Steps u to its lexicographic successor and keeps uinv its inverse;
- * returns 0 after the last permutation. */
-static int next_permutation(int d, u8 *u, u8 *uinv)
+/* Whether c s c^-1 comes before s as an image array. */
+static int conjugate_is_less(int d, const u8 *c, const u8 *s)
 {
-    int i = d - 2;
-    while (i >= 0 && u[i] > u[i + 1])
-        i--;
-    if (i < 0)
-        return 0;
-    int j = d - 1;
-    while (u[j] < u[i])
-        j--;
-    u8 swap = u[i];
-    u[i] = u[j];
-    u[j] = swap;
-    for (int lo = i + 1, hi = d - 1; lo < hi; lo++, hi--) {
-        swap = u[lo];
-        u[lo] = u[hi];
-        u[hi] = swap;
+    u8 cinv[256];
+    for (int x = 0; x < d; x++)
+        cinv[c[x]] = (u8)x;
+    for (int x = 0; x < d; x++) {
+        int y = c[s[cinv[x]]];
+        if (y != s[x])
+            return y < s[x];
     }
-    for (int k = i; k < d; k++)
-        uinv[u[k]] = (u8)k;
-    return 1;
+    return 0;
 }
 
-/* Tests at most ``budget`` pairs.  Returns ST_DONE, ST_MORE or ST_NOMEM;
- * a pair that is not transitive is skipped. */
+/* Does at most ``budget`` units of work: testing one class element or
+ * one conjugate is a unit, canonicalising one pair is d.  Returns
+ * ST_DONE, ST_MORE or ST_NOMEM; a pair that is not transitive is
+ * skipped. */
 int fl_enum_step(struct enumeration *e, long budget)
 {
     int d = e->d;
-    u8 c[256], cycles[257], key[512];
-    for (; budget > 0 && e->right < e->nrights; budget--) {
+    u8 c[256], cycles[256], key[512];
+    while (budget > 0 && e->right < e->nrights) {
         const u8 *r = e->rights + (size_t)e->right * (size_t)d;
-        for (int x = 0; x < d; x++)
-            c[x] = e->uinv[e->rinv[e->u[r[x]]]];
-        memset(cycles, 0, sizeof cycles);
-        /* each cycle of c is walked once and erased as it goes */
-        for (int x = 0; x < d; x++) {
-            if (c[x] == UNSET)
-                continue;
-            int len = 0, y = x;
-            do {
-                int next = c[y];
-                c[y] = UNSET;
-                y = next;
-                len++;
-            } while (y != x);
-            cycles[len]++;
-        }
-        int keyed = 0;   /* 1: key holds the canonical form; -1: disconnected */
-        for (int t = 0; t < e->ntargets && keyed >= 0; t++) {
-            if (memcmp(cycles, e->targets + (size_t)t * (size_t)(d + 1), (size_t)(d + 1)))
-                continue;
-            if (!keyed)
-                keyed = canonical(d, r, e->u, key) ? -1 : 1;
-            if (keyed > 0) {
-                long j = visit(e->sets[t], key, LONG_MAX);
-                if (j < 0)
-                    return (int)j;
+        if (e->phase == PH_TEST) {
+            budget--;
+            for (int x = 0; x < d; x++)
+                c[x] = e->s[r[x]];
+            memset(cycles, 0, (size_t)d + 1);
+            /* each cycle of s r is walked once and erased as it goes */
+            for (int x = 0; x < d; x++) {
+                if (c[x] == UNSET)
+                    continue;
+                int len = 0, y = x;
+                do {
+                    int next = c[y];
+                    c[y] = UNSET;
+                    y = next;
+                    len++;
+                } while (y != x);
+                cycles[len]++;
             }
+            e->nhits = 0;
+            for (int t = 0; t < e->ntargets; t++)
+                if (!memcmp(cycles, e->targets + (size_t)t * (size_t)(d + 1), (size_t)d + 1))
+                    e->hits[e->nhits++] = t;
+            if (!e->nhits) {
+                enum_advance(e);
+                continue;
+            }
+            cycles_of(d, e->s, &e->sc);
+            matching_first(&e->m, e->rc.n);
+            e->phase = PH_LEAST;
+        } else if (e->phase == PH_LEAST) {
+            budget--;
+            if (!matching_next(&e->m, &e->rc)) {
+                e->phase = PH_EXPAND;   /* m is the first map again */
+                continue;
+            }
+            matching_apply(&e->m, &e->rc, &e->rc, c);
+            if (conjugate_is_less(d, c, e->s))
+                enum_advance(e);
+        } else {
+            budget -= d;
+            matching_apply(&e->m, &e->sc, &e->ric, c);
+            if (!canonical(d, r, c, key))
+                for (int i = 0; i < e->nhits; i++) {
+                    long j = visit(e->sets[e->hits[i]], key, LONG_MAX);
+                    if (j < 0)
+                        return (int)j;
+                }
+            if (!matching_next(&e->m, &e->sc))
+                enum_advance(e);
         }
-        if (!next_permutation(d, e->u, e->uinv) && ++e->right < e->nrights)
-            enum_start_right(e);
     }
     return e->right < e->nrights ? ST_MORE : ST_DONE;
 }

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import golden, moduli
 from .components import component_label
-from .enumeration import enumerate_origamis, nonvarying_report, orbit_partition
+from .enumeration import nonvarying_report, orbits_by_degree
 from .errors import FlatLyapError, InputError, ResourceCapError
 from .origami import Origami, Stratum, kappa
 from .orbits import (
@@ -145,20 +145,16 @@ def cmd_classify(args) -> int:
 def cmd_enumerate(args) -> int:
     s = _parse_stratum(args.stratum)
     if args.per_orbit:
-        rows = []
-        support = sum(m + 1 for m in s.orders)
-        cache = _cache_from(args)
-        for d in range(max(args.dmin or support, support), args.dmax + 1):
-            for oc in orbit_partition(enumerate_origamis(d, s), cache=cache):
-                rows.append(
-                    {
-                        "degree": d,
-                        "orbit_size": oc.summary.orbit_size,
-                        "component": component_label(oc.representative).kind,
-                        "L": format_rational(oc.summary.L),
-                        "witness": str(oc.representative),
-                    }
-                )
+        rows = [
+            {
+                "degree": d,
+                "orbit_size": oc.summary.orbit_size,
+                "component": component_label(oc.representative).kind,
+                "L": format_rational(oc.summary.L),
+                "witness": str(oc.representative),
+            }
+            for d, oc in orbits_by_degree(s, args.dmax, args.dmin, _cache_from(args))
+        ]
         if args.format == "json":
             print(json.dumps(rows, indent=2))
         else:

@@ -3,16 +3,20 @@
 Every transitive pair is simultaneously conjugate to one whose ``right``
 permutation is the standard representative of its cycle type (cycles of
 non-increasing length on consecutive symbols).  So it suffices to fix
-``right`` to one representative per partition of d and scan all d!
-candidates for ``up``, keeping those whose commutator has the cycle type
-demanded by the stratum; canonical forms deduplicate the survivors.  The
-scan itself is ``kernel.scan_degree``: compiled, streaming S_d one
-permutation at a time, or in numpy where the compiled kernel is missing.
+``right`` to one representative r per partition of d and find every
+``up`` u whose commutator u^-1 r^-1 u r has the cycle type demanded by
+the stratum; canonical forms deduplicate the pairs.  The scan itself is
+``kernel.scan_degree``.  It walks the conjugacy class of r for
+s = u^-1 r^-1 u, so the commutator is s r, and the classes of all the
+representatives hold d! elements in all.  Only the u of one s per orbit
+of the centralizer of r are canonicalised.  A degree whose d! passes
+``SCAN_CAP`` is refused before its scan starts.
 """
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +35,10 @@ from .orbits import (
     format_rational,
     orbit_scan,
 )
+
+
+#: the most class elements one degree's scan walks: d! <= 12!, so d <= 12
+SCAN_CAP = math.factorial(12)
 
 
 def partitions(n: int):
@@ -82,9 +90,11 @@ def _scan_degree(
     d: int, targets: dict[Stratum, tuple[int, ...]]
 ) -> dict[Stratum, set[bytes]]:
     """All canonical transitive pairs of degree d per target stratum,
-    as packed canonical keys."""
+    as packed canonical keys.  Raises ResourceCapError before the scan
+    when d! is past ``SCAN_CAP``."""
     if not targets:
         return {}
+    _check_scan(d)
     # a trivial right has a trivial commutator: it serves only H(0)
     ones = (1,) * d
     keep_identity = ones in targets.values()
@@ -95,6 +105,16 @@ def _scan_degree(
     ]
     strata = list(targets)
     return dict(zip(strata, scan_degree(d, rights, [targets[s] for s in strata])))
+
+
+def _check_scan(d: int) -> None:
+    walk = 1
+    for k in range(2, d + 1):   # stops at 13 however large d is
+        walk *= k
+        if walk > SCAN_CAP:
+            raise ResourceCapError(
+                f"a scan of degree {d} walks {d}! permutations, past the cap of {SCAN_CAP}"
+            )
 
 
 def enumerate_origamis(d: int, s: Stratum) -> list[Origami]:
@@ -256,27 +276,38 @@ def nonvarying_report(
     """
     if s.genus < 2:
         raise InputError("non-varying reports need genus >= 2")
-    support = sum(m + 1 for m in s.orders)
-    lo = max(d_min or support, support)
     entries: list[ReportEntry] = []
     seen: set[tuple[str, Fraction]] = set()
-    for d in range(lo, d_max + 1):
-        for oc in orbit_partition(enumerate_origamis(d, s), cache=cache):
-            label = component_label(oc.representative).kind
-            key = (label, oc.summary.L)
-            if key in seen:
-                continue
-            seen.add(key)
-            entries.append(
-                ReportEntry(
-                    stratum=s,
-                    component=label,
-                    degree=d,
-                    orbit_size=oc.summary.orbit_size,
-                    L=oc.summary.L,
-                    c=oc.summary.c,
-                    s=oc.summary.s,
-                    witness=oc.representative,
-                )
+    for d, oc in orbits_by_degree(s, d_max, d_min, cache):
+        label = component_label(oc.representative).kind
+        key = (label, oc.summary.L)
+        if key in seen:
+            continue
+        seen.add(key)
+        entries.append(
+            ReportEntry(
+                stratum=s,
+                component=label,
+                degree=d,
+                orbit_size=oc.summary.orbit_size,
+                L=oc.summary.L,
+                c=oc.summary.c,
+                s=oc.summary.s,
+                witness=oc.representative,
             )
+        )
     return StratumReport(stratum=s, d_max=d_max, entries=tuple(entries))
+
+
+def orbits_by_degree(
+    s: Stratum, d_max: int, d_min: int | None = None, cache: OrbitCache | None = None
+):
+    """(degree, OrbitClass) for every orbit of the stratum, degree by
+    degree from d_min (at least the stratum's support) to d_max.  Raises
+    ResourceCapError before the first scan when d_max is past the scan
+    cap."""
+    _check_scan(d_max)
+    support = sum(m + 1 for m in s.orders)
+    for d in range(max(d_min or support, support), d_max + 1):
+        for oc in orbit_partition(enumerate_origamis(d, s), cache=cache):
+            yield d, oc

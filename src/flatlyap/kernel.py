@@ -4,14 +4,16 @@ the exhaustive scan.
 Every origami in an orbit search passes through three steps: the
 canonical form of a permutation pair under simultaneous relabelling, its
 T and S images, and its horizontal cylinders.  An exhaustive enumeration
-tests pairs by the cycle type of their commutator and canonicalises the
-survivors.  This module runs both in two interchangeable ways:
+walks, for each right permutation r, the conjugacy class of r for the
+s = u^-1 r^-1 u that make the commutator s r, tests its cycle type, and
+canonicalises the pairs (r, u) of the survivors.  This module runs both
+in two interchangeable ways:
 
 * compiled, from ``_orbitcore.c``: built once with the system C compiler
   into ``${XDG_CACHE_HOME:-~/.cache}/flatlyap/``, named by the sha256 of
   the source and flags, and loaded with ctypes on the first call;
-* in pure Python (the scan in numpy), the code below, which is the
-  oracle the compiled code must match byte for byte.
+* in pure Python, the code below, which is the oracle the compiled code
+  must match byte for byte.
 
 The compiled library is used whenever it builds and loads; any failure
 there falls back to Python for the life of the process.  A pair of
@@ -40,10 +42,9 @@ _FLAGS = ("-O2", "-shared", "-fPIC")
 #: elements the compiled closure expands per call (about 15 ms), so that
 #: signal handlers (Ctrl-C, timers) run during long scans
 _STEP_BUDGET = 8192
-#: pairs the compiled scan tests per call (about 15 ms), for the same reason
+#: units of work the compiled scan does per call (see fl_enum_step), for
+#: the same reason
 _SCAN_BUDGET = 1 << 17
-#: rows of S_d per block of the numpy scan
-_CHUNK = 200_000
 _LONG_MAX = 2 ** (8 * ctypes.sizeof(ctypes.c_long) - 1) - 1
 
 _DISCONNECTED_MESSAGE = "canonical form needs a transitive pair"
@@ -369,7 +370,13 @@ def scan_degree(d: int, rights, targets) -> list[set[bytes]]:
     """Canonical keys of the transitive pairs (r, u) of degree d, with r
     one of the 0-based image sequences ``rights`` and u any permutation,
     whose commutator u^-1 r^-1 u r has cycle type ``targets[i]``: one set
-    per target, in order.  A cycle type is a sequence of cycle lengths."""
+    per target, in order.  A cycle type is a sequence of cycle lengths.
+
+    The commutator is s r with s = u^-1 r^-1 u, so s runs over the
+    conjugacy class of r, d!/z elements where z is the order of the
+    centralizer C(r).  The u of one s are the z maps with u s = r^-1 u.
+    Conjugating by c in C(r) carries them onto the u of c s c^-1 and keeps
+    every class, so only the least s of each C(r)-orbit is expanded."""
     if not 0 < d <= MAX_DEGREE or any(sorted(r) != list(range(d)) for r in rights):
         raise InputError(_RANGE_MESSAGE)
     if any(sum(t) != d or min(t) < 1 for t in targets):
@@ -404,53 +411,89 @@ def scan_degree(d: int, rights, targets) -> list[set[bytes]]:
 
 
 def _py_scan_degree(d: int, rights, targets) -> list[set[bytes]]:
-    import numpy as np  # only this fallback needs it
-
-    lengths = sorted({l for t in targets for l in t})
-    wants = []
-    for target in targets:
-        want = {l: 0 for l in lengths}
-        for l in target:
-            want[l] += l
-        wants.append(want)
+    wanted = [sorted(t) for t in targets]
     found: list[set[bytes]] = [set() for _ in targets]
-    idx = np.arange(d, dtype=np.int8)
-    reps = []
     for rz in rights:
-        r = np.array(rz, dtype=np.int8)
-        rinv = np.empty(d, dtype=np.int8)
-        rinv[r] = idx
-        reps.append((tuple(rz), r, rinv))
+        rcycles = _cycles(rz)
+        # r^-1 from the same first symbols, cycle by cycle
+        ricycles = [c[:1] + c[:0:-1] for c in rcycles]
+        lengths = [len(c) for c in rcycles]
+        for scycles in _conjugacy_class(lengths):
+            s = [0] * d
+            for c in scycles:
+                for x, y in zip(c, c[1:] + c[:1]):
+                    s[x] = y
+            ctype = sorted(len(c) for c in _cycles([s[x] for x in rz]))
+            hits = [keys for keys, t in zip(found, wanted) if t == ctype]
+            # one s per C(r)-orbit: its u give the classes of the others
+            if not hits or any(_conjugate(c, s) < s for c in _maps(rcycles, rcycles)):
+                continue
+            for u in _maps(sorted(scycles, key=len, reverse=True), ricycles):
+                try:
+                    key = canonical_key(rz, u)
+                except DisconnectedError:
+                    continue  # a disconnected surface
+                for keys in hits:
+                    keys.add(key)
+    return found
 
-    # S_d streamed in blocks of _CHUNK rows; every right meets each block
-    perms = itertools.permutations(range(d))
-    while True:
-        block = itertools.islice(perms, _CHUNK)
-        flat = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int8)
-        if not flat.size:
-            return found
-        u = flat.reshape(-1, d)
-        uinv = np.argsort(u, axis=1).astype(np.int8)
-        for rz, r, rinv in reps:
-            # commutator c = u^-1 r^-1 u r, evaluated right to left
-            t2 = rinv[u[:, r]]
-            c = np.take_along_axis(uinv, t2, axis=1)
-            # minimal period of every symbol under c
-            period = np.zeros_like(c)
-            power = c.copy()
-            for k in range(1, d + 1):
-                hit = (power == idx) & (period == 0)
-                period[hit] = k
-                if k < d:
-                    power = np.take_along_axis(c, power, axis=1)
-            counts = {l: (period == l).sum(axis=1) for l in lengths}
-            for keys, want in zip(found, wants):
-                mask = np.ones(len(u), dtype=bool)
-                for l in lengths:
-                    mask &= counts[l] == want[l]
-                for row in np.nonzero(mask)[0]:
-                    uz = tuple(int(x) for x in u[row])
-                    try:
-                        keys.add(canonical_key(rz, uz))
-                    except DisconnectedError:
-                        continue  # a disconnected surface
+
+def _cycles(p) -> list[tuple[int, ...]]:
+    """The cycles of the 0-based image sequence p, longest first and
+    otherwise by least symbol, each listed from its least symbol."""
+    seen = [False] * len(p)
+    out = []
+    for x in range(len(p)):
+        cycle = []
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = p[x]
+        if cycle:
+            out.append(tuple(cycle))
+    return sorted(out, key=len, reverse=True)
+
+
+def _conjugacy_class(lengths):
+    """Every permutation of 0..d-1 whose cycle lengths are ``lengths``,
+    once each, as its cycles: each starts at its least symbol, which is
+    the least one the cycles before it leave unused."""
+
+    def walk(unused, left):
+        if not unused:
+            yield ()
+            return
+        first, rest = unused[0], unused[1:]
+        for length in sorted(set(left)):
+            i = left.index(length)
+            others = left[:i] + left[i + 1 :]
+            for tail in itertools.permutations(rest, length - 1):
+                remaining = tuple(x for x in rest if x not in tail)
+                for more in walk(remaining, others):
+                    yield ((first, *tail), *more)
+
+    return walk(tuple(range(sum(lengths))), tuple(lengths))
+
+
+def _maps(src, dst):
+    """Every image list v with v[src[i][k]] = dst[j][(k + rot) % l] for
+    one cycle dst[j] of the length l of src[i] per i, a bijection, and
+    any rot.  src and dst list cycles of the same lengths, longest first."""
+    d = sum(map(len, src))
+    runs = [list(g) for _, g in itertools.groupby(range(len(src)), key=lambda i: len(src[i]))]
+    for order in itertools.product(*(itertools.permutations(run) for run in runs)):
+        onto = [dst[j] for run in order for j in run]
+        for rots in itertools.product(*(range(len(c)) for c in src)):
+            v = [0] * d
+            for a, b, rot in zip(src, onto, rots):
+                for k, x in enumerate(a):
+                    v[x] = b[(k + rot) % len(a)]
+            yield v
+
+
+def _conjugate(c, s) -> list[int]:
+    """Images of c s c^-1."""
+    out = [0] * len(s)
+    for x, y in enumerate(s):
+        out[c[x]] = c[y]
+    return out

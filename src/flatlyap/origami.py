@@ -75,7 +75,8 @@ class Origami:
     2
     """
 
-    __slots__ = ("_right", "_up")
+    # _stratum holds the stratum once computed; right and up never change
+    __slots__ = ("_right", "_up", "_stratum")
 
     def __init__(self, right: Permutation, up: Permutation):
         if right.degree != up.degree:
@@ -84,6 +85,7 @@ class Origami:
             )
         self._right = right
         self._up = up
+        self._stratum = None
 
     # -- construction ---------------------------------------------------
 
@@ -194,14 +196,17 @@ class Origami:
         return compose(compose(u.inverse(), r.inverse()), compose(u, r))
 
     def stratum(self) -> Stratum:
-        self.validate()
-        ctype = self.commutator().cycle_type()
-        orders = tuple(l - 1 for l in ctype if l >= 2)
-        s = Stratum(orders)
-        # Euler characteristic cross-check: #cycles(commutator) - d = 2 - 2g.
-        if len(ctype) - self.degree != 2 - 2 * s.genus:
-            raise InternalCheckError("genus computations disagree")
-        return s
+        """The stratum, computed on the first call and kept."""
+        if self._stratum is None:
+            self.validate()
+            ctype = self.commutator().cycle_type()
+            orders = tuple(l - 1 for l in ctype if l >= 2)
+            s = Stratum(orders)
+            # Euler characteristic cross-check: #cycles(commutator) - d = 2 - 2g.
+            if len(ctype) - self.degree != 2 - 2 * s.genus:
+                raise InternalCheckError("genus computations disagree")
+            self._stratum = s
+        return self._stratum
 
     def genus(self) -> int:
         return self.stratum().genus

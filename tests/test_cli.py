@@ -186,6 +186,15 @@ def test_orbit_cap_exit_code(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("extra", [(), ("--per-orbit",)])
+def test_enumerate_past_the_scan_cap_exit_code(capsys, extra):
+    # d=13 walks 13! > 12! permutations: refused before the first degree
+    code, out, err = run(capsys, "enumerate", "--stratum", "2", "--dmax", "13", *extra)
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
+
+
 def test_cache_cli_round_trip(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FLATLYAP_CACHE_DIR", str(tmp_path))
     code, out1, _ = run(capsys, "lyap", FIG1, "--format", "json")

@@ -272,6 +272,26 @@ def test_label_fig1():
     assert label.involution is not None
 
 
+@pytest.mark.parametrize(
+    "text", [FIG1, ELEVEN_10_ODD, "r=(2 3)(4 5); u=(1 2)(3 4)(5 6); d=6", TEN_411]
+)
+def test_label_computes_the_stratum_once(monkeypatch, text):
+    # the involution search, the spin parity and the hyperelliptic
+    # component test all need the stratum; it is computed, from the
+    # commutator, once per origami
+    o = origami(text)
+    calls = []
+    commutator = Origami.commutator
+
+    def counted(self):
+        calls.append(self)
+        return commutator(self)
+
+    monkeypatch.setattr(Origami, "commutator", counted)
+    component_label(o)
+    assert calls == [o]
+
+
 def test_label_ten_odd_even():
     assert component_label(origami(ELEVEN_10_ODD)).kind == "odd"
     assert component_label(origami(ELEVEN_10_EVEN)).kind == "even"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from flatlyap import enumeration
 from flatlyap.enumeration import (
     commutator_cycle_type,
     enumerate_origamis,
@@ -11,7 +12,7 @@ from flatlyap.enumeration import (
     partition_representative,
     partitions,
 )
-from flatlyap.errors import InputError, InternalCheckError
+from flatlyap.errors import InputError, InternalCheckError, ResourceCapError
 from flatlyap.origami import Origami, Stratum
 from flatlyap.orbits import OrbitCache, canonical_key, lyapunov_sum, orbit
 from flatlyap.permutation import Permutation, cycle_type, is_transitive
@@ -91,7 +92,7 @@ def brute_force_classes(d: int, s: Stratum) -> set[bytes]:
 def test_generator_matches_brute_force(d, orders):
     s = Stratum(orders)
     expected = brute_force_classes(d, s)
-    # the compiled scan, where it builds, and the numpy scan
+    # the compiled scan, where it builds, and the pure-Python one
     for generated in on_each(lambda: {
         canonical_key(o.right.zero_based(), o.up.zero_based())
         for o in enumerate_origamis(d, s)
@@ -105,6 +106,16 @@ def test_torus_covers_keep_the_identity_right(backend):
     classes = enumerate_origamis(4, Stratum(()))
     assert len(classes) == 7
     assert Origami(Permutation((1, 2, 3, 4)), Permutation((2, 3, 4, 1))).canonical() in classes
+
+
+def test_scan_past_the_cap_is_refused(backend, monkeypatch):
+    # 13! > 12!: refused before the scan starts, where it would run for hours
+    def scan(*args):
+        pytest.fail("the scan started")
+
+    monkeypatch.setattr(enumeration, "scan_degree", scan)
+    with pytest.raises(ResourceCapError):
+        enumerate_origamis(13, Stratum((2,)))
 
 
 def test_enumerate_empty_below_support():

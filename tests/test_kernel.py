@@ -6,10 +6,14 @@ kernel call through the Python code (``on_both`` and the ``backend``
 fixture of conftest.py).  Tests that need the compiled library are
 skipped where it does not build.
 """
+import itertools
+import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,7 +26,7 @@ from flatlyap.orbits import OrbitCache, lyapunov_sum, orbit_scan
 from flatlyap.origami import Stratum
 from flatlyap.permutation import Permutation, is_transitive
 
-from conftest import FIG1, TEN_71, compiled_library, on_both, origami
+from conftest import FIG1, TEN_71, compiled_library, on_both, on_each, origami
 
 
 # -- parity ------------------------------------------------------------------------
@@ -75,6 +79,68 @@ def test_enumeration_scan_matches_python(d):
     compiled, python = on_both(lambda: enumeration._scan_degree(d, targets))
     assert compiled == python
     assert set(compiled) == set(targets) and all(compiled.values())
+
+
+def _brute_scan(d: int, targets: dict) -> dict:
+    """Every u in S_d against every right representative: the commutator
+    u^-1 r^-1 u r, its cycle type, then the canonical key; an oracle that
+    shares no step of the scan but the canonical form."""
+    found = {s: set() for s in targets}
+    for parts in enumeration.partitions(d):
+        r = enumeration.partition_representative(parts)
+        rinv = kernel.invert(r)
+        for u in itertools.permutations(range(d)):
+            uinv = kernel.invert(u)
+            c = [uinv[rinv[u[r[x]]]] for x in range(d)]
+            ctype = tuple(sorted(_cycle_lengths(c), reverse=True))
+            for s, t in targets.items():
+                if ctype == t:
+                    try:
+                        found[s].add(kernel.canonical_key(r, u))
+                    except DisconnectedError:
+                        pass
+    return found
+
+
+def _cycle_lengths(p) -> list[int]:
+    seen, lengths = set(), []
+    for x in range(len(p)):
+        n = 0
+        while x not in seen:
+            seen.add(x)
+            x = p[x]
+            n += 1
+        if n:
+            lengths.append(n)
+    return lengths
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_enumeration_scan_matches_the_s_d_walk(d):
+    targets = _targets(d)
+    if d == 4:
+        targets[Stratum(())] = (1,) * 4
+    expected = _brute_scan(d, targets)
+    for got in on_each(lambda: enumeration._scan_degree(d, targets)):
+        assert got == expected
+
+
+@pytest.mark.parametrize(
+    "parts", [p for d in range(1, 8) for p in enumeration.partitions(d)], ids=str
+)
+def test_class_walk_visits_each_element_once(parts):
+    d = sum(parts)
+    z = math.prod(l**m * math.factorial(m) for l, m in Counter(parts).items())
+    images = []
+    for cycles in kernel._conjugacy_class(parts):
+        s = [None] * d
+        for c in cycles:
+            assert c[0] == min(c)
+            for x, y in zip(c, c[1:] + c[:1]):
+                s[x] = y
+        images.append(tuple(s))
+    assert len(images) == len(set(images)) == math.factorial(d) // z
+    assert all(sorted(_cycle_lengths(s), reverse=True) == list(parts) for s in images)
 
 
 def test_one_scan_serves_every_target(backend):
@@ -164,9 +230,14 @@ def test_compiled_scan_lets_signal_handlers_run():
     _raises_on_alarm(lambda: orbit_scan(origami(TEN_71)))
 
 
+GENUS_4 = [Stratum(p) for p in [(6,), (5, 1), (4, 2), (3, 3), (3, 2, 1), (2, 2, 2)]]
+
+
 def test_compiled_enumeration_scan_lets_signal_handlers_run():
-    # 29 rights times 9! candidates, about a second of scanning
-    _raises_on_alarm(lambda: enumeration.enumerate_origamis(9, Stratum((2,))))
+    # the six genus-4 strata at d=10: 10! class elements and about a
+    # million classes, seconds of scanning
+    targets = {s: enumeration.commutator_cycle_type(s, 10) for s in GENUS_4}
+    _raises_on_alarm(lambda: enumeration._scan_degree(10, targets))
 
 
 def _run_with_src(script: str, **env):
@@ -179,17 +250,22 @@ def _run_with_src(script: str, **env):
 
 
 def test_compiled_enumeration_does_not_import_numpy():
-    compiled_library()
-    script = (
-        "import sys\n"
-        "from flatlyap.enumeration import enumerate_origamis\n"
-        "from flatlyap.origami import Stratum\n"
-        "print(len(enumerate_origamis(6, Stratum((2,)))), 'numpy' in sys.modules)\n"
-    )
-    proc = _run_with_src(script)
-    out = proc.communicate(timeout=120)[0].split()
-    assert proc.returncode == 0
-    assert out == ["45", "False"]
+    setups = {"python": "kernel._lib = None\n"}
+    if kernel._library() is not None:
+        setups["compiled"] = ""
+    for name, setup in setups.items():
+        script = (
+            "import sys\n"
+            "from flatlyap import kernel\n"
+            "from flatlyap.enumeration import enumerate_origamis\n"
+            "from flatlyap.origami import Stratum\n"
+            + setup
+            + "print(len(enumerate_origamis(6, Stratum((2,)))), 'numpy' in sys.modules)\n"
+        )
+        proc = _run_with_src(script)
+        out = proc.communicate(timeout=120)[0].split()
+        assert proc.returncode == 0
+        assert out == ["45", "False"], name
 
 
 # -- building ----------------------------------------------------------------------------
@@ -233,3 +309,15 @@ def test_concurrent_builds_share_one_library(tmp_path):
     (path,) = {out[0] for out in outputs}
     assert {out[1] for out in outputs} == {kernel.canonical_key((1, 2, 0), (0, 2, 1)).hex()}
     assert [str(p) for p in (tmp_path / "flatlyap").iterdir()] == [path]
+
+
+def test_c_source_compiles_without_warnings(tmp_path):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    flags = ["-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-pedantic", "-Werror"]
+    done = subprocess.run(
+        [cc, *flags, "-o", str(tmp_path / "core.so"), str(kernel._SOURCE)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
