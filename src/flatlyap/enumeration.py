@@ -11,6 +11,12 @@ s = u^-1 r^-1 u, so the commutator is s r, and the classes of all the
 representatives hold d! elements in all.  Only the u of one s per orbit
 of the centralizer of r are canonicalised.  A degree whose d! passes
 ``SCAN_CAP`` is refused before its scan starts.
+
+Classes travel as packed canonical keys, ``bytes(r) + bytes(u)`` of the
+0-based images: ``enumerate_origamis`` returns them and
+``orbit_partition`` takes them.  Only the least key of each orbit
+becomes an ``Origami`` (``Origami.from_key``), so the partition costs
+one orbit closure per orbit and no object per class.
 """
 from __future__ import annotations
 
@@ -27,11 +33,8 @@ from .origami import Origami, Stratum
 from .orbits import (
     OrbitCache,
     OrbitSummary,
-    Pair,
-    _pair_to_origami,
     _summary_from_parts,
     _summary_of_scan,
-    _unpack,
     format_rational,
     orbit_scan,
 )
@@ -117,65 +120,68 @@ def _check_scan(d: int) -> None:
             )
 
 
-def enumerate_origamis(d: int, s: Stratum) -> list[Origami]:
-    """All origamis of degree d in the stratum, one canonical
-    representative per conjugacy class, sorted."""
+def enumerate_origamis(d: int, s: Stratum) -> list[bytes]:
+    """All origamis of degree d in the stratum, one packed canonical key
+    per conjugacy class, sorted; ``Origami.from_key`` rebuilds one."""
     if d < 1:
         raise InputError("degree must be positive")
     target = commutator_cycle_type(s, d)
     if target is None:
         return []
-    keys = _scan_degree(d, {s: target})[s]
-    return [_pair_to_origami(_unpack(k)) for k in sorted(keys)]
+    return sorted(_scan_degree(d, {s: target})[s])
 
 
 @dataclass(frozen=True)
 class OrbitClass:
     """One SL(2,Z) orbit inside an enumerated set."""
 
-    representative: Origami
-    members: tuple[Pair, ...]
+    representative: Origami      # built from the least member
+    members: tuple[bytes, ...]   # canonical keys, sorted
     summary: OrbitSummary
 
 
 def orbit_partition(
-    origamis: list[Origami], cache: OrbitCache | None = None
+    keys: list[bytes], cache: OrbitCache | None = None
 ) -> list[OrbitClass]:
-    """Partition conjugacy classes into SL(2,Z) orbits.
+    """Partition the canonical keys of one degree and stratum into
+    SL(2,Z) orbits.
 
     The input must be closed under the action (it is when it comes from
     ``enumerate_origamis``: T and S preserve degree and stratum).  Each
-    orbit is closed by ``orbit_scan`` from its least key, in key order.
-    Every class lands in a scanned orbit, so checking the stratum of each
-    orbit's least class checks the whole input.
+    orbit is closed by ``orbit_scan`` from its least key, in key order;
+    only that key becomes an ``Origami``.  Every key lands in a scanned
+    orbit, so checking the stratum of each orbit's least key checks the
+    whole input.  Keys of two lengths, duplicate keys, keys that are not
+    canonical and two strata raise InputError.
     """
-    if not origamis:
+    if not keys:
         return []
     mixed = "orbit partition needs a single degree and stratum"
-    degrees = {o.degree for o in origamis}
-    if len(degrees) != 1:
+    if len({len(k) for k in keys}) != 1:
         raise InputError(mixed)
-    (degree,) = degrees
-
-    by_key = {
-        canonical_key(o.right.zero_based(), o.up.zero_based()): o for o in origamis
-    }
-    if len(by_key) != len(origamis):
+    pool = set(keys)
+    if len(pool) != len(keys):
         raise InputError("duplicate conjugacy classes in the input")
-    stratum = origamis[0].stratum()
 
+    d = len(keys[0]) // 2
+    stratum = None
     covered: set[bytes] = set()
     out = []
-    for least in sorted(by_key):
+    for least in sorted(keys):
         if least in covered:
             continue
-        if by_key[least].stratum() != stratum:
+        representative = Origami.from_key(least)
+        if canonical_key(least[:d], least[d:]) != least:
+            raise InputError("orbit partition needs canonical keys")
+        if stratum is None:
+            stratum = representative.stratum()
+        elif representative.stratum() != stratum:
             raise InputError(mixed)
         try:
-            scan = orbit_scan(by_key[least], max_size=len(by_key))
+            scan = orbit_scan(representative, max_size=len(pool))
         except ResourceCapError:
             scan = None  # the orbit outgrows the input
-        if scan is None or not by_key.keys() >= set(scan.keys):
+        if scan is None or not pool.issuperset(scan.keys):
             raise InternalCheckError("enumerated set is not closed under T and S")
         covered.update(scan.keys)
         summary = None
@@ -185,18 +191,12 @@ def orbit_partition(
                 n, cusp_count, total = hit
                 if n != scan.size:
                     raise InternalCheckError("cached orbit size disagrees")
-                summary = _summary_from_parts(degree, stratum, n, cusp_count, total)
+                summary = _summary_from_parts(d, stratum, n, cusp_count, total)
         if summary is None:
             summary = _summary_of_scan(scan, stratum)
             if cache is not None:
                 cache.store(least, summary.orbit_size, summary.cusp_count, summary.total_hw)
-        out.append(
-            OrbitClass(
-                representative=_pair_to_origami(_unpack(least)),
-                members=tuple(_unpack(k) for k in sorted(scan.keys)),
-                summary=summary,
-            )
-        )
+        out.append(OrbitClass(representative, tuple(sorted(scan.keys)), summary))
     return out
 
 

@@ -250,18 +250,9 @@ def _check_extremal(check, cache):
     return CheckResult(check.id, ok, "zero intersection", "zero" if ok else "nonzero")
 
 
-_REPORT_MEMO: dict = {}
-
-
 def _check_enum(check, cache):
     s = _stratum(check.get("stratum"))
-    d_max = int(check.get("dmax"))
-    memo_key = (s, d_max)
-    report = _REPORT_MEMO.get(memo_key)
-    if report is None:
-        report = nonvarying_report(s, d_max, cache=cache)
-        _REPORT_MEMO[memo_key] = report
-    values = report.values_by_component()
+    values = nonvarying_report(s, int(check.get("dmax")), cache=cache).values_by_component()
     mode = check.get("mode")
     if mode in ("const", "subset"):
         component = check.get("component")

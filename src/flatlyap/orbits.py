@@ -32,12 +32,8 @@ from pathlib import Path
 from .errors import InputError, InternalCheckError
 from .kernel import canonical_key, cylinders, orbit_closure
 from .origami import Origami, Stratum, kappa
-from .permutation import Permutation
 
 DEFAULT_ORBIT_CAP = 10**7
-
-#: 0-based image tuples for one origami; the friendly currency.
-Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def act_T(o: Origami) -> Origami:
@@ -50,22 +46,8 @@ def act_S(o: Origami) -> Origami:
     return Origami(o.up.inverse(), o.right)
 
 
-# -- packed-pair plumbing ----------------------------------------------------
-
-def _unpack(key: bytes) -> Pair:
-    d = len(key) // 2
-    return tuple(key[:d]), tuple(key[d:])
-
-
-def _pair_of(o: Origami) -> Pair:
-    return o.right.zero_based(), o.up.zero_based()
-
-
-def _pair_to_origami(p: Pair) -> Origami:
-    return Origami(
-        Permutation(tuple(x + 1 for x in p[0])),
-        Permutation(tuple(x + 1 for x in p[1])),
-    )
+def _key_of(o: Origami) -> bytes:
+    return canonical_key(o.right.zero_based(), o.up.zero_based())
 
 
 @dataclass(frozen=True)
@@ -156,7 +138,7 @@ def orbit_scan(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitScan:
     if max_size < 1:
         raise InputError("orbit-size cap must be at least 1")
     o.validate()
-    keys, t_next, hist = orbit_closure(canonical_key(*_pair_of(o)), max_size)
+    keys, t_next, hist = orbit_closure(_key_of(o), max_size)
     total = sum((Fraction(h * n, w) for (w, h), n in hist.items()), Fraction(0))
     return OrbitScan(degree=o.degree, keys=keys, t_next=t_next, total_hw=total)
 
@@ -164,7 +146,7 @@ def orbit_scan(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitScan:
 def orbit(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> list[Origami]:
     """The SL(2,Z) orbit of ``o`` as a sorted list of canonical origamis."""
     scan = orbit_scan(o, max_size=max_size)
-    return [_pair_to_origami(_unpack(k)) for k in sorted(scan.keys)]
+    return [Origami.from_key(k) for k in sorted(scan.keys)]
 
 
 # -- orbit invariants ---------------------------------------------------------
@@ -249,11 +231,11 @@ def cusps(
     if s.genus < 2:
         raise InputError("cusp data needs genus >= 2")
     scan = orbit_scan(o, max_size=max_size)
-    out = []
-    for width, key in scan.cusp_widths():
-        p = _unpack(key)
-        out.append((width, _pair_to_origami(p), CylinderDecomposition(cylinders(p[0], p[1]))))
-    return out
+    d = scan.degree
+    return [
+        (width, Origami.from_key(key), CylinderDecomposition(cylinders(key[:d], key[d:])))
+        for width, key in scan.cusp_widths()
+    ]
 
 
 def lyapunov_sum(
@@ -268,7 +250,7 @@ def lyapunov_sum(
             f"Lyapunov data needs genus >= 2, got genus {stratum.genus}"
         )
     if cache is not None:
-        hit = cache.lookup_any(canonical_key(*_pair_of(o)))
+        hit = cache.lookup_any(_key_of(o))
         if hit is not None:
             n, cusp_count, total = hit
             return _summary_from_parts(o.degree, stratum, n, cusp_count, total)
@@ -278,7 +260,7 @@ def lyapunov_sum(
         cache.store(
             scan.min_key(), summary.orbit_size, summary.cusp_count, summary.total_hw
         )
-        cache.store_alias(canonical_key(*_pair_of(o)), scan.min_key())
+        cache.store_alias(_key_of(o), scan.min_key())
     return summary
 
 

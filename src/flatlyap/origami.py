@@ -140,6 +140,17 @@ class Origami:
             raise InputError("image lists must have length equal to the degree")
         return cls(Permutation(right), Permutation(up))
 
+    @classmethod
+    def from_key(cls, key: bytes) -> "Origami":
+        """The origami of a packed key ``bytes(r) + bytes(u)`` of 0-based
+        images, the form ``kernel.canonical_key`` and the scans produce."""
+        d, odd = divmod(len(key), 2)
+        if odd:
+            raise InputError(f"a packed key needs an even length, got {len(key)}")
+        return cls(
+            Permutation([x + 1 for x in key[:d]]), Permutation([x + 1 for x in key[d:]])
+        )
+
     # -- protocol ---------------------------------------------------------
 
     @property
@@ -216,14 +227,3 @@ class Origami:
         r, u = canonical_form(self._right, self._up)
         return Origami(r, u)
 
-
-def commutator(o: Origami) -> Permutation:
-    return o.commutator()
-
-
-def stratum_of(o: Origami) -> Stratum:
-    return o.stratum()
-
-
-def validate(o: Origami) -> Origami:
-    return o.validate()

@@ -208,10 +208,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(pq[x - 1] for x in q.images))
 
 
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
 def cycle_type(p: Permutation) -> tuple[int, ...]:
     """Multiset of cycle lengths (fixed points included), sorted descending."""
     return tuple(sorted((len(c) for c in p.cycles()), reverse=True))

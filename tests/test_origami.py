@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatlyap.errors import DisconnectedError, InputError
-from flatlyap.origami import Origami, Stratum, commutator, kappa, stratum_of, validate
+from flatlyap.origami import Origami, Stratum, kappa
 from flatlyap.permutation import (
     Permutation,
     conjugate,
@@ -44,11 +44,11 @@ def test_degree_mismatch_rejected():
 def test_disconnected_rejected():
     o = Origami(Permutation.identity(2), Permutation.identity(2))
     with pytest.raises(DisconnectedError):
-        validate(o)
+        o.validate()
 
 
 def test_fig1_validates():
-    assert validate(origami(FIG1)) is not None
+    assert origami(FIG1).validate() is not None
 
 
 def test_out_of_range_symbols_rejected():
@@ -72,33 +72,33 @@ def test_from_text_field_errors():
 # -- commutator -------------------------------------------------------------------
 
 def test_commutator_fig1():
-    assert commutator(origami(FIG1)) == Permutation.from_cycles("(1 5 4)", 5)
-    assert cycle_type(commutator(origami(FIG1))) == (3, 1, 1)
+    assert origami(FIG1).commutator() == Permutation.from_cycles("(1 5 4)", 5)
+    assert cycle_type(origami(FIG1).commutator()) == (3, 1, 1)
 
 
 def test_commutator_commuting_pair():
     o = Origami(Permutation.from_cycles("(1 2)", 2), Permutation.from_cycles("(1 2)", 2))
-    assert commutator(o).is_identity()
+    assert o.commutator().is_identity()
 
 
 def test_commutator_wollmilchsau():
-    assert cycle_type(commutator(origami(WOLLMILCHSAU))) == (2, 2, 2, 2)
+    assert cycle_type(origami(WOLLMILCHSAU).commutator()) == (2, 2, 2, 2)
 
 
 # -- stratum and genus ---------------------------------------------------------------
 
 def test_stratum_fig1():
-    s = stratum_of(origami(FIG1))
+    s = origami(FIG1).stratum()
     assert s.orders == (2,) and s.genus == 2
 
 
 def test_stratum_torus():
-    s = stratum_of(origami(TORUS))
+    s = origami(TORUS).stratum()
     assert s.orders == () and s.genus == 1
 
 
 def test_stratum_411():
-    s = stratum_of(origami(TEN_411))
+    s = origami(TEN_411).stratum()
     assert s.orders == (4, 1, 1) and s.genus == 4
 
 
@@ -108,7 +108,7 @@ def test_stratum_conjugation_invariant():
     for _ in range(10):
         sig = random_permutation(10, rng)
         conj = Origami(conjugate(o.right, sig), conjugate(o.up, sig))
-        assert stratum_of(conj) == stratum_of(o)
+        assert conj.stratum() == o.stratum()
 
 
 def test_stratum_conjugation_invariant_exhaustively_d4():
@@ -117,11 +117,9 @@ def test_stratum_conjugation_invariant_exhaustively_d4():
     elements = [Permutation(p) for p in itertools.permutations(range(1, 5))]
     pairs = [(r, u) for r in elements for u in elements if is_transitive(r, u)]
     for r, u in pairs[::7]:
-        s = stratum_of(Origami(r, u))
+        s = Origami(r, u).stratum()
         for sig in elements:
-            assert stratum_of(
-                Origami(conjugate(r, sig), conjugate(u, sig))
-            ) == s
+            assert Origami(conjugate(r, sig), conjugate(u, sig)).stratum() == s
 
 
 def test_euler_count_on_random_pairs():

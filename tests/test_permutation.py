@@ -13,7 +13,6 @@ from flatlyap.permutation import (
     compose,
     conjugate,
     cycle_type,
-    inverse,
     is_transitive,
     parse_cycles,
     random_permutation,
@@ -122,11 +121,11 @@ def test_compose_associative(triple):
 # -- inverse ------------------------------------------------------------------
 
 def test_inverse_four_cycle():
-    assert inverse(parse_cycles("(1 2 3 4)", 4)) == parse_cycles("(1 4 3 2)", 4)
+    assert parse_cycles("(1 2 3 4)", 4).inverse() == parse_cycles("(1 4 3 2)", 4)
 
 
 def test_inverse_identity():
-    assert inverse(Permutation.identity(4)) == Permutation.identity(4)
+    assert Permutation.identity(4).inverse() == Permutation.identity(4)
 
 
 def test_inverse_against_order_oracle():
@@ -139,8 +138,8 @@ def test_inverse_against_order_oracle():
         power = Permutation.identity(d)
         for _ in range(order - 1):
             power = compose(power, p)
-        assert inverse(p) == power
-        assert compose(p, inverse(p)) == Permutation.identity(d)
+        assert p.inverse() == power
+        assert compose(p, p.inverse()) == Permutation.identity(d)
 
 
 # -- cycle structure -----------------------------------------------------------
