@@ -1,6 +1,7 @@
 /* The compiled half of the orbit core: the canonical form of a pair, the
- * breadth-first closure of a canonical pair under T and S, and the
- * exhaustive scan for pairs with a given commutator cycle type.
+ * breadth-first closure of a canonical pair under T and S with the
+ * T-cycles (cusps) of the closed orbit, and the exhaustive scan for pairs
+ * with a given commutator cycle type.
  *
  * kernel.py builds this file into a shared library, calls it through
  * ctypes and holds the pure-Python oracle of every function here; the
@@ -25,7 +26,8 @@ enum {
     ST_NOMEM = -2,
     ST_AREA = -3,         /* cylinder areas do not add up to d */
     ST_DISCONNECTED = -4, /* a pair that is not transitive */
-    ST_RANGE = -5         /* images that are not a permutation of 0..d-1 */
+    ST_RANGE = -5,        /* images that are not a permutation of 0..d-1 */
+    ST_TAIL = -6          /* a T-walk that does not close up into a cycle */
 };
 
 #define UNSET 0xff        /* no label yet; labels are 0..d-1 <= 254 */
@@ -152,6 +154,7 @@ struct scan {
     uint32_t *slots;    /* open addressing: key index + 1, 0 when free */
     size_t mask;        /* slot count - 1, a power of two less one */
     long *hist;         /* (d + 1)^2 cylinder counts, by w * (d + 1) + h */
+    long *cusps;        /* fl_scan_cusps: width, least key index per T-cycle */
 };
 
 static size_t hash(const u8 *key, int k)
@@ -228,6 +231,7 @@ void fl_scan_free(struct scan *s)
     free(s->t_next);
     free(s->slots);
     free(s->hist);
+    free(s->cusps);
     free(s);
 }
 
@@ -296,10 +300,56 @@ int fl_scan_step(struct scan *s, long max_size, long budget)
     return s->head < s->n ? ST_MORE : ST_DONE;
 }
 
+/* The T-cycles of a closure that fl_scan_step finished: walks t_next once
+ * and stores the length of each cycle and the index of its least key, in
+ * order of first element, as pairs in s->cusps.  Returns the cycle count,
+ * ST_NOMEM, or ST_TAIL when a walk ends anywhere but at its start: T is
+ * invertible, so its graph on a complete orbit is a union of cycles, and
+ * a tail or an unexpanded key (t_next -1) means the closure was not. */
+long fl_scan_cusps(struct scan *s)
+{
+    u8 *seen = calloc((size_t)s->n + 1, 1);
+    long count = 0, room = 0, st = 0;
+    if (!seen)
+        return ST_NOMEM;
+    free(s->cusps);
+    s->cusps = NULL;
+    for (long start = 0; start < s->n; start++) {
+        if (seen[start])
+            continue;
+        long width = 0, least = start, x = start;
+        for (; x >= 0 && !seen[x]; x = s->t_next[x]) {
+            seen[x] = 1;
+            width++;
+            if (memcmp(s->keys + x * s->k, s->keys + least * s->k, (size_t)s->k) < 0)
+                least = x;
+        }
+        if (x != start) {
+            st = ST_TAIL;
+            break;
+        }
+        if (count == room) {
+            room = room ? 2 * room : 64;
+            long *cusps = realloc(s->cusps, (size_t)room * 2 * sizeof(long));
+            if (!cusps) {
+                st = ST_NOMEM;
+                break;
+            }
+            s->cusps = cusps;
+        }
+        s->cusps[2 * count] = width;
+        s->cusps[2 * count + 1] = least;
+        count++;
+    }
+    free(seen);
+    return st ? st : count;
+}
+
 long fl_scan_size(const struct scan *s) { return s->n; }
 const u8 *fl_scan_keys(const struct scan *s) { return s->keys; }
 const long *fl_scan_t_next(const struct scan *s) { return s->t_next; }
 const long *fl_scan_hist(const struct scan *s) { return s->hist; }
+const long *fl_scan_cusp_list(const struct scan *s) { return s->cusps; }
 
 /* Canonical key of (r, u) into out[0..2d); 0, ST_RANGE or
  * ST_DISCONNECTED. */

@@ -27,7 +27,7 @@ from .orbits import (
     format_rational,
     horizontal_cylinders,
     lyapunov_sum,
-    orbit,
+    orbit_scan,
 )
 
 EXIT_OK = 0
@@ -103,15 +103,11 @@ def cmd_lyap(args) -> int:
 
 def cmd_orbit(args) -> int:
     o = _read_origami(args.origami).validate()
-    members = orbit(o, max_size=args.max_orbit)
-    payload = {
-        "orbit_size": len(members),
-        "members": [str(m) for m in members[: args.limit]] if args.list else None,
-    }
-    lines = [f"orbit_size: {len(members)}"]
-    if args.list:
-        lines += [str(m) for m in members[: args.limit]]
-    _emit(args, payload, lines)
+    scan = orbit_scan(o, max_size=args.max_orbit)
+    listed = sorted(scan.keys)[: args.limit] if args.list else []  # only these become origamis
+    members = [str(Origami.from_key(k)) for k in listed]
+    payload = {"orbit_size": scan.size, "members": members if args.list else None}
+    _emit(args, payload, [f"orbit_size: {scan.size}", *members])
     return EXIT_OK
 
 

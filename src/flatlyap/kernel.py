@@ -1,10 +1,11 @@
-"""The orbit core: canonical forms, T/S images, the orbit closure and
-the exhaustive scan.
+"""The orbit core: canonical forms, T/S images, the orbit closure with
+its cusps, and the exhaustive scan.
 
 Every origami in an orbit search passes through three steps: the
 canonical form of a permutation pair under simultaneous relabelling, its
-T and S images, and its horizontal cylinders.  An exhaustive enumeration
-walks, for each right permutation r, the conjugacy class of r for the
+T and S images, and its horizontal cylinders; the closed orbit is then
+split into its T-cycles, the cusps.  An exhaustive enumeration walks,
+for each right permutation r, the conjugacy class of r for the
 s = u^-1 r^-1 u that make the commutator s r, tests its cycle type, and
 canonicalises the pairs (r, u) of the survivors.  This module runs both
 in two interchangeable ways:
@@ -45,11 +46,13 @@ _STEP_BUDGET = 8192
 #: units of work the compiled scan does per call (see fl_enum_step), for
 #: the same reason
 _SCAN_BUDGET = 1 << 17
-_LONG_MAX = 2 ** (8 * ctypes.sizeof(ctypes.c_long) - 1) - 1
+_LONG = ctypes.sizeof(ctypes.c_long)
+_LONG_MAX = 2 ** (8 * _LONG - 1) - 1
 
 _DISCONNECTED_MESSAGE = "canonical form needs a transitive pair"
 _RANGE_MESSAGE = "a pair needs two permutations of 0..d-1"
 _CAP_MESSAGE = "orbit exceeds the configured cap of {} elements"
+_TAIL_MESSAGE = "T-orbit left the computed SL(2,Z) orbit"
 
 _UNLOADED = object()
 #: the ctypes library, None when it cannot be built or loaded, or
@@ -118,6 +121,8 @@ def _declare(lib) -> None:
         "fl_scan_keys": (ptr, [ptr]),
         "fl_scan_t_next": (ptr, [ptr]),
         "fl_scan_hist": (ptr, [ptr]),
+        "fl_scan_cusps": (c_long, [ptr]),
+        "fl_scan_cusp_list": (ptr, [ptr]),
         "fl_enum_new": (ptr, [c_int, c_int, ctypes.c_char_p, c_int, ctypes.c_char_p]),
         "fl_enum_step": (c_int, [ptr, c_long]),
         "fl_enum_set": (ptr, [ptr, c_int]),
@@ -209,20 +214,6 @@ def invert(p) -> list[int]:
     return inv
 
 
-def t_key(key: bytes, d: int) -> bytes:
-    """Canonical key of T applied to a packed pair: (r, u r^-1)."""
-    rz = key[:d]
-    uz = key[d:]
-    return canonical_key(rz, [uz[x] for x in invert(rz)])
-
-
-def s_key(key: bytes, d: int) -> bytes:
-    """Canonical key of S applied to a packed pair: (u^-1, r)."""
-    rz = key[:d]
-    uz = key[d:]
-    return canonical_key(invert(uz), rz)
-
-
 # -- horizontal cylinders ----------------------------------------------------
 
 def cylinders(rz, uz) -> tuple[tuple[int, int], ...]:
@@ -284,12 +275,14 @@ def cylinders(rz, uz) -> tuple[tuple[int, int], ...]:
 
 # -- orbit closure -----------------------------------------------------------
 
-def orbit_closure(start: bytes, max_size: int) -> tuple[list[bytes], array, Counter]:
+def orbit_closure(start: bytes, max_size: int) -> tuple[bytes, array, Counter, list]:
     """Breadth-first closure of the canonical key ``start`` under T and S.
 
-    Returns the keys in discovery order, the index of each key's T image,
-    and how many cylinders of each (width, height) the orbit has in all.
-    Raises ResourceCapError as soon as a key beyond ``max_size`` is found.
+    Returns the keys in discovery order packed into one bytes object, the
+    index of each key's T image, how many cylinders of each (width,
+    height) the orbit has in all, and the cusps: the sorted (width, least
+    key) pairs of the T-cycles.  Raises ResourceCapError as soon as a key
+    beyond ``max_size`` is found.
     """
     d = len(start) // 2
     # the compiled closure trusts its start key: check it in full
@@ -308,18 +301,19 @@ def orbit_closure(start: bytes, max_size: int) -> tuple[list[bytes], array, Coun
                 break
             if status != 1:
                 _raise_status(status, max_size)
-        n = lib.fl_scan_size(scan)
-        k = 2 * d
+        n, k = lib.fl_scan_size(scan), 2 * d
         blob = ctypes.string_at(lib.fl_scan_keys(scan), n * k)
-        t_next = array("l")
-        t_next.frombytes(ctypes.string_at(lib.fl_scan_t_next(scan), n * t_next.itemsize))
-        counts = array("l")
-        counts.frombytes(ctypes.string_at(lib.fl_scan_hist(scan), (d + 1) ** 2 * counts.itemsize))
+        t_next = array("l", ctypes.string_at(lib.fl_scan_t_next(scan), n * _LONG))
+        counts = array("l", ctypes.string_at(lib.fl_scan_hist(scan), (d + 1) ** 2 * _LONG))
+        count = lib.fl_scan_cusps(scan)
+        if count < 0:
+            _raise_status(count)
+        pairs = array("l", ctypes.string_at(lib.fl_scan_cusp_list(scan), 2 * count * _LONG))
     finally:
         lib.fl_scan_free(scan)
-    keys = [blob[i : i + k] for i in range(0, n * k, k)]
     hist = Counter({divmod(i, d + 1): c for i, c in enumerate(counts) if c})
-    return keys, t_next, hist
+    cusps = sorted(zip(pairs[::2], [blob[i * k : i * k + k] for i in pairs[1::2]]))
+    return blob, t_next, hist, cusps
 
 
 def _raise_status(status: int, max_size: int = 0):
@@ -332,10 +326,12 @@ def _raise_status(status: int, max_size: int = 0):
         raise InternalCheckError("cylinder areas do not add up to the degree")
     if status == -4:
         raise DisconnectedError(_DISCONNECTED_MESSAGE)
+    if status == -6:
+        raise InternalCheckError(_TAIL_MESSAGE)
     raise InputError(_RANGE_MESSAGE)
 
 
-def _py_orbit_closure(start: bytes, max_size: int) -> tuple[list[bytes], array, Counter]:
+def _py_orbit_closure(start: bytes, max_size: int) -> tuple[bytes, array, Counter, list]:
     d = len(start) // 2
     index = {start: 0}
     keys = [start]
@@ -356,12 +352,30 @@ def _py_orbit_closure(start: bytes, max_size: int) -> tuple[list[bytes], array, 
     # keys[i:] is the frontier: each key is appended once, when found
     i = 0
     while i < len(keys):
-        key = keys[i]
-        hist.update(cylinders(key[:d], key[d:]))
-        t_next[i] = visit(t_key(key, d))
-        visit(s_key(key, d))
+        rz, uz = keys[i][:d], keys[i][d:]
+        hist.update(cylinders(rz, uz))
+        t_next[i] = visit(canonical_key(rz, [uz[x] for x in invert(rz)]))  # T: (r, u r^-1)
+        visit(canonical_key(invert(uz), rz))  # S: (u^-1, r)
         i += 1
-    return keys, t_next, hist
+    return b"".join(keys), t_next, hist, _py_cusps(keys, t_next)
+
+
+def _py_cusps(keys, t_next) -> list[tuple[int, bytes]]:
+    """(width, least key) of every T-cycle of the orbit ``keys``, sorted,
+    where ``t_next[i]`` is the index of the T image of ``keys[i]``."""
+    seen = bytearray(len(keys))
+    cusps = []
+    for start in range(len(keys)):
+        cycle, x = [], start
+        while x >= 0 and not seen[x]:
+            seen[x] = 1
+            cycle.append(keys[x])
+            x = t_next[x]
+        if x != start:  # T permutes a closed orbit: a tail means it is not
+            raise InternalCheckError(_TAIL_MESSAGE)
+        if cycle:
+            cusps.append((len(cycle), min(cycle)))
+    return sorted(cusps)
 
 
 # -- exhaustive scan ---------------------------------------------------------

@@ -22,6 +22,7 @@ canonical form and the cylinder sums, runs in ``kernel``.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from array import array
@@ -89,43 +90,32 @@ def horizontal_cylinders(o: Origami) -> CylinderDecomposition:
 
 @dataclass
 class OrbitScan:
-    """Raw result of the breadth-first orbit search."""
+    """Raw result of the breadth-first orbit search.  ``keys`` is split
+    from ``blob`` on first use only: the size, the cusps and the cylinder
+    sum need no Python object per orbit element."""
 
     degree: int
-    keys: list[bytes]          # discovery order
-    t_next: array              # index of the T image of keys[i]
+    blob: bytes                     # the keys in discovery order
+    t_next: array                   # index of the T image of keys[i]
+    cusps: list[tuple[int, bytes]]  # (width, least key) per T-cycle, sorted
     total_hw: Fraction
+
+    @functools.cached_property
+    def keys(self) -> list[bytes]:
+        k = 2 * self.degree
+        return [self.blob[i : i + k] for i in range(0, len(self.blob), k)]
 
     @property
     def size(self) -> int:
-        return len(self.keys)
+        return len(self.blob) // (2 * self.degree)
 
     def min_key(self) -> bytes:
-        return min(self.keys)
+        # every key lies on exactly one T-cycle
+        return min(key for _, key in self.cusps)
 
     def cusp_widths(self) -> list[tuple[int, bytes]]:
         """(width, least member) per T-orbit, sorted."""
-        n = len(self.keys)
-        seen = bytearray(n)
-        cusps = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            width = 0
-            best = self.keys[start]
-            x = start
-            while not seen[x]:
-                seen[x] = 1
-                width += 1
-                if self.keys[x] < best:
-                    best = self.keys[x]
-                x = self.t_next[x]
-            if x != start:
-                # T is invertible, so its graph on the orbit is a disjoint
-                # union of cycles; a tail means the closure was incomplete.
-                raise InternalCheckError("T-orbit left the computed SL(2,Z) orbit")
-            cusps.append((width, best))
-        return sorted(cusps)
+        return self.cusps
 
 
 def orbit_scan(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitScan:
@@ -138,9 +128,9 @@ def orbit_scan(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitScan:
     if max_size < 1:
         raise InputError("orbit-size cap must be at least 1")
     o.validate()
-    keys, t_next, hist = orbit_closure(_key_of(o), max_size)
+    blob, t_next, hist, cusps = orbit_closure(_key_of(o), max_size)
     total = sum((Fraction(h * n, w) for (w, h), n in hist.items()), Fraction(0))
-    return OrbitScan(degree=o.degree, keys=keys, t_next=t_next, total_hw=total)
+    return OrbitScan(o.degree, blob, t_next, cusps, total)
 
 
 def orbit(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> list[Origami]:
@@ -272,7 +262,8 @@ class OrbitCache:
     keyed by the orbit's least canonical pair; ``aliases.cache`` maps
     hashes of other queried representatives to the orbit key so repeated
     queries hit without a fresh search.  The trailing line hash detects
-    corruption: bad lines are dropped, forcing a recompute.
+    corruption: bad lines are dropped, forcing a recompute, and counted in
+    ``dropped``.
     """
 
     ENV_VAR = "FLATLYAP_CACHE_DIR"
@@ -289,6 +280,7 @@ class OrbitCache:
         self.alias_path = base / "aliases.cache"
         self._entries: dict[str, tuple[int, int, Fraction]] = {}
         self._aliases: dict[str, str] = {}
+        self.dropped = 0
         self._load()
 
     @staticmethod
@@ -316,25 +308,23 @@ class OrbitCache:
                     if n < 1 or cusp_count < 1 or len(digest) != 64:
                         raise ValueError
                 except ValueError:
-                    continue  # corrupted line: recompute later
+                    self.dropped += 1  # corrupted line: recompute later
+                    continue
                 self._entries[digest] = (n, cusp_count, total)
         if self.alias_path.exists():
             for line in self.alias_path.read_text().splitlines():
                 parts = line.split()
                 if len(parts) == 2 and len(parts[0]) == 64 and len(parts[1]) == 64:
                     self._aliases[parts[0]] = parts[1]
+                elif parts:
+                    self.dropped += 1
 
     def lookup(self, key: bytes) -> tuple[int, int, Fraction] | None:
         return self._entries.get(self.key_hash(key))
 
     def lookup_any(self, key: bytes) -> tuple[int, int, Fraction] | None:
         digest = self.key_hash(key)
-        if digest in self._entries:
-            return self._entries[digest]
-        alias = self._aliases.get(digest)
-        if alias is not None:
-            return self._entries.get(alias)
-        return None
+        return self._entries.get(digest) or self._entries.get(self._aliases.get(digest))
 
     def store(self, key: bytes, n: int, cusp_count: int, total: Fraction) -> None:
         digest = self.key_hash(key)

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from flatlyap.cli import main
+from flatlyap.orbits import orbit
+from flatlyap.origami import Origami
 
 from conftest import FIG1, WOLLMILCHSAU
 
@@ -66,10 +68,23 @@ def test_classify_command(capsys):
     assert payload["involution"] is None
 
 
-def test_orbit_command(capsys):
+def test_orbit_command(capsys, monkeypatch):
+    members = [str(m) for m in orbit(Origami.from_text(FIG1))]
     code, out, _ = run(capsys, "orbit", FIG1, "--format", "json", "--list")
     assert code == 0
-    assert json.loads(out)["orbit_size"] == 18
+    assert json.loads(out) == {"orbit_size": 18, "members": members}
+    # only the listed members are built as origamis
+    built = []
+    from_key = Origami.from_key.__func__
+    monkeypatch.setattr(
+        Origami, "from_key", classmethod(lambda cls, key: built.append(key) or from_key(cls, key))
+    )
+    assert run(capsys, "orbit", FIG1, "--list", "--limit", "3")[1].splitlines() == [
+        "orbit_size: 18", *members[:3]
+    ]
+    assert len(built) == 3
+    assert run(capsys, "orbit", FIG1)[1] == "orbit_size: 18\n"
+    assert len(built) == 3
 
 
 def test_slope_solve_named(capsys):

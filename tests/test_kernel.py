@@ -44,6 +44,8 @@ def test_scan_matches_python(check):
     assert compiled.t_next == python.t_next
     assert compiled.total_hw == python.total_hw
     assert compiled.cusp_widths() == python.cusp_widths()
+    assert compiled.size == python.size == len(python.keys)
+    assert compiled.min_key() == python.min_key() == min(python.keys)
 
 
 @st.composite
@@ -176,6 +178,25 @@ def test_images_that_are_not_permutations_are_rejected(backend, rz, uz):
 def test_closure_rejects_a_start_that_is_not_a_canonical_key(backend, start):
     with pytest.raises(InputError):
         kernel.orbit_closure(start, 10)
+
+
+def test_python_cusps_reject_a_t_walk_with_a_tail():
+    # 0 -> 1 -> 2 -> 1: the walk from 0 never comes back
+    with pytest.raises(InternalCheckError, match="T-orbit left"):
+        kernel._py_cusps([b"\x00", b"\x01", b"\x02"], [1, 2, 1])
+
+
+def test_compiled_cusps_reject_an_unfinished_closure():
+    lib = compiled_library()
+    start = kernel.canonical_key((1, 2, 3, 0), (0, 1, 2, 3))
+    scan = lib.fl_scan_new(4, start)
+    try:
+        # never stepped: the start has no T image yet (t_next -1)
+        status = lib.fl_scan_cusps(scan)
+        with pytest.raises(InternalCheckError, match="T-orbit left"):
+            kernel._raise_status(status)
+    finally:
+        lib.fl_scan_free(scan)
 
 
 @pytest.mark.parametrize(

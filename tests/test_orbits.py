@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from flatlyap import orbits
 from flatlyap.errors import InputError, ResourceCapError
 from flatlyap.origami import Origami, kappa
 from flatlyap.orbits import (
@@ -298,8 +299,37 @@ def test_cache_detects_corruption(tmp_path):
     # bad line hash: entry is dropped and the orbit recomputed cleanly
     fresh = OrbitCache(tmp_path)
     assert not fresh._entries
+    assert fresh.dropped == 1
     summary = lyapunov_sum(origami(FIG1), cache=fresh)
     assert summary.L == Fraction(4, 3)
+    with open(tmp_path / "aliases.cache", "a") as fh:
+        fh.write("\nnot-a-hash\n")
+    assert OrbitCache(tmp_path).dropped == 2
+
+
+def test_traced_names_stay_on_the_call_path(monkeypatch, tmp_path):
+    # bench/hooks.py traces orbit_scan and OrbitScan.cusp_widths by name,
+    # and bench/run.py --trace 1 fails when the cusp_widths span is
+    # missing: a refactor must keep lyapunov_sum calling both
+    calls = []
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(orbits, "orbit_scan")
+    counting(orbits.OrbitScan, "cusp_widths")
+    cache = OrbitCache(tmp_path)
+    first = lyapunov_sum(origami(FIG1), cache=cache)
+    assert sorted(calls) == ["cusp_widths", "orbit_scan"]
+    calls.clear()
+    assert lyapunov_sum(origami(FIG1), cache=cache) == first
+    assert calls == []
 
 
 def test_cache_alias_hits_for_non_minimal_representative(tmp_path):
