@@ -347,7 +347,6 @@ long fl_scan_cusps(struct scan *s)
 
 long fl_scan_size(const struct scan *s) { return s->n; }
 const u8 *fl_scan_keys(const struct scan *s) { return s->keys; }
-const long *fl_scan_t_next(const struct scan *s) { return s->t_next; }
 const long *fl_scan_hist(const struct scan *s) { return s->hist; }
 const long *fl_scan_cusp_list(const struct scan *s) { return s->cusps; }
 

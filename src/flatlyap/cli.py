@@ -45,8 +45,24 @@ def _read_origami(text: str) -> Origami:
     return Origami.from_text(text)
 
 
-def _parse_stratum(text: str) -> Stratum:
-    return Stratum(int(t) for t in text.replace("(", "").replace(")", "").split(",") if t.strip())
+def _option(parse):
+    """An argparse ``type`` from ``parse``: a value it rejects is a usage
+    error (exit 2), not a traceback."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except InputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+    return convert
+
+
+def _list_of(parse):
+    """An argparse ``type`` for comma-separated values."""
+    return _option(lambda text: tuple(parse(t) for t in text.split(",") if t))
 
 
 def _cache_from(args) -> OrbitCache | None:
@@ -139,7 +155,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    s = _parse_stratum(args.stratum)
+    s = args.stratum
     if args.per_orbit:
         rows = [
             {
@@ -149,7 +165,7 @@ def cmd_enumerate(args) -> int:
                 "L": format_rational(oc.summary.L),
                 "witness": str(oc.representative),
             }
-            for d, oc in orbits_by_degree(s, args.dmax, args.dmin, _cache_from(args))
+            for d, oc in orbits_by_degree(s, args.dmax, args.dmin)
         ]
         if args.format == "json":
             print(json.dumps(rows, indent=2))
@@ -160,7 +176,7 @@ def cmd_enumerate(args) -> int:
                     f"N={row['orbit_size']} L={row['L']} witness= {row['witness']}"
                 )
         return EXIT_OK
-    report = nonvarying_report(s, args.dmax, d_min=args.dmin, cache=_cache_from(args))
+    report = nonvarying_report(s, args.dmax, d_min=args.dmin)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -169,81 +185,47 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_slope_solve(args) -> int:
-    s = _parse_stratum(args.stratum)
-    marks = tuple(int(t) for t in args.marks.split(",") if t) if args.marks else ()
-    ms = moduli.MarkedStratum(s, marks)
+    s = args.stratum
+    ms = moduli.MarkedStratum(s, args.marks)
+    payload = {"stratum": list(s.orders), "marks": list(args.marks)}
     if args.divisor == "spin":
         slope = moduli.spin_slope(s.genus)
         L = moduli.L_from_slope(s, slope)
         c = L - kappa(s)
-        divisor_text = "spin"
+        payload["divisor"] = "spin"
     else:
         if args.divisor == "logan":
             if not args.weights:
                 raise InputError("--divisor logan needs --weights")
-            D = moduli.logan_divisor(
-                s.genus, tuple(int(t) for t in args.weights.split(","))
-            )
+            D = moduli.logan_divisor(s.genus, args.weights)
         elif args.divisor:
             D = moduli.catalog_divisor(args.divisor, s.genus)
         elif args.lam is not None:
-            omegas = (
-                tuple(Fraction(t) for t in args.omega.split(","))
-                if args.omega
-                else ()
-            )
-            D = moduli.DivisorClass(Fraction(args.lam), omegas, Fraction(args.delta0))
+            D = moduli.DivisorClass(args.lam, args.omega, args.delta0)
         else:
             raise InputError("give --divisor or explicit --lambda/--omega/--delta0")
-        divisor_text = str(D)
+        payload["divisor"] = str(D)
         if args.bound:
             slope, L = moduli.slope_bound(ms, D)
-            payload = {
-                "stratum": list(s.orders),
-                "marks": list(marks),
-                "divisor": divisor_text,
-                "s_max": format_rational(slope),
-                "L_max": format_rational(L),
-            }
-            _emit(
-                args,
-                payload,
-                [f"s <= {format_rational(slope)}", f"L <= {format_rational(L)}"],
-            )
+            payload.update(s_max=format_rational(slope), L_max=format_rational(L))
+            _emit(args, payload, [f"s <= {payload['s_max']}", f"L <= {payload['L_max']}"])
             return EXIT_OK
         slope, L, c = moduli.slope_from_disjoint_divisor(ms, D)
-    payload = {
-        "stratum": list(s.orders),
-        "marks": list(marks),
-        "divisor": divisor_text,
-        "s": format_rational(slope),
-        "L": format_rational(L),
-        "c": format_rational(c),
-    }
-    _emit(
-        args,
-        payload,
-        [
-            f"s: {format_rational(slope)}",
-            f"L: {format_rational(L)}",
-            f"c: {format_rational(c)}",
-        ],
-    )
+    payload.update(s=format_rational(slope), L=format_rational(L), c=format_rational(c))
+    _emit(args, payload, [f"{k}: {payload[k]}" for k in ("s", "L", "c")])
     return EXIT_OK
 
 
 def cmd_hyp_locus(args) -> int:
-    q = moduli.QuadSignature.parse(args.signature)
-    L = moduli.hyperelliptic_locus_L(q)
-    payload = {"signature": str(q), "L": format_rational(L)}
+    L = moduli.hyperelliptic_locus_L(args.signature)
+    payload = {"signature": str(args.signature), "L": format_rational(L)}
     _emit(args, payload, [f"L: {format_rational(L)}"])
     return EXIT_OK
 
 
 def cmd_double_cover(args) -> int:
-    q = moduli.QuadSignature.parse(args.signature)
-    s, g = moduli.double_cover_stratum(q)
-    payload = {"signature": str(q), "stratum": list(s.orders), "genus": g}
+    s, g = moduli.double_cover_stratum(args.signature)
+    payload = {"signature": str(args.signature), "stratum": list(s.orders), "genus": g}
     _emit(args, payload, [f"stratum: {s}", f"genus: {g}"])
     return EXIT_OK
 
@@ -318,8 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("enumerate", help="exhaustive stratum report")
-    _add_common(p, cache=True)
-    p.add_argument("--stratum", required=True, help="zero orders, e.g. 3,1")
+    _add_common(p)
+    p.add_argument(
+        "--stratum", required=True, type=_option(Stratum.parse), help="zero orders, e.g. 3,1"
+    )
     p.add_argument("--dmax", type=int, required=True, help="largest degree")
     p.add_argument("--dmin", type=int, default=None, help="smallest degree")
     p.add_argument(
@@ -330,13 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("slope-solve", help="slope from a disjoint divisor")
     _add_common(p)
-    p.add_argument("--stratum", required=True)
-    p.add_argument("--marks", default="", help="1-based indices of marked zeros")
+    p.add_argument("--stratum", required=True, type=_option(Stratum.parse))
+    p.add_argument(
+        "--marks", type=_list_of(int), default=(), help="1-based indices of marked zeros"
+    )
     p.add_argument("--divisor", default=None, help="catalog name, logan, or spin")
-    p.add_argument("--weights", default=None, help="weights for --divisor logan")
-    p.add_argument("--lambda", dest="lam", default=None, help="lambda coefficient")
-    p.add_argument("--omega", default=None, help="omega coefficients c1,c2,...")
-    p.add_argument("--delta0", default="0", help="delta_0 coefficient")
+    p.add_argument("--weights", type=_list_of(int), help="weights for --divisor logan")
+    p.add_argument("--lambda", dest="lam", type=_option(Fraction), help="lambda coefficient")
+    p.add_argument(
+        "--omega", type=_list_of(Fraction), default=(), help="omega coefficients c1,c2,..."
+    )
+    p.add_argument(
+        "--delta0", type=_option(Fraction), default=Fraction(0), help="delta_0 coefficient"
+    )
     p.add_argument(
         "--bound", action="store_true",
         help="treat the divisor as an upper bound (C.D >= 0)",
@@ -345,12 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hyp-locus", help="Lyapunov sum of a hyperelliptic locus")
     _add_common(p)
-    p.add_argument("--signature", required=True, help="e.g. 2,2,-1^8")
+    p.add_argument(
+        "--signature", required=True, type=_option(moduli.QuadSignature.parse),
+        help="e.g. 2,2,-1^8",
+    )
     p.set_defaults(func=cmd_hyp_locus)
 
     p = sub.add_parser("double-cover", help="stratum of the orientation cover")
     _add_common(p)
-    p.add_argument("--signature", required=True)
+    p.add_argument("--signature", required=True, type=_option(moduli.QuadSignature.parse))
     p.set_defaults(func=cmd_double_cover)
 
     p = sub.add_parser("verify-tables", help="run the golden verification suite")

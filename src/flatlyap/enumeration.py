@@ -30,14 +30,7 @@ from .components import component_label
 from .errors import InputError, InternalCheckError, ResourceCapError
 from .kernel import canonical_key, scan_degree
 from .origami import Origami, Stratum
-from .orbits import (
-    OrbitCache,
-    OrbitSummary,
-    _summary_from_parts,
-    _summary_of_scan,
-    format_rational,
-    orbit_scan,
-)
+from .orbits import OrbitSummary, _summary_of_scan, format_rational, orbit_scan
 
 
 #: the most class elements one degree's scan walks: d! <= 12!, so d <= 12
@@ -140,9 +133,7 @@ class OrbitClass:
     summary: OrbitSummary
 
 
-def orbit_partition(
-    keys: list[bytes], cache: OrbitCache | None = None
-) -> list[OrbitClass]:
+def orbit_partition(keys: list[bytes]) -> list[OrbitClass]:
     """Partition the canonical keys of one degree and stratum into
     SL(2,Z) orbits.
 
@@ -152,7 +143,8 @@ def orbit_partition(
     only that key becomes an ``Origami``.  Every key lands in a scanned
     orbit, so checking the stratum of each orbit's least key checks the
     whole input.  Keys of two lengths, duplicate keys, keys that are not
-    canonical and two strata raise InputError.
+    canonical and two strata raise InputError.  Every orbit is closed
+    anyway, so its summary comes from that closure and no cache is read.
     """
     if not keys:
         return []
@@ -184,18 +176,7 @@ def orbit_partition(
         if scan is None or not pool.issuperset(scan.keys):
             raise InternalCheckError("enumerated set is not closed under T and S")
         covered.update(scan.keys)
-        summary = None
-        if cache is not None:
-            hit = cache.lookup(least)
-            if hit is not None:
-                n, cusp_count, total = hit
-                if n != scan.size:
-                    raise InternalCheckError("cached orbit size disagrees")
-                summary = _summary_from_parts(d, stratum, n, cusp_count, total)
-        if summary is None:
-            summary = _summary_of_scan(scan, stratum)
-            if cache is not None:
-                cache.store(least, summary.orbit_size, summary.cusp_count, summary.total_hw)
+        summary = _summary_of_scan(scan, stratum)
         out.append(OrbitClass(representative, tuple(sorted(scan.keys)), summary))
     return out
 
@@ -263,12 +244,7 @@ class StratumReport:
         ]
 
 
-def nonvarying_report(
-    s: Stratum,
-    d_max: int,
-    d_min: int | None = None,
-    cache: OrbitCache | None = None,
-) -> StratumReport:
+def nonvarying_report(s: Stratum, d_max: int, d_min: int | None = None) -> StratumReport:
     """Aggregate orbit L values per component over all degrees <= d_max.
 
     One entry per distinct (component, L) pair, witnessed by the orbit
@@ -278,7 +254,7 @@ def nonvarying_report(
         raise InputError("non-varying reports need genus >= 2")
     entries: list[ReportEntry] = []
     seen: set[tuple[str, Fraction]] = set()
-    for d, oc in orbits_by_degree(s, d_max, d_min, cache):
+    for d, oc in orbits_by_degree(s, d_max, d_min):
         label = component_label(oc.representative).kind
         key = (label, oc.summary.L)
         if key in seen:
@@ -299,9 +275,7 @@ def nonvarying_report(
     return StratumReport(stratum=s, d_max=d_max, entries=tuple(entries))
 
 
-def orbits_by_degree(
-    s: Stratum, d_max: int, d_min: int | None = None, cache: OrbitCache | None = None
-):
+def orbits_by_degree(s: Stratum, d_max: int, d_min: int | None = None):
     """(degree, OrbitClass) for every orbit of the stratum, degree by
     degree from d_min (at least the stratum's support) to d_max.  Raises
     ResourceCapError before the first scan when d_max is past the scan
@@ -309,5 +283,5 @@ def orbits_by_degree(
     _check_scan(d_max)
     support = sum(m + 1 for m in s.orders)
     for d in range(max(d_min or support, support), d_max + 1):
-        for oc in orbit_partition(enumerate_origamis(d, s), cache=cache):
+        for oc in orbit_partition(enumerate_origamis(d, s)):
             yield d, oc

@@ -86,10 +86,6 @@ def load_golden(path=None) -> list[GoldenCheck]:
     return checks
 
 
-def _stratum(text: str) -> Stratum:
-    return Stratum(int(t) for t in text.split(",") if t)
-
-
 def _marks(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(",") if t)
 
@@ -127,7 +123,7 @@ def _check_lyap(check, cache):
 
 
 def _check_slope(check, cache):
-    s = _stratum(check.get("stratum"))
+    s = Stratum.parse(check.get("stratum"))
     expected = f"s={check.get('s')} L={check.get('L')}"
     if check.get("divisor") == "spin":
         slope = moduli.spin_slope(s.genus)
@@ -140,7 +136,7 @@ def _check_slope(check, cache):
 
 
 def _check_bound(check, cache):
-    s = _stratum(check.get("stratum"))
+    s = Stratum.parse(check.get("stratum"))
     ms = moduli.MarkedStratum(s, _marks(check.fields.get("marks", "")))
     _, L = moduli.slope_bound(ms, _divisor(check, s.genus))
     stated = Fraction(check.get("L_max"))
@@ -181,7 +177,7 @@ def _check_component(check, cache):
 
 
 def _check_triple(check, cache):
-    s = _stratum(check.get("stratum"))
+    s = Stratum.parse(check.get("stratum"))
     L = Fraction(check.get("L"))
     slope = Fraction(check.get("s"))
     c = Fraction(check.get("c"))
@@ -197,7 +193,7 @@ def _check_triple(check, cache):
 
 def _check_table(check, cache):
     g = int(check.get("g"))
-    s = _stratum(check.get("stratum"))
+    s = Stratum.parse(check.get("stratum"))
     component = check.get("component")
     status = check.get("status")
     rows = [
@@ -251,8 +247,8 @@ def _check_extremal(check, cache):
 
 
 def _check_enum(check, cache):
-    s = _stratum(check.get("stratum"))
-    values = nonvarying_report(s, int(check.get("dmax")), cache=cache).values_by_component()
+    s = Stratum.parse(check.get("stratum"))
+    values = nonvarying_report(s, int(check.get("dmax"))).values_by_component()
     mode = check.get("mode")
     if mode in ("const", "subset"):
         component = check.get("component")

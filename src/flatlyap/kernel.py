@@ -119,7 +119,6 @@ def _declare(lib) -> None:
         "fl_scan_free": (None, [ptr]),
         "fl_scan_size": (c_long, [ptr]),
         "fl_scan_keys": (ptr, [ptr]),
-        "fl_scan_t_next": (ptr, [ptr]),
         "fl_scan_hist": (ptr, [ptr]),
         "fl_scan_cusps": (c_long, [ptr]),
         "fl_scan_cusp_list": (ptr, [ptr]),
@@ -275,14 +274,13 @@ def cylinders(rz, uz) -> tuple[tuple[int, int], ...]:
 
 # -- orbit closure -----------------------------------------------------------
 
-def orbit_closure(start: bytes, max_size: int) -> tuple[bytes, array, Counter, list]:
+def orbit_closure(start: bytes, max_size: int) -> tuple[bytes, Counter, list]:
     """Breadth-first closure of the canonical key ``start`` under T and S.
 
-    Returns the keys in discovery order packed into one bytes object, the
-    index of each key's T image, how many cylinders of each (width,
-    height) the orbit has in all, and the cusps: the sorted (width, least
-    key) pairs of the T-cycles.  Raises ResourceCapError as soon as a key
-    beyond ``max_size`` is found.
+    Returns the keys in discovery order packed into one bytes object, how
+    many cylinders of each (width, height) the orbit has in all, and the
+    cusps: the sorted (width, least key) pairs of the T-cycles.  Raises
+    ResourceCapError as soon as a key beyond ``max_size`` is found.
     """
     d = len(start) // 2
     # the compiled closure trusts its start key: check it in full
@@ -303,7 +301,6 @@ def orbit_closure(start: bytes, max_size: int) -> tuple[bytes, array, Counter, l
                 _raise_status(status, max_size)
         n, k = lib.fl_scan_size(scan), 2 * d
         blob = ctypes.string_at(lib.fl_scan_keys(scan), n * k)
-        t_next = array("l", ctypes.string_at(lib.fl_scan_t_next(scan), n * _LONG))
         counts = array("l", ctypes.string_at(lib.fl_scan_hist(scan), (d + 1) ** 2 * _LONG))
         count = lib.fl_scan_cusps(scan)
         if count < 0:
@@ -313,7 +310,7 @@ def orbit_closure(start: bytes, max_size: int) -> tuple[bytes, array, Counter, l
         lib.fl_scan_free(scan)
     hist = Counter({divmod(i, d + 1): c for i, c in enumerate(counts) if c})
     cusps = sorted(zip(pairs[::2], [blob[i * k : i * k + k] for i in pairs[1::2]]))
-    return blob, t_next, hist, cusps
+    return blob, hist, cusps
 
 
 def _raise_status(status: int, max_size: int = 0):
@@ -331,7 +328,7 @@ def _raise_status(status: int, max_size: int = 0):
     raise InputError(_RANGE_MESSAGE)
 
 
-def _py_orbit_closure(start: bytes, max_size: int) -> tuple[bytes, array, Counter, list]:
+def _py_orbit_closure(start: bytes, max_size: int) -> tuple[bytes, Counter, list]:
     d = len(start) // 2
     index = {start: 0}
     keys = [start]
@@ -357,7 +354,7 @@ def _py_orbit_closure(start: bytes, max_size: int) -> tuple[bytes, array, Counte
         t_next[i] = visit(canonical_key(rz, [uz[x] for x in invert(rz)]))  # T: (r, u r^-1)
         visit(canonical_key(invert(uz), rz))  # S: (u^-1, r)
         i += 1
-    return b"".join(keys), t_next, hist, _py_cusps(keys, t_next)
+    return b"".join(keys), hist, _py_cusps(keys, t_next)
 
 
 def _py_cusps(keys, t_next) -> list[tuple[int, bytes]]:

@@ -60,11 +60,11 @@ class QuadSignature:
             token = token.strip()
             if not token:
                 continue
-            if "^" in token:
-                base, _, power = token.partition("^")
-                orders.extend([int(base)] * int(power))
-            else:
-                orders.append(int(token))
+            base, caret, power = token.partition("^")
+            try:
+                orders.extend([int(base)] * (int(power) if caret else 1))
+            except ValueError:
+                raise InputError(f"bad signature token {token!r} in {text!r}") from None
         return cls(orders, quotient_genus)
 
     def __str__(self) -> str:

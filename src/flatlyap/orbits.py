@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -96,7 +95,6 @@ class OrbitScan:
 
     degree: int
     blob: bytes                     # the keys in discovery order
-    t_next: array                   # index of the T image of keys[i]
     cusps: list[tuple[int, bytes]]  # (width, least key) per T-cycle, sorted
     total_hw: Fraction
 
@@ -128,9 +126,9 @@ def orbit_scan(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitScan:
     if max_size < 1:
         raise InputError("orbit-size cap must be at least 1")
     o.validate()
-    blob, t_next, hist, cusps = orbit_closure(_key_of(o), max_size)
+    blob, hist, cusps = orbit_closure(_key_of(o), max_size)
     total = sum((Fraction(h * n, w) for (w, h), n in hist.items()), Fraction(0))
-    return OrbitScan(o.degree, blob, t_next, cusps, total)
+    return OrbitScan(o.degree, blob, cusps, total)
 
 
 def orbit(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> list[Origami]:
@@ -240,30 +238,29 @@ def lyapunov_sum(
             f"Lyapunov data needs genus >= 2, got genus {stratum.genus}"
         )
     if cache is not None:
-        hit = cache.lookup_any(_key_of(o))
+        key = _key_of(o)
+        hit = cache.lookup_any(key)
         if hit is not None:
             n, cusp_count, total = hit
             return _summary_from_parts(o.degree, stratum, n, cusp_count, total)
     scan = orbit_scan(o, max_size=max_size)
     summary = _summary_of_scan(scan, stratum)
     if cache is not None:
-        cache.store(
-            scan.min_key(), summary.orbit_size, summary.cusp_count, summary.total_hw
-        )
-        cache.store_alias(_key_of(o), scan.min_key())
+        least = scan.min_key()
+        cache.store(least, summary.orbit_size, summary.cusp_count, summary.total_hw)
+        cache.store_alias(key, least)
     return summary
 
 
 class OrbitCache:
     """Persistent orbit results under FLATLYAP_CACHE_DIR.
 
-    ``orbits.cache`` holds one line per orbit,
-    ``<canonical-form-hash> <N> <cusp_count> <total_hw> <line-hash>``,
-    keyed by the orbit's least canonical pair; ``aliases.cache`` maps
-    hashes of other queried representatives to the orbit key so repeated
-    queries hit without a fresh search.  The trailing line hash detects
-    corruption: bad lines are dropped, forcing a recompute, and counted in
-    ``dropped``.
+    ``orbits.cache`` holds one line per canonical key a result is known
+    for, ``<key-hash> <N> <cusp_count> <total_hw> <line-hash>``: the
+    orbit's least key, and every other key a query started from, so a
+    repeated query hits without a fresh search.  The trailing line hash
+    detects corruption: bad lines are dropped, forcing a recompute, and
+    counted in ``dropped``.  Only ``lyapunov_sum`` reads the cache.
     """
 
     ENV_VAR = "FLATLYAP_CACHE_DIR"
@@ -275,11 +272,8 @@ class OrbitCache:
             raise InputError(
                 "no cache directory: pass one or set FLATLYAP_CACHE_DIR"
             )
-        base = Path(directory)
-        self.path = base / "orbits.cache"
-        self.alias_path = base / "aliases.cache"
+        self.path = Path(directory) / "orbits.cache"
         self._entries: dict[str, tuple[int, int, Fraction]] = {}
-        self._aliases: dict[str, str] = {}
         self.dropped = 0
         self._load()
 
@@ -292,56 +286,43 @@ class OrbitCache:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
     def _load(self) -> None:
-        if self.path.exists():
-            for line in self.path.read_text().splitlines():
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    digest, n_text, cusp_text, total_text, check = line.split()
-                    if check != self._line_hash(
-                        f"{digest} {n_text} {cusp_text} {total_text}"
-                    ):
-                        raise ValueError
-                    n, cusp_count = int(n_text), int(cusp_text)
-                    total = parse_rational(total_text)
-                    if n < 1 or cusp_count < 1 or len(digest) != 64:
-                        raise ValueError
-                except ValueError:
-                    self.dropped += 1  # corrupted line: recompute later
-                    continue
-                self._entries[digest] = (n, cusp_count, total)
-        if self.alias_path.exists():
-            for line in self.alias_path.read_text().splitlines():
-                parts = line.split()
-                if len(parts) == 2 and len(parts[0]) == 64 and len(parts[1]) == 64:
-                    self._aliases[parts[0]] = parts[1]
-                elif parts:
-                    self.dropped += 1
-
-    def lookup(self, key: bytes) -> tuple[int, int, Fraction] | None:
-        return self._entries.get(self.key_hash(key))
+        if not self.path.exists():
+            return
+        for line in self.path.read_text().splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                digest, n_text, cusp_text, total_text, check = line.split()
+                if check != self._line_hash(f"{digest} {n_text} {cusp_text} {total_text}"):
+                    raise ValueError
+                n, cusp_count = int(n_text), int(cusp_text)
+                total = parse_rational(total_text)
+                if n < 1 or cusp_count < 1 or len(digest) != 64:
+                    raise ValueError
+            except ValueError:
+                self.dropped += 1  # corrupted line: recompute later
+                continue
+            self._entries[digest] = (n, cusp_count, total)
 
     def lookup_any(self, key: bytes) -> tuple[int, int, Fraction] | None:
-        digest = self.key_hash(key)
-        return self._entries.get(digest) or self._entries.get(self._aliases.get(digest))
+        """The result known for ``key``, whether or not it is its orbit's
+        least key."""
+        return self._entries.get(self.key_hash(key))
 
     def store(self, key: bytes, n: int, cusp_count: int, total: Fraction) -> None:
-        digest = self.key_hash(key)
+        self._append(self.key_hash(key), (n, cusp_count, total))
+
+    def store_alias(self, key: bytes, target: bytes) -> None:
+        """Record the result stored for ``target`` under ``key`` too."""
+        self._append(self.key_hash(key), self._entries[self.key_hash(target)])
+
+    def _append(self, digest: str, entry: tuple[int, int, Fraction]) -> None:
         if digest in self._entries:
             return
-        self._entries[digest] = (n, cusp_count, total)
+        self._entries[digest] = entry
+        n, cusp_count, total = entry
         payload = f"{digest} {n} {cusp_count} {format_rational(total)}"
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a") as fh:
             fh.write(f"{payload} {self._line_hash(payload)}\n")
-
-    def store_alias(self, key: bytes, target: bytes) -> None:
-        digest = self.key_hash(key)
-        target_digest = self.key_hash(target)
-        if digest == target_digest or digest in self._aliases:
-            return
-        self._aliases[digest] = target_digest
-        self.alias_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.alias_path, "a") as fh:
-            fh.write(f"{digest} {target_digest}\n")

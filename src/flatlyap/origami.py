@@ -39,6 +39,15 @@ class Stratum:
             raise InputError(f"sum of orders must be even: {orders}")
         object.__setattr__(self, "orders", orders)
 
+    @classmethod
+    def parse(cls, text: str) -> "Stratum":
+        """Parse ``"3,1"`` or ``"(3,1)"``."""
+        tokens = text.replace("(", "").replace(")", "").split(",")
+        try:
+            return cls(int(t) for t in tokens if t.strip())
+        except ValueError:
+            raise InputError(f"a stratum lists zero orders, like 3,1, not {text!r}") from None
+
     @property
     def genus(self) -> int:
         return sum(self.orders) // 2 + 1

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from flatlyap import cli
 from flatlyap.cli import main
 from flatlyap.orbits import orbit
 from flatlyap.origami import Origami
@@ -266,6 +271,7 @@ def test_max_orbit_must_be_positive(capsys):
         ("cylinders", FIG1, "--max-orbit", "5"),
         ("enumerate", "--stratum", "2", "--dmax", "4", "--max-orbit", "5"),
         ("verify-tables", "3", "--format", "json"),
+        ("enumerate", "--stratum", "2", "--dmax", "4", "--cache-dir", "x"),
     ],
 )
 def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
@@ -273,3 +279,32 @@ def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--stratum", "a", "--dmax", "4"),
+        ("slope-solve", "--stratum", "x", "--divisor", "H"),
+        ("slope-solve", "--stratum", "4", "--divisor", "H", "--marks", "a"),
+        ("slope-solve", "--stratum", "2,1,1", "--divisor", "logan", "--weights", "a"),
+        ("slope-solve", "--stratum", "4", "--lambda", "1", "--omega", "a"),
+        ("slope-solve", "--stratum", "4", "--lambda", "1", "--delta0", "a"),
+        ("slope-solve", "--stratum", "4", "--lambda", "1/0"),
+        ("hyp-locus", "--signature", "x"),
+        ("double-cover", "--signature", "x"),
+    ],
+)
+def test_malformed_numbers_are_input_errors(argv):
+    # a separate interpreter, so that an escaping exception shows as the
+    # traceback and exit code 1 a user would see
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "flatlyap.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "error" in done.stderr
+    assert "Traceback" not in done.stderr

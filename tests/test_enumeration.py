@@ -14,7 +14,7 @@ from flatlyap.enumeration import (
 )
 from flatlyap.errors import InputError, InternalCheckError, ResourceCapError
 from flatlyap.origami import Origami, Stratum
-from flatlyap.orbits import OrbitCache, canonical_key, lyapunov_sum, orbit
+from flatlyap.orbits import canonical_key, lyapunov_sum, orbit
 from flatlyap.permutation import Permutation, cycle_type, is_transitive
 
 from conftest import FIG1, TEN_44_EVEN, on_each, origami
@@ -243,17 +243,6 @@ def test_from_key_inverts_canonical_key(backend):
     for bad in (bytes([0, 1, 0]), bytes([0, 0, 1, 1]), bytes([0, 2, 1, 0])):
         with pytest.raises(InputError):
             Origami.from_key(bad)
-
-
-def test_partition_uses_cache(tmp_path):
-    classes = enumerate_origamis(5, Stratum((2,)))
-    cache = OrbitCache(tmp_path)
-    first = orbit_partition(classes, cache=cache)
-    reloaded = OrbitCache(tmp_path)
-    second = orbit_partition(classes, cache=reloaded)
-    assert [oc.summary for oc in first] == [oc.summary for oc in second]
-    lines = (tmp_path / "orbits.cache").read_text().splitlines()
-    assert len(lines) == len(first)
 
 
 # -- reports ---------------------------------------------------------------------------

@@ -265,15 +265,23 @@ def test_format_rational():
 def test_cache_round_trip(tmp_path):
     cache = OrbitCache(tmp_path)
     first = lyapunov_sum(origami(FIG1), cache=cache)
-    assert (tmp_path / "orbits.cache").exists()
-    reloaded = OrbitCache(tmp_path)
-    second = lyapunov_sum(origami(FIG1), cache=reloaded)
-    assert first == second
-    # one line for the one orbit
-    lines = [
-        l for l in (tmp_path / "orbits.cache").read_text().splitlines() if l.strip()
+    least = min(canon(o) for o in orbit(origami(FIG1)))
+    query = canon(origami(FIG1))
+    assert least != query
+    # one line for the orbit's least key, one for FIG1's own key, each
+    # with its line hash and the orbit's numbers
+    lines = (tmp_path / "orbits.cache").read_text().splitlines()
+    assert [line.split()[0] for line in lines] == [
+        OrbitCache.key_hash(least), OrbitCache.key_hash(query)
     ]
-    assert len(lines) == 1
+    for line in lines:
+        payload, check = line.rsplit(" ", 1)
+        assert check == OrbitCache._line_hash(payload)
+        assert payload.split()[1:] == ["18", "5", "20/1"]
+    reloaded = OrbitCache(tmp_path)
+    assert reloaded.dropped == 0
+    assert reloaded.lookup_any(least) == reloaded.lookup_any(query) == (18, 5, Fraction(20))
+    assert lyapunov_sum(origami(FIG1), cache=reloaded) == first
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
@@ -289,22 +297,51 @@ def test_cache_requires_directory(monkeypatch):
 
 
 def test_cache_detects_corruption(tmp_path):
-    cache = OrbitCache(tmp_path)
-    lyapunov_sum(origami(FIG1), cache=cache)
+    lyapunov_sum(origami(FIG1), cache=OrbitCache(tmp_path))
     path = tmp_path / "orbits.cache"
-    good = path.read_text()
-    corrupted = good.replace(" 18 ", " 19 ", 1)
-    assert corrupted != good
-    path.write_text(corrupted)
-    # bad line hash: entry is dropped and the orbit recomputed cleanly
+    least_line, query_line = path.read_text().splitlines()
+    corrupted = query_line.replace(" 18 ", " 19 ", 1)
+    assert corrupted != query_line
+    path.write_text(f"{least_line}\n{corrupted}\nnot-a-line\n")
+    # bad line hash and bad shape: both dropped, the query recomputed
     fresh = OrbitCache(tmp_path)
-    assert not fresh._entries
-    assert fresh.dropped == 1
+    assert fresh.dropped == 2
+    assert fresh.lookup_any(canon(origami(FIG1))) is None
     summary = lyapunov_sum(origami(FIG1), cache=fresh)
     assert summary.L == Fraction(4, 3)
-    with open(tmp_path / "aliases.cache", "a") as fh:
-        fh.write("\nnot-a-hash\n")
-    assert OrbitCache(tmp_path).dropped == 2
+    # ... and its line written again
+    assert path.read_text().splitlines()[-1] == query_line
+    again = OrbitCache(tmp_path)
+    assert again.dropped == 2
+    assert again.lookup_any(canon(origami(FIG1))) == (18, 5, Fraction(20))
+
+
+# FIG1's cache as an older version wrote it: the orbit line in
+# orbits.cache, FIG1's own key in a second, unhashed aliases.cache
+OLD_ORBIT_LINE = (
+    "1427443c2c376bdc8f2f732a7557372a73e5e911c429edf51e4339efe8d173c9 18 5 20/1 b1cf6f8459f2"
+)
+OLD_ALIAS_LINE = (
+    "a68b1826b12f3a0a8be32bfc1706dded05b3a59d9618b84d94d36f259c852abd "
+    "1427443c2c376bdc8f2f732a7557372a73e5e911c429edf51e4339efe8d173c9"
+)
+
+
+def test_cache_with_an_old_alias_file_still_loads(tmp_path):
+    (tmp_path / "orbits.cache").write_text(OLD_ORBIT_LINE + "\n")
+    (tmp_path / "aliases.cache").write_text(OLD_ALIAS_LINE + "\n")
+    cache = OrbitCache(tmp_path)
+    assert cache.dropped == 0
+    o = origami(FIG1)
+    least = min(canon(x) for x in orbit(o))
+    # the orbit line hits: max_size=1 fails on any search
+    hit = lyapunov_sum(Origami.from_key(least), max_size=1, cache=cache)
+    assert (hit.orbit_size, hit.L) == (18, Fraction(4, 3))
+    # the alias is not read: FIG1's own key costs one search, then hits
+    assert cache.lookup_any(canon(o)) is None
+    assert lyapunov_sum(o, cache=cache) == hit
+    assert lyapunov_sum(o, max_size=1, cache=OrbitCache(tmp_path)) == hit
+    assert (tmp_path / "aliases.cache").read_text() == OLD_ALIAS_LINE + "\n"
 
 
 def test_traced_names_stay_on_the_call_path(monkeypatch, tmp_path):
