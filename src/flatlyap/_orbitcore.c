@@ -273,6 +273,8 @@ int fl_scan_step(struct scan *s, long max_size, long budget)
 {
     int d = s->d;
     u8 key[512], img[512], inv[256], moved[256];
+    if (!s->t_next)
+        return ST_TAIL;
     for (; budget > 0 && s->head < s->n; budget--) {
         memcpy(key, s->keys + s->head * s->k, (size_t)s->k);
         const u8 *r = key, *u = key + d;
@@ -305,9 +307,13 @@ int fl_scan_step(struct scan *s, long max_size, long budget)
  * order of first element, as pairs in s->cusps.  Returns the cycle count,
  * ST_NOMEM, or ST_TAIL when a walk ends anywhere but at its start: T is
  * invertible, so its graph on a complete orbit is a union of cycles, and
- * a tail or an unexpanded key (t_next -1) means the closure was not. */
+ * a tail or an unexpanded key (t_next -1) means the closure was not.
+ * It then frees t_next and the slot table, which only the search reads:
+ * a later step or cusp walk finds no T map and returns ST_TAIL. */
 long fl_scan_cusps(struct scan *s)
 {
+    if (!s->t_next)
+        return ST_TAIL;
     u8 *seen = calloc((size_t)s->n + 1, 1);
     long count = 0, room = 0, st = 0;
     if (!seen)
@@ -342,6 +348,10 @@ long fl_scan_cusps(struct scan *s)
         count++;
     }
     free(seen);
+    free(s->t_next);
+    free(s->slots);
+    s->t_next = NULL;
+    s->slots = NULL;
     return st ? st : count;
 }
 

@@ -60,6 +60,18 @@ def _option(parse):
     return convert
 
 
+def _at_least(low: int):
+    """An argparse ``type`` for an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise InputError(f"must be at least {low}")
+        return value
+
+    return _option(parse)
+
+
 def _list_of(parse):
     """An argparse ``type`` for comma-separated values."""
     return _option(lambda text: tuple(parse(t) for t in text.split(",") if t))
@@ -81,7 +93,7 @@ def _emit(args, payload, text_lines) -> None:
 
 
 def cmd_stratum(args) -> int:
-    o = _read_origami(args.origami).validate()
+    o = _read_origami(args.origami)
     s = o.stratum()
     label = component_label(o) if s.genus >= 2 else None
     payload = {
@@ -100,7 +112,7 @@ def cmd_stratum(args) -> int:
 
 
 def cmd_lyap(args) -> int:
-    o = _read_origami(args.origami).validate()
+    o = _read_origami(args.origami)
     summary = lyapunov_sum(o, max_size=args.max_orbit, cache=_cache_from(args))
     payload = summary.to_json()
     lines = [
@@ -118,7 +130,7 @@ def cmd_lyap(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    o = _read_origami(args.origami).validate()
+    o = _read_origami(args.origami)
     scan = orbit_scan(o, max_size=args.max_orbit)
     listed = sorted(scan.keys)[: args.limit] if args.list else []  # only these become origamis
     members = [str(Origami.from_key(k)) for k in listed]
@@ -128,7 +140,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_cylinders(args) -> int:
-    o = _read_origami(args.origami).validate()
+    o = _read_origami(args.origami)
     decomposition = horizontal_cylinders(o)
     payload = {
         "cylinders": [{"width": w, "height": h} for w, h in decomposition],
@@ -141,7 +153,7 @@ def cmd_cylinders(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    o = _read_origami(args.origami).validate()
+    o = _read_origami(args.origami)
     label = component_label(o)
     payload = label.to_json()
     lines = [f"component: {label.kind}"]
@@ -262,7 +274,7 @@ def _add_common(p, origami=False, fmt=True, cache=False, cap=False):
         )
     if cap:
         p.add_argument(
-            "--max-orbit", type=int, default=DEFAULT_ORBIT_CAP,
+            "--max-orbit", type=_at_least(1), default=DEFAULT_ORBIT_CAP,
             help="abort orbit searches beyond this many elements",
         )
     if origami:
@@ -288,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="SL(2,Z) orbit of an origami")
     _add_common(p, origami=True, cap=True)
     p.add_argument("--list", action="store_true", help="print orbit members")
-    p.add_argument("--limit", type=int, default=100, help="cap listed members")
+    p.add_argument("--limit", type=_at_least(0), default=100, help="cap listed members")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("cylinders", help="horizontal cylinder decomposition")
@@ -304,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stratum", required=True, type=_option(Stratum.parse), help="zero orders, e.g. 3,1"
     )
-    p.add_argument("--dmax", type=int, required=True, help="largest degree")
-    p.add_argument("--dmin", type=int, default=None, help="smallest degree")
+    p.add_argument("--dmax", type=_at_least(1), required=True, help="largest degree")
+    p.add_argument("--dmin", type=_at_least(1), default=None, help="smallest degree")
     p.add_argument(
         "--per-orbit", action="store_true",
         help="list every orbit instead of distinct L values",
@@ -365,9 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "max_orbit", 1) < 1:
-        print("error: --max-orbit must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except ResourceCapError as exc:

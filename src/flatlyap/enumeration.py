@@ -138,31 +138,33 @@ def orbit_partition(keys: list[bytes]) -> list[OrbitClass]:
     SL(2,Z) orbits.
 
     The input must be closed under the action (it is when it comes from
-    ``enumerate_origamis``: T and S preserve degree and stratum).  Each
-    orbit is closed by ``orbit_scan`` from its least key, in key order;
-    only that key becomes an ``Origami``.  Every key lands in a scanned
-    orbit, so checking the stratum of each orbit's least key checks the
-    whole input.  Keys of two lengths, duplicate keys, keys that are not
-    canonical and two strata raise InputError.  Every orbit is closed
-    anyway, so its summary comes from that closure and no cache is read.
+    ``enumerate_origamis``: T and S preserve degree and stratum).  One
+    set holds the keys no orbit has taken yet.  Each orbit is closed by
+    ``orbit_scan`` from the least of them, must lie inside the set (orbits
+    are disjoint) and then leaves it; only its least key becomes an
+    ``Origami``.  Every key lands in a scanned orbit, so checking the
+    stratum of each orbit's least key checks the whole input.  Keys of
+    two lengths, duplicate keys, keys that are not canonical and two
+    strata raise InputError.  Every orbit is closed anyway, so its
+    summary comes from that closure and no cache is read.
     """
     if not keys:
         return []
     mixed = "orbit partition needs a single degree and stratum"
     if len({len(k) for k in keys}) != 1:
         raise InputError(mixed)
-    pool = set(keys)
-    if len(pool) != len(keys):
+    remaining = set(keys)
+    if len(remaining) != len(keys):
         raise InputError("duplicate conjugacy classes in the input")
 
     d = len(keys[0]) // 2
     stratum = None
-    covered: set[bytes] = set()
     out = []
     for least in sorted(keys):
-        if least in covered:
+        if least not in remaining:
             continue
         representative = Origami.from_key(least)
+        # the closure canonicalises any start: only this catches a bad key
         if canonical_key(least[:d], least[d:]) != least:
             raise InputError("orbit partition needs canonical keys")
         if stratum is None:
@@ -170,12 +172,12 @@ def orbit_partition(keys: list[bytes]) -> list[OrbitClass]:
         elif representative.stratum() != stratum:
             raise InputError(mixed)
         try:
-            scan = orbit_scan(representative, max_size=len(pool))
+            scan = orbit_scan(representative, max_size=len(remaining))
         except ResourceCapError:
             scan = None  # the orbit outgrows the input
-        if scan is None or not pool.issuperset(scan.keys):
+        if scan is None or not remaining.issuperset(scan.keys):
             raise InternalCheckError("enumerated set is not closed under T and S")
-        covered.update(scan.keys)
+        remaining.difference_update(scan.keys)
         summary = _summary_of_scan(scan, stratum)
         out.append(OrbitClass(representative, tuple(sorted(scan.keys)), summary))
     return out
@@ -213,19 +215,7 @@ class StratumReport:
         writer.writerow(
             ["stratum", "component", "degree", "orbit_size", "L", "c", "s", "witness"]
         )
-        for e in self.entries:
-            writer.writerow(
-                [
-                    str(e.stratum),
-                    e.component,
-                    e.degree,
-                    e.orbit_size,
-                    format_rational(e.L),
-                    format_rational(e.c),
-                    format_rational(e.s),
-                    str(e.witness),
-                ]
-            )
+        writer.writerows(row.values() for row in self.to_json())
         return buf.getvalue()
 
     def to_json(self) -> list[dict]:

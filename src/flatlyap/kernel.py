@@ -274,18 +274,17 @@ def cylinders(rz, uz) -> tuple[tuple[int, int], ...]:
 
 # -- orbit closure -----------------------------------------------------------
 
-def orbit_closure(start: bytes, max_size: int) -> tuple[bytes, Counter, list]:
-    """Breadth-first closure of the canonical key ``start`` under T and S.
+def orbit_closure(rz, uz, max_size: int) -> tuple[bytes, Counter, list]:
+    """Breadth-first closure under T and S of the canonical key of the
+    pair of 0-based image sequences (rz, uz).
 
     Returns the keys in discovery order packed into one bytes object, how
     many cylinders of each (width, height) the orbit has in all, and the
     cusps: the sorted (width, least key) pairs of the T-cycles.  Raises
-    ResourceCapError as soon as a key beyond ``max_size`` is found.
+    what ``canonical_key`` raises, and ResourceCapError past ``max_size`` keys.
     """
+    start = canonical_key(rz, uz)
     d = len(start) // 2
-    # the compiled closure trusts its start key: check it in full
-    if canonical_key(start[:d], start[d:]) != start:
-        raise InputError("an orbit closure starts from a canonical key")
     lib = _library()
     if lib is None:
         return _py_orbit_closure(start, max_size)
@@ -299,12 +298,13 @@ def orbit_closure(start: bytes, max_size: int) -> tuple[bytes, Counter, list]:
                 break
             if status != 1:
                 _raise_status(status, max_size)
-        n, k = lib.fl_scan_size(scan), 2 * d
-        blob = ctypes.string_at(lib.fl_scan_keys(scan), n * k)
-        counts = array("l", ctypes.string_at(lib.fl_scan_hist(scan), (d + 1) ** 2 * _LONG))
+        # the cusp walk frees the hash table and t_next before the copies
         count = lib.fl_scan_cusps(scan)
         if count < 0:
             _raise_status(count)
+        n, k = lib.fl_scan_size(scan), 2 * d
+        blob = ctypes.string_at(lib.fl_scan_keys(scan), n * k)
+        counts = array("l", ctypes.string_at(lib.fl_scan_hist(scan), (d + 1) ** 2 * _LONG))
         pairs = array("l", ctypes.string_at(lib.fl_scan_cusp_list(scan), 2 * count * _LONG))
     finally:
         lib.fl_scan_free(scan)

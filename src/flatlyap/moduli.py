@@ -275,7 +275,10 @@ def omega_ratio(ms: MarkedStratum, i: int) -> tuple[Rat, Rat]:
     return alpha, -alpha / 12
 
 
-def _solve(ms: MarkedStratum, D: DivisorClass) -> tuple[Rat, Rat, Rat]:
+def slope_from_disjoint_divisor(
+    ms: MarkedStratum, D: DivisorClass
+) -> tuple[Rat, Rat, Rat]:
+    """(s, L, c) of every Teichmueller curve disjoint from ``D``."""
     if D.n_marks != len(ms.marks):
         raise InputError(
             f"divisor has {D.n_marks} marked points, stratum marking has "
@@ -297,17 +300,10 @@ def _solve(ms: MarkedStratum, D: DivisorClass) -> tuple[Rat, Rat, Rat]:
     return s, L, L - k
 
 
-def slope_from_disjoint_divisor(
-    ms: MarkedStratum, D: DivisorClass
-) -> tuple[Rat, Rat, Rat]:
-    """(s, L, c) of every Teichmueller curve disjoint from ``D``."""
-    return _solve(ms, D)
-
-
 def slope_bound(ms: MarkedStratum, D: DivisorClass) -> tuple[Rat, Rat]:
     """(s_max, L_max) for curves not contained in ``D``: the same
     arithmetic read as C.D >= 0."""
-    s, L, _ = _solve(ms, D)
+    s, L, _ = slope_from_disjoint_divisor(ms, D)
     return s, L
 
 
@@ -345,17 +341,15 @@ def extremality_check(g: int) -> bool:
     """
     if g < 2:
         raise InputError("needs genus >= 2")
-    d1 = catalog_divisor("D1", g)
-    lam1 = Fraction(g * g)
-    delta1 = Fraction(4 * g * (2 * g + 1))
-    pairing1 = d1.a * lam1 + d1.c[0] * 1 + d1.b0 * delta1
-
-    d2 = catalog_divisor("D2", g)
-    lam2 = Fraction(g * (g + 1), 4)
-    delta2 = Fraction((g + 1) * (2 * g + 1))
+    d1, d2 = catalog_divisor("D1", g), catalog_divisor("D2", g)
     # the two marked points contribute psi_1 + psi_2 = 1 in total
-    pairing2 = d2.a * lam2 + d2.c[0] * Fraction(1, 2) + d2.c[1] * Fraction(1, 2) + d2.b0 * delta2
-    return pairing1 == 0 and pairing2 == 0
+    half = Fraction(1, 2)
+    return (
+        intersection_with_ratios(d1, g * g, [1], 4 * g * (2 * g + 1)) == 0
+        and intersection_with_ratios(
+            d2, Fraction(g * (g + 1), 4), [half, half], (g + 1) * (2 * g + 1)
+        ) == 0
+    )
 
 
 def intersection_with_ratios(

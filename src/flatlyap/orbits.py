@@ -46,10 +46,6 @@ def act_S(o: Origami) -> Origami:
     return Origami(o.up.inverse(), o.right)
 
 
-def _key_of(o: Origami) -> bytes:
-    return canonical_key(o.right.zero_based(), o.up.zero_based())
-
-
 @dataclass(frozen=True)
 class CylinderDecomposition:
     """Horizontal cylinders as (width, height) pairs, widest first."""
@@ -121,12 +117,12 @@ def orbit_scan(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitScan:
 
     The visited set is keyed by packed canonical forms, so the resulting
     set is independent of scheduling; the cylinder sums are accumulated
-    along the way, as a histogram of (width, height) counts.
+    along the way, as a histogram of (width, height) counts.  An empty
+    or disconnected ``o`` fails its canonical form (DisconnectedError).
     """
     if max_size < 1:
         raise InputError("orbit-size cap must be at least 1")
-    o.validate()
-    blob, hist, cusps = orbit_closure(_key_of(o), max_size)
+    blob, hist, cusps = orbit_closure(o.right.zero_based(), o.up.zero_based(), max_size)
     total = sum((Fraction(h * n, w) for (w, h), n in hist.items()), Fraction(0))
     return OrbitScan(o.degree, blob, cusps, total)
 
@@ -238,7 +234,7 @@ def lyapunov_sum(
             f"Lyapunov data needs genus >= 2, got genus {stratum.genus}"
         )
     if cache is not None:
-        key = _key_of(o)
+        key = canonical_key(o.right.zero_based(), o.up.zero_based())
         hit = cache.lookup_any(key)
         if hit is not None:
             n, cusp_count, total = hit

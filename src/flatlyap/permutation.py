@@ -89,18 +89,6 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         return compose(self, other)
 
-    def __pow__(self, n: int) -> "Permutation":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Permutation.identity(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self._images == other._images
 

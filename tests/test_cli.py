@@ -255,9 +255,10 @@ def test_verify_tables_detects_corruption(tmp_path, capsys):
 
 
 def test_max_orbit_must_be_positive(capsys):
-    code, _, err = run(capsys, "orbit", FIG1, "--max-orbit", "0")
-    assert code == 2
-    assert "--max-orbit must be at least 1" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", FIG1, "--max-orbit", "0"])
+    assert exc.value.code == 2
+    assert "argument --max-orbit: must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -293,6 +294,9 @@ def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
         ("slope-solve", "--stratum", "4", "--lambda", "1/0"),
         ("hyp-locus", "--signature", "x"),
         ("double-cover", "--signature", "x"),
+        ("orbit", FIG1, "--list", "--limit", "-1"),
+        ("enumerate", "--stratum", "2", "--dmax", "0"),
+        ("enumerate", "--stratum", "2", "--dmax", "4", "--dmin", "-1"),
     ],
 )
 def test_malformed_numbers_are_input_errors(argv):

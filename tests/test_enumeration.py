@@ -270,6 +270,14 @@ def test_report_serialization():
     assert payload[0]["L"] == "4/3"
 
 
+def test_report_csv_rows_are_the_json_rows():
+    # the exact text `flatlyap enumerate --stratum 2 --dmax 5` writes
+    assert nonvarying_report(Stratum((2,)), 5).to_csv() == (
+        "stratum,component,degree,orbit_size,L,c,s,witness\r\n"
+        "(2),hyperelliptic,3,3,4/3,10/9,10/1,r=(2 3); u=(1 2); d=3\r\n"
+    )
+
+
 def test_report_rejects_torus():
     with pytest.raises(InputError):
         nonvarying_report(Stratum(()), 5)

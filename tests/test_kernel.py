@@ -175,8 +175,27 @@ def test_images_that_are_not_permutations_are_rejected(backend, rz, uz):
 
 @pytest.mark.parametrize("start", [b"\x00\x01\x05\x00", b"\x00\x00\x00", b"\x01\x00\x00\x00"])
 def test_closure_rejects_a_start_that_is_not_a_canonical_key(backend, start):
+    # split in halves, each start is a malformed pair: an image past the
+    # degree, halves of lengths 1 and 2, a u that is not a permutation
+    d = len(start) // 2
     with pytest.raises(InputError):
-        kernel.orbit_closure(start, 10)
+        kernel.orbit_closure(start[:d], start[d:], 10)
+
+
+def test_closure_canonicalises_its_start(backend):
+    o = origami(FIG1)
+    rz, uz = o.right.zero_based(), o.up.zero_based()
+    key = kernel.canonical_key(rz, uz)
+    # relabel x -> x + 2 mod 5: a conjugate pair that is not the key
+    shift = [(x + 2) % 5 for x in range(5)]
+    moved_r, moved_u = [0] * 5, [0] * 5
+    for x in range(5):
+        moved_r[shift[x]], moved_u[shift[x]] = shift[rz[x]], shift[uz[x]]
+    assert bytes(moved_r + moved_u) != key
+    blob, hist, cusps = kernel.orbit_closure(moved_r, moved_u, 100)
+    assert (blob, hist, cusps) == kernel.orbit_closure(key[:5], key[5:], 100)
+    assert blob[:10] == key
+    assert len(blob) == 18 * 10 and sum(width for width, _ in cusps) == 18
 
 
 def test_python_cusps_reject_a_t_walk_with_a_tail():
@@ -341,3 +360,83 @@ def test_c_source_compiles_without_warnings(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+# FIG1 closed in steps of 4 keys, its cusps walked twice and a step after
+# them, the same closure capped at 10 keys, and one degree-5 scan for the
+# commutator types of H(2) and H(1,1), with every object freed
+_SANITIZER_DRIVER = r"""
+#include <stdio.h>
+typedef unsigned char u8;
+struct scan;
+struct enumeration;
+int fl_canonical(int d, const u8 *r, const u8 *u, u8 *out);
+struct scan *fl_scan_new(int d, const u8 *start);
+int fl_scan_step(struct scan *s, long max_size, long budget);
+long fl_scan_cusps(struct scan *s);
+long fl_scan_size(const struct scan *s);
+void fl_scan_free(struct scan *s);
+struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
+                                int ntargets, const u8 *targets);
+int fl_enum_step(struct enumeration *e, long budget);
+const struct scan *fl_enum_set(const struct enumeration *e, int t);
+void fl_enum_free(struct enumeration *e);
+
+int main(void)
+{
+    const u8 r[5] = {1, 2, 3, 0, 4}, u[5] = {4, 1, 2, 3, 0};
+    u8 key[10];
+    if (fl_canonical(5, r, u, key))
+        return 1;
+    struct scan *s = fl_scan_new(5, key);
+    while (fl_scan_step(s, 100, 4) == 1)
+        ;
+    long cusps = fl_scan_cusps(s), again = fl_scan_cusps(s);
+    printf("%ld %ld %ld %d\n", fl_scan_size(s), cusps, again, fl_scan_step(s, 100, 4));
+    fl_scan_free(s);
+
+    s = fl_scan_new(5, key);
+    int status;
+    while ((status = fl_scan_step(s, 10, 4)) == 1)
+        ;
+    printf("%d %ld\n", status, fl_scan_size(s));
+    fl_scan_free(s);
+
+    const u8 rights[] = {1, 2, 3, 4, 0, 1, 2, 3, 0, 4, 1, 2, 0, 4, 3,
+                         1, 2, 0, 3, 4, 1, 0, 3, 2, 4, 1, 0, 2, 3, 4};
+    const u8 targets[] = {0, 2, 0, 1, 0, 0, 0, 1, 2, 0, 0, 0};
+    struct enumeration *e = fl_enum_new(5, 6, rights, 2, targets);
+    while (fl_enum_step(e, 64) == 1)
+        ;
+    printf("%ld %ld\n", fl_scan_size(fl_enum_set(e, 0)), fl_scan_size(fl_enum_set(e, 1)));
+    fl_enum_free(e);
+    return 0;
+}
+"""
+
+
+def test_c_source_runs_clean_under_sanitizers(tmp_path):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    flags = ["-g", "-O1", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+
+    def build_and_run(source: str, *extra):
+        (tmp_path / "driver.c").write_text(source)
+        built = subprocess.run(
+            [cc, *flags, "-o", str(tmp_path / "driver"), str(tmp_path / "driver.c"), *extra],
+            capture_output=True, text=True, timeout=120,
+        )
+        if built.returncode != 0:
+            return built
+        return subprocess.run(
+            [str(tmp_path / "driver")], capture_output=True, text=True, timeout=120
+        )
+
+    if build_and_run("int main(void) { return 0; }\n").returncode != 0:
+        pytest.skip("cc has no working sanitizer runtime")
+    done = build_and_run(_SANITIZER_DRIVER, str(kernel._SOURCE))
+    assert done.returncode == 0, done.stderr
+    # 18 keys in 5 cusps; a second cusp walk and a later step find no T
+    # map (ST_TAIL); the cap stops at 10 keys (ST_CAP); 27 and 24 classes
+    assert done.stdout.split("\n") == ["18 5 -6 -6", "-1 10", "27 24", ""]
