@@ -34,20 +34,25 @@ enum {
 
 /* Least relabelling of (r, u) by BFS order (r first, then u) over all
  * base squares, into out[0..2d).  Bases fixed by r give a key starting
- * with 0, so only they are tried when r has a fixed point.  A base is
- * abandoned as soon as its r half exceeds the best one so far.  Returns
- * 0, or ST_DISCONNECTED when the pair is not transitive. */
+ * with 0, so only they are tried when r has a fixed point.  Otherwise
+ * every key starts with 1, and its second byte is 0 exactly when the
+ * base lies on a 2-cycle of r (else r^2 of the base is a third square,
+ * labelled 2 or more), so only 2-cycle bases are tried when r has one.
+ * A base is abandoned as soon as its r half exceeds the best one so far.
+ * Returns 0, or ST_DISCONNECTED when the pair is not transitive. */
 static int canonical(int d, const u8 *r, const u8 *u, u8 *out)
 {
     u8 label[256], order[256];
-    int any_fixed = 0, have = 0;
+    int any_fixed = 0, any_two = 0, have = 0;
     for (int x = 0; x < d; x++)
         if (r[x] == x) {
             any_fixed = 1;
             break;
+        } else if (r[r[x]] == x) {
+            any_two = 1;
         }
     for (int base = 0; base < d; base++) {
-        if (any_fixed && r[base] != base)
+        if (any_fixed ? r[base] != base : any_two && r[r[base]] != base)
             continue;
         memset(label, UNSET, (size_t)d);
         label[base] = 0;
@@ -155,7 +160,14 @@ struct scan {
     size_t mask;        /* slot count - 1, a power of two less one */
     long *hist;         /* (d + 1)^2 cylinder counts, by w * (d + 1) + h */
     long *cusps;        /* fl_scan_cusps: width, least key index per T-cycle */
+    long least;         /* fl_scan_cusps: index of the least key */
+    u8 *images;         /* fl_scan_step: T, S images of a batch, canonical */
+    size_t *image_hash; /* and their hashes */
 };
+
+/* keys fl_scan_step expands before it visits their images, and how many
+ * images ahead of the one it visits it prefetches the slot of */
+enum { BATCH = 256, AHEAD = 8 };
 
 static size_t hash(const u8 *key, int k)
 {
@@ -201,14 +213,15 @@ static int reserve(struct scan *s)
     return 0;
 }
 
-/* Index of key in the visited set, appending it when new; a negative
- * status when it is new and max_size keys are already stored. */
-static long visit(struct scan *s, const u8 *key, long max_size)
+/* Index of key, whose hash is h, in the visited set, appending it when
+ * new; a negative status when it is new and max_size keys are already
+ * stored. */
+static long visit(struct scan *s, const u8 *key, size_t h, long max_size)
 {
     int st = reserve(s);
     if (st)
         return st;
-    size_t i = hash(key, s->k) & s->mask;
+    size_t i = h & s->mask;
     while (s->slots[i]) {
         long j = (long)s->slots[i] - 1;
         if (!memcmp(s->keys + j * s->k, key, (size_t)s->k))
@@ -232,6 +245,8 @@ void fl_scan_free(struct scan *s)
     free(s->slots);
     free(s->hist);
     free(s->cusps);
+    free(s->images);
+    free(s->image_hash);
     free(s);
 }
 
@@ -261,50 +276,129 @@ static struct scan *scan_alloc(int d)
 struct scan *fl_scan_new(int d, const u8 *start)
 {
     struct scan *s = scan_alloc(d);
-    if (s)
-        visit(s, start, 1);
+    if (!s)
+        return NULL;
+    s->images = malloc(2 * BATCH * (size_t)s->k);
+    s->image_hash = malloc(2 * BATCH * sizeof(size_t));
+    if (!s->images || !s->image_hash) {
+        fl_scan_free(s);
+        return NULL;
+    }
+    visit(s, start, hash(start, s->k), 1);
     return s;
 }
 
 /* Expands at most ``budget`` keys in discovery order: adds each one's
  * cylinders to the histogram and visits its T image (r, u r^-1), then
- * its S image (u^-1, r).  Returns a status from the enum above. */
+ * its S image (u^-1, r).  Returns a status from the enum above.
+ *
+ * Keys go in batches of at most BATCH that are already in the set: all
+ * their images are made first, then visited in the order above, so that
+ * the slot of each image can be prefetched a few images before its
+ * visit.  A failure while making the images of key b still visits the
+ * images before it first, so the first status in key order wins. */
 int fl_scan_step(struct scan *s, long max_size, long budget)
 {
-    int d = s->d;
-    u8 key[512], img[512], inv[256], moved[256];
+    int d = s->d, k = s->k;
+    u8 inv[256], moved[256];
     if (!s->t_next)
         return ST_TAIL;
-    for (; budget > 0 && s->head < s->n; budget--) {
-        memcpy(key, s->keys + s->head * s->k, (size_t)s->k);
-        const u8 *r = key, *u = key + d;
-        if (cylinders(d, r, u, s->hist))
-            return ST_AREA;
-        for (int x = 0; x < d; x++)
-            inv[r[x]] = (u8)x;
-        for (int x = 0; x < d; x++)
-            moved[x] = u[inv[x]];
-        if (canonical(d, r, moved, img))
-            return ST_DISCONNECTED;
-        long j = visit(s, img, max_size);
-        if (j < 0)
-            return (int)j;
-        s->t_next[s->head] = j;
-        for (int x = 0; x < d; x++)
-            inv[u[x]] = (u8)x;
-        if (canonical(d, inv, r, img))
-            return ST_DISCONNECTED;
-        j = visit(s, img, max_size);
-        if (j < 0)
-            return (int)j;
-        s->head++;
+    while (budget > 0 && s->head < s->n) {
+        long batch = s->n - s->head, made = 0;
+        int st = 0;
+        if (batch > budget)
+            batch = budget;
+        if (batch > BATCH)
+            batch = BATCH;
+        for (long b = 0; b < batch; b++, made += 2) {
+            const u8 *r = s->keys + (s->head + b) * k, *u = r + d;
+            u8 *img = s->images + made * k;
+            if (cylinders(d, r, u, s->hist)) {
+                st = ST_AREA;
+                break;
+            }
+            for (int x = 0; x < d; x++)
+                inv[r[x]] = (u8)x;
+            for (int x = 0; x < d; x++)
+                moved[x] = u[inv[x]];
+            if (canonical(d, r, moved, img)) {
+                st = ST_DISCONNECTED;
+                break;
+            }
+            s->image_hash[made] = hash(img, k);
+            for (int x = 0; x < d; x++)
+                inv[u[x]] = (u8)x;
+            if (canonical(d, inv, r, img + k)) {
+                st = ST_DISCONNECTED;
+                made++;
+                break;
+            }
+            s->image_hash[made + 1] = hash(img + k, k);
+        }
+        for (long i = 0; i < made; i++) {
+#ifdef __GNUC__
+            if (i + AHEAD < made)
+                __builtin_prefetch(s->slots + (s->image_hash[i + AHEAD] & s->mask));
+#endif
+            long j = visit(s, s->images + i * k, s->image_hash[i], max_size);
+            if (j < 0)
+                return (int)j;
+            if (i & 1)
+                s->head++;
+            else
+                s->t_next[s->head] = j;
+        }
+        if (st)
+            return st;
+        budget -= batch;
     }
     return s->head < s->n ? ST_MORE : ST_DONE;
 }
 
+/* Whether cusp pair a comes before cusp pair b: by width, then by
+ * least key. */
+static int cusp_before(const struct scan *s, const long *a, const long *b)
+{
+    if (a[0] != b[0])
+        return a[0] < b[0];
+    return memcmp(s->keys + a[1] * s->k, s->keys + b[1] * s->k, (size_t)s->k) < 0;
+}
+
+/* Sorts the count pairs of s->cusps by cusp_before, a bottom-up merge
+ * sort; 0 or ST_NOMEM. */
+static int sort_cusps(struct scan *s, long count)
+{
+    if (count < 2)
+        return 0;
+    long *tmp = malloc((size_t)count * 2 * sizeof(long)), *from = s->cusps, *to = tmp;
+    if (!tmp)
+        return ST_NOMEM;
+    for (long run = 1; run < count; run *= 2) {
+        for (long lo = 0; lo < count; lo += 2 * run) {
+            long mid = lo + run < count ? lo + run : count;
+            long hi = lo + 2 * run < count ? lo + 2 * run : count;
+            for (long i = lo, j = mid, o = lo; o < hi; o++) {
+                long *p = j < hi && (i == mid || cusp_before(s, from + 2 * j, from + 2 * i))
+                              ? from + 2 * j++
+                              : from + 2 * i++;
+                to[2 * o] = p[0];
+                to[2 * o + 1] = p[1];
+            }
+        }
+        long *swap = from;
+        from = to;
+        to = swap;
+    }
+    if (from != s->cusps)
+        memcpy(s->cusps, from, (size_t)count * 2 * sizeof(long));
+    free(tmp);
+    return 0;
+}
+
 /* The T-cycles of a closure that fl_scan_step finished: walks t_next once
- * and stores the length of each cycle and the index of its least key, in
- * order of first element, as pairs in s->cusps.  Returns the cycle count,
+ * and stores the length of each cycle and the index of its least key as
+ * pairs in s->cusps, sorted by width and then by least key, and the index
+ * of the orbit's least key in s->least.  Returns the cycle count,
  * ST_NOMEM, or ST_TAIL when a walk ends anywhere but at its start: T is
  * invertible, so its graph on a complete orbit is a union of cycles, and
  * a tail or an unexpanded key (t_next -1) means the closure was not.
@@ -320,6 +414,7 @@ long fl_scan_cusps(struct scan *s)
         return ST_NOMEM;
     free(s->cusps);
     s->cusps = NULL;
+    s->least = 0;
     for (long start = 0; start < s->n; start++) {
         if (seen[start])
             continue;
@@ -346,12 +441,16 @@ long fl_scan_cusps(struct scan *s)
         s->cusps[2 * count] = width;
         s->cusps[2 * count + 1] = least;
         count++;
+        if (memcmp(s->keys + least * s->k, s->keys + s->least * s->k, (size_t)s->k) < 0)
+            s->least = least;
     }
     free(seen);
     free(s->t_next);
     free(s->slots);
     s->t_next = NULL;
     s->slots = NULL;
+    if (!st)
+        st = sort_cusps(s, count);
     return st ? st : count;
 }
 
@@ -359,6 +458,7 @@ long fl_scan_size(const struct scan *s) { return s->n; }
 const u8 *fl_scan_keys(const struct scan *s) { return s->keys; }
 const long *fl_scan_hist(const struct scan *s) { return s->hist; }
 const long *fl_scan_cusp_list(const struct scan *s) { return s->cusps; }
+long fl_scan_least(const struct scan *s) { return s->least; }
 
 /* Canonical key of (r, u) into out[0..2d); 0, ST_RANGE or
  * ST_DISCONNECTED. */
@@ -740,7 +840,7 @@ int fl_enum_step(struct enumeration *e, long budget)
             matching_apply(&e->m, &e->sc, &e->ric, c);
             if (!canonical(d, r, c, key))
                 for (int i = 0; i < e->nhits; i++) {
-                    long j = visit(e->sets[e->hits[i]], key, LONG_MAX);
+                    long j = visit(e->sets[e->hits[i]], key, hash(key, 2 * d), LONG_MAX);
                     if (j < 0)
                         return (int)j;
                 }

@@ -122,6 +122,7 @@ def _declare(lib) -> None:
         "fl_scan_hist": (ptr, [ptr]),
         "fl_scan_cusps": (c_long, [ptr]),
         "fl_scan_cusp_list": (ptr, [ptr]),
+        "fl_scan_least": (c_long, [ptr]),
         "fl_enum_new": (ptr, [c_int, c_int, ctypes.c_char_p, c_int, ctypes.c_char_p]),
         "fl_enum_step": (c_int, [ptr, c_long]),
         "fl_enum_set": (ptr, [ptr, c_int]),
@@ -274,14 +275,17 @@ def cylinders(rz, uz) -> tuple[tuple[int, int], ...]:
 
 # -- orbit closure -----------------------------------------------------------
 
-def orbit_closure(rz, uz, max_size: int) -> tuple[bytes, Counter, list]:
+def orbit_closure(rz, uz, max_size: int) -> tuple[bytes, Counter, list, bytes]:
     """Breadth-first closure under T and S of the canonical key of the
     pair of 0-based image sequences (rz, uz).
 
     Returns the keys in discovery order packed into one bytes object, how
-    many cylinders of each (width, height) the orbit has in all, and the
-    cusps: the sorted (width, least key) pairs of the T-cycles.  Raises
-    what ``canonical_key`` raises, and ResourceCapError past ``max_size`` keys.
+    many cylinders of each (width, height) the orbit has in all, the
+    cusps: the (width, least key) pairs of the T-cycles, sorted, and the
+    orbit's least key.  The compiled closure sorts the cusps and finds the
+    least key itself, so Python makes one object per cusp and none per
+    orbit element.  Raises what ``canonical_key`` raises, and
+    ResourceCapError past ``max_size`` keys.
     """
     start = canonical_key(rz, uz)
     d = len(start) // 2
@@ -306,11 +310,12 @@ def orbit_closure(rz, uz, max_size: int) -> tuple[bytes, Counter, list]:
         blob = ctypes.string_at(lib.fl_scan_keys(scan), n * k)
         counts = array("l", ctypes.string_at(lib.fl_scan_hist(scan), (d + 1) ** 2 * _LONG))
         pairs = array("l", ctypes.string_at(lib.fl_scan_cusp_list(scan), 2 * count * _LONG))
+        least = lib.fl_scan_least(scan) * k
     finally:
         lib.fl_scan_free(scan)
     hist = Counter({divmod(i, d + 1): c for i, c in enumerate(counts) if c})
-    cusps = sorted(zip(pairs[::2], [blob[i * k : i * k + k] for i in pairs[1::2]]))
-    return blob, hist, cusps
+    cusps = [(w, blob[i * k : i * k + k]) for w, i in zip(pairs[::2], pairs[1::2])]
+    return blob, hist, cusps, blob[least : least + k]
 
 
 def _raise_status(status: int, max_size: int = 0):
@@ -328,7 +333,7 @@ def _raise_status(status: int, max_size: int = 0):
     raise InputError(_RANGE_MESSAGE)
 
 
-def _py_orbit_closure(start: bytes, max_size: int) -> tuple[bytes, Counter, list]:
+def _py_orbit_closure(start: bytes, max_size: int) -> tuple[bytes, Counter, list, bytes]:
     d = len(start) // 2
     index = {start: 0}
     keys = [start]
@@ -354,7 +359,7 @@ def _py_orbit_closure(start: bytes, max_size: int) -> tuple[bytes, Counter, list
         t_next[i] = visit(canonical_key(rz, [uz[x] for x in invert(rz)]))  # T: (r, u r^-1)
         visit(canonical_key(invert(uz), rz))  # S: (u^-1, r)
         i += 1
-    return b"".join(keys), hist, _py_cusps(keys, t_next)
+    return b"".join(keys), hist, _py_cusps(keys, t_next), min(keys)
 
 
 def _py_cusps(keys, t_next) -> list[tuple[int, bytes]]:

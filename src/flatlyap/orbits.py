@@ -86,13 +86,15 @@ def horizontal_cylinders(o: Origami) -> CylinderDecomposition:
 @dataclass
 class OrbitScan:
     """Raw result of the breadth-first orbit search.  ``keys`` is split
-    from ``blob`` on first use only: the size, the cusps and the cylinder
-    sum need no Python object per orbit element."""
+    from ``blob`` on first use only: the size, the cusps, the least key
+    and the cylinder sum need no Python object per orbit element, and
+    the closure returns the cusps sorted and the least key found."""
 
     degree: int
     blob: bytes                     # the keys in discovery order
     cusps: list[tuple[int, bytes]]  # (width, least key) per T-cycle, sorted
     total_hw: Fraction
+    least: bytes                    # the orbit's least key
 
     @functools.cached_property
     def keys(self) -> list[bytes]:
@@ -104,8 +106,7 @@ class OrbitScan:
         return len(self.blob) // (2 * self.degree)
 
     def min_key(self) -> bytes:
-        # every key lies on exactly one T-cycle
-        return min(key for _, key in self.cusps)
+        return self.least
 
     def cusp_widths(self) -> list[tuple[int, bytes]]:
         """(width, least member) per T-orbit, sorted."""
@@ -122,9 +123,9 @@ def orbit_scan(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitScan:
     """
     if max_size < 1:
         raise InputError("orbit-size cap must be at least 1")
-    blob, hist, cusps = orbit_closure(o.right.zero_based(), o.up.zero_based(), max_size)
+    blob, hist, cusps, least = orbit_closure(o.right.zero_based(), o.up.zero_based(), max_size)
     total = sum((Fraction(h * n, w) for (w, h), n in hist.items()), Fraction(0))
-    return OrbitScan(o.degree, blob, cusps, total)
+    return OrbitScan(o.degree, blob, cusps, total, least)
 
 
 def orbit(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> list[Origami]:

@@ -17,7 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flatlyap import enumeration, golden, kernel
@@ -26,7 +26,7 @@ from flatlyap.orbits import OrbitCache, lyapunov_sum, orbit_scan
 from flatlyap.origami import Stratum
 from flatlyap.permutation import Permutation, is_transitive
 
-from conftest import FIG1, TEN_71, compiled_library, on_both, on_each, origami
+from conftest import FIG1, TEN_71, TEN_3111, compiled_library, on_both, on_each, origami
 
 
 # -- parity ------------------------------------------------------------------------
@@ -45,6 +45,7 @@ def test_scan_matches_python(check):
     assert compiled.cusp_widths() == python.cusp_widths()
     assert compiled.size == python.size == len(python.keys)
     assert compiled.min_key() == python.min_key() == min(python.keys)
+    assert compiled.least == min(compiled.keys) and python.least == min(python.keys)
 
 
 @st.composite
@@ -56,8 +57,13 @@ def transitive_pairs(draw):
     return r, u
 
 
+# r without a fixed point: with 2-cycles, (0 1)(2 3 4) and a d=12 case,
+# where the compiled form tries only bases on 2-cycles; without one
 @settings(max_examples=400, deadline=None)
 @given(transitive_pairs())
+@example(([1, 0, 3, 4, 2], [0, 2, 1, 3, 4]))
+@example(([1, 0, 3, 2, 5, 6, 4, 8, 9, 10, 11, 7], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0]))
+@example(([1, 2, 0, 4, 5, 3], [0, 1, 3, 2, 4, 5]))
 def test_canonical_key_matches_python(pair):
     compiled, python = on_both(lambda: kernel.canonical_key(*pair))
     assert compiled == python
@@ -192,10 +198,32 @@ def test_closure_canonicalises_its_start(backend):
     for x in range(5):
         moved_r[shift[x]], moved_u[shift[x]] = shift[rz[x]], shift[uz[x]]
     assert bytes(moved_r + moved_u) != key
-    blob, hist, cusps = kernel.orbit_closure(moved_r, moved_u, 100)
-    assert (blob, hist, cusps) == kernel.orbit_closure(key[:5], key[5:], 100)
+    blob, hist, cusps, least = kernel.orbit_closure(moved_r, moved_u, 100)
+    assert (blob, hist, cusps, least) == kernel.orbit_closure(key[:5], key[5:], 100)
     assert blob[:10] == key
     assert len(blob) == 18 * 10 and sum(width for width, _ in cusps) == 18
+
+
+@pytest.mark.parametrize("budget", [1, 7])
+def test_compiled_closure_is_the_same_in_any_step_budget(monkeypatch, budget):
+    # the step expands keys in batches; budgets of 1 and 7 cut every
+    # batch short, and the closure must not see where the calls split
+    compiled_library()
+    o = origami(TEN_3111)
+    rz, uz = o.right.zero_based(), o.up.zero_based()
+    expected = kernel.orbit_closure(rz, uz, 23328)
+    monkeypatch.setattr(kernel, "_STEP_BUDGET", budget)
+    assert kernel.orbit_closure(rz, uz, 23328) == expected
+    assert len(expected[0]) == 23328 * 20
+
+
+def test_compiled_closure_cap_is_exact():
+    compiled_library()
+    o = origami(TEN_3111)
+    rz, uz = o.right.zero_based(), o.up.zero_based()
+    with pytest.raises(ResourceCapError):
+        kernel.orbit_closure(rz, uz, 23327)
+    assert len(kernel.orbit_closure(rz, uz, 23328)[0]) == 23328 * 20
 
 
 def test_python_cusps_reject_a_t_walk_with_a_tail():
@@ -363,10 +391,14 @@ def test_c_source_compiles_without_warnings(tmp_path):
 
 
 # FIG1 closed in steps of 4 keys, its cusps walked twice and a step after
-# them, the same closure capped at 10 keys, and one degree-5 scan for the
+# them, the same closure capped at 10 keys; TEN_3111 closed in steps of
+# 1000 keys, so that batches split across calls, with its cusps checked
+# to be sorted and its least key to be the least, and capped one key
+# short, in the middle of a batch; and one degree-5 scan for the
 # commutator types of H(2) and H(1,1), with every object freed
 _SANITIZER_DRIVER = r"""
 #include <stdio.h>
+#include <string.h>
 typedef unsigned char u8;
 struct scan;
 struct enumeration;
@@ -375,6 +407,9 @@ struct scan *fl_scan_new(int d, const u8 *start);
 int fl_scan_step(struct scan *s, long max_size, long budget);
 long fl_scan_cusps(struct scan *s);
 long fl_scan_size(const struct scan *s);
+const u8 *fl_scan_keys(const struct scan *s);
+const long *fl_scan_cusp_list(const struct scan *s);
+long fl_scan_least(const struct scan *s);
 void fl_scan_free(struct scan *s);
 struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
                                 int ntargets, const u8 *targets);
@@ -398,6 +433,36 @@ int main(void)
     s = fl_scan_new(5, key);
     int status;
     while ((status = fl_scan_step(s, 10, 4)) == 1)
+        ;
+    printf("%d %ld\n", status, fl_scan_size(s));
+    fl_scan_free(s);
+
+    const u8 r10[10] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 0}, u10[10] = {3, 6, 5, 4, 7, 9, 8, 2, 1, 0};
+    u8 key10[20];
+    if (fl_canonical(10, r10, u10, key10))
+        return 1;
+    s = fl_scan_new(10, key10);
+    while ((status = fl_scan_step(s, 23328, 1000)) == 1)
+        ;
+    long n = fl_scan_size(s), count = fl_scan_cusps(s), width = 0, least = fl_scan_least(s);
+    const u8 *keys = fl_scan_keys(s);
+    const long *list = fl_scan_cusp_list(s);
+    int sorted = 1, is_least = 1;
+    for (long i = 0; i < count; i++) {
+        width += list[2 * i];
+        if (i > 0 && (list[2 * i - 2] > list[2 * i] ||
+                      (list[2 * i - 2] == list[2 * i] &&
+                       memcmp(keys + 20 * list[2 * i - 1], keys + 20 * list[2 * i + 1], 20) >= 0)))
+            sorted = 0;
+    }
+    for (long j = 0; j < n; j++)
+        if (memcmp(keys + 20 * j, keys + 20 * least, 20) < 0)
+            is_least = 0;
+    printf("%d %ld %ld %ld %d %d\n", status, n, count, width, sorted, is_least);
+    fl_scan_free(s);
+
+    s = fl_scan_new(10, key10);
+    while ((status = fl_scan_step(s, 23327, 1000)) == 1)
         ;
     printf("%d %ld\n", status, fl_scan_size(s));
     fl_scan_free(s);
@@ -438,5 +503,10 @@ def test_c_source_runs_clean_under_sanitizers(tmp_path):
     done = build_and_run(_SANITIZER_DRIVER, str(kernel._SOURCE))
     assert done.returncode == 0, done.stderr
     # 18 keys in 5 cusps; a second cusp walk and a later step find no T
-    # map (ST_TAIL); the cap stops at 10 keys (ST_CAP); 27 and 24 classes
-    assert done.stdout.split("\n") == ["18 5 -6 -6", "-1 10", "27 24", ""]
+    # map (ST_TAIL); the cap stops at 10 keys (ST_CAP); TEN_3111 closes
+    # with 23,328 keys in 2,616 cusps whose widths add up to the size,
+    # sorted, with the least key found, and its cap stops one key short;
+    # 27 and 24 classes
+    assert done.stdout.split("\n") == [
+        "18 5 -6 -6", "-1 10", "0 23328 2616 23328 1 1", "-1 23327", "27 24", ""
+    ]
