@@ -10,9 +10,16 @@
  * passes buffers of the stated lengths; fl_canonical checks that r and u
  * are permutations, fl_scan_new takes only keys that fl_canonical
  * produced, and fl_enum_new takes permutations and cycle types that
- * kernel.py has checked.
+ * kernel.py has checked.  fl_scan_step may run a helper thread, which it
+ * joins before it returns; every other function runs on its caller's
+ * thread alone.
  */
+#define _GNU_SOURCE       /* sched_getaffinity, sched_getcpu, CPU_COUNT */
 #include <limits.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -95,14 +102,16 @@ static int canonical(int d, const u8 *r, const u8 *u, u8 *out)
     return 0;
 }
 
-/* Adds one to hist[w * (d + 1) + h] for every horizontal cylinder of
- * width w and height h; see orbits.horizontal_cylinders.  Returns 0, or
- * ST_AREA when the cylinder areas do not add up to d. */
-static int cylinders(int d, const u8 *r, const u8 *u, long *hist)
+/* Counts every horizontal cylinder of width w and height h at
+ * w * (d + 1) + h, see orbits.horizontal_cylinders: one is added to that
+ * entry of hist, or, when hist is NULL, the index goes into cells[].
+ * Returns how many cylinders there are, at most d, or ST_AREA when their
+ * areas do not add up to d. */
+static int cylinders(int d, const u8 *r, const u8 *u, long *hist, uint16_t *cells)
 {
     int row_of[256], first[256], width[256], above[256];
     u8 has_below[256], seen[256];
-    int n = 0, area = 0;
+    int n = 0, area = 0, count = 0;
     for (int x = 0; x < d; x++)
         row_of[x] = -1;
     for (int start = 0; start < d; start++) {
@@ -142,10 +151,14 @@ static int cylinders(int d, const u8 *r, const u8 *u, long *hist)
                 seen[j] = 1;
                 h++;
             }
-            hist[width[i] * (d + 1) + h]++;
+            if (hist)
+                hist[width[i] * (d + 1) + h]++;
+            else
+                cells[count] = (uint16_t)(width[i] * (d + 1) + h);
+            count++;
             area += width[i] * h;
         }
-    return area == d ? 0 : ST_AREA;
+    return area == d ? count : ST_AREA;
 }
 
 /* -- breadth-first closure -------------------------------------------- */
@@ -161,13 +174,26 @@ struct scan {
     long *hist;         /* (d + 1)^2 cylinder counts, by w * (d + 1) + h */
     long *cusps;        /* fl_scan_cusps: width, least key index per T-cycle */
     long least;         /* fl_scan_cusps: index of the least key */
-    u8 *images;         /* fl_scan_step: T, S images of a batch, canonical */
-    size_t *image_hash; /* and their hashes */
+    /* fl_scan_step: what expand() made of the keys of a batch, on two
+     * sides of BATCH keys each, the caller's and the helper's */
+    u8 *images;         /* T, S images, canonical: 2 per key */
+    struct made *made;  /* the rest: 1 per key */
+    uint16_t *cells;    /* the helper's side only: d cylinder cells per key */
 };
 
-/* keys fl_scan_step expands before it visits their images, and how many
- * images ahead of the one it visits it prefetches the slot of */
-enum { BATCH = 256, AHEAD = 8 };
+/* What expand() made of key b of a batch, besides its images and cells. */
+struct made {
+    size_t hash[2];     /* of the T and the S image */
+    int status;         /* 0, or ST_AREA or ST_DISCONNECTED: nothing to visit */
+    int cylinders;      /* how many cells, on the helper's side */
+};
+
+/* keys fl_scan_step expands before it visits their images, keys one
+ * thread claims at a time while a helper thread runs (alone, the caller
+ * claims whole batches), the keys a step must expand for sure to start
+ * the helper, and how many images ahead of the one it visits it
+ * prefetches the slot of */
+enum { BATCH = 256, CHUNK = 8, HELPER_MIN = 2 * BATCH, AHEAD = 8 };
 
 static size_t hash(const u8 *key, int k)
 {
@@ -177,23 +203,37 @@ static size_t hash(const u8 *key, int k)
     return (size_t)(h ^ (h >> 29));
 }
 
-/* Room for one more key: doubles the key arrays when full and the slot
- * table when it would pass half full. */
+/* Room for ``extra`` more keys in the key arrays, doubling them as often
+ * as needed; 0 or ST_NOMEM. */
+static int grow(struct scan *s, long extra)
+{
+    long room = s->room;
+    while (room < s->n + extra)
+        room *= 2;
+    if (room == s->room)
+        return 0;
+    u8 *keys = realloc(s->keys, (size_t)room * (size_t)s->k);
+    if (!keys)
+        return ST_NOMEM;
+    s->keys = keys;
+    long *t_next = realloc(s->t_next, (size_t)room * sizeof(long));
+    if (!t_next)
+        return ST_NOMEM;
+    s->t_next = t_next;
+    s->room = room;
+    return 0;
+}
+
+/* Room for one more key: grows the key arrays when full and doubles the
+ * slot table when it would pass half full. */
 static int reserve(struct scan *s)
 {
     if ((unsigned long)s->n >= UINT32_MAX - 1)   /* slots hold index + 1 */
         return ST_NOMEM;
     if (s->n == s->room) {
-        long room = 2 * s->room;
-        u8 *keys = realloc(s->keys, (size_t)room * (size_t)s->k);
-        if (!keys)
-            return ST_NOMEM;
-        s->keys = keys;
-        long *t_next = realloc(s->t_next, (size_t)room * sizeof(long));
-        if (!t_next)
-            return ST_NOMEM;
-        s->t_next = t_next;
-        s->room = room;
+        int st = grow(s, 1);
+        if (st)
+            return st;
     }
     if (2 * (size_t)(s->n + 1) > s->mask + 1) {
         size_t mask = 2 * (s->mask + 1) - 1;
@@ -246,7 +286,8 @@ void fl_scan_free(struct scan *s)
     free(s->hist);
     free(s->cusps);
     free(s->images);
-    free(s->image_hash);
+    free(s->cells);
+    free(s->made);
     free(s);
 }
 
@@ -278,9 +319,10 @@ struct scan *fl_scan_new(int d, const u8 *start)
     struct scan *s = scan_alloc(d);
     if (!s)
         return NULL;
-    s->images = malloc(2 * BATCH * (size_t)s->k);
-    s->image_hash = malloc(2 * BATCH * sizeof(size_t));
-    if (!s->images || !s->image_hash) {
+    s->images = malloc(2 * BATCH * 2 * (size_t)s->k);
+    s->cells = malloc(BATCH * (size_t)d * sizeof *s->cells);
+    s->made = malloc(2 * BATCH * sizeof *s->made);
+    if (!s->images || !s->cells || !s->made) {
         fl_scan_free(s);
         return NULL;
     }
@@ -288,70 +330,285 @@ struct scan *fl_scan_new(int d, const u8 *start)
     return s;
 }
 
+/* Makes the canonical T image (r, u r^-1) and S image (u^-1, r) of key b
+ * of the batch that starts at ``first``, with their hashes, on one side
+ * (0: the caller, 1: the helper), and counts its cylinders: the caller
+ * into the histogram, the helper into its cells, which the caller adds
+ * when it visits the key.  Either way each key visited is counted once.
+ * T and S generate the same group as r and u, so both images are
+ * transitive or neither is. */
+static void expand(const struct scan *s, const u8 *first, long b, int side)
+{
+    int d = s->d, k = s->k;
+    const u8 *r = first + b * k, *u = r + d;
+    u8 inv[256], moved[256], *img = s->images + (side * BATCH + b) * 2 * k;
+    struct made *m = s->made + side * BATCH + b;
+    m->cylinders = cylinders(d, r, u, side ? NULL : s->hist, s->cells + b * d);
+    if (m->cylinders < 0) {
+        m->status = m->cylinders;
+        return;
+    }
+    for (int x = 0; x < d; x++)
+        inv[r[x]] = (u8)x;
+    for (int x = 0; x < d; x++)
+        moved[x] = u[inv[x]];
+    for (int x = 0; x < d; x++)
+        inv[u[x]] = (u8)x;
+    if (canonical(d, r, moved, img) || canonical(d, inv, r, img + k)) {
+        m->status = ST_DISCONNECTED;
+        return;
+    }
+    m->status = 0;
+    m->hash[0] = hash(img, k);
+    m->hash[1] = hash(img + k, k);
+}
+
+/* -- the two threads of fl_scan_step --------------------------------------
+ *
+ * Making the images of a batch is most of the work, and each key's are
+ * its own; only the visits must go in order.  So fl_scan_step publishes
+ * each batch in one atomic claim word, and both the calling thread and,
+ * on a machine with a CPU to spare, a helper thread take CHUNK keys at a
+ * time from it and make their images, each into its own side of the
+ * buffers.  The caller visits the chunks in order.  While the one it
+ * must visit next is still being made by the helper, it makes the next
+ * unclaimed one; when none is left, it waits a little and then makes
+ * that chunk itself, so a helper that has lost its CPU never holds the
+ * caller up for long.  Alone, the caller takes each whole batch as one
+ * chunk, through the same loop.  The helper makes its chunks in claim
+ * order and counts them when done, so the caller can tell which of them
+ * are ready.  Before the key arrays move, the caller waits until every
+ * chunk the helper has claimed is done: the helper reads keys only there. */
+
+/* The claim word: index of the batch's first key << 32 | batch size << 16
+ * | first key not yet claimed, or QUIT when the helper is to return. */
+#define QUIT UINT64_MAX
+
+struct crew {
+    _Alignas(64) _Atomic uint64_t claim;
+    _Alignas(64) _Atomic unsigned long made;   /* chunks the helper made */
+    _Alignas(64) struct scan *s;
+    long chunk;         /* keys per claim: CHUNK once the helper runs, else BATCH */
+};
+
+/* How many rounds the caller waits for a chunk the helper is making
+ * before it makes that chunk itself. */
+enum { PATIENCE = 64 };
+
+static void pause_hint(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+/* Claims the next chunk of the batch in w, the claim word as last read;
+ * whether it did.  Keys are taken in order and cr->chunk at a time, so
+ * chunk c is always the keys from c * cr->chunk on, up to the next chunk
+ * or the end of the batch. */
+static int take(struct crew *cr, uint64_t *w)
+{
+    if ((*w & 0xffff) >= (*w >> 16 & 0xffff))
+        return 0;
+    return atomic_compare_exchange_weak_explicit(&cr->claim, w, *w + (uint64_t)cr->chunk,
+                                                 memory_order_acquire,
+                                                 memory_order_relaxed);
+}
+
+/* Makes the images of the chunk that starts at the next key of the claim
+ * word w into the given side. */
+static void make_chunk(struct crew *cr, uint64_t w, int side)
+{
+    const struct scan *s = cr->s;
+    long lo = (long)(w & 0xffff), size = (long)(w >> 16 & 0xffff);
+    long hi = lo + cr->chunk < size ? lo + cr->chunk : size;
+    const u8 *first = s->keys + (long)(w >> 32) * s->k;
+    for (long b = lo; b < hi; b++)
+        expand(s, first, b, side);
+}
+
+static void *help(void *arg)
+{
+    struct crew *cr = arg;
+    unsigned spins = 0;
+    for (;;) {
+        uint64_t w = atomic_load_explicit(&cr->claim, memory_order_relaxed);
+        if (w == QUIT)
+            return NULL;
+        if (take(cr, &w)) {
+            make_chunk(cr, w, 1);
+            atomic_fetch_add_explicit(&cr->made, 1, memory_order_release);
+        } else {
+            pause_hint();
+            if (++spins % 256 == 0)   /* in case the caller needs this CPU */
+                sched_yield();
+        }
+    }
+}
+
+/* Starts the helper when this thread may run on more than one CPU, on
+ * the CPUs other than the one this thread is on (a new thread is
+ * otherwise often placed beside its creator, where the two would take
+ * turns), and with every signal blocked, so that they all reach the
+ * caller; whether it did.  Elsewhere than on Linux it never starts. */
+static int start_helper(struct crew *cr, pthread_t *helper)
+{
+#ifndef __linux__
+    (void)cr;
+    (void)helper;
+    (void)help;
+    return 0;
+#else
+    cpu_set_t cpus;
+    pthread_attr_t attr;
+    sigset_t all, old;
+    int here = sched_getcpu();
+    if (sched_getaffinity(0, sizeof cpus, &cpus) || CPU_COUNT(&cpus) < 2)
+        return 0;
+    if (here >= 0 && here < CPU_SETSIZE)
+        CPU_CLR(here, &cpus);
+    if (pthread_attr_init(&attr))
+        return 0;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    cr->chunk = CHUNK;
+    int failed = pthread_attr_setaffinity_np(&attr, sizeof cpus, &cpus) ||
+                 pthread_create(helper, &attr, help, cr);
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    pthread_attr_destroy(&attr);
+    if (failed)
+        cr->chunk = BATCH;
+    return !failed;
+#endif
+}
+
+/* The side whose images hold chunk c of the batch the claim word was
+ * last published for: where[c], the side of each chunk of the batch
+ * found so far, or -1.  Unless ``wait`` is 0, it returns only once the
+ * chunk is made.  ``claims`` counts the helper's chunks found so far;
+ * the helper makes them in that order. */
+static int locate(struct crew *cr, long c, signed char *where, unsigned long *claims, int wait)
+{
+    for (int spins = 0; where[c] < 0; spins++) {
+        uint64_t w = atomic_load_explicit(&cr->claim, memory_order_relaxed);
+        if ((long)(w & 0xffff) == c * cr->chunk) {   /* not claimed yet */
+            if (take(cr, &w)) {
+                make_chunk(cr, w, 0);
+                where[c] = 0;
+            }
+        } else if (atomic_load_explicit(&cr->made, memory_order_acquire) > *claims) {
+            ++*claims;
+            where[c] = 1;
+        } else if (!wait) {
+            break;
+        } else if (take(cr, &w)) {             /* a later chunk meanwhile */
+            make_chunk(cr, w, 0);
+            where[(long)(w & 0xffff) / cr->chunk] = 0;
+        } else if (spins < PATIENCE) {
+            pause_hint();
+        } else {                               /* the helper is slow */
+            ++*claims;
+            make_chunk(cr, (w & ~(uint64_t)0xffff) | (uint64_t)(c * cr->chunk), 0);
+            where[c] = 0;
+        }
+    }
+    return where[c];
+}
+
+/* Prefetches the slot of image i of the batch, made on the given side. */
+static void prefetch_image(const struct scan *s, int side, long i)
+{
+#ifdef __GNUC__
+    const struct made *m = s->made + side * BATCH + i / 2;
+    if (!m->status)
+        __builtin_prefetch(s->slots + (m->hash[i % 2] & s->mask));
+#else
+    (void)s, (void)side, (void)i;
+#endif
+}
+
 /* Expands at most ``budget`` keys in discovery order: adds each one's
  * cylinders to the histogram and visits its T image (r, u r^-1), then
  * its S image (u^-1, r).  Returns a status from the enum above.
  *
- * Keys go in batches of at most BATCH that are already in the set: all
- * their images are made first, then visited in the order above, so that
- * the slot of each image can be prefetched a few images before its
- * visit.  A failure while making the images of key b still visits the
- * images before it first, so the first status in key order wins. */
+ * Keys go in batches of at most BATCH that are already in the set, and
+ * a batch in chunks: the images of a chunk are all made
+ * before any is visited, so that the slot of each image can be
+ * prefetched a few images before its visit.  A key whose images could
+ * not be made fails only once the images of the keys before it are
+ * visited, so the first status in key order wins. */
 int fl_scan_step(struct scan *s, long max_size, long budget)
 {
-    int d = s->d, k = s->k;
-    u8 inv[256], moved[256];
+    int d = s->d, k = s->k, st = 0, helping = 0, tried = 0;
+    unsigned long claims = 0;   /* chunks the helper has claimed, so far as known */
+    struct crew cr;
+    pthread_t helper;
     if (!s->t_next)
         return ST_TAIL;
-    while (budget > 0 && s->head < s->n) {
-        long batch = s->n - s->head, made = 0;
-        int st = 0;
+    cr.s = s;
+    cr.chunk = BATCH;
+    atomic_init(&cr.claim, 0);
+    atomic_init(&cr.made, 0);
+    while (!st && budget > 0 && s->head < s->n) {
+        long batch = s->n - s->head;
+        signed char where[BATCH / CHUNK];
+        memset(where, -1, sizeof where);
         if (batch > budget)
             batch = budget;
+        if (!tried && batch >= HELPER_MIN) {
+            tried = 1;
+            helping = start_helper(&cr, &helper);
+        }
         if (batch > BATCH)
             batch = BATCH;
-        for (long b = 0; b < batch; b++, made += 2) {
-            const u8 *r = s->keys + (s->head + b) * k, *u = r + d;
-            u8 *img = s->images + made * k;
-            if (cylinders(d, r, u, s->hist)) {
-                st = ST_AREA;
-                break;
-            }
-            for (int x = 0; x < d; x++)
-                inv[r[x]] = (u8)x;
-            for (int x = 0; x < d; x++)
-                moved[x] = u[inv[x]];
-            if (canonical(d, r, moved, img)) {
-                st = ST_DISCONNECTED;
-                break;
-            }
-            s->image_hash[made] = hash(img, k);
-            for (int x = 0; x < d; x++)
-                inv[u[x]] = (u8)x;
-            if (canonical(d, inv, r, img + k)) {
-                st = ST_DISCONNECTED;
-                made++;
-                break;
-            }
-            s->image_hash[made + 1] = hash(img + k, k);
-        }
-        for (long i = 0; i < made; i++) {
-#ifdef __GNUC__
-            if (i + AHEAD < made)
-                __builtin_prefetch(s->slots + (s->image_hash[i + AHEAD] & s->mask));
-#endif
-            long j = visit(s, s->images + i * k, s->image_hash[i], max_size);
-            if (j < 0)
-                return (int)j;
-            if (i & 1)
+        if (s->n + 2 * batch > s->room)
+            while (atomic_load_explicit(&cr.made, memory_order_acquire) != claims)
+                pause_hint();
+        if ((st = grow(s, 2 * batch)))
+            break;
+        atomic_store_explicit(&cr.claim, (uint64_t)s->head << 32 | (uint64_t)batch << 16,
+                              memory_order_release);
+        /* the slot of each image is prefetched AHEAD images before its
+         * visit, from the next chunk too once that is made */
+        for (long c = 0, chunk = cr.chunk; !st && c * chunk < batch; c++) {
+            long end = (c + 1) * chunk < batch ? (c + 1) * chunk : batch;
+            int side = locate(&cr, c, where, &claims, 1);
+            int next = end < batch ? locate(&cr, c + 1, where, &claims, 0) : -1;
+            long reach = next < 0 ? end : end + chunk < batch ? end + chunk : batch;
+            const u8 *images = s->images + side * BATCH * 2 * k;
+            const struct made *made = s->made + side * BATCH;
+            for (long i = 2 * c * chunk; i < 2 * c * chunk + AHEAD && i < 2 * end; i++)
+                prefetch_image(s, side, i);
+            for (long b = c * chunk; b < end; b++) {
+                if ((st = made[b].status))
+                    break;
+                for (int i = 0; side && i < made[b].cylinders; i++)
+                    s->hist[s->cells[b * d + i]]++;
+                for (int i = 0; i < 2; i++) {
+                    long ahead = 2 * b + i + AHEAD;
+                    if (ahead < 2 * reach)
+                        prefetch_image(s, ahead < 2 * end ? side : next, ahead);
+                    long j = visit(s, images + (2 * b + i) * k, made[b].hash[i], max_size);
+                    if (j < 0) {
+                        st = (int)j;
+                        break;
+                    }
+                    if (i == 0)
+                        s->t_next[s->head] = j;
+                }
+                if (st)
+                    break;
                 s->head++;
-            else
-                s->t_next[s->head] = j;
+            }
         }
-        if (st)
-            return st;
         budget -= batch;
     }
+    if (helping) {
+        atomic_store_explicit(&cr.claim, QUIT, memory_order_relaxed);
+        pthread_join(helper, NULL);
+    }
+    if (st)
+        return st;
     return s->head < s->n ? ST_MORE : ST_DONE;
 }
 

@@ -17,7 +17,19 @@ in two interchangeable ways:
   must match byte for byte.
 
 The compiled library is used whenever it builds and loads; any failure
-there falls back to Python for the life of the process.  A pair of
+there falls back to Python for the life of the process.
+
+The compiled closure expands its frontier in batches of up to 256 keys.
+On Linux, when the calling thread may run on more than one CPU and a step
+has at least 512 keys to expand, ``fl_scan_step`` starts one helper
+thread on the other CPUs, with every signal blocked, and joins it before
+it returns.  Both threads claim eight keys at a time from an atomic
+counter tagged with the batch, count their cylinders and make their
+canonical T and S images; the calling thread visits the images in
+discovery order.  When the chunk it needs next is still with the helper
+it makes an unclaimed one meanwhile, or, when none is left, soon makes
+that chunk itself.  With one CPU it claims each whole batch through the
+same loop; results are byte-identical either way.  A pair of
 0-based image sequences (r, u) of degree d <= 255 is packed as the 2d-byte
 key ``bytes(r) + bytes(u)``, whose lexicographic order is tuple order.
 """
@@ -39,7 +51,7 @@ from .errors import DisconnectedError, InputError, InternalCheckError, ResourceC
 MAX_DEGREE = 255
 
 _SOURCE = Path(__file__).with_name("_orbitcore.c")
-_FLAGS = ("-O2", "-shared", "-fPIC")
+_FLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 #: elements the compiled closure expands per call (about 15 ms), so that
 #: signal handlers (Ctrl-C, timers) run during long scans
 _STEP_BUDGET = 8192

@@ -9,10 +9,13 @@ skipped where it does not build.
 import itertools
 import math
 import os
+import pickle
 import shutil
 import signal
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -297,6 +300,76 @@ def test_compiled_scan_lets_signal_handlers_run():
     _raises_on_alarm(lambda: orbit_scan(origami(TEN_71)))
 
 
+def _threads_settle_at(count: int) -> bool:
+    """Whether /proc/self/task lists ``count`` threads within a second: a
+    joined thread can stay listed for a moment after the join returns,
+    until the kernel has finished its exit."""
+    deadline = time.monotonic() + 1
+    while len(os.listdir("/proc/self/task")) != count:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+def test_compiled_closure_joins_its_helper_thread():
+    # fl_scan_step joins its helper before it returns, also when a signal
+    # handler cuts the closure short between two steps
+    compiled_library()
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    before = len(os.listdir("/proc/self/task"))
+    orbit_scan(origami(TEN_71))
+    assert _threads_settle_at(before)
+    _raises_on_alarm(lambda: orbit_scan(origami(TEN_71)))
+    assert _threads_settle_at(before)
+
+
+def test_compiled_closure_is_the_same_on_one_cpu():
+    # a process pinned to one CPU closes the orbit without a helper thread
+    compiled_library()
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("only one CPU is usable")
+    script = (
+        "import os, pickle, sys\n"
+        "from flatlyap import kernel\n"
+        "from flatlyap.origami import Origami\n"
+        f"os.sched_setaffinity(0, {{{cpus[0]}}})\n"
+        f"o = Origami.from_text({TEN_3111!r})\n"
+        "closure = kernel.orbit_closure(o.right.zero_based(), o.up.zero_based(), 23328)\n"
+        "sys.stdout.write(pickle.dumps(closure).hex())\n"
+    )
+    proc = _run_with_src(script)
+    out = proc.communicate(timeout=120)[0]
+    assert proc.returncode == 0
+    o = origami(TEN_3111)
+    expected = kernel.orbit_closure(o.right.zero_based(), o.up.zero_based(), 23328)
+    assert pickle.loads(bytes.fromhex(out)) == expected
+
+
+def test_compiled_closures_agree_when_threads_outnumber_cpus():
+    # four closures at once from Python threads (ctypes releases the GIL),
+    # each step with its own helper: more threads than CPUs, so a helper
+    # can lose its CPU in the middle of a chunk its caller then makes itself
+    compiled_library()
+    o = origami(TEN_3111)
+    rz, uz = o.right.zero_based(), o.up.zero_based()
+    expected = kernel.orbit_closure(rz, uz, 23328)
+    results = [None] * 4
+
+    def close(i):
+        results[i] = kernel.orbit_closure(rz, uz, 23328)
+
+    threads = [threading.Thread(target=close, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 4
+
+
 GENUS_4 = [Stratum(p) for p in [(6,), (5, 1), (4, 2), (3, 3), (3, 2, 1), (2, 2, 2)]]
 
 
@@ -382,7 +455,7 @@ def test_c_source_compiles_without_warnings(tmp_path):
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler")
-    flags = ["-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-pedantic", "-Werror"]
+    flags = ["-O2", "-shared", "-fPIC", "-pthread", "-Wall", "-Wextra", "-pedantic", "-Werror"]
     done = subprocess.run(
         [cc, *flags, "-o", str(tmp_path / "core.so"), str(kernel._SOURCE)],
         capture_output=True, text=True, timeout=120,
@@ -480,11 +553,33 @@ int main(void)
 """
 
 
-def test_c_source_runs_clean_under_sanitizers(tmp_path):
+# 18 keys in 5 cusps; a second cusp walk and a later step find no T map
+# (ST_TAIL); the cap stops at 10 keys (ST_CAP); TEN_3111 closes with 23,328
+# keys in 2,616 cusps whose widths add up to the size, sorted, with the
+# least key found, and its cap stops one key short; 27 and 24 classes
+_SANITIZER_STDOUT = [
+    "18 5 -6 -6", "-1 10", "0 23328 2616 23328 1 1", "-1 23327", "27 24", ""
+]
+
+# creates and joins one thread
+_THREADED_PROGRAM = r"""
+#include <pthread.h>
+static void *run(void *arg) { return arg; }
+int main(void)
+{
+    pthread_t t;
+    return pthread_create(&t, 0, run, 0) || pthread_join(t, 0);
+}
+"""
+
+
+def _run_under_sanitizer(tmp_path, sanitizer: str, probe: str):
+    """The sanitizer driver's run, built with -fsanitize=``sanitizer``;
+    skips unless cc builds and runs ``probe`` with the same flags."""
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler")
-    flags = ["-g", "-O1", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+    flags = ["-g", "-O1", f"-fsanitize={sanitizer}", "-fno-sanitize-recover=all", "-pthread"]
 
     def build_and_run(source: str, *extra):
         (tmp_path / "driver.c").write_text(source)
@@ -498,15 +593,21 @@ def test_c_source_runs_clean_under_sanitizers(tmp_path):
             [str(tmp_path / "driver")], capture_output=True, text=True, timeout=120
         )
 
-    if build_and_run("int main(void) { return 0; }\n").returncode != 0:
-        pytest.skip("cc has no working sanitizer runtime")
-    done = build_and_run(_SANITIZER_DRIVER, str(kernel._SOURCE))
+    if build_and_run(probe).returncode != 0:
+        pytest.skip(f"cc has no working {sanitizer} sanitizer runtime")
+    return build_and_run(_SANITIZER_DRIVER, str(kernel._SOURCE))
+
+
+def test_c_source_runs_clean_under_sanitizers(tmp_path):
+    done = _run_under_sanitizer(tmp_path, "address,undefined", "int main(void) { return 0; }\n")
     assert done.returncode == 0, done.stderr
-    # 18 keys in 5 cusps; a second cusp walk and a later step find no T
-    # map (ST_TAIL); the cap stops at 10 keys (ST_CAP); TEN_3111 closes
-    # with 23,328 keys in 2,616 cusps whose widths add up to the size,
-    # sorted, with the least key found, and its cap stops one key short;
-    # 27 and 24 classes
-    assert done.stdout.split("\n") == [
-        "18 5 -6 -6", "-1 10", "0 23328 2616 23328 1 1", "-1 23327", "27 24", ""
-    ]
+    assert done.stdout.split("\n") == _SANITIZER_STDOUT
+
+
+def test_c_source_runs_clean_under_thread_sanitizer(tmp_path):
+    # the 23,328-key closure and its cap run with the helper thread of
+    # fl_scan_step wherever more than one CPU is usable
+    done = _run_under_sanitizer(tmp_path, "thread", _THREADED_PROGRAM)
+    assert done.returncode == 0, done.stderr
+    assert "ThreadSanitizer" not in done.stderr, done.stderr
+    assert done.stdout.split("\n") == _SANITIZER_STDOUT
