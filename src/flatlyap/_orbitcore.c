@@ -168,10 +168,12 @@ struct scan {
     long n, head;       /* keys found, keys expanded */
     long room;          /* keys the arrays hold */
     u8 *keys;           /* n keys in discovery order */
-    long *t_next;       /* index of the T image of each expanded key */
+    long *t_next;       /* index of the T image of each expanded key;
+                         * closures only, NULL in a scan's key sets */
     uint32_t *slots;    /* open addressing: key index + 1, 0 when free */
     size_t mask;        /* slot count - 1, a power of two less one */
-    long *hist;         /* (d + 1)^2 cylinder counts, by w * (d + 1) + h */
+    long *hist;         /* closures only: (d + 1)^2 cylinder counts, by
+                         * w * (d + 1) + h */
     long *cusps;        /* fl_scan_cusps: width, least key index per T-cycle */
     long least;         /* fl_scan_cusps: index of the least key */
     /* fl_scan_step: what expand() made of the keys of a batch, on two
@@ -203,8 +205,8 @@ static size_t hash(const u8 *key, int k)
     return (size_t)(h ^ (h >> 29));
 }
 
-/* Room for ``extra`` more keys in the key arrays, doubling them as often
- * as needed; 0 or ST_NOMEM. */
+/* Room for ``extra`` more keys in the key arrays (keys, and t_next when
+ * there is one), doubling them as often as needed; 0 or ST_NOMEM. */
 static int grow(struct scan *s, long extra)
 {
     long room = s->room;
@@ -216,10 +218,12 @@ static int grow(struct scan *s, long extra)
     if (!keys)
         return ST_NOMEM;
     s->keys = keys;
-    long *t_next = realloc(s->t_next, (size_t)room * sizeof(long));
-    if (!t_next)
-        return ST_NOMEM;
-    s->t_next = t_next;
+    if (s->t_next) {
+        long *t_next = realloc(s->t_next, (size_t)room * sizeof(long));
+        if (!t_next)
+            return ST_NOMEM;
+        s->t_next = t_next;
+    }
     s->room = room;
     return 0;
 }
@@ -271,7 +275,8 @@ static long visit(struct scan *s, const u8 *key, size_t h, long max_size)
     if (s->n >= max_size)
         return ST_CAP;
     memcpy(s->keys + s->n * s->k, key, (size_t)s->k);
-    s->t_next[s->n] = -1;
+    if (s->t_next)
+        s->t_next[s->n] = -1;
     s->slots[i] = (uint32_t)(s->n + 1);
     return s->n++;
 }
@@ -291,7 +296,8 @@ void fl_scan_free(struct scan *s)
     free(s);
 }
 
-/* An empty key set of degree d; NULL when out of memory. */
+/* An empty key set of degree d, without the closure's arrays; NULL when
+ * out of memory. */
 static struct scan *scan_alloc(int d)
 {
     struct scan *s = calloc(1, sizeof *s);
@@ -302,10 +308,8 @@ static struct scan *scan_alloc(int d)
     s->room = 1024;
     s->mask = 2047;
     s->keys = malloc((size_t)s->room * (size_t)s->k);
-    s->t_next = malloc((size_t)s->room * sizeof(long));
     s->slots = calloc(s->mask + 1, sizeof(uint32_t));
-    s->hist = calloc((size_t)(d + 1) * (size_t)(d + 1), sizeof(long));
-    if (!s->keys || !s->t_next || !s->slots || !s->hist) {
+    if (!s->keys || !s->slots) {
         fl_scan_free(s);
         return NULL;
     }
@@ -319,10 +323,12 @@ struct scan *fl_scan_new(int d, const u8 *start)
     struct scan *s = scan_alloc(d);
     if (!s)
         return NULL;
+    s->t_next = malloc((size_t)s->room * sizeof(long));
+    s->hist = calloc((size_t)(d + 1) * (size_t)(d + 1), sizeof(long));
     s->images = malloc(2 * BATCH * 2 * (size_t)s->k);
     s->cells = malloc(BATCH * (size_t)d * sizeof *s->cells);
     s->made = malloc(2 * BATCH * sizeof *s->made);
-    if (!s->images || !s->cells || !s->made) {
+    if (!s->t_next || !s->hist || !s->images || !s->cells || !s->made) {
         fl_scan_free(s);
         return NULL;
     }

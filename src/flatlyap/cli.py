@@ -38,8 +38,12 @@ EXIT_CAP = 3
 
 def _read_origami(text: str) -> Origami:
     if os.path.exists(text):
-        with open(text) as fh:
-            return Origami.from_json(json.load(fh))
+        try:
+            with open(text) as fh:
+                text = fh.read()
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read origami file {text!r}: {exc}") from None
+        return Origami.from_json(text)
     if text.lstrip().startswith("{"):
         return Origami.from_json(text)
     return Origami.from_text(text)
@@ -206,12 +210,8 @@ def cmd_slope_solve(args) -> int:
         c = L - kappa(s)
         payload["divisor"] = "spin"
     else:
-        if args.divisor == "logan":
-            if not args.weights:
-                raise InputError("--divisor logan needs --weights")
-            D = moduli.logan_divisor(s.genus, args.weights)
-        elif args.divisor:
-            D = moduli.catalog_divisor(args.divisor, s.genus)
+        if args.divisor:
+            D = moduli.catalog_divisor(args.divisor, s.genus, args.weights or ())
         elif args.lam is not None:
             D = moduli.DivisorClass(args.lam, args.omega, args.delta0)
         else:

@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InputError, InternalCheckError
-from .kernel import invert
+from .kernel import corner_walk, invert
 from .origami import Origami
 from .permutation import Permutation
 
@@ -70,11 +70,12 @@ def hyperelliptic_involution(o: Origami) -> Involution | None:
         raise InputError("hyperelliptic involution search needs genus >= 2")
     target = 2 * s.genus + 2
     moves = _moves(o)
+    vertex_of, _ = corner_walk(moves[E], moves[N])
     for seed in range(o.degree):
         sigma = _propagate_involution(moves, seed)
         if sigma is None:
             continue
-        count = _flat_fixed_points(moves, sigma)
+        count = _flat_fixed_points(moves, sigma, vertex_of)
         if count == target:
             return Involution(
                 sigma=Permutation(tuple(x + 1 for x in sigma)),
@@ -108,13 +109,13 @@ def _propagate_involution(moves, seed):
     return sigma
 
 
-def _flat_fixed_points(moves, sigma) -> int:
+def _flat_fixed_points(moves, sigma, vertex_of) -> int:
     """Fixed points of the induced rotation-by-pi involution.
 
     Square centers: sigma(i) = i.  The right-edge midpoint of square i is
     fixed iff the edge maps to itself reversed, i.e. sigma(i) = r(i);
-    top-edge midpoints likewise with u.  Vertices are the cycles of the
-    corner walk phi = u r u^-1 r^-1 on lower-left corner slots; the
+    top-edge midpoints likewise with u.  ``vertex_of`` maps each
+    lower-left corner slot to its vertex (``kernel.corner_walk``); the
     involution sends the vertex holding slot i to the one holding slot
     u(r(sigma(i))).
     """
@@ -124,7 +125,6 @@ def _flat_fixed_points(moves, sigma) -> int:
     count += sum(1 for i in range(d) if sigma[i] == rz[i])
     count += sum(1 for i in range(d) if sigma[i] == uz[i])
 
-    vertex_of, _ = _corner_walk(moves)
     image_of_vertex = {}
     for i in range(d):
         v = vertex_of[i]
@@ -133,29 +133,6 @@ def _flat_fixed_points(moves, sigma) -> int:
             raise InternalCheckError("involution does not permute vertices")
     count += sum(1 for v, w in image_of_vertex.items() if v == w)
     return count
-
-
-def _corner_walk(moves) -> tuple[list[int], list[int]]:
-    """Vertices as the cycles of phi = u r u^-1 r^-1 on lower-left corner
-    slots: the vertex holding each slot, and the slot count of each vertex."""
-    rz, uz, rinv, uinv = moves
-    d = len(rz)
-    vertex_of = [-1] * d
-    sizes = []
-    for start in range(d):
-        if vertex_of[start] >= 0:
-            continue
-        idx = len(sizes)
-        size = 0
-        x = start
-        while vertex_of[x] < 0:
-            vertex_of[x] = idx
-            size += 1
-            x = uz[rz[uinv[rinv[x]]]]
-        if vertex_of[x] != idx:
-            raise InternalCheckError("corner walk left its own cycle")
-        sizes.append(size)
-    return vertex_of, sizes
 
 
 # -- spin parity -------------------------------------------------------------
@@ -462,13 +439,13 @@ def _zeros_exchanged(o: Origami, sigma) -> bool:
     map on vertices sends the vertex holding lower-left slot i to the
     one holding u(r(sigma(i))).
     """
-    moves = _moves(o)
-    vertex_of, sizes = _corner_walk(moves)
+    rz, uz = o.right.zero_based(), o.up.zero_based()
+    vertex_of, sizes = corner_walk(rz, uz)
     zeros = [v for v, size in enumerate(sizes) if size >= 2]
     if len(zeros) != 2:
         raise InternalCheckError("expected exactly two cone points")
     slot = vertex_of.index(zeros[0])
-    return vertex_of[moves[N][moves[E][sigma[slot]]]] == zeros[1]
+    return vertex_of[uz[rz[sigma[slot]]]] == zeros[1]
 
 
 def in_hyperelliptic_component(o: Origami, inv: Involution | None = None) -> bool:

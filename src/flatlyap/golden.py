@@ -86,21 +86,14 @@ def load_golden(path=None) -> list[GoldenCheck]:
     return checks
 
 
-def _marks(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",") if t)
+def _marks(check: GoldenCheck, key: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in check.fields.get(key, "").split(",") if t)
 
 
 def _origami(check: GoldenCheck) -> Origami:
     return Origami.from_text(
         f"r={check.get('r')}; u={check.get('u')}; d={check.get('d')}"
     )
-
-
-def _divisor(check: GoldenCheck, g: int) -> moduli.DivisorClass:
-    name = check.get("divisor")
-    if name == "logan":
-        return moduli.logan_divisor(g, _marks(check.get("weights")))
-    return moduli.catalog_divisor(name, g)
 
 
 def run_check(
@@ -129,16 +122,18 @@ def _check_slope(check, cache):
         slope = moduli.spin_slope(s.genus)
         L = moduli.L_from_slope(s, slope)
     else:
-        ms = moduli.MarkedStratum(s, _marks(check.fields.get("marks", "")))
-        slope, L, _ = moduli.slope_from_disjoint_divisor(ms, _divisor(check, s.genus))
+        ms = moduli.MarkedStratum(s, _marks(check, "marks"))
+        D = moduli.catalog_divisor(check.get("divisor"), s.genus, _marks(check, "weights"))
+        slope, L, _ = moduli.slope_from_disjoint_divisor(ms, D)
     actual = f"s={format_rational(slope)} L={format_rational(L)}"
     return _result(check, expected, actual)
 
 
 def _check_bound(check, cache):
     s = Stratum.parse(check.get("stratum"))
-    ms = moduli.MarkedStratum(s, _marks(check.fields.get("marks", "")))
-    _, L = moduli.slope_bound(ms, _divisor(check, s.genus))
+    ms = moduli.MarkedStratum(s, _marks(check, "marks"))
+    D = moduli.catalog_divisor(check.get("divisor"), s.genus, _marks(check, "weights"))
+    _, L = moduli.slope_bound(ms, D)
     stated = Fraction(check.get("L_max"))
     computed = Fraction(check.get("computed")) if "computed" in check.fields else stated
     ok = L == computed and L <= stated

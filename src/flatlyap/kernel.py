@@ -1,5 +1,6 @@
 """The orbit core: canonical forms, T/S images, the orbit closure with
-its cusps, and the exhaustive scan.
+its cusps, and the exhaustive scan; and the horizontal cylinders and the
+vertices (``corner_walk``, which gives the stratum) of one pair.
 
 Every origami in an orbit search passes through three steps: the
 canonical form of a permutation pair under simultaneous relabelling, its
@@ -226,7 +227,7 @@ def invert(p) -> list[int]:
     return inv
 
 
-# -- horizontal cylinders ----------------------------------------------------
+# -- horizontal cylinders and vertices ---------------------------------------
 
 def cylinders(rz, uz) -> tuple[tuple[int, int], ...]:
     """(width, height) of every horizontal cylinder, widest first; see
@@ -283,6 +284,28 @@ def cylinders(rz, uz) -> tuple[tuple[int, int], ...]:
     if sum(w * h for w, h in found) != d:
         raise InternalCheckError("cylinder areas do not add up to the degree")
     return tuple(sorted(found, reverse=True))
+
+
+def corner_walk(rz, uz) -> tuple[list[int], list[int]]:
+    """The vertices of the pair of 0-based image sequences (rz, uz): the
+    cycles of phi = u r u^-1 r^-1, a conjugate of the commutator
+    u^-1 r^-1 u r, on lower-left corner slots.  Returns the vertex holding
+    each slot and the slot count of each vertex; a vertex of k >= 2 slots
+    is a zero of order k - 1."""
+    d = len(rz)
+    rinv, uinv = invert(rz), invert(uz)
+    vertex_of, sizes = [-1] * d, []
+    for start in range(d):
+        if vertex_of[start] < 0:
+            x, size = start, 0
+            while vertex_of[x] < 0:
+                vertex_of[x] = len(sizes)
+                x = uz[rz[uinv[rinv[x]]]]
+                size += 1
+            if x != start:
+                raise InternalCheckError("corner walk left its own cycle")
+            sizes.append(size)
+    return vertex_of, sizes
 
 
 # -- orbit closure -----------------------------------------------------------

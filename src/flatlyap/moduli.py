@@ -206,14 +206,19 @@ _CATALOG: dict[str, dict[int, DivisorClass]] = {
 }
 
 
-def catalog_divisor(name: str, g: int) -> DivisorClass:
+def catalog_divisor(name: str, g: int, weights: Sequence[int] = ()) -> DivisorClass:
     """Look up a named class at the genus it is defined for.
 
-    D1 and D2 exist for every genus:
+    ``logan`` is ``logan_divisor(g, weights)`` and needs the weights;
+    every other name ignores them.  D1 and D2 exist for every genus:
     D1 = 4g(g-1) omega_rel - 12 lambda + delta,
     D2 = (g^2-1)(psi_1 + psi_2) - 12 lambda + delta,
     with delta carried on the delta_0 slot.
     """
+    if name == "logan":
+        if not weights:
+            raise InputError("divisor logan needs weights")
+        return logan_divisor(g, weights)
     if name == "D1":
         if g < 2:
             raise InputError("D1 needs genus >= 2")

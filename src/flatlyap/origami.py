@@ -5,20 +5,23 @@ An origami on d squares is a pair ``(right, up)`` of permutations of
 ``up(i)`` the square glued to its top edge.  The pair must act
 transitively for the surface to be connected.
 
-The cone points of the flat metric are read off the commutator
-``up^-1 * right^-1 * up * right``: a commutator cycle of length l >= 2
-is a zero of order l - 1 of the induced one-form, which yields the
-stratum and the genus.
+The cone points of the flat metric are the vertices that
+``kernel.corner_walk`` finds as the cycles of ``up * right * up^-1 *
+right^-1``, a conjugate of the commutator ``up^-1 * right^-1 * up *
+right``: a vertex of k >= 2 corner slots is a zero of order k - 1 of the
+induced one-form, which yields the stratum and the genus.
 """
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import DisconnectedError, InputError, InternalCheckError
+from .kernel import corner_walk
 from .permutation import Permutation, canonical_form, compose, is_transitive
 
 
@@ -137,12 +140,11 @@ class Origami:
 
     @classmethod
     def from_json(cls, data) -> "Origami":
-        if isinstance(data, str):
-            data = json.loads(data)
         try:
-            degree = int(data["degree"])
-            right = data["right"]
-            up = data["up"]
+            if isinstance(data, str):
+                data = json.loads(data)
+            degree = operator.index(data["degree"])
+            right, up = list(data["right"]), list(data["up"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad origami JSON: {exc}") from None
         if len(right) != degree or len(up) != degree:
@@ -219,11 +221,10 @@ class Origami:
         """The stratum, computed on the first call and kept."""
         if self._stratum is None:
             self.validate()
-            ctype = self.commutator().cycle_type()
-            orders = tuple(l - 1 for l in ctype if l >= 2)
-            s = Stratum(orders)
-            # Euler characteristic cross-check: #cycles(commutator) - d = 2 - 2g.
-            if len(ctype) - self.degree != 2 - 2 * s.genus:
+            _, sizes = corner_walk(self._right.zero_based(), self._up.zero_based())
+            s = Stratum(k - 1 for k in sizes if k >= 2)
+            # Euler characteristic cross-check: #vertices - d = 2 - 2g.
+            if len(sizes) - self.degree != 2 - 2 * s.genus:
                 raise InternalCheckError("genus computations disagree")
             self._stratum = s
         return self._stratum

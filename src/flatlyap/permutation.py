@@ -11,6 +11,7 @@ what makes hash-based orbit enumeration possible.
 """
 from __future__ import annotations
 
+import operator
 import re
 from math import lcm
 from typing import Sequence
@@ -19,6 +20,7 @@ from .errors import InputError
 from .kernel import canonical_key, invert
 
 _TOKEN = re.compile(r"\d+")
+_ONE_LINE = re.compile(r"\s*(\d+(\s*[,\s]\s*\d+)*\s*)?")
 
 
 class Permutation:
@@ -34,7 +36,10 @@ class Permutation:
     __slots__ = ("_images",)
 
     def __init__(self, images: Sequence[int]):
-        images = tuple(int(x) for x in images)
+        try:
+            images = tuple(map(operator.index, images))
+        except TypeError as exc:
+            raise InputError(f"images must be integers: {exc}") from None
         d = len(images)
         seen = [False] * d
         for x in images:
@@ -65,7 +70,10 @@ class Permutation:
 
     @classmethod
     def from_one_line(cls, text: str, degree: int | None = None) -> "Permutation":
-        """Parse the one-line image format, e.g. ``"2 3 4 1 5"``."""
+        """Parse the one-line image format, e.g. ``"2 3 4 1 5"`` or
+        ``"2,3,4,1,5"``: positive integers separated by spaces or commas."""
+        if not _ONE_LINE.fullmatch(text):
+            raise InputError(f"malformed one-line images: {text!r}")
         images = [int(t) for t in _TOKEN.findall(text)]
         if degree is not None and len(images) != degree:
             raise InputError(f"expected {degree} images, got {len(images)}")

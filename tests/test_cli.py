@@ -300,6 +300,29 @@ def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
     ],
 )
 def test_malformed_numbers_are_input_errors(argv):
+    _assert_input_error(argv)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"degree": 2, "right": 5, "up": [1,2]}',
+        '{"degree": 2, "right": ["a", 2], "up": [1,2]}',
+        '{"degree": 2, ',
+        '{"degree": 2, "right": [1.5, 2], "up": [2,1]}',
+        "r=2 3 1; u=1 -2 3; d=3",
+        "r=2 3 1; u=1 2x 3; d=3",
+        "bad.json",
+        ".",
+    ],
+)
+def test_malformed_origamis_are_input_errors(tmp_path, text):
+    # "bad.json" is a file that does not parse, "." a directory
+    (tmp_path / "bad.json").write_text('{"degree": 2, ')
+    _assert_input_error(("stratum", text), cwd=tmp_path)
+
+
+def _assert_input_error(argv, cwd=None):
     # a separate interpreter, so that an escaping exception shows as the
     # traceback and exit code 1 a user would see
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -307,8 +330,8 @@ def test_malformed_numbers_are_input_errors(argv):
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
         [sys.executable, "-m", "flatlyap.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 2
-    assert "error" in done.stderr
+    assert "error:" in done.stderr
     assert "Traceback" not in done.stderr

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from flatlyap import components, permutation
+from flatlyap import origami as origami_module
 from flatlyap.components import (
     E,
     N,
@@ -277,19 +279,34 @@ def test_label_fig1():
 )
 def test_label_computes_the_stratum_once(monkeypatch, text):
     # the involution search, the spin parity and the hyperelliptic
-    # component test all need the stratum; it is computed, from the
-    # commutator, once per origami
+    # component test all need the stratum; one corner walk gives it, once
+    # per origami.  The involution search walks once however many seeds
+    # propagate (two do for the (2,2) case), and the zero-exchange test
+    # once when it runs.  No step builds the commutator.
     o = origami(text)
-    calls = []
-    commutator = Origami.commutator
+    walks = []
+    for module in (origami_module, components):
+        walk = module.corner_walk
 
-    def counted(self):
-        calls.append(self)
-        return commutator(self)
+        def counted(rz, uz, walk=walk, name=module.__name__):
+            walks.append(name)
+            return walk(rz, uz)
 
-    monkeypatch.setattr(Origami, "commutator", counted)
-    component_label(o)
-    assert calls == [o]
+        monkeypatch.setattr(module, "corner_walk", counted)
+
+    def forbidden(*args):
+        raise AssertionError("the label built a commutator")
+
+    monkeypatch.setattr(Origami, "commutator", forbidden)
+    monkeypatch.setattr(origami_module, "compose", forbidden)
+    monkeypatch.setattr(permutation, "compose", forbidden)
+    label = component_label(o)
+    orders = o.stratum().orders
+    exchange_tested = (
+        label.involution is not None and len(orders) == 2 and orders[0] == orders[1]
+    )
+    assert walks.count("flatlyap.origami") == 1
+    assert walks.count("flatlyap.components") == 1 + exchange_tested
 
 
 def test_label_ten_odd_even():

@@ -467,8 +467,9 @@ def test_c_source_compiles_without_warnings(tmp_path):
 # them, the same closure capped at 10 keys; TEN_3111 closed in steps of
 # 1000 keys, so that batches split across calls, with its cusps checked
 # to be sorted and its least key to be the least, and capped one key
-# short, in the middle of a batch; and one degree-5 scan for the
-# commutator types of H(2) and H(1,1), with every object freed
+# short, in the middle of a batch; one degree-5 scan for the commutator
+# types of H(2) and H(1,1); and one degree-8 scan for H(3,1), whose key
+# set outgrows its first 1,024 keys; with every object freed
 _SANITIZER_DRIVER = r"""
 #include <stdio.h>
 #include <string.h>
@@ -489,6 +490,23 @@ struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
 int fl_enum_step(struct enumeration *e, long budget);
 const struct scan *fl_enum_set(const struct enumeration *e, int t);
 void fl_enum_free(struct enumeration *e);
+
+/* appends to rights, 8 bytes each, one permutation of 8 symbols per
+ * partition of ``left`` into parts of at most ``most``, as consecutive
+ * cycles after the first ``start`` symbols of images; returns the count */
+static int partitions(int left, int most, int start, u8 *images, u8 *rights, int n)
+{
+    if (!left) {
+        memcpy(rights + 8 * n, images, 8);
+        return n + 1;
+    }
+    for (int len = left < most ? left : most; len >= 1; len--) {
+        for (int x = 0; x < len; x++)
+            images[start + x] = (u8)(start + (x + 1) % len);
+        n = partitions(left - len, len, start + len, images, rights, n);
+    }
+    return n;
+}
 
 int main(void)
 {
@@ -548,6 +566,14 @@ int main(void)
         ;
     printf("%ld %ld\n", fl_scan_size(fl_enum_set(e, 0)), fl_scan_size(fl_enum_set(e, 1)));
     fl_enum_free(e);
+
+    u8 images8[8], rights8[22 * 8];
+    const u8 target8[] = {0, 2, 1, 0, 1, 0, 0, 0, 0};
+    e = fl_enum_new(8, partitions(8, 8, 0, images8, rights8, 0), rights8, 1, target8);
+    while (fl_enum_step(e, 4096) == 1)
+        ;
+    printf("%ld\n", fl_scan_size(fl_enum_set(e, 0)));
+    fl_enum_free(e);
     return 0;
 }
 """
@@ -556,9 +582,10 @@ int main(void)
 # 18 keys in 5 cusps; a second cusp walk and a later step find no T map
 # (ST_TAIL); the cap stops at 10 keys (ST_CAP); TEN_3111 closes with 23,328
 # keys in 2,616 cusps whose widths add up to the size, sorted, with the
-# least key found, and its cap stops one key short; 27 and 24 classes
+# least key found, and its cap stops one key short; 27 and 24 classes;
+# 4,032 classes of H(3,1) at d=8
 _SANITIZER_STDOUT = [
-    "18 5 -6 -6", "-1 10", "0 23328 2616 23328 1 1", "-1 23327", "27 24", ""
+    "18 5 -6 -6", "-1 10", "0 23328 2616 23328 1 1", "-1 23327", "27 24", "4032", ""
 ]
 
 # creates and joins one thread

@@ -163,6 +163,12 @@ def test_catalog_errors():
         catalog_divisor("nothere", 3)
     with pytest.raises(InputError):
         catalog_divisor("H", 4)
+    with pytest.raises(InputError):
+        catalog_divisor("logan", 3)  # logan needs weights
+
+
+def test_catalog_builds_logan():
+    assert catalog_divisor("logan", 4, (1, 1, 2)) == logan_divisor(4, (1, 1, 2))
 
 
 def test_slope_only_for_unmarked():
@@ -200,32 +206,27 @@ def test_marked_stratum_validation():
 # -- the slope solver ---------------------------------------------------------------------------
 
 SOLVER_CASES = [
-    # stratum, marks, divisor, expected slope, expected L
-    ((4,), (), ("H", 3), F(9), F(8, 5)),
-    ((3, 1), (), ("H", 3), F(9), F(7, 4)),
+    # stratum, marks, (divisor name, weights), expected slope, expected L
+    ((4,), (), ("H", ()), F(9), F(8, 5)),
+    ((3, 1), (), ("H", ()), F(9), F(7, 4)),
     ((2, 1, 1), (1, 2), ("logan", (1, 2)), F(98, 11), F(11, 6)),
-    ((6,), (1,), ("Theta", 4), F(60, 7), F(2)),
-    ((6,), (1,), ("BN1_3_(2)", 4), F(108, 13), F(13, 7)),
-    ((5, 1), (1,), ("BN1_3_(2)", 4), F(25, 3), F(2)),
-    ((3, 3), (1, 2), ("Lin1_3", 4), F(33, 4), F(2)),
+    ((6,), (1,), ("Theta", ()), F(60, 7), F(2)),
+    ((6,), (1,), ("BN1_3_(2)", ()), F(108, 13), F(13, 7)),
+    ((5, 1), (1,), ("BN1_3_(2)", ()), F(25, 3), F(2)),
+    ((3, 3), (1, 2), ("Lin1_3", ()), F(33, 4), F(2)),
     ((3, 2, 1), (1, 2, 3), ("logan", (1, 1, 2)), F(41, 5), F(25, 12)),
-    ((8,), (), ("BN1_3", 5), F(8), F(20, 9)),
-    ((8,), (1,), ("Nfold1", 5), F(148, 19), F(19, 9)),
-    ((5, 3), (1, 2), ("Nfold2", 5), F(209, 27), F(9, 4)),
+    ((8,), (), ("BN1_3", ()), F(8), F(20, 9)),
+    ((8,), (1,), ("Nfold1", ()), F(148, 19), F(19, 9)),
+    ((5, 3), (1, 2), ("Nfold2", ()), F(209, 27), F(9, 4)),
 ]
-
-
-def _build(stratum, divisor_spec):
-    name, arg = divisor_spec
-    if name == "logan":
-        return logan_divisor(Stratum(stratum).genus, arg)
-    return catalog_divisor(name, arg)
 
 
 @pytest.mark.parametrize("stratum,marks,divisor,slope,L", SOLVER_CASES)
 def test_slope_solver(stratum, marks, divisor, slope, L):
     ms = MarkedStratum(Stratum(stratum), marks)
-    got_s, got_L, got_c = slope_from_disjoint_divisor(ms, _build(stratum, divisor))
+    name, weights = divisor
+    D = catalog_divisor(name, Stratum(stratum).genus, weights)
+    got_s, got_L, got_c = slope_from_disjoint_divisor(ms, D)
     assert got_s == slope
     assert got_L == L
     assert got_c == L - kappa(Stratum(stratum))
@@ -283,8 +284,8 @@ def test_solver_mark_count_mismatch():
 
 
 BOUND_CASES = [
-    ((1, 1, 1, 1), (), ("H", 3), F(2)),
-    ((2, 2, 2), (), ("GP", 4), F(16, 7)),
+    ((1, 1, 1, 1), (), ("H", ()), F(2)),
+    ((2, 2, 2), (), ("GP", ()), F(16, 7)),
     ((4, 1, 1), (1, 2), ("logan", (2, 2)), F(21, 10)),
     ((2, 2, 1, 1), (1, 2, 3), ("logan", (1, 1, 2)), F(13, 6)),
     ((2, 1, 1, 1, 1), (1, 2, 3), ("logan", (1, 2, 1)), F(7, 3)),
@@ -296,7 +297,8 @@ BOUND_CASES = [
 @pytest.mark.parametrize("stratum,marks,divisor,bound", BOUND_CASES)
 def test_slope_bounds(stratum, marks, divisor, bound):
     ms = MarkedStratum(Stratum(stratum), marks)
-    _, L_max = slope_bound(ms, _build(stratum, divisor))
+    name, weights = divisor
+    _, L_max = slope_bound(ms, catalog_divisor(name, Stratum(stratum).genus, weights))
     assert L_max == bound
 
 

@@ -133,8 +133,10 @@ def test_euler_count_on_random_pairs():
         found += 1
         o = Origami(r, u)
         s = o.stratum()
-        cycles = len(o.commutator().cycles())
-        assert cycles - d == 2 - 2 * s.genus
+        ctype = cycle_type(o.commutator())
+        assert len(ctype) - d == 2 - 2 * s.genus
+        # the corner walk's vertices are the commutator's cycles
+        assert s.orders == tuple(l - 1 for l in ctype if l >= 2)
 
 
 # -- stratum type ---------------------------------------------------------------------

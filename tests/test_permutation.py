@@ -66,8 +66,21 @@ def test_parse_rejects_garbage():
 
 def test_one_line_format():
     assert Permutation.from_one_line("2 3 4 1 5").images == (2, 3, 4, 1, 5)
+    assert Permutation.from_one_line(" 2, 3 ,1 ").images == (2, 3, 1)
     with pytest.raises(InputError):
         Permutation.from_one_line("2 3 1", 4)
+
+
+@pytest.mark.parametrize("text", ["1 -2 3", "1 2x 3", "1,,2", "1.0 2", "(1 2)"])
+def test_one_line_format_takes_only_positive_integers(text):
+    with pytest.raises(InputError):
+        Permutation.from_one_line(text)
+
+
+@pytest.mark.parametrize("images", [[1.5, 2], ["2", "1"], [None], 5])
+def test_images_must_be_integers(images):
+    with pytest.raises(InputError):
+        Permutation(images)
 
 
 def test_single_digit_glued_cycles():
