@@ -204,6 +204,8 @@ def cmd_slope_solve(args) -> int:
     s = args.stratum
     ms = moduli.MarkedStratum(s, args.marks)
     payload = {"stratum": list(s.orders), "marks": list(args.marks)}
+    if args.weights and args.divisor in (None, "", "spin"):
+        raise InputError("--weights goes with --divisor logan only")
     if args.divisor == "spin":
         slope = moduli.spin_slope(s.genus)
         L = moduli.L_from_slope(s, slope)

@@ -12,13 +12,12 @@ Three ingredients, all combinatorial:
 * spin parity: for strata with all zero orders even, the parity is the
   Arf invariant of the quadratic form q(gamma) = ind(gamma) + 1 (mod 2)
   on H_1(X; Z/2), where ind is the degree of the Gauss map in the flat
-  trivialization.  Homology classes are realized as closed paths through
-  square centers; for an immersed representative drawn this way,
-  q = turning number + 1 + number of transverse self-crossings (mod 2),
-  which is invariant under regular homotopy moves and extends the
-  simple-curve formula.  One joint drawing of all the fundamental cycles
-  gives both their mod-2 intersection (Gram) matrix and their
-  self-crossings.
+  trivialization.  The d + 1 non-tree edges of a spanning tree of the
+  squares close d + 1 simple cycles through square centers, which span
+  H_1.  A simple cycle has q = turning number + 1; two cycles meet only
+  in squares both pass through, so the Gram rows come from a table of
+  which strands cross in one square.  A symplectic reduction of those
+  rows gives the Arf invariant.
 
 * the component label combines both with the classification of strata
   components (hyperelliptic / even / odd / nonhyperelliptic / connected).
@@ -37,7 +36,6 @@ from .permutation import Permutation
 # gluing, N/S the up one
 E, N, W, S = 0, 1, 2, 3
 _OPPOSITE = (W, S, E, N)
-_LEFT_TURN = {(E, N), (N, W), (W, S), (S, E)}
 
 
 def _moves(o: Origami) -> tuple:
@@ -63,7 +61,9 @@ def hyperelliptic_involution(o: Origami) -> Involution | None:
     Candidates are propagated from sigma(1) = j over the move graph via
     sigma(r(i)) = r^-1(sigma(i)) and sigma(u(i)) = u^-1(sigma(i)); the
     smallest seed j that yields a consistent involution with exactly
-    2g + 2 fixed points wins.
+    2g + 2 fixed points wins.  sigma maps the r-cycle of 1 onto an r-cycle
+    of the same length, and likewise for u, so a seed whose cycle lengths
+    differ from those of 1 is not tried.
     """
     s = o.stratum()
     if s.genus < 2:
@@ -71,7 +71,11 @@ def hyperelliptic_involution(o: Origami) -> Involution | None:
     target = 2 * s.genus + 2
     moves = _moves(o)
     vertex_of, _ = corner_walk(moves[E], moves[N])
+    r, u = moves[E], moves[N]
+    r_len, u_len = _cycle_length(r, 0), _cycle_length(u, 0)
     for seed in range(o.degree):
+        if _cycle_length(r, seed) != r_len or _cycle_length(u, seed) != u_len:
+            continue
         sigma = _propagate_involution(moves, seed)
         if sigma is None:
             continue
@@ -82,6 +86,14 @@ def hyperelliptic_involution(o: Origami) -> Involution | None:
                 fixed_point_count=count,
             )
     return None
+
+
+def _cycle_length(p, x) -> int:
+    """The length of the cycle of the 0-based p through x."""
+    n, y = 1, p[x]
+    while y != x:
+        n, y = n + 1, p[y]
+    return n
 
 
 def _propagate_involution(moves, seed):
@@ -137,12 +149,36 @@ def _flat_fixed_points(moves, sigma, vertex_of) -> int:
 
 # -- spin parity -------------------------------------------------------------
 
+# A strand crosses one square from its entry side to its exit side; its
+# code is entry * 4 + exit.  Two cycles drawn together share an edge in
+# two lanes, the lower-indexed cycle in lane 0.  A strand end's place on
+# the boundary runs counterclockwise from the SW corner through the sides
+# S, E, N, W; lanes run along that direction on S and E and against it on
+# N and W, so a lane sits at the same place on both sides of an edge.
+
+def _end(side, lane):
+    return 2 * ((side + 1) % 4) + (lane if side in (E, S) else 1 - lane)
+
+
+def _crosses(a, b):
+    """Whether strand ``a`` in lane 0 crosses strand ``b`` in lane 1: their
+    ends interleave on the boundary."""
+    lo, hi = sorted((_end(a >> 2, 0), _end(a & 3, 0)))
+    return (lo < _end(b >> 2, 1) < hi) != (lo < _end(b & 3, 1) < hi)
+
+
+#: bitmask over the codes b of the strands in lane 1 crossing strand a
+_CROSSES = tuple(sum(_crosses(a, b) << b for b in range(16)) for a in range(16))
+#: quarter turn of a strand: +1 left, -1 right, 0 straight on
+_TURN = tuple(((a & 3) - (a >> 2 ^ 2) + 1) % 4 - 1 for a in range(16))
+
+
 def spin_parity(o: Origami) -> str:
     """Parity ("even" or "odd") of the induced spin structure.
 
     Defined only when every zero order is even.  Computed as the Arf
-    invariant of the flat quadratic form evaluated on the fundamental
-    cycles of a spanning tree of the move graph.
+    invariant of the flat quadratic form on the simple cycles that the
+    non-tree edges of a spanning tree of the move graph close.
     """
     s = o.stratum()
     if any(m % 2 for m in s.orders):
@@ -151,258 +187,118 @@ def spin_parity(o: Origami) -> str:
         )
     if s.genus < 2:
         raise InputError("spin parity needs genus >= 2")
-    cycles = fundamental_cycles(o)
-    gram, self_crossings = _intersections(cycles)
-    q = [(turning_number(c) + 1 + x) % 2 for c, x in zip(cycles, self_crossings)]
-    arf = _arf_invariant(gram, q, s.genus)
-    return "odd" if arf else "even"
+    rows, q = _form_rows(_tree_cycles(_moves(o)), o.degree)
+    return "odd" if _arf(rows, q, s.genus) else "even"
 
 
-@dataclass(frozen=True)
-class CenterCycle:
-    """Closed non-backtracking walk through square centers.
-
-    ``moves[k]`` is the move leaving ``squares[k]``; the walk re-enters
-    ``squares[0]`` after the last move.
-    """
-
-    squares: tuple[int, ...]
-    moves: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.moves)
-
-
-def make_cycle(o: Origami, start: int, moves) -> CenterCycle:
-    """Build a CenterCycle from a closed move word (of E, N, W, S) based at
-    ``start`` (0-based square), reducing backtracks cyclically."""
-    word = list(moves)
-    if not word:
-        raise InputError("empty move word")
-    if any(m not in (E, N, W, S) for m in word):
-        raise InputError(f"moves must be E={E}, N={N}, W={W} or S={S}")
-    if start not in range(o.degree):
-        raise InputError(f"start square {start} is not in 0..{o.degree - 1}")
-    return _make_cycle(_moves(o), start, word)
-
-
-def _make_cycle(moves, start, word) -> CenterCycle:
-    squares = [start]
-    for m in word[:-1]:
-        squares.append(moves[m][squares[-1]])
-    if moves[word[-1]][squares[-1]] != start:
-        raise InputError("move word is not closed")
-    word, squares = _reduce_cyclic(word, squares)
-    if not word:
-        raise InputError("move word reduces to the trivial loop")
-    return CenterCycle(tuple(squares), tuple(word))
-
-
-def _reduce_cyclic(moves, squares):
-    changed = True
-    while changed and moves:
-        changed = False
-        for k in range(len(moves)):
-            nxt = (k + 1) % len(moves)
-            if moves[nxt] == _OPPOSITE[moves[k]]:
-                for idx in sorted((k, nxt), reverse=True):
-                    del moves[idx]
-                    del squares[idx]
-                # squares list must keep squares[j] = source of moves[j];
-                # deleting the pair keeps the remaining sources aligned but
-                # the base point may rotate, which is harmless for a cycle.
-                changed = True
-                break
-    return moves, squares
-
-
-def fundamental_cycles(o: Origami) -> list[CenterCycle]:
-    """Cycles generating H_1: one per non-tree move edge of a BFS
-    spanning tree on the squares (d + 1 cycles in total)."""
-    o.validate()
-    d = o.degree
-    moves = _moves(o)
-
-    parent: list[tuple[int, int] | None] = [None] * d  # (square, move into me)
-    depth = [-1] * d
+def _tree_cycles(moves) -> list[tuple[list[int], list[int]]]:
+    """One cycle per non-tree edge of a BFS spanning tree on the squares,
+    d + 1 in all: the edge closed through the lowest common ancestor of
+    its two ends.  Each is a simple cycle of the move graph, returned as
+    its squares and the move leaving each, from the ancestor on."""
+    d = len(moves[E])
+    parent, into, depth = [-1] * d, [0] * d, [-1] * d
     depth[0] = 0
-    tree_edges = set()
-    queue = deque((0,))
-    while queue:
-        x = queue.popleft()
-        for move, images in enumerate(moves):
-            y = images[x]
+    queue = [0]
+    for x in queue:
+        for move in (E, N, W, S):
+            y = moves[move][x]
             if depth[y] < 0:
-                depth[y] = depth[x] + 1
-                parent[y] = (x, move)
-                tree_edges.add(_edge(x, move, y))
+                parent[y], into[y], depth[y] = x, move, depth[x] + 1
                 queue.append(y)
-
-    def path_from_root(x):
-        word = []
-        while parent[x] is not None:
-            px, mv = parent[x]
-            word.append(mv)
-            x = px
-        return list(reversed(word))
 
     cycles = []
     for x in range(d):
         for move in (E, N):
             y = moves[move][x]
-            if _edge(x, move, y) in tree_edges:
+            if (parent[y] == x and into[y] == move) or (
+                parent[x] == y and into[x] == _OPPOSITE[move]
+            ):
                 continue
-            word = (
-                path_from_root(x)
-                + [move]
-                + [_OPPOSITE[m] for m in reversed(path_from_root(y))]
-            )
-            cycles.append(_make_cycle(moves, 0, word))
-    if len(cycles) != d + 1:
-        raise InternalCheckError("expected d + 1 fundamental cycles")
+            down, up, a, b = [], [], x, y
+            while depth[a] > depth[b]:
+                down.append(a)
+                a = parent[a]
+            while depth[b] > depth[a]:
+                up.append(b)
+                b = parent[b]
+            while a != b:
+                down.append(a)
+                up.append(b)
+                a, b = parent[a], parent[b]
+            down.reverse()
+            cycles.append((
+                [a] + down + up,
+                [into[z] for z in down] + [move] + [_OPPOSITE[into[z]] for z in up],
+            ))
     return cycles
 
 
-def _edge(x, move, y):
-    """The edge crossed by ``move`` from square x to square y: (0, i) is
-    the right edge of square i, (1, i) its top edge."""
-    return (move % 2, x if move in (E, N) else y)
+def _form_rows(cycles, d) -> tuple[list[int], list[int]]:
+    """Mod-2 intersection rows (bitmasks over the cycles) and form values
+    of simple center cycles.
 
-
-def turning_number(c: CenterCycle) -> int:
-    """Signed quarter turns / 4 over the cyclic move word."""
-    total = 0
-    for k in range(len(c.moves)):
-        a = c.moves[k]
-        b = c.moves[(k + 1) % len(c.moves)]
-        if a == b:
-            continue
-        if (a, b) in _LEFT_TURN:
-            total += 1
-        elif (b, a) in _LEFT_TURN:
-            total -= 1
-        else:
-            raise InternalCheckError("backtrack survived reduction")
-    if total % 4:
-        raise InternalCheckError("turning is not a multiple of four")
-    return total // 4
-
-
-def _port(side, offset):
-    """Position of a strand end on a square's boundary, counterclockwise
-    from the SW corner: sides in the order S, E, N, W; the offset runs
-    left to right or bottom to top, so it is reversed on N and W."""
-    return ((side + 1) % 4, offset if side in (E, S) else -offset)
-
-
-def _intersections(cycles) -> tuple[list[list[int]], list[int]]:
-    """Mod-2 intersection matrix and self-crossing parities of center
-    cycles, from one generic drawing of them all.
-
-    Every edge traversal gets its own offset on the crossed edge, shared
-    by the two squares beside it; offsets are handed out in cycle order,
-    so any two cycles sit on each edge as they would in a drawing of the
-    two alone.  Strands meeting in one square cross exactly when their
-    boundary endpoints interleave; summing the parity over squares is
-    independent of the chosen offsets.  Each crossed edge is read off the
-    squares a cycle passes through, so the drawing needs no move table.
+    A simple cycle crosses itself nowhere, so q = turning number + 1.  Two
+    cycles meet only in squares both pass through, and there cross when
+    their strands do, the lower-indexed cycle in lane 0.
     """
-    traversals: dict[tuple[int, int], int] = {}
-    by_square: dict[int, list[tuple[int, tuple, tuple]]] = {}
-    for ci, c in enumerate(cycles):
-        L = len(c.moves)
-        offsets = []
-        for k, m in enumerate(c.moves):
-            edge = _edge(c.squares[k], m, c.squares[(k + 1) % L])
-            offsets.append(traversals.get(edge, 0))
-            traversals[edge] = offsets[-1] + 1
-        for k, m in enumerate(c.moves):
-            entry = _port(_OPPOSITE[c.moves[k - 1]], offsets[k - 1])
-            lo, hi = sorted((entry, _port(m, offsets[k])))
-            by_square.setdefault(c.squares[k], []).append((ci, lo, hi))
-
-    n = len(cycles)
-    gram = [[0] * n for _ in range(n)]
-    self_crossings = [0] * n
-    for strands in by_square.values():
-        for a, (ca, lo, hi) in enumerate(strands):
-            for cb, b_lo, b_hi in strands[a + 1:]:
-                if (lo < b_lo < hi) == (lo < b_hi < hi):
-                    continue
-                if ca == cb:
-                    self_crossings[ca] ^= 1
-                else:
-                    gram[ca][cb] ^= 1
-                    gram[cb][ca] ^= 1
-    return gram, self_crossings
+    by_square = [[] for _ in range(d)]
+    q = []
+    for ci, (squares, word) in enumerate(cycles):
+        turn, prev = 0, word[-1]
+        for square, move in zip(squares, word):
+            code = (_OPPOSITE[prev] << 2) | move
+            turn += _TURN[code]
+            by_square[square].append((ci, code))
+            prev = move
+        q.append((turn // 4 + 1) & 1)
+    rows = [0] * len(cycles)
+    for strands in by_square:
+        for k, (b, code) in enumerate(strands):
+            for a, code_a in strands[:k]:
+                if _CROSSES[code_a] >> code & 1:
+                    rows[a] ^= 1 << b
+                    rows[b] ^= 1 << a
+    return rows, q
 
 
-def crossing_parity(o: Origami, c1: CenterCycle, c2: CenterCycle) -> int:
-    """Mod-2 intersection number of two center cycles of ``o``."""
-    return _intersections([c1, c2])[0][0][1]
+def _arf(rows, q, genus) -> int:
+    """Arf invariant by symplectic reduction of generators given by their
+    intersection rows and form values (both consumed).
 
-
-def cycle_form_value(o: Origami, c: CenterCycle) -> int:
-    """q of the homology class of ``c``: turning + 1 + self-crossings (mod 2)."""
-    return (turning_number(c) + 1 + _intersections([c])[1][0]) % 2
-
-
-def _arf_invariant(gram, q, genus) -> int:
-    """Arf invariant of a quadratic refinement given on generators.
-
-    ``gram`` is the mod-2 intersection matrix of the generators, ``q``
-    their form values.  Generators may be dependent; the radical must
-    carry q = 0, and the symplectic rank must be 2g: both are enforced.
+    Split off a pair v, w with <v, w> = 1 and move every other generator x
+    to x + <x, w> v + <x, v> w, which pairs to zero with both.  The
+    generators may be dependent; the pairs must number the genus and the
+    radical left over must carry q = 0: both are enforced.
     """
-    n = len(q)
-    rows = [sum(b << j for j, b in enumerate(row)) for row in gram]
-    q0 = list(q)
-
-    def pair(x, y):
-        acc = 0
-        xi = x
-        while xi:
-            i = (xi & -xi).bit_length() - 1
-            acc ^= (rows[i] & y).bit_count() & 1
-            xi &= xi - 1
-        return acc
-
-    def form(x):
-        val = 0
-        bits = [i for i in range(n) if (x >> i) & 1]
-        for idx, i in enumerate(bits):
-            val ^= q0[i]
-            for j in bits[idx + 1:]:
-                val ^= gram[i][j]
-        return val
-
-    pool = [1 << i for i in range(n)]
-    arf = 0
-    pairs_found = 0
+    live = list(range(len(q)))
+    arf = pairs = 0
     while True:
-        found = None
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                if pair(pool[i], pool[j]):
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
+        v = next((x for x in live if rows[x]), None)
+        if v is None:
             break
-        i, j = found
-        v, w = pool[i], pool[j]
-        pool = [x for k, x in enumerate(pool) if k not in (i, j)]
-        arf ^= form(v) & form(w)
-        pairs_found += 1
-        pool = [x ^ (pair(x, w) and v) ^ (pair(x, v) and w) for x in pool]
-    if pairs_found != genus:
+        row_v = rows[v]
+        w = (row_v & -row_v).bit_length() - 1
+        row_w, q_v, q_w = rows[w], q[v], q[w]
+        arf ^= q_v & q_w
+        pairs += 1
+        live.remove(v)
+        live.remove(w)
+        for x in live:
+            row = rows[x]
+            xv, xw = row >> v & 1, row >> w & 1
+            if xv:
+                row ^= row_w
+            if xw:
+                row ^= row_v
+            rows[x] = row
+            q[x] ^= (xw & q_v) ^ (xv & q_w) ^ (xw & xv)
+    if pairs != genus:
         raise InternalCheckError(
-            f"symplectic rank {2 * pairs_found} does not match genus {genus}"
+            f"symplectic rank {2 * pairs} does not match genus {genus}"
         )
-    for x in pool:
-        if form(x):
-            raise InternalCheckError("radical class with q = 1: bad realization")
+    if any(q[x] for x in live):
+        raise InternalCheckError("radical class with q = 1: bad realization")
     return arf
 
 

@@ -210,7 +210,7 @@ def catalog_divisor(name: str, g: int, weights: Sequence[int] = ()) -> DivisorCl
     """Look up a named class at the genus it is defined for.
 
     ``logan`` is ``logan_divisor(g, weights)`` and needs the weights;
-    every other name ignores them.  D1 and D2 exist for every genus:
+    every other name refuses them.  D1 and D2 exist for every genus:
     D1 = 4g(g-1) omega_rel - 12 lambda + delta,
     D2 = (g^2-1)(psi_1 + psi_2) - 12 lambda + delta,
     with delta carried on the delta_0 slot.
@@ -219,6 +219,8 @@ def catalog_divisor(name: str, g: int, weights: Sequence[int] = ()) -> DivisorCl
         if not weights:
             raise InputError("divisor logan needs weights")
         return logan_divisor(g, weights)
+    if weights:
+        raise InputError(f"divisor {name} takes no weights; only logan does")
     if name == "D1":
         if g < 2:
             raise InputError("D1 needs genus >= 2")

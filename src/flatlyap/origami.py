@@ -87,8 +87,9 @@ class Origami:
     2
     """
 
-    # _stratum holds the stratum once computed; right and up never change
-    __slots__ = ("_right", "_up", "_stratum")
+    # _connected and _stratum hold what validate() and stratum() found;
+    # right and up never change
+    __slots__ = ("_right", "_up", "_connected", "_stratum")
 
     def __init__(self, right: Permutation, up: Permutation):
         if right.degree != up.degree:
@@ -97,6 +98,7 @@ class Origami:
             )
         self._right = right
         self._up = up
+        self._connected = False
         self._stratum = None
 
     # -- construction ---------------------------------------------------
@@ -143,6 +145,8 @@ class Origami:
         try:
             if isinstance(data, str):
                 data = json.loads(data)
+            if isinstance(data["degree"], bool):
+                raise TypeError("the degree is a boolean")
             degree = operator.index(data["degree"])
             right, up = list(data["right"]), list(data["up"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -202,13 +206,16 @@ class Origami:
     # -- geometry ---------------------------------------------------------
 
     def validate(self) -> "Origami":
-        """Check connectivity; returns self so calls can be chained."""
-        if self.degree == 0:
-            raise InputError("an origami needs at least one square")
-        if not is_transitive(self._right, self._up):
-            raise DisconnectedError(
-                "permutation pair is not transitive: disconnected surface"
-            )
+        """Check connectivity, on the first call that passes only; returns
+        self so calls can be chained."""
+        if not self._connected:
+            if self.degree == 0:
+                raise InputError("an origami needs at least one square")
+            if not is_transitive(self._right, self._up):
+                raise DisconnectedError(
+                    "permutation pair is not transitive: disconnected surface"
+                )
+            self._connected = True
         return self
 
     def commutator(self) -> Permutation:

@@ -37,6 +37,9 @@ class Permutation:
 
     def __init__(self, images: Sequence[int]):
         try:
+            images = tuple(images)
+            if bool in map(type, images):
+                raise TypeError("booleans are not images")
             images = tuple(map(operator.index, images))
         except TypeError as exc:
             raise InputError(f"images must be integers: {exc}") from None

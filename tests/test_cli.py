@@ -314,12 +314,21 @@ def test_malformed_numbers_are_input_errors(argv):
         "r=2 3 1; u=1 2x 3; d=3",
         "bad.json",
         ".",
+        '{"degree": true, "right": [true], "up": [1]}',
     ],
 )
 def test_malformed_origamis_are_input_errors(tmp_path, text):
     # "bad.json" is a file that does not parse, "." a directory
     (tmp_path / "bad.json").write_text('{"degree": 2, ')
     _assert_input_error(("stratum", text), cwd=tmp_path)
+
+
+@pytest.mark.parametrize(
+    "how",
+    [("--divisor", "H"), ("--divisor", "spin"), ("--lambda", "1", "--omega", "1")],
+)
+def test_weights_without_logan_are_input_errors(how):
+    _assert_input_error(("slope-solve", "--stratum", "4", *how, "--weights", "1,2"))
 
 
 def _assert_input_error(argv, cwd=None):

@@ -8,22 +8,26 @@ from flatlyap.components import (
     E,
     N,
     S,
-    _intersections,
     component_label,
-    crossing_parity,
-    cycle_form_value,
-    fundamental_cycles,
     hyperelliptic_involution,
-    make_cycle,
     spin_parity,
-    turning_number,
 )
 from flatlyap.enumeration import enumerate_origamis
 from flatlyap.errors import InputError
+from flatlyap.kernel import corner_walk
 from flatlyap.origami import Origami, Stratum
 from flatlyap.orbits import act_S, act_T
 from flatlyap.permutation import conjugate, random_permutation
 
+from drawing import (
+    _intersections,
+    crossing_parity,
+    cycle_form_value,
+    drawn_parity,
+    fundamental_cycles,
+    make_cycle,
+    turning_number,
+)
 from conftest import (
     ELEVEN_10_EVEN,
     ELEVEN_10_ODD,
@@ -78,7 +82,7 @@ def test_involution_rejects_low_genus():
         hyperelliptic_involution(Origami.from_text("r=(); u=(); d=1"))
 
 
-# -- quadratic form machinery ------------------------------------------------------
+# -- the drawing oracle's quadratic form --------------------------------------
 
 def test_turning_number_of_straight_loops():
     o = origami(WOLLMILCHSAU)
@@ -209,6 +213,68 @@ def test_spin_parity_matches_counting_oracle():
     for o in _with_conjugates(SPIN_ANCHORS + (FIG1,)):
         assert o.degree + 1 <= 12
         assert spin_parity(o) == _majority_parity(o)
+
+
+EVEN_STRATA = ((2,), (4,), (2, 2), (6,), (4, 2), (2, 2, 2))
+
+
+def _classes(strata, dmax):
+    for orders in strata:
+        for d in range(1, dmax + 1):
+            yield from map(Origami.from_key, enumerate_origamis(d, Stratum(orders)))
+
+
+def test_spin_parity_matches_drawing_on_small_classes():
+    # every class of the even strata through genus four with d <= 7
+    classes = list(_classes(EVEN_STRATA, 7))
+    assert len(classes) == 3086
+    for o in classes:
+        assert spin_parity(o) == drawn_parity(o), o
+
+
+def test_tree_cycle_form_matches_drawing():
+    # the simple cycles, handed to the oracle as move words, come out of
+    # its reduction unchanged, cross themselves nowhere, and carry the
+    # same Gram rows and form values as the crossing table gives
+    for o in _classes(EVEN_STRATA, 7):
+        cycles = components._tree_cycles(components._moves(o))
+        rows, q = components._form_rows(cycles, o.degree)
+        drawn = [make_cycle(o, squares[0], word) for squares, word in cycles]
+        assert [(c.squares, c.moves) for c in drawn] == [
+            (tuple(squares), tuple(word)) for squares, word in cycles
+        ]
+        gram, self_crossings = _intersections(drawn)
+        assert rows == [sum(b << j for j, b in enumerate(row)) for row in gram]
+        assert not any(self_crossings)
+        assert q == [cycle_form_value(o, c) for c in drawn]
+
+
+def _unfiltered_involution(o):
+    """The involution search trying every seed."""
+    moves = components._moves(o)
+    vertex_of, _ = corner_walk(moves[E], moves[N])
+    for seed in range(o.degree):
+        sigma = components._propagate_involution(moves, seed)
+        if sigma is None:
+            continue
+        count = components._flat_fixed_points(moves, sigma, vertex_of)
+        if count == 2 * o.genus() + 2:
+            return [x + 1 for x in sigma], count
+    return None
+
+
+def test_involution_seed_filter_changes_nothing():
+    genus_2_and_3 = ((2,), (1, 1), (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+    found = 0
+    for o in _classes(genus_2_and_3, 7):
+        inv = hyperelliptic_involution(o)
+        expected = _unfiltered_involution(o)
+        if inv is None:
+            assert expected is None, o
+        else:
+            assert expected == (list(inv.sigma.images), inv.fixed_point_count), o
+            found += 1
+    assert found > 1000
 
 
 # -- spin parity ----------------------------------------------------------------------

@@ -165,6 +165,9 @@ def test_catalog_errors():
         catalog_divisor("H", 4)
     with pytest.raises(InputError):
         catalog_divisor("logan", 3)  # logan needs weights
+    for name in ("H", "D1", "D2"):
+        with pytest.raises(InputError, match="no weights"):
+            catalog_divisor(name, 3, (1, 2))  # and no other name takes them
 
 
 def test_catalog_builds_logan():

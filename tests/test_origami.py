@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatlyap import orbits
+from flatlyap import origami as origami_module
 from flatlyap.errors import DisconnectedError, InputError
 from flatlyap.origami import Origami, Stratum, kappa
 from flatlyap.permutation import (
@@ -34,6 +36,8 @@ def test_from_json():
     assert Origami.from_json(json.dumps(o.to_json())) == o
     with pytest.raises(InputError):
         Origami.from_json({"degree": 3, "right": [1, 2], "up": [1, 2, 3]})
+    with pytest.raises(InputError):
+        Origami.from_json({"degree": True, "right": [1], "up": [1]})
 
 
 def test_degree_mismatch_rejected():
@@ -49,6 +53,22 @@ def test_disconnected_rejected():
 
 def test_fig1_validates():
     assert origami(FIG1).validate() is not None
+
+
+def test_connectivity_is_checked_once(monkeypatch):
+    # stratum() and horizontal_cylinders both validate; the walk runs once
+    calls = []
+
+    def counted(r, u, walk=origami_module.is_transitive):
+        calls.append(1)
+        return walk(r, u)
+
+    monkeypatch.setattr(origami_module, "is_transitive", counted)
+    o = origami(FIG1)
+    o.stratum()
+    orbits.horizontal_cylinders(o)
+    o.validate()
+    assert len(calls) == 1
 
 
 def test_out_of_range_symbols_rejected():

@@ -77,7 +77,7 @@ def test_one_line_format_takes_only_positive_integers(text):
         Permutation.from_one_line(text)
 
 
-@pytest.mark.parametrize("images", [[1.5, 2], ["2", "1"], [None], 5])
+@pytest.mark.parametrize("images", [[1.5, 2], ["2", "1"], [None], 5, [True], [2, True]])
 def test_images_must_be_integers(images):
     with pytest.raises(InputError):
         Permutation(images)
