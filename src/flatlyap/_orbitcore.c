@@ -10,9 +10,11 @@
  * passes buffers of the stated lengths; fl_canonical checks that r and u
  * are permutations, fl_scan_new takes only keys that fl_canonical
  * produced, and fl_enum_new takes permutations and cycle types that
- * kernel.py has checked.  fl_scan_step may run a helper thread, which it
- * joins before it returns; every other function runs on its caller's
- * thread alone.
+ * kernel.py has checked.  The scan's key sets outlive it: fl_enum_take
+ * hands each one over sorted, and the orbit partition marks the members
+ * of each closure in it (fl_set_mark).  fl_scan_step may run a helper
+ * thread, which it joins before it returns; every other function runs on
+ * its caller's thread alone.
  */
 #define _GNU_SOURCE       /* sched_getaffinity, sched_getcpu, CPU_COUNT */
 #include <limits.h>
@@ -34,7 +36,8 @@ enum {
     ST_AREA = -3,         /* cylinder areas do not add up to d */
     ST_DISCONNECTED = -4, /* a pair that is not transitive */
     ST_RANGE = -5,        /* images that are not a permutation of 0..d-1 */
-    ST_TAIL = -6          /* a T-walk that does not close up into a cycle */
+    ST_TAIL = -6,         /* a T-walk that does not close up into a cycle */
+    ST_OPEN = -7          /* an orbit key outside a key set, or already marked */
 };
 
 #define UNSET 0xff        /* no label yet; labels are 0..d-1 <= 254 */
@@ -170,7 +173,8 @@ struct scan {
     u8 *keys;           /* n keys in discovery order */
     long *t_next;       /* index of the T image of each expanded key;
                          * closures only, NULL in a scan's key sets */
-    uint32_t *slots;    /* open addressing: key index + 1, 0 when free */
+    uint32_t *slots;    /* open addressing: key index + 1, 0 when free;
+                         * NULL in a sorted key set */
     size_t mask;        /* slot count - 1, a power of two less one */
     long *hist;         /* closures only: (d + 1)^2 cylinder counts, by
                          * w * (d + 1) + h */
@@ -717,6 +721,76 @@ long fl_scan_cusps(struct scan *s)
     return st ? st : count;
 }
 
+/* -- sorted key sets ---------------------------------------------------
+ *
+ * A key set is a struct scan that scan_alloc made, filled by visit(): by
+ * the exhaustive scan (fl_enum_take) or from a list (fl_set_of).  Once
+ * handed out it is sorted and its slot table freed, so membership is a
+ * binary search and the set takes no more keys.  The orbit partition
+ * closes one orbit at a time from the least key no orbit holds yet;
+ * fl_set_mark checks that every key of the closure is in the set and not
+ * yet held, and marks it, one byte per key in an array the caller owns. */
+
+/* the key length by_key compares; qsort passes no context */
+static _Thread_local size_t sort_width;
+
+static int by_key(const void *a, const void *b) { return memcmp(a, b, sort_width); }
+
+/* s with its keys sorted, and its slot table and spare room freed; NULL,
+ * with s freed, when s is NULL or out of memory. */
+static struct scan *sorted_set(struct scan *s)
+{
+    u8 *keys = s ? realloc(s->keys, (size_t)(s->n ? s->n : 1) * (size_t)s->k) : NULL;
+    if (!keys) {
+        fl_scan_free(s);
+        return NULL;
+    }
+    s->keys = keys;
+    s->room = s->n ? s->n : 1;
+    free(s->slots);   /* before the sort, which may take as much again */
+    s->slots = NULL;
+    sort_width = (size_t)s->k;
+    qsort(s->keys, (size_t)s->n, (size_t)s->k, by_key);
+    return s;
+}
+
+/* The sorted key set of ``count`` packed keys of degree d, repeats
+ * dropped; NULL when out of memory. */
+struct scan *fl_set_of(int d, const u8 *keys, long count)
+{
+    struct scan *s = scan_alloc(d);
+    for (long i = 0; s && i < count; i++) {
+        const u8 *key = keys + i * s->k;
+        if (visit(s, key, hash(key, s->k), LONG_MAX) < 0) {
+            fl_scan_free(s);
+            s = NULL;
+        }
+    }
+    return sorted_set(s);
+}
+
+/* Marks every key of the closure ``orbit`` in the sorted set s, one byte
+ * per key of s in marks[]; 0, or ST_OPEN at a key that is not in s or is
+ * marked already. */
+int fl_set_mark(const struct scan *s, u8 *marks, const struct scan *orbit)
+{
+    for (long i = 0; i < orbit->n; i++) {
+        const u8 *key = orbit->keys + i * orbit->k;
+        long lo = 0, hi = s->n;   /* lo: the first key not below it */
+        while (lo < hi) {
+            long mid = lo + (hi - lo) / 2;
+            if (memcmp(s->keys + mid * s->k, key, (size_t)s->k) < 0)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        if (lo == s->n || memcmp(s->keys + lo * s->k, key, (size_t)s->k) || marks[lo])
+            return ST_OPEN;
+        marks[lo] = 1;
+    }
+    return 0;
+}
+
 long fl_scan_size(const struct scan *s) { return s->n; }
 const u8 *fl_scan_keys(const struct scan *s) { return s->keys; }
 const long *fl_scan_hist(const struct scan *s) { return s->hist; }
@@ -1114,5 +1188,11 @@ int fl_enum_step(struct enumeration *e, long budget)
     return e->right < e->nrights ? ST_MORE : ST_DONE;
 }
 
-/* The key set of target t. */
-const struct scan *fl_enum_set(const struct enumeration *e, int t) { return e->sets[t]; }
+/* The key set of target t, sorted, which the caller now owns and frees
+ * with fl_scan_free; NULL when out of memory. */
+struct scan *fl_enum_take(struct enumeration *e, int t)
+{
+    struct scan *s = e->sets[t];
+    e->sets[t] = NULL;
+    return sorted_set(s);
+}

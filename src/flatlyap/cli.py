@@ -249,10 +249,10 @@ def cmd_verify_tables(args) -> int:
     selected = golden.select_checks(
         checks, genus=args.genus, skip_enumeration=args.skip_enumeration
     )
-    cache = _cache_from(args)
+    cache, reports = _cache_from(args), {}
     failures = 0
     for check in selected:
-        result = golden.run_check(check, cache=cache)
+        result = golden.run_check(check, cache=cache, reports=reports)
         if not result.ok:
             failures += 1
             print(result.diff_line())

@@ -13,10 +13,14 @@ of the centralizer of r are canonicalised.  A degree whose d! passes
 ``SCAN_CAP`` is refused before its scan starts.
 
 Classes travel as packed canonical keys, ``bytes(r) + bytes(u)`` of the
-0-based images: ``enumerate_origamis`` returns them and
-``orbit_partition`` takes them.  Only the least key of each orbit
-becomes an ``Origami`` (``Origami.from_key``), so the partition costs
-one orbit closure per orbit and no object per class.
+0-based images, in a ``kernel.KeySet``: ``enumerate_origamis`` returns
+the scan's key set, which the compiled kernel keeps in C memory, and
+``orbit_partition`` takes it.  The partition (``kernel.partition``)
+closes each orbit in C from the least key no orbit holds yet and marks
+its members in the set, so it makes no Python object per class: only
+the least key of each orbit becomes an ``Origami``
+(``Origami.from_key``), and ``OrbitClass.members`` is closed again from
+it when read.
 """
 from __future__ import annotations
 
@@ -27,10 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .components import component_label
-from .errors import InputError, InternalCheckError, ResourceCapError
-from .kernel import canonical_key, scan_degree
+from .errors import InputError, ResourceCapError
+from .kernel import KeySet, key_set, partition, scan_degree
 from .origami import Origami, Stratum
-from .orbits import OrbitSummary, _summary_of_scan, format_rational, orbit_scan
+from .orbits import OrbitSummary, _summary_from_parts, _total_hw, format_rational, orbit_scan
 
 
 #: the most class elements one degree's scan walks: d! <= 12!, so d <= 12
@@ -82,9 +86,7 @@ def commutator_cycle_type(s: Stratum, degree: int) -> tuple[int, ...] | None:
     )
 
 
-def _scan_degree(
-    d: int, targets: dict[Stratum, tuple[int, ...]]
-) -> dict[Stratum, set[bytes]]:
+def _scan_degree(d: int, targets: dict[Stratum, tuple[int, ...]]) -> dict[Stratum, KeySet]:
     """All canonical transitive pairs of degree d per target stratum,
     as packed canonical keys.  Raises ResourceCapError before the scan
     when d! is past ``SCAN_CAP``."""
@@ -113,15 +115,16 @@ def _check_scan(d: int) -> None:
             )
 
 
-def enumerate_origamis(d: int, s: Stratum) -> list[bytes]:
+def enumerate_origamis(d: int, s: Stratum) -> KeySet:
     """All origamis of degree d in the stratum, one packed canonical key
-    per conjugacy class, sorted; ``Origami.from_key`` rebuilds one."""
+    per conjugacy class, as a sized KeySet that yields them sorted;
+    ``Origami.from_key`` rebuilds one."""
     if d < 1:
         raise InputError("degree must be positive")
     target = commutator_cycle_type(s, d)
     if target is None:
-        return []
-    return sorted(_scan_degree(d, {s: target})[s])
+        return KeySet(d)
+    return _scan_degree(d, {s: target})[s]
 
 
 @dataclass(frozen=True)
@@ -129,57 +132,41 @@ class OrbitClass:
     """One SL(2,Z) orbit inside an enumerated set."""
 
     representative: Origami      # built from the least member
-    members: tuple[bytes, ...]   # canonical keys, sorted
     summary: OrbitSummary
 
+    @property
+    def members(self) -> tuple[bytes, ...]:
+        """The orbit's canonical keys, sorted: closed again on each read."""
+        return tuple(sorted(orbit_scan(self.representative).keys))
 
-def orbit_partition(keys: list[bytes]) -> list[OrbitClass]:
-    """Partition the canonical keys of one degree and stratum into
-    SL(2,Z) orbits.
 
-    The input must be closed under the action (it is when it comes from
-    ``enumerate_origamis``: T and S preserve degree and stratum).  One
-    set holds the keys no orbit has taken yet.  Each orbit is closed by
-    ``orbit_scan`` from the least of them, must lie inside the set (orbits
-    are disjoint) and then leaves it; only its least key becomes an
-    ``Origami``.  Every key lands in a scanned orbit, so checking the
-    stratum of each orbit's least key checks the whole input.  Keys of
-    two lengths, duplicate keys, keys that are not canonical and two
-    strata raise InputError.  Every orbit is closed anyway, so its
-    summary comes from that closure and no cache is read.
+def orbit_partition(keys: KeySet | list[bytes]) -> list[OrbitClass]:
+    """Partition the canonical keys of one degree and stratum, a KeySet or
+    a list (loaded into one by ``kernel.key_set``), into SL(2,Z) orbits in
+    the order of their least keys; see ``kernel.partition``.
+
+    The input must be closed under the action, as the scan's output is.
+    Only the least key of each orbit becomes an ``Origami``, and every key
+    lands in a closed orbit, so checking the stratum of each orbit's least
+    key checks the whole input.  Keys of two lengths, duplicate keys, keys
+    that are not canonical and two strata raise InputError.  Each summary
+    comes from its orbit's closure; no cache is read.
     """
-    if not keys:
+    if not len(keys):
         return []
-    mixed = "orbit partition needs a single degree and stratum"
-    if len({len(k) for k in keys}) != 1:
-        raise InputError(mixed)
-    remaining = set(keys)
-    if len(remaining) != len(keys):
-        raise InputError("duplicate conjugacy classes in the input")
-
-    d = len(keys[0]) // 2
+    if not isinstance(keys, KeySet):
+        keys = key_set(keys)
+    d = keys.degree
     stratum = None
     out = []
-    for least in sorted(keys):
-        if least not in remaining:
-            continue
+    for least, size, hist, cusp_count in partition(keys):
         representative = Origami.from_key(least)
-        # the closure canonicalises any start: only this catches a bad key
-        if canonical_key(least[:d], least[d:]) != least:
-            raise InputError("orbit partition needs canonical keys")
         if stratum is None:
             stratum = representative.stratum()
         elif representative.stratum() != stratum:
-            raise InputError(mixed)
-        try:
-            scan = orbit_scan(representative, max_size=len(remaining))
-        except ResourceCapError:
-            scan = None  # the orbit outgrows the input
-        if scan is None or not remaining.issuperset(scan.keys):
-            raise InternalCheckError("enumerated set is not closed under T and S")
-        remaining.difference_update(scan.keys)
-        summary = _summary_of_scan(scan, stratum)
-        out.append(OrbitClass(representative, tuple(sorted(scan.keys)), summary))
+            raise InputError("orbit partition needs a single degree and stratum")
+        summary = _summary_from_parts(d, stratum, size, cusp_count, _total_hw(hist, d))
+        out.append(OrbitClass(representative, summary))
     return out
 
 

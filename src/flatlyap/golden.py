@@ -97,8 +97,13 @@ def _origami(check: GoldenCheck) -> Origami:
 
 
 def run_check(
-    check: GoldenCheck, cache: OrbitCache | None = None
+    check: GoldenCheck, cache: OrbitCache | None = None, reports: dict | None = None
 ) -> CheckResult:
+    """Run one check.  ``reports`` holds the ``nonvarying_report`` of each
+    (stratum, dmax) an ``enum`` check has made; pass one dict to every
+    check of a run, so that checks of one scan share it."""
+    if check.kind == "enum":
+        return _check_enum(check, {} if reports is None else reports)
     try:
         return _DISPATCH[check.kind](check, cache)
     except KeyError:
@@ -177,12 +182,12 @@ def _check_triple(check, cache):
     slope = Fraction(check.get("s"))
     c = Fraction(check.get("c"))
     k = kappa(s)
-    ok = slope == 12 - 12 * k / L and c == L - k
+    want_s, want_c = 12 - 12 * k / L, L - k
     return CheckResult(
         check.id,
-        ok,
+        slope == want_s and c == want_c,
         f"s=12-12k/L and c=L-k for L={check.get('L')}",
-        f"s={format_rational(12 - 12 * k / L)} c={format_rational(L - k)}",
+        f"s={format_rational(want_s)} c={format_rational(want_c)}",
     )
 
 
@@ -199,18 +204,9 @@ def _check_table(check, cache):
     if len(rows) != 1:
         return CheckResult(check.id, False, "one table row", f"{len(rows)} rows")
     row = rows[0]
-    if status == "varying":
-        expected = f"varying bound={check.get('bound')}"
-        actual = (
-            f"{row.status} bound="
-            f"{format_rational(row.bound) if row.bound is not None else 'none'}"
-        )
-    else:
-        expected = f"{status} L={check.get('L')}"
-        actual = (
-            f"{row.status} L="
-            f"{format_rational(row.L) if row.L is not None else 'none'}"
-        )
+    name, value = ("bound", row.bound) if status == "varying" else ("L", row.L)
+    expected = f"{status} {name}={check.get(name)}"
+    actual = f"{row.status} {name}={'none' if value is None else format_rational(value)}"
     return CheckResult(check.id, expected == actual, expected, actual)
 
 
@@ -241,9 +237,11 @@ def _check_extremal(check, cache):
     return CheckResult(check.id, ok, "zero intersection", "zero" if ok else "nonzero")
 
 
-def _check_enum(check, cache):
-    s = Stratum.parse(check.get("stratum"))
-    values = nonvarying_report(s, int(check.get("dmax"))).values_by_component()
+def _check_enum(check, reports):
+    scan = (Stratum.parse(check.get("stratum")), int(check.get("dmax")))
+    if scan not in reports:
+        reports[scan] = nonvarying_report(*scan)
+    values = reports[scan].values_by_component()
     mode = check.get("mode")
     if mode in ("const", "subset"):
         component = check.get("component")
@@ -281,7 +279,6 @@ _DISPATCH = {
     "table": _check_table,
     "hypclosed": _check_hypclosed,
     "extremal": _check_extremal,
-    "enum": _check_enum,
 }
 
 def select_checks(

@@ -1,6 +1,7 @@
 """The orbit core: canonical forms, T/S images, the orbit closure with
-its cusps, and the exhaustive scan; and the horizontal cylinders and the
-vertices (``corner_walk``, which gives the stratum) of one pair.
+its cusps, the exhaustive scan and the orbit partition of its key sets;
+and the horizontal cylinders and the vertices (``corner_walk``, which
+gives the stratum) of one pair.
 
 Every origami in an orbit search passes through three steps: the
 canonical form of a permutation pair under simultaneous relabelling, its
@@ -8,34 +9,28 @@ T and S images, and its horizontal cylinders; the closed orbit is then
 split into its T-cycles, the cusps.  An exhaustive enumeration walks,
 for each right permutation r, the conjugacy class of r for the
 s = u^-1 r^-1 u that make the commutator s r, tests its cycle type, and
-canonicalises the pairs (r, u) of the survivors.  This module runs both
-in two interchangeable ways:
+canonicalises the pairs (r, u) of the survivors into a ``KeySet``, which
+``partition`` splits into orbits, one closure each.  This module runs
+all of it in two interchangeable ways:
 
 * compiled, from ``_orbitcore.c``: built once with the system C compiler
   into ``${XDG_CACHE_HOME:-~/.cache}/flatlyap/``, named by the sha256 of
-  the source and flags, and loaded with ctypes on the first call;
+  the source and flags, and loaded with ctypes on the first call.  A
+  scan's KeySet stays in C memory, and the partition marks each orbit's
+  members in it, so no class becomes a Python object.  A closure step may
+  run a helper thread on another CPU (see ``fl_scan_step``); results are
+  byte-identical either way;
 * in pure Python, the code below, which is the oracle the compiled code
   must match byte for byte.
 
 The compiled library is used whenever it builds and loads; any failure
-there falls back to Python for the life of the process.
-
-The compiled closure expands its frontier in batches of up to 256 keys.
-On Linux, when the calling thread may run on more than one CPU and a step
-has at least 512 keys to expand, ``fl_scan_step`` starts one helper
-thread on the other CPUs, with every signal blocked, and joins it before
-it returns.  Both threads claim eight keys at a time from an atomic
-counter tagged with the batch, count their cylinders and make their
-canonical T and S images; the calling thread visits the images in
-discovery order.  When the chunk it needs next is still with the helper
-it makes an unclaimed one meanwhile, or, when none is left, soon makes
-that chunk itself.  With one CPU it claims each whole batch through the
-same loop; results are byte-identical either way.  A pair of
+there falls back to Python for the life of the process.  A pair of
 0-based image sequences (r, u) of degree d <= 255 is packed as the 2d-byte
 key ``bytes(r) + bytes(u)``, whose lexicographic order is tuple order.
 """
 from __future__ import annotations
 
+import bisect
 import ctypes
 import hashlib
 import itertools
@@ -44,6 +39,7 @@ import shutil
 import tempfile
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import DisconnectedError, InputError, InternalCheckError, ResourceCapError
@@ -59,6 +55,8 @@ _STEP_BUDGET = 8192
 #: units of work the compiled scan does per call (see fl_enum_step), for
 #: the same reason
 _SCAN_BUDGET = 1 << 17
+#: keys a KeySet copies out of C memory per step of an iteration
+_ITER_CHUNK = 4096
 _LONG = ctypes.sizeof(ctypes.c_long)
 _LONG_MAX = 2 ** (8 * _LONG - 1) - 1
 
@@ -66,6 +64,7 @@ _DISCONNECTED_MESSAGE = "canonical form needs a transitive pair"
 _RANGE_MESSAGE = "a pair needs two permutations of 0..d-1"
 _CAP_MESSAGE = "orbit exceeds the configured cap of {} elements"
 _TAIL_MESSAGE = "T-orbit left the computed SL(2,Z) orbit"
+_OPEN_MESSAGE = "enumerated set is not closed under T and S"
 
 _UNLOADED = object()
 #: the ctypes library, None when it cannot be built or loaded, or
@@ -138,7 +137,9 @@ def _declare(lib) -> None:
         "fl_scan_least": (c_long, [ptr]),
         "fl_enum_new": (ptr, [c_int, c_int, ctypes.c_char_p, c_int, ctypes.c_char_p]),
         "fl_enum_step": (c_int, [ptr, c_long]),
-        "fl_enum_set": (ptr, [ptr, c_int]),
+        "fl_enum_take": (ptr, [ptr, c_int]),
+        "fl_set_of": (ptr, [c_int, ctypes.c_char_p, c_long]),
+        "fl_set_mark": (c_int, [ptr, ptr, ptr]),
         "fl_enum_free": (None, [ptr]),
     }
     for name, (restype, argtypes) in signatures.items():
@@ -260,26 +261,17 @@ def cylinders(rz, uz) -> tuple[tuple[int, int], ...]:
 
     found = []
     seen = [False] * n
-    for i in range(n):
-        if seen[i] or has_below[i]:
-            continue
-        height = 0
-        j = i
-        while j >= 0 and not seen[j]:
-            seen[j] = True
-            height += 1
-            j = above[j]
-        found.append((len(rows[i]), height))
-    for i in range(n):
-        if seen[i]:
-            continue
-        height = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            height += 1
-            j = above[j]
-        found.append((len(rows[i]), height))
+    # chains from a bottom row first, then closed loops of rows
+    for loops in (False, True):
+        for i in range(n):
+            if seen[i] or (has_below[i] and not loops):
+                continue
+            height, j = 0, i
+            while j >= 0 and not seen[j]:
+                seen[j] = True
+                height += 1
+                j = above[j]
+            found.append((len(rows[i]), height))
 
     if sum(w * h for w, h in found) != d:
         raise InternalCheckError("cylinder areas do not add up to the degree")
@@ -323,11 +315,24 @@ def orbit_closure(rz, uz, max_size: int) -> tuple[bytes, Counter, list, bytes]:
     ResourceCapError past ``max_size`` keys.
     """
     start = canonical_key(rz, uz)
-    d = len(start) // 2
     lib = _library()
     if lib is None:
         return _py_orbit_closure(start, max_size)
-    scan = lib.fl_scan_new(d, start)
+    with _closed(lib, start, max_size) as (scan, count):
+        n, k = lib.fl_scan_size(scan), len(start)
+        blob = ctypes.string_at(lib.fl_scan_keys(scan), n * k)
+        pairs = array("l", ctypes.string_at(lib.fl_scan_cusp_list(scan), 2 * count * _LONG))
+        least = lib.fl_scan_least(scan) * k
+        hist = _histogram(lib, scan, k // 2)
+    cusps = [(w, blob[i * k : i * k + k]) for w, i in zip(pairs[::2], pairs[1::2])]
+    return blob, hist, cusps, blob[least : least + k]
+
+
+@contextmanager
+def _closed(lib, start: bytes, max_size: int):
+    """The compiled closure of the canonical key ``start``, complete and
+    with its cusps found, as (closure, cusp count); freed on exit."""
+    scan = lib.fl_scan_new(len(start) // 2, start)
     if not scan:
         raise MemoryError("no memory for the orbit search")
     try:
@@ -337,35 +342,32 @@ def orbit_closure(rz, uz, max_size: int) -> tuple[bytes, Counter, list, bytes]:
                 break
             if status != 1:
                 _raise_status(status, max_size)
-        # the cusp walk frees the hash table and t_next before the copies
+        # the cusp walk frees the hash table and t_next before any copy
         count = lib.fl_scan_cusps(scan)
         if count < 0:
             _raise_status(count)
-        n, k = lib.fl_scan_size(scan), 2 * d
-        blob = ctypes.string_at(lib.fl_scan_keys(scan), n * k)
-        counts = array("l", ctypes.string_at(lib.fl_scan_hist(scan), (d + 1) ** 2 * _LONG))
-        pairs = array("l", ctypes.string_at(lib.fl_scan_cusp_list(scan), 2 * count * _LONG))
-        least = lib.fl_scan_least(scan) * k
+        yield scan, count
     finally:
         lib.fl_scan_free(scan)
-    hist = Counter({divmod(i, d + 1): c for i, c in enumerate(counts) if c})
-    cusps = [(w, blob[i * k : i * k + k]) for w, i in zip(pairs[::2], pairs[1::2])]
-    return blob, hist, cusps, blob[least : least + k]
+
+
+def _histogram(lib, scan, d: int) -> Counter:
+    counts = array("l", ctypes.string_at(lib.fl_scan_hist(scan), (d + 1) ** 2 * _LONG))
+    return Counter({divmod(i, d + 1): c for i, c in enumerate(counts) if c})
 
 
 def _raise_status(status: int, max_size: int = 0):
     """The exception for a negative status of ``_orbitcore.c``."""
     if status == -1:
         raise ResourceCapError(_CAP_MESSAGE.format(max_size))
-    if status == -2:
-        raise MemoryError("no memory for the orbit search")
-    if status == -3:
-        raise InternalCheckError("cylinder areas do not add up to the degree")
-    if status == -4:
-        raise DisconnectedError(_DISCONNECTED_MESSAGE)
-    if status == -6:
-        raise InternalCheckError(_TAIL_MESSAGE)
-    raise InputError(_RANGE_MESSAGE)
+    kind, message = {
+        -2: (MemoryError, "no memory for the orbit search"),
+        -3: (InternalCheckError, "cylinder areas do not add up to the degree"),
+        -4: (DisconnectedError, _DISCONNECTED_MESSAGE),
+        -6: (InternalCheckError, _TAIL_MESSAGE),
+        -7: (InternalCheckError, _OPEN_MESSAGE),
+    }.get(status, (InputError, _RANGE_MESSAGE))
+    raise kind(message)
 
 
 def _py_orbit_closure(start: bytes, max_size: int) -> tuple[bytes, Counter, list, bytes]:
@@ -415,13 +417,114 @@ def _py_cusps(keys, t_next) -> list[tuple[int, bytes]]:
     return sorted(cusps)
 
 
+# -- key sets and the orbit partition ----------------------------------------
+
+class KeySet:
+    """Packed keys of one degree, distinct and sorted: ``len`` counts them
+    and iterating yields them in order.  The pure-Python path keeps a
+    sorted list; a set from the compiled library (``lib``, ``handle``)
+    stays in C memory and is freed with the KeySet."""
+
+    def __init__(self, degree: int, keys=(), lib=None, handle=None):
+        self.degree, self._keys, self._lib, self._handle = degree, keys, lib, handle
+        if lib is not None and not handle:
+            raise MemoryError("no memory for the key set")
+
+    def __len__(self) -> int:
+        return len(self._keys) if self._lib is None else self._lib.fl_scan_size(self._handle)
+
+    def __iter__(self):
+        if self._lib is None:
+            yield from self._keys
+            return
+        n, k = len(self), 2 * self.degree
+        for lo in range(0, n, _ITER_CHUNK):
+            at = self._lib.fl_scan_keys(self._handle) + lo * k
+            blob = ctypes.string_at(at, min(_ITER_CHUNK, n - lo) * k)
+            yield from (blob[j : j + k] for j in range(0, len(blob), k))
+
+    def __del__(self):
+        if getattr(self, "_handle", None):
+            self._lib.fl_scan_free(self._handle)
+
+
+def key_set(keys) -> KeySet:
+    """A non-empty list of distinct packed keys of one degree as a KeySet;
+    InputError for keys of two lengths, of an odd length or of a degree
+    past 255, and for a repeated key."""
+    lengths = {len(k) for k in keys}
+    d, odd = divmod(max(lengths), 2)
+    if len(lengths) != 1 or odd or not 0 < d <= MAX_DEGREE:
+        raise InputError(f"a key set needs keys of a single degree d <= {MAX_DEGREE}")
+    lib = _library()
+    if lib is None:
+        out = KeySet(d, sorted(set(keys)))
+    else:
+        out = KeySet(d, lib=lib, handle=lib.fl_set_of(d, b"".join(keys), len(keys)))
+    if len(out) != len(keys):
+        raise InputError("duplicate keys in the input")
+    return out
+
+
+def partition(keys: KeySet) -> list[tuple[bytes, int, Counter, int]]:
+    """The SL(2,Z) orbits of a key set closed under T and S, in the order
+    of their least keys: (least key, size, cylinder histogram as in
+    ``orbit_closure``, cusp count) per orbit.
+
+    Each orbit is closed from the least key that no orbit holds yet, which
+    is then its least key, and every key it reaches must be in the set
+    and held by no orbit before it; one mark per key records that.  Raises
+    InputError at a least key that is not canonical, and
+    InternalCheckError when the set is not closed.
+    """
+    lib = keys._lib if _library() is not None else None
+    listed = list(keys) if lib is None else None
+    first = None if lib is None else lib.fl_scan_keys(keys._handle)
+    d, remaining = keys.degree, len(keys)
+    marks = bytearray(remaining)
+    out, at = [], 0
+    try:
+        while remaining:
+            at = marks.find(0, at)
+            least = listed[at] if lib is None else ctypes.string_at(first + at * 2 * d, 2 * d)
+            # a closure canonicalises any start: only this catches a bad key
+            if canonical_key(least[:d], least[d:]) != least:
+                raise InputError("orbit partition needs canonical keys")
+            size, hist, count = _close_and_mark(keys, listed, marks, least, remaining)
+            out.append((least, size, hist, count))
+            remaining -= size
+    except ResourceCapError:   # an orbit with more keys than the set has left
+        raise InternalCheckError(_OPEN_MESSAGE) from None
+    return out
+
+
+def _close_and_mark(keys, listed, marks, least, max_size) -> tuple[int, Counter, int]:
+    """Closes the orbit of ``least`` and marks its keys: in the C key set,
+    or by binary search in ``listed`` when that is not None."""
+    if listed is not None:
+        blob, hist, cusps, _ = _py_orbit_closure(least, max_size)
+        k = len(least)
+        for i in range(0, len(blob), k):
+            at = bisect.bisect_left(listed, blob[i : i + k])
+            if listed[at : at + 1] != [blob[i : i + k]] or marks[at]:
+                raise InternalCheckError(_OPEN_MESSAGE)
+            marks[at] = 1
+        return len(blob) // k, hist, len(cusps)
+    lib, held = keys._lib, (ctypes.c_char * len(marks)).from_buffer(marks)
+    with _closed(lib, least, max_size) as (scan, count):
+        status = lib.fl_set_mark(keys._handle, held, scan)
+        if status:
+            _raise_status(status)
+        return lib.fl_scan_size(scan), _histogram(lib, scan, keys.degree), count
+
+
 # -- exhaustive scan ---------------------------------------------------------
 
-def scan_degree(d: int, rights, targets) -> list[set[bytes]]:
+def scan_degree(d: int, rights, targets) -> list[KeySet]:
     """Canonical keys of the transitive pairs (r, u) of degree d, with r
     one of the 0-based image sequences ``rights`` and u any permutation,
-    whose commutator u^-1 r^-1 u r has cycle type ``targets[i]``: one set
-    per target, in order.  A cycle type is a sequence of cycle lengths.
+    whose commutator u^-1 r^-1 u r has cycle type ``targets[i]``: one
+    KeySet per target, in order.  A cycle type is a sequence of cycle lengths.
 
     The commutator is s r with s = u^-1 r^-1 u, so s runs over the
     conjugacy class of r, d!/z elements where z is the order of the
@@ -434,7 +537,7 @@ def scan_degree(d: int, rights, targets) -> list[set[bytes]]:
         raise InternalCheckError("cycle-type target does not fill the degree")
     lib = _library()
     if lib is None:
-        return _py_scan_degree(d, rights, targets)
+        return [KeySet(d, sorted(keys)) for keys in _py_scan_degree(d, rights, targets)]
     counts = bytearray(len(targets) * (d + 1))
     for i, target in enumerate(targets):
         for length in target:
@@ -451,14 +554,9 @@ def scan_degree(d: int, rights, targets) -> list[set[bytes]]:
                 break
             if status != 1:
                 _raise_status(status)
-        found = []
-        for i in range(len(targets)):
-            keys = lib.fl_enum_set(scan, i)
-            blob = ctypes.string_at(lib.fl_scan_keys(keys), lib.fl_scan_size(keys) * 2 * d)
-            found.append({blob[j : j + 2 * d] for j in range(0, len(blob), 2 * d)})
+        return [KeySet(d, lib=lib, handle=lib.fl_enum_take(scan, i)) for i in range(len(targets))]
     finally:
         lib.fl_enum_free(scan)
-    return found
 
 
 def _py_scan_degree(d: int, rights, targets) -> list[set[bytes]]:

@@ -123,13 +123,6 @@ def hyperelliptic_component_L(g: int, kind: str) -> Rat:
     raise InputError(f"kind must be single_zero or two_zeros, got {kind!r}")
 
 
-def hyperelliptic_component_slope(g: int) -> Rat:
-    """Both hyperelliptic components share the slope 8 + 4/g."""
-    if g < 2:
-        raise InputError("needs genus >= 2")
-    return 8 + Fraction(4, g)
-
-
 def brill_noether_number(g: int, r: int, d: int, w: Sequence[int] = ()) -> int:
     """Generalized Brill-Noether number
     rho = g - (r+1)(g-d+r) - r(|w| - 1), with |w| = 1 for no weights."""
@@ -156,14 +149,6 @@ class DivisorClass:
     @property
     def n_marks(self) -> int:
         return len(self.c)
-
-    def slope(self) -> Rat:
-        """a / (-b0), the slope of an unmarked class a*lambda + b0*delta_0."""
-        if any(self.c):
-            raise InputError("slope() is for unmarked classes only")
-        if self.b0 >= 0:
-            raise InputError("slope needs a negative delta_0 coefficient")
-        return self.a / (-self.b0)
 
     def __str__(self) -> str:
         parts = [f"{self.a}*lambda"]
@@ -330,14 +315,6 @@ def L_from_slope(s: Stratum, slope: Rat) -> Rat:
     return 12 * kappa(s) / (12 - slope)
 
 
-def slope_from_L(s: Stratum, L: Rat) -> Rat:
-    """s = 12 - 12 kappa / L."""
-    L = Fraction(L)
-    if L <= 0:
-        raise InputError(f"L must be positive, got {L}")
-    return 12 - 12 * kappa(s) / L
-
-
 def extremality_check(g: int) -> bool:
     """Zero-intersection identities for the extremal classes D1, D2.
 
@@ -396,13 +373,8 @@ def _row_spin(stratum, g) -> TableRow:
 
 
 def _row_hyp(stratum, g, kind) -> TableRow:
-    return TableRow(
-        stratum,
-        "hyperelliptic",
-        "nonvarying",
-        hyperelliptic_component_L(g, kind),
-        method="hyperelliptic closed form",
-    )
+    L = hyperelliptic_component_L(g, kind)
+    return TableRow(stratum, "hyperelliptic", "nonvarying", L, method="hyperelliptic closed form")
 
 
 def _row_bound(stratum, component, divisor, marks, method) -> TableRow:

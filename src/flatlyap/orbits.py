@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,9 +106,6 @@ class OrbitScan:
     def size(self) -> int:
         return len(self.blob) // (2 * self.degree)
 
-    def min_key(self) -> bytes:
-        return self.least
-
     def cusp_widths(self) -> list[tuple[int, bytes]]:
         """(width, least member) per T-orbit, sorted."""
         return self.cusps
@@ -124,8 +122,14 @@ def orbit_scan(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitScan:
     if max_size < 1:
         raise InputError("orbit-size cap must be at least 1")
     blob, hist, cusps, least = orbit_closure(o.right.zero_based(), o.up.zero_based(), max_size)
-    total = sum((Fraction(h * n, w) for (w, h), n in hist.items()), Fraction(0))
-    return OrbitScan(o.degree, blob, cusps, total, least)
+    return OrbitScan(o.degree, blob, cusps, _total_hw(hist, o.degree), least)
+
+
+def _total_hw(hist, d: int) -> Fraction:
+    """Sum of h/w over a histogram of (width, height) cylinder counts of
+    degree d, over the common denominator lcm(1..d) of every 1/w."""
+    m = math.lcm(*range(1, d + 1))
+    return Fraction(sum(n * h * (m // w) for (w, h), n in hist.items()), m)
 
 
 def orbit(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> list[Origami]:
@@ -172,39 +176,23 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _summary_from_parts(
-    degree: int,
-    stratum: Stratum,
-    n: int,
-    cusp_count: int,
-    total: Fraction,
+    degree: int, stratum: Stratum, n: int, cusp_count: int, total: Fraction
 ) -> OrbitSummary:
     if stratum.genus < 2:
         raise InputError("Lyapunov data needs genus >= 2")
+    # in integers: kappa = a/b, c = total/n = p/q, L = kappa + c = x/(bq)
     k = kappa(stratum)
-    L = k + total / n
-    c = L - k
-    s = 12 - 12 * k / L
-    if s != 12 * c / L:
+    a, b = k.numerator, k.denominator
+    p, q = total.numerator, total.denominator * n
+    x = a * q + b * p
+    # s = 12 - 12 kappa/L = 12(x - aq)/x must equal 12 c/L = 12bp/x
+    s = 12 * (x - a * q)
+    if s != 12 * b * p:
         raise InternalCheckError("slope identities disagree")
-    if not (L > 0 and 0 < s < 12):
-        raise InternalCheckError(f"orbit invariants out of range: L={L}, s={s}")
-    return OrbitSummary(
-        degree=degree,
-        stratum=stratum,
-        orbit_size=n,
-        cusp_count=cusp_count,
-        total_hw=total,
-        L=L,
-        c=c,
-        s=s,
-    )
-
-
-def _summary_of_scan(scan: OrbitScan, stratum: Stratum) -> OrbitSummary:
-    """Exact invariants of a closed orbit; its cusps are its T-cycles."""
-    return _summary_from_parts(
-        scan.degree, stratum, scan.size, len(scan.cusp_widths()), scan.total_hw
-    )
+    L, c = Fraction(x, b * q), Fraction(p, q)
+    if not (x > 0 and 0 < s < 12 * x):   # L > 0 and 0 < s/x < 12
+        raise InternalCheckError(f"orbit invariants out of range: L={L}, s={Fraction(s, x)}")
+    return OrbitSummary(degree, stratum, n, cusp_count, total_hw=total, L=L, c=c, s=Fraction(s, x))
 
 
 def cusps(
@@ -224,28 +212,24 @@ def cusps(
 
 
 def lyapunov_sum(
-    o: Origami,
-    max_size: int = DEFAULT_ORBIT_CAP,
-    cache: "OrbitCache | None" = None,
+    o: Origami, max_size: int = DEFAULT_ORBIT_CAP, cache: "OrbitCache | None" = None
 ) -> OrbitSummary:
     """Sum of Lyapunov exponents (with c and s) for the orbit of ``o``."""
     stratum = o.stratum()
     if stratum.genus < 2:
-        raise InputError(
-            f"Lyapunov data needs genus >= 2, got genus {stratum.genus}"
-        )
+        raise InputError(f"Lyapunov data needs genus >= 2, got genus {stratum.genus}")
     if cache is not None:
         key = canonical_key(o.right.zero_based(), o.up.zero_based())
         hit = cache.lookup_any(key)
         if hit is not None:
             n, cusp_count, total = hit
             return _summary_from_parts(o.degree, stratum, n, cusp_count, total)
-    scan = orbit_scan(o, max_size=max_size)
-    summary = _summary_of_scan(scan, stratum)
+    scan = orbit_scan(o, max_size=max_size)   # its cusps are its T-cycles
+    n, cusp_count = scan.size, len(scan.cusp_widths())
+    summary = _summary_from_parts(o.degree, stratum, n, cusp_count, scan.total_hw)
     if cache is not None:
-        least = scan.min_key()
-        cache.store(least, summary.orbit_size, summary.cusp_count, summary.total_hw)
-        cache.store_alias(key, least)
+        cache.store(scan.least, summary.orbit_size, summary.cusp_count, summary.total_hw)
+        cache.store_alias(key, scan.least)
     return summary
 
 

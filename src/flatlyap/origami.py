@@ -14,6 +14,7 @@ induced one-form, which yields the stratum and the genus.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Iterable
 
 from .errors import DisconnectedError, InputError, InternalCheckError
 from .kernel import corner_walk
-from .permutation import Permutation, canonical_form, compose, is_transitive
+from .permutation import Permutation, is_transitive
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,8 @@ def kappa(s: Stratum) -> Fraction:
     """
     if not s.orders:
         raise InputError("kappa is undefined for the empty stratum")
-    return Fraction(1, 12) * sum(
-        Fraction(m * (m + 2), m + 1) for m in s.orders
-    )
+    p = math.prod(m + 1 for m in s.orders)   # one common denominator
+    return Fraction(sum(m * (m + 2) * (p // (m + 1)) for m in s.orders), 12 * p)
 
 
 class Origami:
@@ -218,12 +218,6 @@ class Origami:
             self._connected = True
         return self
 
-    def commutator(self) -> Permutation:
-        """up^-1 * right^-1 * up * right; its non-trivial cycles are the
-        cone points."""
-        r, u = self._right, self._up
-        return compose(compose(u.inverse(), r.inverse()), compose(u, r))
-
     def stratum(self) -> Stratum:
         """The stratum, computed on the first call and kept."""
         if self._stratum is None:
@@ -238,9 +232,4 @@ class Origami:
 
     def genus(self) -> int:
         return self.stratum().genus
-
-    def canonical(self) -> "Origami":
-        """Relabelled representative, minimal under simultaneous conjugation."""
-        r, u = canonical_form(self._right, self._up)
-        return Origami(r, u)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import operator
 import re
-from math import lcm
 from typing import Sequence
 
 from .errors import InputError
@@ -29,7 +28,7 @@ class Permutation:
     >>> p = Permutation([2, 3, 4, 1, 5])
     >>> str(p)
     '(1 2 3 4)'
-    >>> p.cycle_type()
+    >>> cycle_type(p)
     (4, 1)
     """
 
@@ -54,12 +53,6 @@ class Permutation:
         self._images = images
 
     # -- construction ---------------------------------------------------
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        if degree < 0:
-            raise InputError("degree must be non-negative")
-        return cls(range(1, degree + 1))
 
     @classmethod
     def from_cycles(cls, text: str, degree: int) -> "Permutation":
@@ -140,15 +133,6 @@ class Permutation:
                 x = self._images[x - 1]
             out.append(tuple(cyc))
         return out
-
-    def cycle_type(self) -> tuple[int, ...]:
-        return cycle_type(self)
-
-    def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.degree else 1
-
-    def is_identity(self) -> bool:
-        return all(x == i + 1 for i, x in enumerate(self._images))
 
     def zero_based(self) -> tuple[int, ...]:
         """Images as a 0-based tuple, for the hot loops."""
@@ -253,14 +237,3 @@ def canonical_form(r: Permutation, u: Permutation) -> tuple[Permutation, Permuta
         Permutation(tuple(x + 1 for x in key[d:])),
     )
 
-
-def random_permutation(degree: int, rng) -> Permutation:
-    """Uniform random permutation drawn from ``rng`` (a random.Random)."""
-    images = list(range(1, degree + 1))
-    rng.shuffle(images)
-    return Permutation(images)
-
-
-def conjugate(p: Permutation, s: Permutation) -> Permutation:
-    """s p s^-1."""
-    return compose(compose(s, p), s.inverse())

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from flatlyap import kernel
 from flatlyap.origami import Origami
+from flatlyap.permutation import Permutation, canonical_form, compose
 
 
 @pytest.fixture(autouse=True)
@@ -60,6 +63,40 @@ TORUS = "r=(); u=(); d=1"
 
 def origami(text: str) -> Origami:
     return Origami.from_text(text)
+
+
+# -- references the library does not need ------------------------------------------
+
+def identity(degree: int) -> Permutation:
+    return Permutation(range(1, degree + 1))
+
+
+def random_permutation(degree: int, rng) -> Permutation:
+    """Uniform random permutation drawn from ``rng`` (a random.Random)."""
+    images = list(range(1, degree + 1))
+    rng.shuffle(images)
+    return Permutation(images)
+
+
+def conjugate(p: Permutation, s: Permutation) -> Permutation:
+    """s p s^-1."""
+    return compose(compose(s, p), s.inverse())
+
+
+def order(p: Permutation) -> int:
+    return math.lcm(*(len(c) for c in p.cycles())) if p.degree else 1
+
+
+def commutator(o: Origami) -> Permutation:
+    """up^-1 * right^-1 * up * right; its non-trivial cycles are the cone
+    points."""
+    r, u = o.right, o.up
+    return compose(compose(u.inverse(), r.inverse()), compose(u, r))
+
+
+def canonical(o: Origami) -> Origami:
+    """Relabelled representative, minimal under simultaneous conjugation."""
+    return Origami(*canonical_form(o.right, o.up))
 
 
 _ACCEPTANCE: dict[int, tuple[str, str]] = {}

@@ -14,7 +14,7 @@ from flatlyap.components import component_label, hyperelliptic_involution, spin_
 from flatlyap.enumeration import enumerate_origamis
 from flatlyap.origami import Origami, Stratum
 from flatlyap.orbits import horizontal_cylinders, lyapunov_sum, orbit
-from flatlyap.permutation import canonical_form, conjugate, random_permutation
+from flatlyap.permutation import canonical_form
 
 from conftest import (
     ELEVEN_10_EVEN,
@@ -26,7 +26,9 @@ from conftest import (
     TEN_44_EVEN,
     TEN_44_ODD,
     WOLLMILCHSAU,
+    conjugate,
     origami,
+    random_permutation,
     record_acceptance,
 )
 

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from flatlyap import cli
+from flatlyap import cli, golden
 from flatlyap.cli import main
 from flatlyap.orbits import orbit
-from flatlyap.origami import Origami
+from flatlyap.origami import Origami, Stratum
 
 from conftest import FIG1, WOLLMILCHSAU
 
@@ -252,6 +252,28 @@ def test_verify_tables_detects_corruption(tmp_path, capsys):
     diff_lines = [l for l in out.splitlines() if l.startswith("MISMATCH")]
     assert len(diff_lines) == 1
     assert "g3/slope/4-odd" in diff_lines[0]
+
+
+def test_verify_tables_makes_one_report_per_scan(tmp_path, capsys, monkeypatch):
+    # two rows read the (2,2) scan to d=7: each run makes its report once
+    # and both rows share it; a second run makes its own
+    report, calls = golden.nonvarying_report, []
+
+    def counting(s, d_max, d_min=None):
+        calls.append((s, d_max))
+        return report(s, d_max, d_min)
+
+    monkeypatch.setattr(golden, "nonvarying_report", counting)
+    path = tmp_path / "golden.txt"
+    path.write_text(
+        "a enum g=3 stratum=2,2 dmax=7 mode=const component=odd L=5/3\n"
+        "b enum g=3 stratum=2,2 dmax=7 mode=const component=hyperelliptic L=2/1\n"
+        "c enum g=2 stratum=2 dmax=6 mode=const component=hyperelliptic L=4/3\n"
+    )
+    for runs in (1, 2):
+        code, out, _ = run(capsys, "verify-tables", "--golden", str(path))
+        assert code == 0 and "3/3 checks passed" in out
+        assert calls == [(Stratum((2, 2)), 7), (Stratum((2,)), 6)] * runs
 
 
 def test_max_orbit_must_be_positive(capsys):

@@ -17,7 +17,6 @@ from flatlyap.errors import InputError
 from flatlyap.kernel import corner_walk
 from flatlyap.origami import Origami, Stratum
 from flatlyap.orbits import act_S, act_T
-from flatlyap.permutation import conjugate, random_permutation
 
 from drawing import (
     _intersections,
@@ -37,7 +36,10 @@ from conftest import (
     TEN_44_EVEN,
     TEN_44_ODD,
     WOLLMILCHSAU,
+    conjugate,
+    identity,
     origami,
+    random_permutation,
 )
 
 
@@ -53,7 +55,7 @@ def test_involution_identities():
     o = origami(FIG1)
     inv = hyperelliptic_involution(o)
     sigma = inv.sigma
-    assert sigma * sigma == sigma.identity(o.degree)
+    assert sigma * sigma == identity(o.degree)
     assert conjugate(o.right, sigma) == o.right.inverse()
     assert conjugate(o.up, sigma) == o.up.inverse()
 
@@ -363,8 +365,7 @@ def test_label_computes_the_stratum_once(monkeypatch, text):
     def forbidden(*args):
         raise AssertionError("the label built a commutator")
 
-    monkeypatch.setattr(Origami, "commutator", forbidden)
-    monkeypatch.setattr(origami_module, "compose", forbidden)
+    # the library binds compose only in the permutation module
     monkeypatch.setattr(permutation, "compose", forbidden)
     label = component_label(o)
     orders = o.stratum().orders

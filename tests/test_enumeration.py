@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatlyap import components, enumeration
+from flatlyap import components, enumeration, kernel
 from flatlyap.enumeration import (
     commutator_cycle_type,
     enumerate_origamis,
@@ -13,11 +13,12 @@ from flatlyap.enumeration import (
     partitions,
 )
 from flatlyap.errors import InputError, InternalCheckError, ResourceCapError
+from flatlyap.kernel import key_set
 from flatlyap.origami import Origami, Stratum
 from flatlyap.orbits import canonical_key, lyapunov_sum, orbit
 from flatlyap.permutation import Permutation, cycle_type, is_transitive
 
-from conftest import FIG1, TEN_44_EVEN, on_each, origami
+from conftest import FIG1, TEN_44_EVEN, canonical, commutator, on_both, on_each, origami
 
 
 def key_of(o: Origami) -> bytes:
@@ -75,7 +76,7 @@ def brute_force_classes(d: int, s: Stratum) -> set[bytes]:
             if not is_transitive(r, u):
                 continue
             o = Origami(r, u)
-            if cycle_type(o.commutator()) != target:
+            if cycle_type(commutator(o)) != target:
                 continue
             found.add(canonical_key(r.zero_based(), u.zero_based()))
     return found
@@ -120,12 +121,24 @@ def test_scan_past_the_cap_is_refused(backend, monkeypatch):
 
 
 def test_enumerate_empty_below_support():
-    assert enumerate_origamis(2, Stratum((2,))) == []
+    assert list(enumerate_origamis(2, Stratum((2,)))) == []
+
+
+def test_enumeration_is_a_sized_sorted_key_set(backend, monkeypatch):
+    # copied out of C memory 100 keys at a time, so that chunks meet
+    monkeypatch.setattr(kernel, "_ITER_CHUNK", 100)
+    for d, orders, count in ((5, (2,), 27), (6, (2, 2), 126), (7, (3, 1), 1024)):
+        classes = enumerate_origamis(d, Stratum(orders))
+        keys = list(classes)
+        assert len(classes) == len(keys) == count
+        assert keys == sorted(set(keys))
+        # iterating again yields the same keys: the set is not used up
+        assert list(classes) == keys
 
 
 def test_enumerate_contains_fig1():
     classes = enumerate_origamis(5, Stratum((2,)))
-    target = origami(FIG1).canonical()
+    target = canonical(origami(FIG1))
     assert key_of(target) in classes
     assert Origami.from_key(key_of(target)) == target
 
@@ -165,40 +178,73 @@ def test_partition_matches_per_element_closure():
             assert size == len(members)
 
 
+@pytest.mark.parametrize("orders", [(2,), (3, 1), (2, 2), (1, 1, 1, 1), (4,), (2, 1, 1)], ids=str)
+def test_partition_matches_python(orders):
+    # the compiled partition against its pure-Python oracle, on the same
+    # key set, at every degree from the stratum's support up to 7, and at
+    # the support of (1,1,1,1), which is 8
+    s = Stratum(orders)
+    support = sum(m + 1 for m in orders)
+    for d in range(support, max(support, 7) + 1):
+        classes = enumerate_origamis(d, s)
+
+        def summaries():
+            return [
+                (key_of(oc.representative), oc.summary.orbit_size, oc.summary.cusp_count,
+                 oc.summary.total_hw, oc.summary.L)
+                for oc in orbit_partition(classes)
+            ]
+
+        compiled, python = on_both(summaries)
+        assert compiled == python
+        assert sum(size for _, size, *_ in compiled) == len(classes)
+
+
 def test_partition_summaries_match_direct_computation():
     classes = enumerate_origamis(5, Stratum((2,)))
     for oc in orbit_partition(classes):
         assert oc.summary == lyapunov_sum(oc.representative)
 
 
+# each input goes in as a list of keys, and loaded into a KeySet first
+INPUTS = (list, key_set)
+
+
 def test_partition_rejects_mixed_input():
-    mixed = enumerate_origamis(4, Stratum((2,))) + enumerate_origamis(5, Stratum((2,)))
-    with pytest.raises(InputError):
-        orbit_partition(mixed)
+    mixed = [*enumerate_origamis(4, Stratum((2,))), *enumerate_origamis(5, Stratum((2,)))]
+    for make in INPUTS:
+        with pytest.raises(InputError):
+            orbit_partition(make(mixed))
 
 
 def test_partition_rejects_mixed_strata():
     # same degree, two strata: the check runs on each orbit's least class
-    mixed = enumerate_origamis(5, Stratum((2,))) + enumerate_origamis(5, Stratum((1, 1)))
-    with pytest.raises(InputError, match="single degree and stratum"):
-        orbit_partition(mixed)
-    with pytest.raises(InputError, match="single degree and stratum"):
-        orbit_partition(mixed[::-1])
+    mixed = [*enumerate_origamis(5, Stratum((2,))), *enumerate_origamis(5, Stratum((1, 1)))]
+    for make in INPUTS:
+        with pytest.raises(InputError, match="single degree and stratum"):
+            orbit_partition(make(mixed))
+        with pytest.raises(InputError, match="single degree and stratum"):
+            orbit_partition(make(mixed[::-1]))
 
 
 def test_partition_rejects_set_not_closed_under_the_action():
+    # with the compiled kernel and in pure Python, from both inputs
+    on_each(lambda: [_rejects_set_not_closed(make) for make in INPUTS])
+
+
+def _rejects_set_not_closed(make):
     # one orbit of 9: the scan from the least class outgrows the 8 left
     single = enumerate_origamis(4, Stratum((2,)))
     assert len(orbit_partition(single)) == 1
     with pytest.raises(InternalCheckError, match="not closed"):
-        orbit_partition(single[1:])
+        orbit_partition(make(list(single)[1:]))
     # orbits of 18 and 9: whichever class is missing, its orbit's scan
     # reaches a key outside the input
-    classes = enumerate_origamis(5, Stratum((2,)))
-    assert len(orbit_partition(classes)) == 2
+    classes = list(enumerate_origamis(5, Stratum((2,))))
+    assert len(orbit_partition(make(classes))) == 2
     for i in range(len(classes)):
         with pytest.raises(InternalCheckError, match="not closed"):
-            orbit_partition(classes[:i] + classes[i + 1 :])
+            orbit_partition(make(classes[:i] + classes[i + 1 :]))
     # ten orbits: drop a class of the last one, after nine closed orbits
     classes = enumerate_origamis(6, Stratum((2, 2)))
     parts = orbit_partition(classes)
@@ -206,11 +252,16 @@ def test_partition_rejects_set_not_closed_under_the_action():
     dropped = parts[-1].members[0]
     assert Origami.from_key(dropped) == parts[-1].representative
     with pytest.raises(InternalCheckError, match="not closed"):
-        orbit_partition([k for k in classes if k != dropped])
+        orbit_partition(make([k for k in classes if k != dropped]))
+
+
+def test_partition_can_run_twice_on_one_key_set(backend):
+    classes = enumerate_origamis(6, Stratum((2, 2)))
+    assert orbit_partition(classes) == orbit_partition(classes)
 
 
 def test_partition_rejects_bad_keys(backend):
-    classes = enumerate_origamis(6, Stratum((2, 2)))
+    classes = list(enumerate_origamis(6, Stratum((2, 2))))
     # a relabelling of a class is the same class under a key that is not
     # canonical; nothing else in the input would fail
     k = classes[3]
@@ -221,18 +272,19 @@ def test_partition_rejects_bad_keys(backend):
     )
     other = bytes(relabelled.right.zero_based()) + bytes(relabelled.up.zero_based())
     assert other != k and key_of(relabelled) == k
-    for keys in ([other], classes + [other]):
-        with pytest.raises(InputError, match="canonical keys"):
-            orbit_partition(keys)
-    # keys of two lengths
-    with pytest.raises(InputError, match="single degree"):
-        orbit_partition(classes + enumerate_origamis(7, Stratum((2, 2)))[:1])
-    # halves that are not permutations, sorting first and last
-    for bad in (bytes(12), bytes([11] * 12)):
-        with pytest.raises(InputError):
-            orbit_partition(classes + [bad])
-    with pytest.raises(InputError, match="duplicate"):
-        orbit_partition(classes + [classes[-1]])
+    for make in INPUTS:
+        for keys in ([other], classes + [other]):
+            with pytest.raises(InputError, match="canonical keys"):
+                orbit_partition(make(keys))
+        # keys of two lengths
+        with pytest.raises(InputError, match="single degree"):
+            orbit_partition(make(classes + list(enumerate_origamis(7, Stratum((2, 2))))[:1]))
+        # halves that are not permutations, sorting first and last
+        for bad in (bytes(12), bytes([11] * 12)):
+            with pytest.raises(InputError):
+                orbit_partition(make(classes + [bad]))
+        with pytest.raises(InputError, match="duplicate"):
+            orbit_partition(make(classes + [classes[-1]]))
 
 
 def test_from_key_inverts_canonical_key(backend):

@@ -47,7 +47,7 @@ def test_scan_matches_python(check):
     assert compiled.total_hw == python.total_hw
     assert compiled.cusp_widths() == python.cusp_widths()
     assert compiled.size == python.size == len(python.keys)
-    assert compiled.min_key() == python.min_key() == min(python.keys)
+    assert compiled.least == python.least == min(python.keys)
     assert compiled.least == min(compiled.keys) and python.least == min(python.keys)
 
 
@@ -83,10 +83,15 @@ def _targets(d: int) -> dict:
     }
 
 
+def _scan_sets(d: int, targets: dict) -> dict:
+    """``enumeration._scan_degree`` with each KeySet read into a set."""
+    return {s: set(keys) for s, keys in enumeration._scan_degree(d, targets).items()}
+
+
 @pytest.mark.parametrize("d", range(3, 8))
 def test_enumeration_scan_matches_python(d):
     targets = _targets(d)
-    compiled, python = on_both(lambda: enumeration._scan_degree(d, targets))
+    compiled, python = on_both(lambda: _scan_sets(d, targets))
     assert compiled == python
     assert set(compiled) == set(targets) and all(compiled.values())
 
@@ -131,7 +136,7 @@ def test_enumeration_scan_matches_the_s_d_walk(d):
     if d == 4:
         targets[Stratum(())] = (1,) * 4
     expected = _brute_scan(d, targets)
-    for got in on_each(lambda: enumeration._scan_degree(d, targets)):
+    for got in on_each(lambda: _scan_sets(d, targets)):
         assert got == expected
 
 
@@ -155,8 +160,8 @@ def test_class_walk_visits_each_element_once(parts):
 
 def test_one_scan_serves_every_target(backend):
     targets = _targets(6)
-    together = enumeration._scan_degree(6, targets)
-    assert together == {s: enumeration._scan_degree(6, {s: t})[s] for s, t in targets.items()}
+    together = _scan_sets(6, targets)
+    assert together == {s: _scan_sets(6, {s: t})[s] for s, t in targets.items()}
 
 
 # -- errors, on both backends ----------------------------------------------------------
@@ -488,8 +493,10 @@ void fl_scan_free(struct scan *s);
 struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
                                 int ntargets, const u8 *targets);
 int fl_enum_step(struct enumeration *e, long budget);
-const struct scan *fl_enum_set(const struct enumeration *e, int t);
+struct scan *fl_enum_take(struct enumeration *e, int t);
 void fl_enum_free(struct enumeration *e);
+struct scan *fl_set_of(int d, const u8 *keys, long count);
+int fl_set_mark(const struct scan *s, u8 *marks, const struct scan *orbit);
 
 /* appends to rights, 8 bytes each, one permutation of 8 symbols per
  * partition of ``left`` into parts of at most ``most``, as consecutive
@@ -564,16 +571,51 @@ int main(void)
     struct enumeration *e = fl_enum_new(5, 6, rights, 2, targets);
     while (fl_enum_step(e, 64) == 1)
         ;
-    printf("%ld %ld\n", fl_scan_size(fl_enum_set(e, 0)), fl_scan_size(fl_enum_set(e, 1)));
+    struct scan *h2 = fl_enum_take(e, 0), *h11 = fl_enum_take(e, 1);
     fl_enum_free(e);
+    printf("%ld %ld\n", fl_scan_size(h2), fl_scan_size(h11));
+    fl_scan_free(h11);
+
+    /* the 27 classes of H(2), sorted; twice over in another set, and all
+     * but the largest in a third */
+    u8 doubled[2 * 27 * 10];
+    memcpy(doubled, fl_scan_keys(h2), 27 * 10);
+    memcpy(doubled + 27 * 10, fl_scan_keys(h2), 27 * 10);
+    struct scan *twice = fl_set_of(5, doubled, 54), *short_ = fl_set_of(5, doubled, 26);
+    int loaded = !twice || !short_;
+    keys = fl_scan_keys(twice);
+    sorted = 1;
+    for (long j = 1; j < fl_scan_size(twice); j++)
+        if (memcmp(keys + 10 * (j - 1), keys + 10 * j, 10) >= 0)
+            sorted = 0;
+    printf("%d %ld %ld %d\n", loaded, fl_scan_size(twice), fl_scan_size(short_), sorted);
+    /* the partition: each orbit closed from the least key not yet marked */
+    u8 marks[27] = {0}, short_marks[26] = {0};
+    for (long at = 0; at < 27; at++) {
+        if (marks[at])
+            continue;
+        s = fl_scan_new(5, keys + 10 * at);
+        while ((status = fl_scan_step(s, 27, 4)) == 1)
+            ;
+        fl_scan_cusps(s);
+        int in_twice = fl_set_mark(twice, marks, s), again = fl_set_mark(twice, marks, s);
+        printf("%ld %d %d %d\n", fl_scan_size(s), in_twice, again,
+               fl_set_mark(short_, short_marks, s));
+        fl_scan_free(s);
+    }
+    fl_scan_free(h2);
+    fl_scan_free(twice);
+    fl_scan_free(short_);
 
     u8 images8[8], rights8[22 * 8];
     const u8 target8[] = {0, 2, 1, 0, 1, 0, 0, 0, 0};
     e = fl_enum_new(8, partitions(8, 8, 0, images8, rights8, 0), rights8, 1, target8);
     while (fl_enum_step(e, 4096) == 1)
         ;
-    printf("%ld\n", fl_scan_size(fl_enum_set(e, 0)));
+    s = fl_enum_take(e, 0);
     fl_enum_free(e);
+    printf("%ld\n", fl_scan_size(s));
+    fl_scan_free(s);
     return 0;
 }
 """
@@ -583,9 +625,13 @@ int main(void)
 # (ST_TAIL); the cap stops at 10 keys (ST_CAP); TEN_3111 closes with 23,328
 # keys in 2,616 cusps whose widths add up to the size, sorted, with the
 # least key found, and its cap stops one key short; 27 and 24 classes;
-# 4,032 classes of H(3,1) at d=8
+# the 27 loaded twice are 27, sorted; the partition marks orbits of 18 and
+# 9, a second marking of an orbit fails (ST_OPEN), and so does the orbit
+# of 18 in the set that lacks the largest key; 4,032 classes of H(3,1) at
+# d=8
 _SANITIZER_STDOUT = [
-    "18 5 -6 -6", "-1 10", "0 23328 2616 23328 1 1", "-1 23327", "27 24", "4032", ""
+    "18 5 -6 -6", "-1 10", "0 23328 2616 23328 1 1", "-1 23327", "27 24",
+    "0 27 26 1", "18 0 -7 -7", "9 0 -7 0", "4032", "",
 ]
 
 # creates and joins one thread

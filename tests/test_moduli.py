@@ -15,7 +15,6 @@ from flatlyap.moduli import (
     double_cover_stratum,
     extremality_check,
     hyperelliptic_component_L,
-    hyperelliptic_component_slope,
     hyperelliptic_locus_L,
     intersection_with_ratios,
     logan_divisor,
@@ -23,13 +22,34 @@ from flatlyap.moduli import (
     omega_ratio,
     slope_bound,
     slope_from_disjoint_divisor,
-    slope_from_L,
     spin_slope,
     stratum_table,
 )
 from flatlyap.origami import Stratum, kappa
 
 F = Fraction
+
+
+def slope_from_L(s: Stratum, L) -> Fraction:
+    """s = 12 - 12 kappa / L, the inverse of ``L_from_slope``."""
+    L = Fraction(L)
+    if L <= 0:
+        raise InputError(f"L must be positive, got {L}")
+    return 12 - 12 * kappa(s) / L
+
+
+def hyperelliptic_component_slope(g: int) -> Fraction:
+    """Both hyperelliptic components share the slope 8 + 4/g."""
+    return 8 + Fraction(4, g)
+
+
+def class_slope(D: DivisorClass) -> Fraction:
+    """a / (-b0), the slope of an unmarked class a*lambda + b0*delta_0."""
+    if any(D.c):
+        raise InputError("a class slope is for unmarked classes only")
+    if D.b0 >= 0:
+        raise InputError("a class slope needs a negative delta_0 coefficient")
+    return D.a / (-D.b0)
 
 
 # -- quadratic signatures ------------------------------------------------------
@@ -149,11 +169,11 @@ def test_logan_divisor_weight_sum_checked():
 def test_catalog_entries():
     h = catalog_divisor("H", 3)
     assert (h.a, h.c, h.b0) == (F(9), (), F(-1))
-    assert h.slope() == 9
+    assert class_slope(h) == 9
     theta = catalog_divisor("Theta", 4)
     assert (theta.a, theta.c, theta.b0) == (F(30), (F(60),), F(-4))
     gp = catalog_divisor("GP", 4)
-    assert gp.slope() == F(17, 2)
+    assert class_slope(gp) == F(17, 2)
     w = catalog_divisor("W", 3)
     assert (w.a, w.c, w.b0) == (F(-1), (F(6),), F(0))
 
@@ -176,7 +196,7 @@ def test_catalog_builds_logan():
 
 def test_slope_only_for_unmarked():
     with pytest.raises(InputError):
-        catalog_divisor("Theta", 4).slope()
+        class_slope(catalog_divisor("Theta", 4))
 
 
 # -- omega ratios ------------------------------------------------------------------------------
@@ -251,7 +271,7 @@ def test_spin_slope_matches_pushforward_class():
         cls = DivisorClass(g + 8, (), F(-(g + 2), 4))
         s, _, _ = slope_from_disjoint_divisor(MarkedStratum(stratum, ()), cls)
         assert s == spin_slope(g)
-        assert s == cls.slope()
+        assert s == class_slope(cls)
 
 
 def test_unmarked_solver_degenerates_to_class_slope():
@@ -265,7 +285,7 @@ def test_unmarked_solver_degenerates_to_class_slope():
         s, _, _ = slope_from_disjoint_divisor(
             MarkedStratum(Stratum((2,)), ()), cls
         )
-        assert s == cls.slope()
+        assert s == class_slope(cls)
 
 
 def test_solver_rejects_degenerate_divisor():

@@ -18,9 +18,9 @@ from flatlyap.orbits import (
     orbit,
     parse_rational,
 )
-from flatlyap.permutation import is_transitive, random_permutation
+from flatlyap.permutation import is_transitive
 
-from conftest import FIG1, NINE_SQUARE_MAX, TORUS, WOLLMILCHSAU, origami
+from conftest import FIG1, NINE_SQUARE_MAX, TORUS, WOLLMILCHSAU, origami, random_permutation
 
 
 def canon(o: Origami) -> bytes:

@@ -12,13 +12,21 @@ from flatlyap.errors import DisconnectedError, InputError
 from flatlyap.origami import Origami, Stratum, kappa
 from flatlyap.permutation import (
     Permutation,
-    conjugate,
     cycle_type,
     is_transitive,
-    random_permutation,
 )
 
-from conftest import FIG1, TEN_411, TORUS, WOLLMILCHSAU, origami
+from conftest import (
+    FIG1,
+    TEN_411,
+    TORUS,
+    WOLLMILCHSAU,
+    commutator,
+    conjugate,
+    identity,
+    origami,
+    random_permutation,
+)
 
 
 # -- construction and validation ------------------------------------------------
@@ -42,11 +50,11 @@ def test_from_json():
 
 def test_degree_mismatch_rejected():
     with pytest.raises(InputError):
-        Origami(Permutation.identity(3), Permutation.identity(4))
+        Origami(identity(3), identity(4))
 
 
 def test_disconnected_rejected():
-    o = Origami(Permutation.identity(2), Permutation.identity(2))
+    o = Origami(identity(2), identity(2))
     with pytest.raises(DisconnectedError):
         o.validate()
 
@@ -92,17 +100,17 @@ def test_from_text_field_errors():
 # -- commutator -------------------------------------------------------------------
 
 def test_commutator_fig1():
-    assert origami(FIG1).commutator() == Permutation.from_cycles("(1 5 4)", 5)
-    assert cycle_type(origami(FIG1).commutator()) == (3, 1, 1)
+    assert commutator(origami(FIG1)) == Permutation.from_cycles("(1 5 4)", 5)
+    assert cycle_type(commutator(origami(FIG1))) == (3, 1, 1)
 
 
 def test_commutator_commuting_pair():
     o = Origami(Permutation.from_cycles("(1 2)", 2), Permutation.from_cycles("(1 2)", 2))
-    assert o.commutator().is_identity()
+    assert commutator(o) == identity(o.degree)
 
 
 def test_commutator_wollmilchsau():
-    assert cycle_type(origami(WOLLMILCHSAU).commutator()) == (2, 2, 2, 2)
+    assert cycle_type(commutator(origami(WOLLMILCHSAU))) == (2, 2, 2, 2)
 
 
 # -- stratum and genus ---------------------------------------------------------------
@@ -153,7 +161,7 @@ def test_euler_count_on_random_pairs():
         found += 1
         o = Origami(r, u)
         s = o.stratum()
-        ctype = cycle_type(o.commutator())
+        ctype = cycle_type(commutator(o))
         assert len(ctype) - d == 2 - 2 * s.genus
         # the corner walk's vertices are the commutator's cycles
         assert s.orders == tuple(l - 1 for l in ctype if l >= 2)

@@ -11,12 +11,12 @@ from flatlyap.permutation import (
     Permutation,
     canonical_form,
     compose,
-    conjugate,
     cycle_type,
     is_transitive,
     parse_cycles,
-    random_permutation,
 )
+
+from conftest import conjugate, identity, order, random_permutation
 
 
 def perms(max_degree=8):
@@ -43,7 +43,7 @@ def test_parse_four_cycle():
 
 
 def test_parse_empty_is_identity():
-    assert parse_cycles("", 3) == Permutation.identity(3)
+    assert parse_cycles("", 3) == identity(3)
 
 
 def test_parse_rejects_symbol_out_of_range():
@@ -102,13 +102,13 @@ def test_compose_convention():
 
 def test_compose_identity_law():
     p = parse_cycles("(1 3 5)(2 4)", 5)
-    assert compose(p, Permutation.identity(5)) == p
-    assert compose(Permutation.identity(5), p) == p
+    assert compose(p, identity(5)) == p
+    assert compose(identity(5), p) == p
 
 
 def test_compose_degree_mismatch():
     with pytest.raises(InputError):
-        compose(Permutation.identity(3), Permutation.identity(4))
+        compose(identity(3), identity(4))
 
 
 def test_compose_against_function_table():
@@ -138,7 +138,7 @@ def test_inverse_four_cycle():
 
 
 def test_inverse_identity():
-    assert Permutation.identity(4).inverse() == Permutation.identity(4)
+    assert identity(4).inverse() == identity(4)
 
 
 def test_inverse_against_order_oracle():
@@ -148,18 +148,18 @@ def test_inverse_against_order_oracle():
         d = rng.randint(1, 8)
         p = random_permutation(d, rng)
         order = lcm(*(len(c) for c in p.cycles()))
-        power = Permutation.identity(d)
+        power = identity(d)
         for _ in range(order - 1):
             power = compose(power, p)
         assert p.inverse() == power
-        assert compose(p, p.inverse()) == Permutation.identity(d)
+        assert compose(p, p.inverse()) == identity(d)
 
 
 # -- cycle structure -----------------------------------------------------------
 
 def test_cycle_type_examples():
     assert cycle_type(parse_cycles("(1 5 4)", 5)) == (3, 1, 1)
-    assert cycle_type(Permutation.identity(4)) == (1, 1, 1, 1)
+    assert cycle_type(identity(4)) == (1, 1, 1, 1)
     assert cycle_type(parse_cycles("(1 2)(3 4)", 5)) == (2, 2, 1)
 
 
@@ -171,8 +171,8 @@ def test_cycle_type_conjugation_invariant(pair):
 
 
 def test_order():
-    assert parse_cycles("(1 2 3)(4 5)", 5).order() == 6
-    assert Permutation.identity(3).order() == 1
+    assert order(parse_cycles("(1 2 3)(4 5)", 5)) == 6
+    assert order(identity(3)) == 1
 
 
 # -- transitivity ---------------------------------------------------------------
@@ -182,7 +182,7 @@ def test_transitive_fig1_pair():
 
 
 def test_identity_pair_not_transitive():
-    assert not is_transitive(Permutation.identity(2), Permutation.identity(2))
+    assert not is_transitive(identity(2), identity(2))
 
 
 def test_transitive_klein_pair():
@@ -237,7 +237,7 @@ def test_canonical_form_idempotent():
 
 def test_canonical_form_rejects_intransitive():
     with pytest.raises(DisconnectedError):
-        canonical_form(Permutation.identity(2), Permutation.identity(2))
+        canonical_form(identity(2), identity(2))
 
 
 def _exhaustive_class_check(d):
