@@ -4,10 +4,12 @@ Three ingredients, all combinatorial:
 
 * hyperelliptic involution: a square relabelling sigma with
   sigma r sigma = r^-1, sigma u sigma = u^-1 and sigma^2 = id induces a
-  flat involution rotating every square by pi.  It is *the*
-  hyperelliptic involution exactly when its fixed-point count on the
-  surface (square centers, invariant edge midpoints, invariant vertices)
-  equals 2g + 2.
+  flat involution rotating every square by pi.  The quotient carries a
+  quadratic differential: a fixed square center, edge midpoint or
+  regular vertex has order -1, a fixed zero of order m has m - 1 and an
+  exchanged pair of zeros of order m has 2m.  The fixed points are the
+  odd orders, and the involution is *the* hyperelliptic involution
+  exactly when they number 2g + 2, the quotient then being the sphere.
 
 * spin parity: for strata with all zero orders even, the parity is the
   Arf invariant of the quadratic form q(gamma) = ind(gamma) + 1 (mod 2)
@@ -21,6 +23,10 @@ Three ingredients, all combinatorial:
 
 * the component label combines both with the classification of strata
   components (hyperelliptic / even / odd / nonhyperelliptic / connected).
+  The hyperelliptic components are the double covers of
+  Q(2g-3, -1^(2g+1)) and Q(2g-2, -1^(2g+2)) (Kontsevich-Zorich), so a
+  surface lies in one exactly when its quotient signature has one
+  order other than -1.
 """
 from __future__ import annotations
 
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, InternalCheckError
 from .kernel import corner_walk, invert
+from .moduli import QuadSignature
 from .origami import Origami
 from .permutation import Permutation
 
@@ -49,10 +56,16 @@ def _moves(o: Origami) -> tuple:
 
 @dataclass(frozen=True)
 class Involution:
-    """A flat involution of the origami with its fixed-point count."""
+    """A flat involution of the origami with the signature of the
+    quadratic differential on its quotient."""
 
     sigma: Permutation
-    fixed_point_count: int
+    quotient: QuadSignature
+
+    @property
+    def fixed_point_count(self) -> int:
+        """Fixed points on the surface: the odd orders of the quotient."""
+        return sum(m % 2 for m in self.quotient.orders)
 
 
 def hyperelliptic_involution(o: Origami) -> Involution | None:
@@ -70,7 +83,7 @@ def hyperelliptic_involution(o: Origami) -> Involution | None:
         raise InputError("hyperelliptic involution search needs genus >= 2")
     target = 2 * s.genus + 2
     moves = _moves(o)
-    vertex_of, _ = corner_walk(moves[E], moves[N])
+    vertex_of, sizes = corner_walk(moves[E], moves[N])
     r, u = moves[E], moves[N]
     r_len, u_len = _cycle_length(r, 0), _cycle_length(u, 0)
     for seed in range(o.degree):
@@ -79,12 +92,13 @@ def hyperelliptic_involution(o: Origami) -> Involution | None:
         sigma = _propagate_involution(moves, seed)
         if sigma is None:
             continue
-        count = _flat_fixed_points(moves, sigma, vertex_of)
-        if count == target:
-            return Involution(
-                sigma=Permutation(tuple(x + 1 for x in sigma)),
-                fixed_point_count=count,
-            )
+        orders = _quotient_orders(moves, sigma, vertex_of, sizes)
+        if sum(m % 2 for m in orders) == target:
+            try:
+                quotient = QuadSignature(orders)
+            except InputError as exc:
+                raise InternalCheckError(f"quotient is not the sphere: {exc}") from None
+            return Involution(Permutation(tuple(x + 1 for x in sigma)), quotient)
     return None
 
 
@@ -121,30 +135,34 @@ def _propagate_involution(moves, seed):
     return sigma
 
 
-def _flat_fixed_points(moves, sigma, vertex_of) -> int:
-    """Fixed points of the induced rotation-by-pi involution.
+def _quotient_orders(moves, sigma, vertex_of, sizes) -> list[int]:
+    """Orders of the quadratic differential on the quotient by the
+    rotation-by-pi involution sigma, regular points left out.
 
-    Square centers: sigma(i) = i.  The right-edge midpoint of square i is
-    fixed iff the edge maps to itself reversed, i.e. sigma(i) = r(i);
-    top-edge midpoints likewise with u.  ``vertex_of`` maps each
-    lower-left corner slot to its vertex (``kernel.corner_walk``); the
-    involution sends the vertex holding slot i to the one holding slot
-    u(r(sigma(i))).
+    A fixed square center (sigma(i) = i), right-edge midpoint
+    (sigma(i) = r(i)) or top-edge midpoint (sigma(i) = u(i)) has order -1.
+    ``vertex_of`` and ``sizes`` come from ``kernel.corner_walk``; the
+    involution sends the vertex holding lower-left slot i to the one
+    holding slot u(r(sigma(i))).  A fixed vertex of k slots, a zero of
+    order k - 1, has order k - 2; an exchanged pair of them, 2k - 2.
     """
     rz, uz = moves[E], moves[N]
-    d = len(rz)
-    count = sum(1 for i in range(d) if sigma[i] == i)
-    count += sum(1 for i in range(d) if sigma[i] == rz[i])
-    count += sum(1 for i in range(d) if sigma[i] == uz[i])
-
-    image_of_vertex = {}
-    for i in range(d):
-        v = vertex_of[i]
-        w = vertex_of[uz[rz[sigma[i]]]]
-        if image_of_vertex.setdefault(v, w) != w:
+    orders = [-1] * sum(
+        (s == i) + (s == rz[i]) + (s == uz[i]) for i, s in enumerate(sigma)
+    )
+    image = [-1] * len(sizes)
+    for i, s in enumerate(sigma):
+        v, w = vertex_of[i], vertex_of[uz[rz[s]]]
+        if image[v] < 0:
+            image[v] = w
+        elif image[v] != w:
             raise InternalCheckError("involution does not permute vertices")
-    count += sum(1 for v, w in image_of_vertex.items() if v == w)
-    return count
+    for v, w in enumerate(image):
+        if v == w:
+            orders.append(sizes[v] - 2)
+        elif v < w and sizes[v] > 1:
+            orders.append(2 * sizes[v] - 2)
+    return orders
 
 
 # -- spin parity -------------------------------------------------------------
@@ -328,40 +346,18 @@ class ComponentLabel:
         }
 
 
-def _zeros_exchanged(o: Origami, sigma) -> bool:
-    """Whether the flat involution swaps the two cone points.
-
-    Cone points are the corner-walk cycles of length >= 2; the induced
-    map on vertices sends the vertex holding lower-left slot i to the
-    one holding u(r(sigma(i))).
-    """
-    rz, uz = o.right.zero_based(), o.up.zero_based()
-    vertex_of, sizes = corner_walk(rz, uz)
-    zeros = [v for v, size in enumerate(sizes) if size >= 2]
-    if len(zeros) != 2:
-        raise InternalCheckError("expected exactly two cone points")
-    slot = vertex_of.index(zeros[0])
-    return vertex_of[uz[rz[sigma[slot]]]] == zeros[1]
-
-
 def in_hyperelliptic_component(o: Origami, inv: Involution | None = None) -> bool:
     """Membership in the hyperelliptic *component* of the stratum.
 
-    Those components exist only for a single zero or for two zeros of
-    equal order; in the two-zero case the flat involution must exchange
-    the zeros (with both zeros fixed the surface sits in a spin
-    component instead, even though the curve is hyperelliptic).
+    Its surfaces are the double covers of Q(2g-3, -1^(2g+1)) and
+    Q(2g-2, -1^(2g+2)): the quotient has exactly one order other than -1,
+    a single fixed zero or one exchanged pair.  A hyperelliptic curve
+    whose quotient has more such orders, like one fixing both zeros of
+    (2,2), sits in another component.
     """
     if inv is None:
         inv = hyperelliptic_involution(o)
-    if inv is None:
-        return False
-    orders = o.stratum().orders
-    if len(orders) == 1:
-        return True
-    if len(orders) == 2 and orders[0] == orders[1]:
-        return _zeros_exchanged(o, [x - 1 for x in inv.sigma.images])
-    return False
+    return inv is not None and sum(m != -1 for m in inv.quotient.orders) == 1
 
 
 def component_label(o: Origami) -> ComponentLabel:

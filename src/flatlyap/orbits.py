@@ -269,11 +269,11 @@ class OrbitCache:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for raw in self.path.read_bytes().splitlines():
             try:
+                line = raw.decode().strip()
+                if not line or line.startswith("#"):
+                    continue
                 digest, n_text, cusp_text, total_text, check = line.split()
                 if check != self._line_hash(f"{digest} {n_text} {cusp_text} {total_text}"):
                     raise ValueError
@@ -281,7 +281,7 @@ class OrbitCache:
                 total = parse_rational(total_text)
                 if n < 1 or cusp_count < 1 or len(digest) != 64:
                     raise ValueError
-            except ValueError:
+            except (ValueError, ZeroDivisionError):  # UnicodeDecodeError is a ValueError
                 self.dropped += 1  # corrupted line: recompute later
                 continue
             self._entries[digest] = (n, cusp_count, total)

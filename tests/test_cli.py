@@ -225,6 +225,13 @@ def test_cache_cli_round_trip(tmp_path, capsys, monkeypatch):
     assert json.loads(out1) == json.loads(out2)
 
 
+def test_cache_with_an_undecodable_line_is_recomputed(tmp_path, capsys):
+    (tmp_path / "orbits.cache").write_bytes(b"\xff\xfe\n")
+    code, out, _ = run(capsys, "lyap", FIG1, "--cache-dir", str(tmp_path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["L"] == "4/3"
+
+
 def test_verify_tables_quick(capsys):
     code, out, _ = run(capsys, "verify-tables", "3", "--skip-enumeration")
     assert code == 0

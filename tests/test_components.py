@@ -10,11 +10,13 @@ from flatlyap.components import (
     S,
     component_label,
     hyperelliptic_involution,
+    in_hyperelliptic_component,
     spin_parity,
 )
-from flatlyap.enumeration import enumerate_origamis
+from flatlyap.enumeration import enumerate_origamis, orbit_partition, orbits_by_degree
 from flatlyap.errors import InputError
 from flatlyap.kernel import corner_walk
+from flatlyap.moduli import double_cover_stratum, hyperelliptic_locus_L
 from flatlyap.origami import Origami, Stratum
 from flatlyap.orbits import act_S, act_T
 
@@ -252,20 +254,23 @@ def test_tree_cycle_form_matches_drawing():
 
 
 def _unfiltered_involution(o):
-    """The involution search trying every seed."""
+    """The involution search trying every seed: its sigma and its
+    quotient orders, sorted as the signature sorts them."""
     moves = components._moves(o)
-    vertex_of, _ = corner_walk(moves[E], moves[N])
+    vertex_of, sizes = corner_walk(moves[E], moves[N])
     for seed in range(o.degree):
         sigma = components._propagate_involution(moves, seed)
         if sigma is None:
             continue
-        count = components._flat_fixed_points(moves, sigma, vertex_of)
-        if count == 2 * o.genus() + 2:
-            return [x + 1 for x in sigma], count
+        orders = components._quotient_orders(moves, sigma, vertex_of, sizes)
+        if sum(m % 2 for m in orders) == 2 * o.genus() + 2:
+            return [x + 1 for x in sigma], sorted(orders, reverse=True)
     return None
 
 
 def test_involution_seed_filter_changes_nothing():
+    # every involution found is the first of all seeds, and the double
+    # cover of its quotient signature is the origami's own stratum
     genus_2_and_3 = ((2,), (1, 1), (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     found = 0
     for o in _classes(genus_2_and_3, 7):
@@ -274,9 +279,67 @@ def test_involution_seed_filter_changes_nothing():
         if inv is None:
             assert expected is None, o
         else:
-            assert expected == (list(inv.sigma.images), inv.fixed_point_count), o
+            assert expected == (list(inv.sigma.images), list(inv.quotient.orders)), o
+            assert double_cover_stratum(inv.quotient) == (o.stratum(), o.genus()), o
             found += 1
     assert found > 1000
+
+
+def _zeros_exchanged(o, sigma) -> bool:
+    """Whether the flat involution swaps the two cone points of ``o``:
+    the exchange rule the one-order rule replaced, on its own corner
+    walk.  ``sigma`` is 0-based."""
+    rz, uz = o.right.zero_based(), o.up.zero_based()
+    vertex_of, sizes = corner_walk(rz, uz)
+    zeros = [v for v, size in enumerate(sizes) if size >= 2]
+    assert len(zeros) == 2
+    slot = vertex_of.index(zeros[0])
+    return vertex_of[uz[rz[sigma[slot]]]] == zeros[1]
+
+
+def test_one_order_rule_matches_the_exchange_rule():
+    # for two zeros of equal order the hyperelliptic component is the
+    # one whose involution swaps them
+    checked = 0
+    for o in _classes(((1, 1), (2, 2), (3, 3)), 8):
+        inv = hyperelliptic_involution(o)
+        if inv is None:
+            assert not in_hyperelliptic_component(o)
+            continue
+        sigma = [x - 1 for x in inv.sigma.images]
+        assert in_hyperelliptic_component(o, inv) == _zeros_exchanged(o, sigma), o
+        checked += 1
+    assert checked == 2637
+
+
+LOCUS_STRATA = (
+    (2,), (1, 1), (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1),
+    (6,), (5, 1), (4, 2), (3, 3), (3, 2, 1), (2, 2, 2), (4, 1, 1),
+)
+
+
+def _locus_oracle(strata, d_max) -> int:
+    """Check L = hyperelliptic_locus_L(quotient) on every orbit of the
+    strata up to ``d_max`` whose representative has a hyperelliptic
+    involution; returns how many orbits were checked."""
+    checked = 0
+    for orders in strata:
+        for d, oc in orbits_by_degree(Stratum(orders), d_max):
+            inv = hyperelliptic_involution(oc.representative)
+            if inv is not None:
+                assert hyperelliptic_locus_L(inv.quotient) == oc.summary.L, (orders, d)
+                checked += 1
+    return checked
+
+
+def test_locus_oracle():
+    assert _locus_oracle(LOCUS_STRATA, 9) == 153
+
+
+@pytest.mark.slow
+def test_locus_oracle_at_degree_10():
+    more = ((2, 2, 1, 1), (3, 1, 1, 1), (8,), (6, 2), (5, 3), (4, 4))
+    assert _locus_oracle(LOCUS_STRATA + more, 10) == 301
 
 
 # -- spin parity ----------------------------------------------------------------------
@@ -349,8 +412,9 @@ def test_label_computes_the_stratum_once(monkeypatch, text):
     # the involution search, the spin parity and the hyperelliptic
     # component test all need the stratum; one corner walk gives it, once
     # per origami.  The involution search walks once however many seeds
-    # propagate (two do for the (2,2) case), and the zero-exchange test
-    # once when it runs.  No step builds the commutator.
+    # propagate (two do for the (2,2) case), and the component test reads
+    # the quotient signature that walk gave.  No step builds the
+    # commutator.
     o = origami(text)
     walks = []
     for module in (origami_module, components):
@@ -367,13 +431,9 @@ def test_label_computes_the_stratum_once(monkeypatch, text):
 
     # the library binds compose only in the permutation module
     monkeypatch.setattr(permutation, "compose", forbidden)
-    label = component_label(o)
-    orders = o.stratum().orders
-    exchange_tested = (
-        label.involution is not None and len(orders) == 2 and orders[0] == orders[1]
-    )
+    component_label(o)
     assert walks.count("flatlyap.origami") == 1
-    assert walks.count("flatlyap.components") == 1 + exchange_tested
+    assert walks.count("flatlyap.components") == 1
 
 
 def test_label_ten_odd_even():
@@ -417,6 +477,19 @@ def test_label_nonhyperelliptic_for_odd_pairs():
     assert component_label(found).kind == "nonhyperelliptic"
 
 
+def _labels_constant_on_orbits(strata, d) -> int:
+    """Check that every member of every orbit of the strata at degree
+    ``d`` gets the same label kind; returns how many classes were read."""
+    classes = 0
+    for orders in strata:
+        for oc in orbit_partition(enumerate_origamis(d, Stratum(orders))):
+            members = oc.members
+            kinds = {component_label(Origami.from_key(k)).kind for k in members}
+            assert len(kinds) == 1, (orders, oc.representative, kinds)
+            classes += len(members)
+    return classes
+
+
 def test_label_constant_on_orbit():
     o = origami(NINE_SQUARE_MAX)
     base = component_label(o).kind
@@ -424,6 +497,27 @@ def test_label_constant_on_orbit():
     for k in range(6):
         x = act_T(x) if k % 2 else act_S(x)
         assert component_label(x).kind == base
+    assert _labels_constant_on_orbits(((6,), (4, 2), (2, 2, 2)), 8) == 14300
+
+
+@pytest.mark.slow
+def test_label_constant_on_orbit_at_degree_9():
+    assert _labels_constant_on_orbits(((6,), (4, 2), (2, 2, 2)), 9) == 89457
+
+
+def test_hyperelliptic_parity():
+    # a hyperelliptic-component orbit has spin parity floor((g+1)/2)
+    # mod 2 (Kontsevich-Zorich)
+    checked = 0
+    for orders, d_max in (((2,), 10), ((4,), 10), ((2, 2), 9), ((6,), 9)):
+        s = Stratum(orders)
+        expected = ("even", "odd")[(s.genus + 1) // 2 % 2]
+        for d, oc in orbits_by_degree(s, d_max):
+            label = component_label(oc.representative)
+            if label.kind == "hyperelliptic":
+                assert label.parity == expected, (orders, d, oc.representative)
+                checked += 1
+    assert checked == 78
 
 
 def test_label_json():

@@ -316,6 +316,22 @@ def test_cache_detects_corruption(tmp_path):
     assert again.lookup_any(canon(origami(FIG1))) == (18, 5, Fraction(20))
 
 
+def test_cache_drops_lines_it_cannot_read(tmp_path):
+    lyapunov_sum(origami(FIG1), cache=OrbitCache(tmp_path))
+    path = tmp_path / "orbits.cache"
+    least_line = path.read_text().splitlines()[0]
+    # a byte that is not UTF-8, and a zero denominator under a good hash
+    payload = f"{'0' * 64} 18 5 1/0"
+    path.write_bytes(
+        f"{least_line}\n".encode() + b"\xff not utf-8\n"
+        + f"{payload} {OrbitCache._line_hash(payload)}\n".encode()
+    )
+    cache = OrbitCache(tmp_path)
+    assert cache.dropped == 2
+    least = min(canon(o) for o in orbit(origami(FIG1)))
+    assert cache.lookup_any(least) == (18, 5, Fraction(20))
+
+
 # FIG1's cache as an older version wrote it: the orbit line in
 # orbits.cache, FIG1's own key in a second, unhashed aliases.cache
 OLD_ORBIT_LINE = (
