@@ -1,7 +1,13 @@
 /* The compiled half of the orbit core: the canonical form of a pair, the
- * breadth-first closure of a canonical pair under T and S with the
- * T-cycles (cusps) of the closed orbit, and the exhaustive scan for pairs
- * with a given commutator cycle type.
+ * breadth-first closure of a canonical pair under T and S, and the
+ * exhaustive scan for pairs with a given commutator cycle type.
+ *
+ * The closure makes only the two canonical images of each key
+ * (fl_scan_step).  Everything else runs once per T-cycle (cusp), or once
+ * a caller asks for it: fl_scan_cusps counts the cycles, adds the
+ * cylinders of one key per cycle, weighted by its width, and finds the
+ * least key; the sorted cusp list (fl_scan_cusp_list) and the keys
+ * (fl_scan_keys) stay in the closure until they are read.
  *
  * kernel.py builds this file into a shared library, calls it through
  * ctypes and holds the pure-Python oracle of every function here; the
@@ -43,27 +49,42 @@ enum {
 #define UNSET 0xff        /* no label yet; labels are 0..d-1 <= 254 */
 
 /* Least relabelling of (r, u) by BFS order (r first, then u) over all
- * base squares, into out[0..2d).  Bases fixed by r give a key starting
- * with 0, so only they are tried when r has a fixed point.  Otherwise
- * every key starts with 1, and its second byte is 0 exactly when the
- * base lies on a 2-cycle of r (else r^2 of the base is a third square,
- * labelled 2 or more), so only 2-cycle bases are tried when r has one.
- * A base is abandoned as soon as its r half exceeds the best one so far.
+ * base squares, into out[0..2d).  Both halves of a base's key are written
+ * as its BFS goes, and the base is abandoned as soon as its r half
+ * exceeds the best one so far.  Three exact rules leave out bases that
+ * cannot give the least key; the first that admits a base decides, and
+ * with none every base is tried:
+ * - a base fixed by r gives first byte 0, any other 1, so only fixed
+ *   bases are tried when r has a fixed point;
+ * - with none, the second byte is label(r^2 b): 0 exactly when b lies on
+ *   a 2-cycle of r, else 2 or more, so only 2-cycle bases are tried when
+ *   r has one;
+ * - with neither, r b and r^2 b are new squares, labelled 1 and then 2 or
+ *   3: u b is labelled before r^2 b unless it is b or r b, and takes
+ *   label 2.  So the second byte is 2 exactly when u b is b, r b or r^2 b,
+ *   else 3, and only such bases are tried when one exists.
  * Returns 0, or ST_DISCONNECTED when the pair is not transitive. */
 static int canonical(int d, const u8 *r, const u8 *u, u8 *out)
 {
-    u8 label[256], order[256];
-    int any_fixed = 0, any_two = 0, have = 0;
-    for (int x = 0; x < d; x++)
-        if (r[x] == x) {
-            any_fixed = 1;
-            break;
-        } else if (r[r[x]] == x) {
-            any_two = 1;
-        }
-    for (int base = 0; base < d; base++) {
-        if (any_fixed ? r[base] != base : any_two && r[r[base]] != base)
-            continue;
+    u8 label[256], order[256], cand[512], bases[3][256];
+    int count[3] = {0, 0, 0}, have = 0;
+    /* the bases of each rule, listed without a branch: at small degrees
+     * the tests are too irregular for the CPU to predict */
+    for (int x = 0; x < d; x++) {
+        int rx = r[x], rrx = r[rx], ux = u[x];
+        bases[0][count[0]] = (u8)x;
+        count[0] += rx == x;
+        bases[1][count[1]] = (u8)x;
+        count[1] += rrx == x;
+        bases[2][count[2]] = (u8)x;
+        count[2] += (ux == x) | (ux == rx) | (ux == rrx);
+    }
+    int rule = count[0] ? 0 : count[1] ? 1 : 2;
+    if (!count[rule])   /* no rule admits a base: every base */
+        for (; count[2] < d; count[2]++)
+            bases[2][count[2]] = (u8)count[2];
+    for (int t = 0; t < count[rule]; t++) {
+        int base = bases[rule][t];
         memset(label, UNSET, (size_t)d);
         label[base] = 0;
         order[0] = (u8)base;
@@ -75,8 +96,9 @@ static int canonical(int d, const u8 *r, const u8 *u, u8 *out)
                 label[y] = (u8)filled;
                 order[filled++] = (u8)y;
             }
-            if (cmp == 0 && label[y] != out[i]) {
-                cmp = label[y] > out[i] ? 1 : -1;
+            cand[i] = label[y];
+            if (cmp == 0 && cand[i] != out[i]) {
+                cmp = cand[i] > out[i] ? 1 : -1;
                 if (cmp > 0)
                     break;
             }
@@ -85,18 +107,13 @@ static int canonical(int d, const u8 *r, const u8 *u, u8 *out)
                 label[y] = (u8)filled;
                 order[filled++] = (u8)y;
             }
+            cand[d + i] = label[y];
         }
         if (cmp > 0)
             continue;
         /* a full search from the first base decides transitivity */
         if (filled != d)
             return ST_DISCONNECTED;
-        u8 cand[512];
-        for (int k = 0; k < d; k++) {
-            int x = order[k];
-            cand[k] = label[r[x]];
-            cand[d + k] = label[u[x]];
-        }
         if (cmp < 0 || memcmp(cand + d, out + d, (size_t)d) < 0) {
             memcpy(out, cand, (size_t)(2 * d));
             have = 1;
@@ -105,16 +122,15 @@ static int canonical(int d, const u8 *r, const u8 *u, u8 *out)
     return 0;
 }
 
-/* Counts every horizontal cylinder of width w and height h at
- * w * (d + 1) + h, see orbits.horizontal_cylinders: one is added to that
- * entry of hist, or, when hist is NULL, the index goes into cells[].
- * Returns how many cylinders there are, at most d, or ST_AREA when their
- * areas do not add up to d. */
-static int cylinders(int d, const u8 *r, const u8 *u, long *hist, uint16_t *cells)
+/* Adds ``weight`` to the entry w * (d + 1) + h of hist for every
+ * horizontal cylinder of width w and height h, see
+ * orbits.horizontal_cylinders.  Returns 0, or ST_AREA when their areas do
+ * not add up to d. */
+static int cylinders(int d, const u8 *r, const u8 *u, long *hist, long weight)
 {
     int row_of[256], first[256], width[256], above[256];
     u8 has_below[256], seen[256];
-    int n = 0, area = 0, count = 0;
+    int n = 0, area = 0;
     for (int x = 0; x < d; x++)
         row_of[x] = -1;
     for (int start = 0; start < d; start++) {
@@ -154,14 +170,10 @@ static int cylinders(int d, const u8 *r, const u8 *u, long *hist, uint16_t *cell
                 seen[j] = 1;
                 h++;
             }
-            if (hist)
-                hist[width[i] * (d + 1) + h]++;
-            else
-                cells[count] = (uint16_t)(width[i] * (d + 1) + h);
-            count++;
+            hist[width[i] * (d + 1) + h] += weight;
             area += width[i] * h;
         }
-    return area == d ? count : ST_AREA;
+    return area == d ? 0 : ST_AREA;
 }
 
 /* -- breadth-first closure -------------------------------------------- */
@@ -174,24 +186,24 @@ struct scan {
     long *t_next;       /* index of the T image of each expanded key;
                          * closures only, NULL in a scan's key sets */
     uint32_t *slots;    /* open addressing: key index + 1, 0 when free;
-                         * NULL in a sorted key set */
+                         * NULL in a sorted key set and a finished closure */
     size_t mask;        /* slot count - 1, a power of two less one */
     long *hist;         /* closures only: (d + 1)^2 cylinder counts, by
                          * w * (d + 1) + h */
-    long *cusps;        /* fl_scan_cusps: width, least key index per T-cycle */
-    long least;         /* fl_scan_cusps: index of the least key */
+    /* fl_scan_cusps: how many T-cycles, and the index of the least key */
+    long cusp_count, least;
+    /* fl_scan_cusp_list: width, least key index per T-cycle */
+    _Atomic(long *) cusps;
     /* fl_scan_step: what expand() made of the keys of a batch, on two
      * sides of BATCH keys each, the caller's and the helper's */
     u8 *images;         /* T, S images, canonical: 2 per key */
     struct made *made;  /* the rest: 1 per key */
-    uint16_t *cells;    /* the helper's side only: d cylinder cells per key */
 };
 
-/* What expand() made of key b of a batch, besides its images and cells. */
+/* What expand() made of key b of a batch, besides its images. */
 struct made {
     size_t hash[2];     /* of the T and the S image */
-    int status;         /* 0, or ST_AREA or ST_DISCONNECTED: nothing to visit */
-    int cylinders;      /* how many cells, on the helper's side */
+    int status;         /* 0, or ST_DISCONNECTED: nothing to visit */
 };
 
 /* keys fl_scan_step expands before it visits their images, keys one
@@ -295,7 +307,6 @@ void fl_scan_free(struct scan *s)
     free(s->hist);
     free(s->cusps);
     free(s->images);
-    free(s->cells);
     free(s->made);
     free(s);
 }
@@ -330,9 +341,8 @@ struct scan *fl_scan_new(int d, const u8 *start)
     s->t_next = malloc((size_t)s->room * sizeof(long));
     s->hist = calloc((size_t)(d + 1) * (size_t)(d + 1), sizeof(long));
     s->images = malloc(2 * BATCH * 2 * (size_t)s->k);
-    s->cells = malloc(BATCH * (size_t)d * sizeof *s->cells);
     s->made = malloc(2 * BATCH * sizeof *s->made);
-    if (!s->t_next || !s->hist || !s->images || !s->cells || !s->made) {
+    if (!s->t_next || !s->hist || !s->images || !s->made) {
         fl_scan_free(s);
         return NULL;
     }
@@ -342,22 +352,16 @@ struct scan *fl_scan_new(int d, const u8 *start)
 
 /* Makes the canonical T image (r, u r^-1) and S image (u^-1, r) of key b
  * of the batch that starts at ``first``, with their hashes, on one side
- * (0: the caller, 1: the helper), and counts its cylinders: the caller
- * into the histogram, the helper into its cells, which the caller adds
- * when it visits the key.  Either way each key visited is counted once.
- * T and S generate the same group as r and u, so both images are
- * transitive or neither is. */
+ * (0: the caller, 1: the helper).  That is all the closure does per key:
+ * the cylinders are counted per T-cycle, by fl_scan_cusps.  T and S
+ * generate the same group as r and u, so both images are transitive or
+ * neither is. */
 static void expand(const struct scan *s, const u8 *first, long b, int side)
 {
     int d = s->d, k = s->k;
     const u8 *r = first + b * k, *u = r + d;
     u8 inv[256], moved[256], *img = s->images + (side * BATCH + b) * 2 * k;
     struct made *m = s->made + side * BATCH + b;
-    m->cylinders = cylinders(d, r, u, side ? NULL : s->hist, s->cells + b * d);
-    if (m->cylinders < 0) {
-        m->status = m->cylinders;
-        return;
-    }
     for (int x = 0; x < d; x++)
         inv[r[x]] = (u8)x;
     for (int x = 0; x < d; x++)
@@ -537,9 +541,10 @@ static void prefetch_image(const struct scan *s, int side, long i)
 #endif
 }
 
-/* Expands at most ``budget`` keys in discovery order: adds each one's
- * cylinders to the histogram and visits its T image (r, u r^-1), then
- * its S image (u^-1, r).  Returns a status from the enum above.
+/* Expands at most ``budget`` keys in discovery order: visits each one's
+ * T image (r, u r^-1), then its S image (u^-1, r), and records the index
+ * of the T image in t_next.  Returns a status from the enum above; once
+ * fl_scan_cusps has finished the closure, ST_TAIL.
  *
  * Keys go in batches of at most BATCH that are already in the set, and
  * a batch in chunks: the images of a chunk are all made
@@ -549,11 +554,11 @@ static void prefetch_image(const struct scan *s, int side, long i)
  * visited, so the first status in key order wins. */
 int fl_scan_step(struct scan *s, long max_size, long budget)
 {
-    int d = s->d, k = s->k, st = 0, helping = 0, tried = 0;
+    int k = s->k, st = 0, helping = 0, tried = 0;
     unsigned long claims = 0;   /* chunks the helper has claimed, so far as known */
     struct crew cr;
     pthread_t helper;
-    if (!s->t_next)
+    if (!s->t_next || !s->slots)
         return ST_TAIL;
     cr.s = s;
     cr.chunk = BATCH;
@@ -592,8 +597,6 @@ int fl_scan_step(struct scan *s, long max_size, long budget)
             for (long b = c * chunk; b < end; b++) {
                 if ((st = made[b].status))
                     break;
-                for (int i = 0; side && i < made[b].cylinders; i++)
-                    s->hist[s->cells[b * d + i]]++;
                 for (int i = 0; i < 2; i++) {
                     long ahead = 2 * b + i + AHEAD;
                     if (ahead < 2 * reach)
@@ -631,13 +634,13 @@ static int cusp_before(const struct scan *s, const long *a, const long *b)
     return memcmp(s->keys + a[1] * s->k, s->keys + b[1] * s->k, (size_t)s->k) < 0;
 }
 
-/* Sorts the count pairs of s->cusps by cusp_before, a bottom-up merge
+/* Sorts the count pairs of cusps[] by cusp_before, a bottom-up merge
  * sort; 0 or ST_NOMEM. */
-static int sort_cusps(struct scan *s, long count)
+static int sort_cusps(const struct scan *s, long *cusps, long count)
 {
     if (count < 2)
         return 0;
-    long *tmp = malloc((size_t)count * 2 * sizeof(long)), *from = s->cusps, *to = tmp;
+    long *tmp = malloc((size_t)count * 2 * sizeof(long)), *from = cusps, *to = tmp;
     if (!tmp)
         return ST_NOMEM;
     for (long run = 1; run < count; run *= 2) {
@@ -656,69 +659,100 @@ static int sort_cusps(struct scan *s, long count)
         from = to;
         to = swap;
     }
-    if (from != s->cusps)
-        memcpy(s->cusps, from, (size_t)count * 2 * sizeof(long));
+    if (from != cusps)
+        memcpy(cusps, from, (size_t)count * 2 * sizeof(long));
     free(tmp);
     return 0;
 }
 
-/* The T-cycles of a closure that fl_scan_step finished: walks t_next once
- * and stores the length of each cycle and the index of its least key as
- * pairs in s->cusps, sorted by width and then by least key, and the index
- * of the orbit's least key in s->least.  Returns the cycle count,
- * ST_NOMEM, or ST_TAIL when a walk ends anywhere but at its start: T is
- * invertible, so its graph on a complete orbit is a union of cycles, and
- * a tail or an unexpanded key (t_next -1) means the closure was not.
- * It then frees t_next and the slot table, which only the search reads:
- * a later step or cusp walk finds no T map and returns ST_TAIL. */
+/* Finishes a closure that fl_scan_step completed, in one walk of t_next:
+ * counts the T-cycles (the cusps) and adds the cylinders of the first
+ * key of each, as many times as the cycle is long, to the histogram.  T
+ * is a horizontal shear, so it keeps the horizontal cylinders: every key
+ * of a cycle has the same.  Then one pass over the keys finds the least.
+ * Returns the cycle count; ST_AREA; ST_NOMEM; or ST_TAIL when a walk
+ * ends anywhere but at its start: T is invertible, so its graph on a
+ * complete orbit is a union of cycles, and a tail or an unexpanded key
+ * (t_next -1) means the closure was not.  It frees the slot table, which
+ * only the search reads, and on failure t_next too: a later step or
+ * walk then returns ST_TAIL, and fl_scan_cusp_list NULL. */
 long fl_scan_cusps(struct scan *s)
 {
-    if (!s->t_next)
+    if (!s->t_next || !s->slots)
         return ST_TAIL;
+    free(s->slots);
+    s->slots = NULL;
     u8 *seen = calloc((size_t)s->n + 1, 1);
-    long count = 0, room = 0, st = 0;
-    if (!seen)
-        return ST_NOMEM;
-    free(s->cusps);
-    s->cusps = NULL;
-    s->least = 0;
-    for (long start = 0; start < s->n; start++) {
+    long count = 0, st = seen ? 0 : ST_NOMEM;
+    for (long start = 0; !st && start < s->n; start++) {
         if (seen[start])
             continue;
-        long width = 0, least = start, x = start;
+        long width = 0, x = start;
         for (; x >= 0 && !seen[x]; x = s->t_next[x]) {
+            seen[x] = 1;
+            width++;
+        }
+        const u8 *key = s->keys + start * s->k;
+        if (x != start)
+            st = ST_TAIL;
+        else
+            st = cylinders(s->d, key, key + s->d, s->hist, width);
+        count++;
+    }
+    free(seen);
+    if (st) {
+        free(s->t_next);
+        s->t_next = NULL;
+        return st;
+    }
+    s->least = 0;
+    for (long j = 1; j < s->n; j++)
+        if (memcmp(s->keys + j * s->k, s->keys + s->least * s->k, (size_t)s->k) < 0)
+            s->least = j;
+    return s->cusp_count = count;
+}
+
+/* The (width, least key index) pairs of the T-cycles of a closure that
+ * fl_scan_cusps finished, sorted by width and then by least key: made by
+ * a second walk of t_next on the first call, which only a caller that
+ * reads the cusps makes.  NULL when out of memory or not finished.
+ * Threads that make the list at once each make their own; the first to
+ * publish it wins, and the others free theirs. */
+const long *fl_scan_cusp_list(struct scan *s)
+{
+    long *cusps = atomic_load(&s->cusps), *first = NULL;
+    if (cusps || s->slots || !s->t_next)
+        return cusps;
+    u8 *seen = calloc((size_t)s->n + 1, 1);
+    cusps = malloc(((size_t)s->cusp_count + 1) * 2 * sizeof(long));
+    if (!seen || !cusps) {
+        free(seen);
+        free(cusps);
+        return NULL;
+    }
+    for (long start = 0, count = 0; start < s->n; start++) {
+        if (seen[start])
+            continue;
+        long width = 0, least = start;
+        for (long x = start; !seen[x]; x = s->t_next[x]) {
             seen[x] = 1;
             width++;
             if (memcmp(s->keys + x * s->k, s->keys + least * s->k, (size_t)s->k) < 0)
                 least = x;
         }
-        if (x != start) {
-            st = ST_TAIL;
-            break;
-        }
-        if (count == room) {
-            room = room ? 2 * room : 64;
-            long *cusps = realloc(s->cusps, (size_t)room * 2 * sizeof(long));
-            if (!cusps) {
-                st = ST_NOMEM;
-                break;
-            }
-            s->cusps = cusps;
-        }
-        s->cusps[2 * count] = width;
-        s->cusps[2 * count + 1] = least;
-        count++;
-        if (memcmp(s->keys + least * s->k, s->keys + s->least * s->k, (size_t)s->k) < 0)
-            s->least = least;
+        cusps[2 * count] = width;
+        cusps[2 * count++ + 1] = least;
     }
     free(seen);
-    free(s->t_next);
-    free(s->slots);
-    s->t_next = NULL;
-    s->slots = NULL;
-    if (!st)
-        st = sort_cusps(s, count);
-    return st ? st : count;
+    if (sort_cusps(s, cusps, s->cusp_count)) {
+        free(cusps);
+        return NULL;
+    }
+    if (!atomic_compare_exchange_strong(&s->cusps, &first, cusps)) {
+        free(cusps);
+        return first;
+    }
+    return cusps;
 }
 
 /* -- sorted key sets ---------------------------------------------------
@@ -794,7 +828,6 @@ int fl_set_mark(const struct scan *s, u8 *marks, const struct scan *orbit)
 long fl_scan_size(const struct scan *s) { return s->n; }
 const u8 *fl_scan_keys(const struct scan *s) { return s->keys; }
 const long *fl_scan_hist(const struct scan *s) { return s->hist; }
-const long *fl_scan_cusp_list(const struct scan *s) { return s->cusps; }
 long fl_scan_least(const struct scan *s) { return s->least; }
 
 /* Canonical key of (r, u) into out[0..2d); 0, ST_RANGE or

@@ -34,7 +34,7 @@ from .components import component_label
 from .errors import InputError, ResourceCapError
 from .kernel import KeySet, key_set, partition, scan_degree
 from .origami import Origami, Stratum
-from .orbits import OrbitSummary, _summary_from_parts, _total_hw, format_rational, orbit_scan
+from .orbits import OrbitSummary, _summary_from_parts, format_rational, orbit_scan
 
 
 #: the most class elements one degree's scan walks: d! <= 12!, so d <= 12
@@ -159,13 +159,13 @@ def orbit_partition(keys: KeySet | list[bytes]) -> list[OrbitClass]:
     d = keys.degree
     stratum = None
     out = []
-    for least, size, hist, cusp_count in partition(keys):
+    for least, size, total, cusp_count in partition(keys):
         representative = Origami.from_key(least)
         if stratum is None:
             stratum = representative.stratum()
         elif representative.stratum() != stratum:
             raise InputError("orbit partition needs a single degree and stratum")
-        summary = _summary_from_parts(d, stratum, size, cusp_count, _total_hw(hist, d))
+        summary = _summary_from_parts(d, stratum, size, cusp_count, total)
         out.append(OrbitClass(representative, summary))
     return out
 

@@ -3,23 +3,23 @@ its cusps, the exhaustive scan and the orbit partition of its key sets;
 and the horizontal cylinders and the vertices (``corner_walk``, which
 gives the stratum) of one pair.
 
-Every origami in an orbit search passes through three steps: the
-canonical form of a permutation pair under simultaneous relabelling, its
-T and S images, and its horizontal cylinders; the closed orbit is then
-split into its T-cycles, the cusps.  An exhaustive enumeration walks,
-for each right permutation r, the conjugacy class of r for the
-s = u^-1 r^-1 u that make the commutator s r, tests its cycle type, and
-canonicalises the pairs (r, u) of the survivors into a ``KeySet``, which
-``partition`` splits into orbits, one closure each.  This module runs
-all of it in two interchangeable ways:
+An orbit search makes the canonical T and S images of every origami.
+The closed orbit splits into its T-cycles, the cusps; T keeps the
+horizontal cylinders, so L = kappa + (1/N) sum over cusps of width *
+sum h/w needs the cylinders of one member per cusp.  An exhaustive
+enumeration walks, for each right permutation r, the conjugacy class of
+r for the s = u^-1 r^-1 u that make the commutator s r, tests its cycle
+type, and canonicalises the pairs (r, u) of the survivors into a
+``KeySet``, which ``partition`` splits into orbits, one closure each.
+This module runs all of it in two interchangeable ways:
 
 * compiled, from ``_orbitcore.c``: built once with the system C compiler
   into ``${XDG_CACHE_HOME:-~/.cache}/flatlyap/``, named by the sha256 of
   the source and flags, and loaded with ctypes on the first call.  A
-  scan's KeySet stays in C memory, and the partition marks each orbit's
-  members in it, so no class becomes a Python object.  A closure step may
-  run a helper thread on another CPU (see ``fl_scan_step``); results are
-  byte-identical either way;
+  scan's KeySet and a closure's OrbitScan stay in C memory, and the
+  partition marks each orbit's members in the KeySet, so no class becomes
+  a Python object; a closure step may run a helper thread on another CPU
+  (``fl_scan_step``); results are byte-identical either way;
 * in pure Python, the code below, which is the oracle the compiled code
   must match byte for byte.
 
@@ -32,14 +32,17 @@ from __future__ import annotations
 
 import bisect
 import ctypes
+import functools
 import hashlib
 import itertools
+import math
 import os
 import shutil
 import tempfile
 from array import array
 from collections import Counter
-from contextlib import contextmanager
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import DisconnectedError, InputError, InternalCheckError, ResourceCapError
@@ -302,58 +305,89 @@ def corner_walk(rz, uz) -> tuple[list[int], list[int]]:
 
 # -- orbit closure -----------------------------------------------------------
 
-def orbit_closure(rz, uz, max_size: int) -> tuple[bytes, Counter, list, bytes]:
-    """Breadth-first closure under T and S of the canonical key of the
-    pair of 0-based image sequences (rz, uz).
+class OrbitScan:
+    """A closed SL(2,Z) orbit (``orbit_closure``): its ``size``, its members'
+    horizontal cylinders by (width, height) ``hist`` and their sum of h/w
+    ``total_hw``, its ``cusp_count`` and ``least`` key; the ``keys`` in
+    discovery order and the ``cusps`` are copied when first read.  A
+    compiled closure (``lib``, ``handle``) stays in C memory until the
+    OrbitScan is freed, as a KeySet does; the Python one sets both lists."""
 
-    Returns the keys in discovery order packed into one bytes object, how
-    many cylinders of each (width, height) the orbit has in all, the
-    cusps: the (width, least key) pairs of the T-cycles, sorted, and the
-    orbit's least key.  The compiled closure sorts the cusps and finds the
-    least key itself, so Python makes one object per cusp and none per
-    orbit element.  Raises what ``canonical_key`` raises, and
-    ResourceCapError past ``max_size`` keys.
-    """
-    start = canonical_key(rz, uz)
-    lib = _library()
+    def __init__(self, degree: int, lib=None, handle=None):
+        self.degree, self._lib, self._handle = degree, lib, handle
+        if lib is not None and not handle:
+            raise MemoryError("no memory for the orbit search")
+
+    def _set(self, size: int, hist: Counter, cusp_count: int, least: bytes) -> OrbitScan:
+        self.size, self.hist, self.cusp_count, self.least = size, hist, cusp_count, least
+        # every 1/w over the common denominator lcm(1..d)
+        m = math.lcm(*range(1, self.degree + 1))
+        self.total_hw = Fraction(sum(n * h * (m // w) for (w, h), n in hist.items()), m)
+        return self
+
+    @functools.cached_property
+    def keys(self) -> list[bytes]:
+        k = 2 * self.degree
+        blob = ctypes.string_at(self._lib.fl_scan_keys(self._handle), self.size * k)
+        return [blob[i : i + k] for i in range(0, len(blob), k)]
+
+    @functools.cached_property
+    def cusps(self) -> list[tuple[int, bytes]]:
+        """(width, least key) per T-cycle, sorted."""
+        at = self._lib.fl_scan_cusp_list(self._handle)
+        if not at:
+            raise MemoryError("no memory for the cusp list")
+        pairs = array("l", ctypes.string_at(at, 2 * self.cusp_count * _LONG))
+        first, k = self._lib.fl_scan_keys(self._handle), 2 * self.degree
+        return [(w, ctypes.string_at(first + i * k, k)) for w, i in zip(pairs[::2], pairs[1::2])]
+
+    def cusp_widths(self) -> _Cusps:
+        """(width, least member) per T-orbit, sorted, as a sequence whose
+        ``len`` is the cusp count: the pairs are made on first read."""
+        return _Cusps(self)
+
+    def __del__(self):
+        if getattr(self, "_handle", None):
+            self._lib.fl_scan_free(self._handle)
+
+
+@dataclass
+class _Cusps:
+    """The ``cusps`` of an OrbitScan, a sequence made on first read; ``len``
+    reads ``cusp_count`` and makes none."""
+
+    _scan: OrbitScan
+
+    def __len__(self) -> int:
+        return self._scan.cusp_count
+
+    def __getitem__(self, i):   # iteration goes through it too
+        return self._scan.cusps[i]
+
+    def __eq__(self, other) -> bool:
+        return self._scan.cusps == list(other)
+
+
+def orbit_closure(rz, uz, max_size: int) -> OrbitScan:
+    """Breadth-first closure under T and S of the canonical key of the
+    pair of 0-based image sequences (rz, uz); raises what ``canonical_key``
+    raises, and ResourceCapError past ``max_size`` keys."""
+    start, lib = canonical_key(rz, uz), _library()
     if lib is None:
         return _py_orbit_closure(start, max_size)
-    with _closed(lib, start, max_size) as (scan, count):
-        n, k = lib.fl_scan_size(scan), len(start)
-        blob = ctypes.string_at(lib.fl_scan_keys(scan), n * k)
-        pairs = array("l", ctypes.string_at(lib.fl_scan_cusp_list(scan), 2 * count * _LONG))
-        least = lib.fl_scan_least(scan) * k
-        hist = _histogram(lib, scan, k // 2)
-    cusps = [(w, blob[i * k : i * k + k]) for w, i in zip(pairs[::2], pairs[1::2])]
-    return blob, hist, cusps, blob[least : least + k]
-
-
-@contextmanager
-def _closed(lib, start: bytes, max_size: int):
-    """The compiled closure of the canonical key ``start``, complete and
-    with its cusps found, as (closure, cusp count); freed on exit."""
-    scan = lib.fl_scan_new(len(start) // 2, start)
-    if not scan:
-        raise MemoryError("no memory for the orbit search")
-    try:
-        while True:
-            status = lib.fl_scan_step(scan, min(max_size, _LONG_MAX), _STEP_BUDGET)
-            if status == 0:
-                break
-            if status != 1:
-                _raise_status(status, max_size)
-        # the cusp walk frees the hash table and t_next before any copy
-        count = lib.fl_scan_cusps(scan)
-        if count < 0:
-            _raise_status(count)
-        yield scan, count
-    finally:
-        lib.fl_scan_free(scan)
-
-
-def _histogram(lib, scan, d: int) -> Counter:
-    counts = array("l", ctypes.string_at(lib.fl_scan_hist(scan), (d + 1) ** 2 * _LONG))
-    return Counter({divmod(i, d + 1): c for i, c in enumerate(counts) if c})
+    d = len(start) // 2
+    scan = OrbitScan(d, lib, lib.fl_scan_new(d, start))
+    at = scan._handle
+    while (status := lib.fl_scan_step(at, min(max_size, _LONG_MAX), _STEP_BUDGET)) == 1:
+        pass
+    # the cusp walk counts the cylinders, once per T-cycle
+    count = lib.fl_scan_cusps(at) if status == 0 else status
+    if count < 0:
+        _raise_status(count, max_size)
+    least = ctypes.string_at(lib.fl_scan_keys(at) + lib.fl_scan_least(at) * 2 * d, 2 * d)
+    counts = array("l", ctypes.string_at(lib.fl_scan_hist(at), (d + 1) ** 2 * _LONG))
+    hist = Counter({divmod(i, d + 1): c for i, c in enumerate(counts) if c})
+    return scan._set(lib.fl_scan_size(at), hist, count, least)
 
 
 def _raise_status(status: int, max_size: int = 0):
@@ -370,11 +404,11 @@ def _raise_status(status: int, max_size: int = 0):
     raise kind(message)
 
 
-def _py_orbit_closure(start: bytes, max_size: int) -> tuple[bytes, Counter, list, bytes]:
+def _py_orbit_closure(start: bytes, max_size: int) -> OrbitScan:
     d = len(start) // 2
     index = {start: 0}
     keys = [start]
-    t_next = array("l", [-1])
+    t_next = []   # the index of the T image of each key, in key order
     hist: Counter = Counter()
 
     def visit(key: bytes) -> int:
@@ -385,18 +419,18 @@ def _py_orbit_closure(start: bytes, max_size: int) -> tuple[bytes, Counter, list
                 raise ResourceCapError(_CAP_MESSAGE.format(max_size))
             index[key] = j
             keys.append(key)
-            t_next.append(-1)
         return j
 
-    # keys[i:] is the frontier: each key is appended once, when found
-    i = 0
-    while i < len(keys):
-        rz, uz = keys[i][:d], keys[i][d:]
-        hist.update(cylinders(rz, uz))
-        t_next[i] = visit(canonical_key(rz, [uz[x] for x in invert(rz)]))  # T: (r, u r^-1)
+    # the keys appended while the loop runs are the frontier; it reaches each
+    for key in keys:
+        rz, uz = key[:d], key[d:]
+        hist.update(cylinders(rz, uz))   # per key: the oracle of the count per cusp
+        t_next.append(visit(canonical_key(rz, [uz[x] for x in invert(rz)])))  # T: (r, u r^-1)
         visit(canonical_key(invert(uz), rz))  # S: (u^-1, r)
-        i += 1
-    return b"".join(keys), hist, _py_cusps(keys, t_next), min(keys)
+    cusps = _py_cusps(keys, t_next)
+    scan = OrbitScan(d)._set(len(keys), hist, len(cusps), min(keys))
+    scan.keys, scan.cusps = keys, cusps
+    return scan
 
 
 def _py_cusps(keys, t_next) -> list[tuple[int, bytes]]:
@@ -466,10 +500,10 @@ def key_set(keys) -> KeySet:
     return out
 
 
-def partition(keys: KeySet) -> list[tuple[bytes, int, Counter, int]]:
+def partition(keys: KeySet) -> list[tuple[bytes, int, Fraction, int]]:
     """The SL(2,Z) orbits of a key set closed under T and S, in the order
-    of their least keys: (least key, size, cylinder histogram as in
-    ``orbit_closure``, cusp count) per orbit.
+    of their least keys: (least key, size, ``total_hw``, cusp count) per
+    orbit, as ``orbit_closure`` gives them.
 
     Each orbit is closed from the least key that no orbit holds yet, which
     is then its least key, and every key it reaches must be in the set
@@ -490,32 +524,31 @@ def partition(keys: KeySet) -> list[tuple[bytes, int, Counter, int]]:
             # a closure canonicalises any start: only this catches a bad key
             if canonical_key(least[:d], least[d:]) != least:
                 raise InputError("orbit partition needs canonical keys")
-            size, hist, count = _close_and_mark(keys, listed, marks, least, remaining)
-            out.append((least, size, hist, count))
+            size, total, count = _close_and_mark(keys, listed, marks, least, remaining)
+            out.append((least, size, total, count))
             remaining -= size
     except ResourceCapError:   # an orbit with more keys than the set has left
         raise InternalCheckError(_OPEN_MESSAGE) from None
     return out
 
 
-def _close_and_mark(keys, listed, marks, least, max_size) -> tuple[int, Counter, int]:
+def _close_and_mark(keys, listed, marks, least, max_size) -> tuple[int, Fraction, int]:
     """Closes the orbit of ``least`` and marks its keys: in the C key set,
-    or by binary search in ``listed`` when that is not None."""
+    or by binary search in ``listed`` when that is not None.  The closure
+    is freed on return."""
+    scan = orbit_closure(least[: keys.degree], least[keys.degree :], max_size)
     if listed is not None:
-        blob, hist, cusps, _ = _py_orbit_closure(least, max_size)
-        k = len(least)
-        for i in range(0, len(blob), k):
-            at = bisect.bisect_left(listed, blob[i : i + k])
-            if listed[at : at + 1] != [blob[i : i + k]] or marks[at]:
+        for key in scan.keys:
+            at = bisect.bisect_left(listed, key)
+            if listed[at : at + 1] != [key] or marks[at]:
                 raise InternalCheckError(_OPEN_MESSAGE)
             marks[at] = 1
-        return len(blob) // k, hist, len(cusps)
-    lib, held = keys._lib, (ctypes.c_char * len(marks)).from_buffer(marks)
-    with _closed(lib, least, max_size) as (scan, count):
-        status = lib.fl_set_mark(keys._handle, held, scan)
+    else:
+        held = (ctypes.c_char * len(marks)).from_buffer(marks)
+        status = keys._lib.fl_set_mark(keys._handle, held, scan._handle)
         if status:
             _raise_status(status)
-        return lib.fl_scan_size(scan), _histogram(lib, scan, keys.degree), count
+    return scan.size, scan.total_hw, scan.cusp_count
 
 
 # -- exhaustive scan ---------------------------------------------------------

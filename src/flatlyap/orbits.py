@@ -8,30 +8,31 @@ The group SL(2,Z) acts on origamis through the two generators
 up to simultaneous relabelling of the squares, so orbits are sets of
 canonical forms.  For an origami orbit the sum of Lyapunov exponents is
 
-    L = kappa + (1/N) * sum over the orbit of sum_cylinders h/w
+    L = kappa + (1/N) * sum over the cusps of width * sum_cylinders h/w
 
-with N the orbit size; the Siegel-Veech constant is c = L - kappa and
-the slope is s = 12 - 12 kappa / L.  Everything is exact rational
-arithmetic; no floating point enters anywhere in this module.
+(Eskin-Kontsevich-Zorich), with N the orbit size: a cusp is a T-cycle,
+as long as its width, whose members share their horizontal cylinders.
+The Siegel-Veech constant is c = L - kappa and the slope is
+s = 12 - 12 kappa / L.  Everything is exact rational arithmetic; no
+floating point enters anywhere in this module.
 
 Degree-11 orbits run into the millions of elements, so the breadth-first
 search works on packed byte strings: a canonical pair of 0-based image
 tuples (r, u) is stored as the 2d-byte key bytes(r) + bytes(u), whose
 lexicographic order agrees with tuple order.  The search itself, with the
-canonical form and the cylinder sums, runs in ``kernel``.
+canonical form, the cusps and the cylinder sums, runs in ``kernel``.
 """
 from __future__ import annotations
 
-import functools
+import fcntl
 import hashlib
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputError, InternalCheckError
-from .kernel import canonical_key, cylinders, orbit_closure
+from .kernel import OrbitScan, canonical_key, cylinders, orbit_closure
 from .origami import Origami, Stratum, kappa
 
 DEFAULT_ORBIT_CAP = 10**7
@@ -84,52 +85,16 @@ def horizontal_cylinders(o: Origami) -> CylinderDecomposition:
 
 # -- orbit scan ---------------------------------------------------------------
 
-@dataclass
-class OrbitScan:
-    """Raw result of the breadth-first orbit search.  ``keys`` is split
-    from ``blob`` on first use only: the size, the cusps, the least key
-    and the cylinder sum need no Python object per orbit element, and
-    the closure returns the cusps sorted and the least key found."""
-
-    degree: int
-    blob: bytes                     # the keys in discovery order
-    cusps: list[tuple[int, bytes]]  # (width, least key) per T-cycle, sorted
-    total_hw: Fraction
-    least: bytes                    # the orbit's least key
-
-    @functools.cached_property
-    def keys(self) -> list[bytes]:
-        k = 2 * self.degree
-        return [self.blob[i : i + k] for i in range(0, len(self.blob), k)]
-
-    @property
-    def size(self) -> int:
-        return len(self.blob) // (2 * self.degree)
-
-    def cusp_widths(self) -> list[tuple[int, bytes]]:
-        """(width, least member) per T-orbit, sorted."""
-        return self.cusps
-
-
 def orbit_scan(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitScan:
-    """Close the canonical form of ``o`` under T and S.
+    """Close the canonical form of ``o`` under T and S (``kernel.OrbitScan``).
 
     The visited set is keyed by packed canonical forms, so the resulting
-    set is independent of scheduling; the cylinder sums are accumulated
-    along the way, as a histogram of (width, height) counts.  An empty
-    or disconnected ``o`` fails its canonical form (DisconnectedError).
+    set is independent of scheduling.  An empty or disconnected ``o``
+    fails its canonical form (DisconnectedError).
     """
     if max_size < 1:
         raise InputError("orbit-size cap must be at least 1")
-    blob, hist, cusps, least = orbit_closure(o.right.zero_based(), o.up.zero_based(), max_size)
-    return OrbitScan(o.degree, blob, cusps, _total_hw(hist, o.degree), least)
-
-
-def _total_hw(hist, d: int) -> Fraction:
-    """Sum of h/w over a histogram of (width, height) cylinder counts of
-    degree d, over the common denominator lcm(1..d) of every 1/w."""
-    m = math.lcm(*range(1, d + 1))
-    return Fraction(sum(n * h * (m // w) for (w, h), n in hist.items()), m)
+    return orbit_closure(o.right.zero_based(), o.up.zero_based(), max_size)
 
 
 def orbit(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> list[Origami]:
@@ -306,4 +271,6 @@ class OrbitCache:
         payload = f"{digest} {n} {cusp_count} {format_rational(total)}"
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a") as fh:
+            # one writer at a time: closing the file flushes the line, then unlocks
+            fcntl.flock(fh, fcntl.LOCK_EX)
             fh.write(f"{payload} {self._line_hash(payload)}\n")

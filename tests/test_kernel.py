@@ -44,6 +44,8 @@ def test_scan_matches_python(check):
     o = golden._origami(check)
     compiled, python = on_both(lambda: orbit_scan(o))
     assert compiled.keys == python.keys
+    # the per-cusp count against the per-element histogram
+    assert compiled.hist == python.hist
     assert compiled.total_hw == python.total_hw
     assert compiled.cusp_widths() == python.cusp_widths()
     assert compiled.size == python.size == len(python.keys)
@@ -61,15 +63,41 @@ def transitive_pairs(draw):
 
 
 # r without a fixed point: with 2-cycles, (0 1)(2 3 4) and a d=12 case,
-# where the compiled form tries only bases on 2-cycles; without one
+# where the compiled form tries only bases on 2-cycles; without one,
+# (0 1 2)(3 4 5) with u fixing 0, and (0 1 2 3 4)(5 6 7) with u taking 5
+# to r^2 5 and no other base to b, r b or r^2 b, where it tries only those
+# bases; the same r with no such base, where it tries every base; and a
+# d=255 pair, r a 255-cycle and u(x) = 7x + 3, with such bases at 42,
+# 127 and 212
 @settings(max_examples=400, deadline=None)
 @given(transitive_pairs())
 @example(([1, 0, 3, 4, 2], [0, 2, 1, 3, 4]))
 @example(([1, 0, 3, 2, 5, 6, 4, 8, 9, 10, 11, 7], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0]))
 @example(([1, 2, 0, 4, 5, 3], [0, 1, 3, 2, 4, 5]))
+@example(([1, 2, 3, 4, 0, 6, 7, 5], [5, 6, 0, 1, 2, 7, 4, 3]))
+@example(([1, 2, 3, 4, 0, 6, 7, 5], [7, 5, 6, 2, 3, 0, 4, 1]))
+@example(([*range(1, 255), 0], [(7 * x + 3) % 255 for x in range(255)]))
 def test_canonical_key_matches_python(pair):
     compiled, python = on_both(lambda: kernel.canonical_key(*pair))
     assert compiled == python
+
+
+def test_compiled_keys_of_every_t_s_image_match_python():
+    # the 46,656 T and S images of the ten-square-3111 orbit: their r
+    # reach every rule of the compiled base filter, and none of them
+    compiled_library()
+    rules = Counter()
+    for key in orbit_scan(origami(TEN_3111)).keys:
+        r, u = key[:10], key[10:]
+        for a, b in ((r, bytes(u[x] for x in kernel.invert(r))), (bytes(kernel.invert(u)), r)):
+            assert kernel.canonical_key(a, b) == kernel._py_canonical_key(a, b)
+            if any(a[x] == x for x in range(10)):
+                rules["fixed"] += 1
+            elif any(a[a[x]] == x for x in range(10)):
+                rules["2-cycle"] += 1
+            else:
+                rules["near" if any(b[x] in (x, a[x], a[a[x]]) for x in range(10)) else "none"] += 1
+    assert sum(rules.values()) == 46656 and len(rules) == 4, rules
 
 
 # genus 2 and 3: the zero orders add up to 2 and to 4
@@ -196,6 +224,13 @@ def test_closure_rejects_a_start_that_is_not_a_canonical_key(backend, start):
         kernel.orbit_closure(start[:d], start[d:], 10)
 
 
+def _closure(rz, uz, max_size):
+    """``kernel.orbit_closure`` as plain values: the keys in discovery
+    order, the cylinder histogram, the cusps and the least key."""
+    scan = kernel.orbit_closure(rz, uz, max_size)
+    return scan.keys, scan.hist, list(scan.cusp_widths()), scan.least
+
+
 def test_closure_canonicalises_its_start(backend):
     o = origami(FIG1)
     rz, uz = o.right.zero_based(), o.up.zero_based()
@@ -206,10 +241,10 @@ def test_closure_canonicalises_its_start(backend):
     for x in range(5):
         moved_r[shift[x]], moved_u[shift[x]] = shift[rz[x]], shift[uz[x]]
     assert bytes(moved_r + moved_u) != key
-    blob, hist, cusps, least = kernel.orbit_closure(moved_r, moved_u, 100)
-    assert (blob, hist, cusps, least) == kernel.orbit_closure(key[:5], key[5:], 100)
-    assert blob[:10] == key
-    assert len(blob) == 18 * 10 and sum(width for width, _ in cusps) == 18
+    keys, hist, cusps, least = _closure(moved_r, moved_u, 100)
+    assert (keys, hist, cusps, least) == _closure(key[:5], key[5:], 100)
+    assert keys[0] == key
+    assert len(keys) == 18 and sum(width for width, _ in cusps) == 18
 
 
 @pytest.mark.parametrize("budget", [1, 7])
@@ -219,10 +254,10 @@ def test_compiled_closure_is_the_same_in_any_step_budget(monkeypatch, budget):
     compiled_library()
     o = origami(TEN_3111)
     rz, uz = o.right.zero_based(), o.up.zero_based()
-    expected = kernel.orbit_closure(rz, uz, 23328)
+    expected = _closure(rz, uz, 23328)
     monkeypatch.setattr(kernel, "_STEP_BUDGET", budget)
-    assert kernel.orbit_closure(rz, uz, 23328) == expected
-    assert len(expected[0]) == 23328 * 20
+    assert _closure(rz, uz, 23328) == expected
+    assert len(expected[0]) == 23328
 
 
 def test_compiled_closure_cap_is_exact():
@@ -231,7 +266,7 @@ def test_compiled_closure_cap_is_exact():
     rz, uz = o.right.zero_based(), o.up.zero_based()
     with pytest.raises(ResourceCapError):
         kernel.orbit_closure(rz, uz, 23327)
-    assert len(kernel.orbit_closure(rz, uz, 23328)[0]) == 23328 * 20
+    assert kernel.orbit_closure(rz, uz, 23328).size == 23328
 
 
 def test_python_cusps_reject_a_t_walk_with_a_tail():
@@ -342,14 +377,15 @@ def test_compiled_closure_is_the_same_on_one_cpu():
         "from flatlyap.origami import Origami\n"
         f"os.sched_setaffinity(0, {{{cpus[0]}}})\n"
         f"o = Origami.from_text({TEN_3111!r})\n"
-        "closure = kernel.orbit_closure(o.right.zero_based(), o.up.zero_based(), 23328)\n"
+        "c = kernel.orbit_closure(o.right.zero_based(), o.up.zero_based(), 23328)\n"
+        "closure = c.keys, c.hist, list(c.cusp_widths()), c.least\n"
         "sys.stdout.write(pickle.dumps(closure).hex())\n"
     )
     proc = _run_with_src(script)
     out = proc.communicate(timeout=120)[0]
     assert proc.returncode == 0
     o = origami(TEN_3111)
-    expected = kernel.orbit_closure(o.right.zero_based(), o.up.zero_based(), 23328)
+    expected = _closure(o.right.zero_based(), o.up.zero_based(), 23328)
     assert pickle.loads(bytes.fromhex(out)) == expected
 
 
@@ -360,11 +396,11 @@ def test_compiled_closures_agree_when_threads_outnumber_cpus():
     compiled_library()
     o = origami(TEN_3111)
     rz, uz = o.right.zero_based(), o.up.zero_based()
-    expected = kernel.orbit_closure(rz, uz, 23328)
+    expected = _closure(rz, uz, 23328)
     results = [None] * 4
 
     def close(i):
-        results[i] = kernel.orbit_closure(rz, uz, 23328)
+        results[i] = _closure(rz, uz, 23328)
 
     threads = [threading.Thread(target=close, args=(i,)) for i in range(4)]
     for thread in threads:
@@ -468,14 +504,17 @@ def test_c_source_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-# FIG1 closed in steps of 4 keys, its cusps walked twice and a step after
-# them, the same closure capped at 10 keys; TEN_3111 closed in steps of
-# 1000 keys, so that batches split across calls, with its cusps checked
-# to be sorted and its least key to be the least, and capped one key
+# FIG1 closed in steps of 4 keys, its cusps walked twice, a step after
+# them and its cusp list made, the same closure capped at 10 keys, with no
+# cusp list before its walk nor after the walk fails; TEN_3111 closed in steps of
+# 1000 keys, so that batches split across calls, its cusp list made by two
+# threads at once, which must get the same list, checked to be sorted and
+# its least key to be the least, and capped one key
 # short, in the middle of a batch; one degree-5 scan for the commutator
 # types of H(2) and H(1,1); and one degree-8 scan for H(3,1), whose key
 # set outgrows its first 1,024 keys; with every object freed
 _SANITIZER_DRIVER = r"""
+#include <pthread.h>
 #include <stdio.h>
 #include <string.h>
 typedef unsigned char u8;
@@ -487,7 +526,7 @@ int fl_scan_step(struct scan *s, long max_size, long budget);
 long fl_scan_cusps(struct scan *s);
 long fl_scan_size(const struct scan *s);
 const u8 *fl_scan_keys(const struct scan *s);
-const long *fl_scan_cusp_list(const struct scan *s);
+const long *fl_scan_cusp_list(struct scan *s);
 long fl_scan_least(const struct scan *s);
 void fl_scan_free(struct scan *s);
 struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
@@ -497,6 +536,11 @@ struct scan *fl_enum_take(struct enumeration *e, int t);
 void fl_enum_free(struct enumeration *e);
 struct scan *fl_set_of(int d, const u8 *keys, long count);
 int fl_set_mark(const struct scan *s, u8 *marks, const struct scan *orbit);
+
+static void *cusp_list(void *s)
+{
+    return (void *)fl_scan_cusp_list(s);
+}
 
 /* appends to rights, 8 bytes each, one permutation of 8 symbols per
  * partition of ``left`` into parts of at most ``most``, as consecutive
@@ -524,15 +568,21 @@ int main(void)
     struct scan *s = fl_scan_new(5, key);
     while (fl_scan_step(s, 100, 4) == 1)
         ;
-    long cusps = fl_scan_cusps(s), again = fl_scan_cusps(s);
-    printf("%ld %ld %ld %d\n", fl_scan_size(s), cusps, again, fl_scan_step(s, 100, 4));
+    long cusps = fl_scan_cusps(s), again = fl_scan_cusps(s), widths = 0;
+    int step = fl_scan_step(s, 100, 4);
+    const long *pairs = fl_scan_cusp_list(s);
+    for (long i = 0; i < cusps; i++)
+        widths += pairs[2 * i];
+    printf("%ld %ld %ld %d %ld\n", fl_scan_size(s), cusps, again, step, widths);
     fl_scan_free(s);
 
     s = fl_scan_new(5, key);
     int status;
     while ((status = fl_scan_step(s, 10, 4)) == 1)
         ;
-    printf("%d %ld\n", status, fl_scan_size(s));
+    int unfinished = !fl_scan_cusp_list(s);
+    long tail = fl_scan_cusps(s);
+    printf("%d %ld %d %ld %d\n", status, fl_scan_size(s), unfinished, tail, !fl_scan_cusp_list(s));
     fl_scan_free(s);
 
     const u8 r10[10] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 0}, u10[10] = {3, 6, 5, 4, 7, 9, 8, 2, 1, 0};
@@ -544,8 +594,14 @@ int main(void)
         ;
     long n = fl_scan_size(s), count = fl_scan_cusps(s), width = 0, least = fl_scan_least(s);
     const u8 *keys = fl_scan_keys(s);
-    const long *list = fl_scan_cusp_list(s);
-    int sorted = 1, is_least = 1;
+    pthread_t threads[2];
+    void *made[2];
+    for (int t = 0; t < 2; t++)
+        pthread_create(&threads[t], NULL, cusp_list, s);
+    for (int t = 0; t < 2; t++)
+        pthread_join(threads[t], &made[t]);
+    const long *list = made[0];
+    int sorted = 1, is_least = 1, same = made[0] && made[0] == made[1] && list == fl_scan_cusp_list(s);
     for (long i = 0; i < count; i++) {
         width += list[2 * i];
         if (i > 0 && (list[2 * i - 2] > list[2 * i] ||
@@ -556,7 +612,7 @@ int main(void)
     for (long j = 0; j < n; j++)
         if (memcmp(keys + 20 * j, keys + 20 * least, 20) < 0)
             is_least = 0;
-    printf("%d %ld %ld %ld %d %d\n", status, n, count, width, sorted, is_least);
+    printf("%d %ld %ld %ld %d %d %d\n", status, n, count, width, sorted, is_least, same);
     fl_scan_free(s);
 
     s = fl_scan_new(10, key10);
@@ -621,16 +677,17 @@ int main(void)
 """
 
 
-# 18 keys in 5 cusps; a second cusp walk and a later step find no T map
-# (ST_TAIL); the cap stops at 10 keys (ST_CAP); TEN_3111 closes with 23,328
-# keys in 2,616 cusps whose widths add up to the size, sorted, with the
-# least key found, and its cap stops one key short; 27 and 24 classes;
+# 18 keys in 5 cusps, whose widths add up to 18; a second cusp walk and a
+# later step find no T map (ST_TAIL); the cap stops at 10 keys (ST_CAP),
+# and the walk of that closure finds a tail; TEN_3111 closes with 23,328
+# keys in 2,616 cusps whose widths add up to the size, sorted, one list for
+# both threads, with the least key found, and its cap stops one key short; 27 and 24 classes;
 # the 27 loaded twice are 27, sorted; the partition marks orbits of 18 and
 # 9, a second marking of an orbit fails (ST_OPEN), and so does the orbit
 # of 18 in the set that lacks the largest key; 4,032 classes of H(3,1) at
 # d=8
 _SANITIZER_STDOUT = [
-    "18 5 -6 -6", "-1 10", "0 23328 2616 23328 1 1", "-1 23327", "27 24",
+    "18 5 -6 -6 18", "-1 10 1 -6 1", "0 23328 2616 23328 1 1 1", "-1 23327", "27 24",
     "0 27 26 1", "18 0 -7 -7", "9 0 -7 0", "4032", "",
 ]
 

@@ -1,10 +1,17 @@
+import fcntl
+import os
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from flatlyap import orbits
+from flatlyap import golden, orbits
 from flatlyap.errors import InputError, ResourceCapError
+from flatlyap.kernel import cylinders, invert
 from flatlyap.origami import Origami, kappa
 from flatlyap.orbits import (
     OrbitCache,
@@ -16,11 +23,14 @@ from flatlyap.orbits import (
     horizontal_cylinders,
     lyapunov_sum,
     orbit,
+    orbit_scan,
     parse_rational,
 )
-from flatlyap.permutation import is_transitive
+from flatlyap.permutation import Permutation, is_transitive
 
-from conftest import FIG1, NINE_SQUARE_MAX, TORUS, WOLLMILCHSAU, origami, random_permutation
+from conftest import (
+    FIG1, NINE_SQUARE_MAX, TEN_3111, TORUS, WOLLMILCHSAU, origami, random_permutation,
+)
 
 
 def canon(o: Origami) -> bytes:
@@ -205,6 +215,79 @@ def test_exhaustive_t_partition_small_degree():
         assert len(oracle) == len(cusps(o))
 
 
+def test_t_keeps_the_horizontal_cylinders():
+    # the closure counts the cylinders of one member per cusp, weighted by
+    # the cusp's width: exact because T, a horizontal shear, keeps them
+    for text in (FIG1, TEN_3111):
+        scan = orbit_scan(origami(text))
+        d = scan.degree
+        for key in scan.keys:
+            r, u = key[:d], key[d:]
+            assert cylinders(r, [u[x] for x in invert(r)]) == cylinders(r, u)
+
+
+# -- closures at new degrees -----------------------------------------------------------------
+
+GOLDEN = {c.id: c for c in golden.load_golden()}
+
+
+def stretched(o: Origami, k: int) -> Origami:
+    """o under diag(k, 1): each square becomes k squares in a row."""
+    r, u, d = o.right.zero_based(), o.up.zero_based(), o.degree
+    right = [k * x + j + 2 if j < k - 1 else k * r[x] + 1 for x in range(d) for j in range(k)]
+    up = [k * u[x] + j + 1 for x in range(d) for j in range(k)]
+    return Origami(Permutation(right), Permutation(up))
+
+
+def _assert_stretch_keeps_L(cid: str, k: int):
+    # diag(k, 1) is in GL+(2,R), so the stretched surface lies on the same
+    # Teichmueller curve and has the same L; its orbit, cusps and cylinder
+    # sums are new ones, at degree k d
+    check = GOLDEN[cid]
+    o = stretched(golden._origami(check), k)
+    assert o.degree == k * int(check.get("d"))
+    assert lyapunov_sum(o).L == Fraction(check.get("L"))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize(
+    "cid",
+    ["g2/lyap/five-square-single-zero", "g3/lyap/wollmilchsau", "g3/lyap/nine-square-max",
+     "g4/lyap/ten-square-411"],
+)
+def test_stretching_keeps_L(cid, k):
+    _assert_stretch_keeps_L(cid, k)
+
+
+@pytest.mark.slow
+def test_stretching_keeps_L_of_ten_square_3111():
+    _assert_stretch_keeps_L("g4/lyap/ten-square-3111", 2)   # 46,656 elements at d=20
+
+
+def l_shape(n: int) -> Origami:
+    """The L-shape of n squares in H(2): r = (1 ... n-1), u = (1 n)."""
+    return Origami(Permutation([*range(2, n), 1, n]), Permutation([n, *range(2, n), 1]))
+
+
+def _assert_prime_l_shape(n: int):
+    # Hubert-Lelievre, "Prime arithmetic Teichmueller discs in H(2)": at a
+    # prime n the L-shape's orbit has (3/16)(n-1)(n^2-1) elements, and
+    # every Teichmueller curve of H(2) has L = 4/3
+    summary = lyapunov_sum(l_shape(n))
+    assert (summary.orbit_size, summary.L) == ((n - 1) * (n * n - 1) * 3 // 16, Fraction(4, 3))
+
+
+@pytest.mark.parametrize("n", [13, 31])
+def test_prime_l_shape_orbit(n):
+    _assert_prime_l_shape(n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [61, 101])
+def test_prime_l_shape_orbit_at_large_degree(n):
+    _assert_prime_l_shape(n)   # 41,850 and 191,250 elements
+
+
 # -- canonical key ---------------------------------------------------------------------------
 
 def _canonical_key_all_bases(rz, uz):
@@ -358,6 +441,56 @@ def test_cache_with_an_old_alias_file_still_loads(tmp_path):
     assert lyapunov_sum(o, cache=cache) == hit
     assert lyapunov_sum(o, max_size=1, cache=OrbitCache(tmp_path)) == hit
     assert (tmp_path / "aliases.cache").read_text() == OLD_ALIAS_LINE + "\n"
+
+
+_WRITER = """
+import os, sys, time
+from fractions import Fraction
+from flatlyap.orbits import OrbitCache
+cache = OrbitCache(sys.argv[1])
+tag = int(sys.argv[2])
+while not os.path.exists(sys.argv[3]):
+    time.sleep(0.001)
+for i in range(1500):
+    cache.store(bytes([tag, i % 256, i // 256]), i + 1, tag, Fraction(i, 7))
+"""
+
+
+def test_concurrent_writers_share_one_cache_file(tmp_path):
+    # two processes append to one orbits.cache at once, each line under an
+    # exclusive lock: no line is torn, and a reload knows every entry
+    src = str(Path(orbits.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    go = tmp_path / "go"
+    writers = [
+        subprocess.Popen([sys.executable, "-c", _WRITER, str(tmp_path), str(tag), str(go)], env=env)
+        for tag in (1, 2)
+    ]
+    go.touch()
+    assert [w.wait(timeout=120) for w in writers] == [0, 0]
+    cache = OrbitCache(tmp_path)
+    assert cache.dropped == 0
+    assert len(cache.path.read_text().splitlines()) == 3000
+    for tag in (1, 2):
+        for i in range(1500):
+            assert cache.lookup_any(bytes([tag, i % 256, i // 256])) == (i + 1, tag, Fraction(i, 7))
+
+
+def test_cache_appends_wait_for_a_held_lock(tmp_path):
+    # the lock, not the kernel's append semantics, keeps writers apart: an
+    # append waits while another open file description holds it
+    cache = OrbitCache(tmp_path)
+    cache.store(b"a", 1, 1, Fraction(1))
+    with open(cache.path, "a") as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        writer = threading.Thread(target=cache.store, args=(b"b", 2, 1, Fraction(2)))
+        writer.start()
+        writer.join(0.2)
+        assert writer.is_alive()
+        assert len(cache.path.read_text().splitlines()) == 1
+    writer.join(10)
+    assert not writer.is_alive()
+    assert OrbitCache(tmp_path).lookup_any(b"b") == (2, 1, Fraction(2))
 
 
 def test_traced_names_stay_on_the_call_path(monkeypatch, tmp_path):
