@@ -6,8 +6,10 @@
  * (fl_scan_step).  Everything else runs once per T-cycle (cusp), or once
  * a caller asks for it: fl_scan_cusps counts the cycles, adds the
  * cylinders of one key per cycle, weighted by its width, and finds the
- * least key; the sorted cusp list (fl_scan_cusp_list) and the keys
- * (fl_scan_keys) stay in the closure until they are read.
+ * least key; the keys (fl_scan_keys) stay in the closure until they are
+ * read, and fl_scan_cusp_list sorts the cusps into a buffer the caller
+ * owns.  Keys have one order, by_key's memcmp: it sorts and searches the
+ * key sets, and breaks the ties between cusps of one width.
  *
  * kernel.py builds this file into a shared library, calls it through
  * ctypes and holds the pure-Python oracle of every function here; the
@@ -20,7 +22,8 @@
  * hands each one over sorted, and the orbit partition marks the members
  * of each closure in it (fl_set_mark).  fl_scan_step may run a helper
  * thread, which it joins before it returns; every other function runs on
- * its caller's thread alone.
+ * its caller's thread alone, and several threads may read one finished
+ * closure at once.
  */
 #define _GNU_SOURCE       /* sched_getaffinity, sched_getcpu, CPU_COUNT */
 #include <limits.h>
@@ -192,8 +195,6 @@ struct scan {
                          * w * (d + 1) + h */
     /* fl_scan_cusps: how many T-cycles, and the index of the least key */
     long cusp_count, least;
-    /* fl_scan_cusp_list: width, least key index per T-cycle */
-    _Atomic(long *) cusps;
     /* fl_scan_step: what expand() made of the keys of a batch, on two
      * sides of BATCH keys each, the caller's and the helper's */
     u8 *images;         /* T, S images, canonical: 2 per key */
@@ -305,7 +306,6 @@ void fl_scan_free(struct scan *s)
     free(s->t_next);
     free(s->slots);
     free(s->hist);
-    free(s->cusps);
     free(s->images);
     free(s->made);
     free(s);
@@ -625,46 +625,6 @@ int fl_scan_step(struct scan *s, long max_size, long budget)
     return s->head < s->n ? ST_MORE : ST_DONE;
 }
 
-/* Whether cusp pair a comes before cusp pair b: by width, then by
- * least key. */
-static int cusp_before(const struct scan *s, const long *a, const long *b)
-{
-    if (a[0] != b[0])
-        return a[0] < b[0];
-    return memcmp(s->keys + a[1] * s->k, s->keys + b[1] * s->k, (size_t)s->k) < 0;
-}
-
-/* Sorts the count pairs of cusps[] by cusp_before, a bottom-up merge
- * sort; 0 or ST_NOMEM. */
-static int sort_cusps(const struct scan *s, long *cusps, long count)
-{
-    if (count < 2)
-        return 0;
-    long *tmp = malloc((size_t)count * 2 * sizeof(long)), *from = cusps, *to = tmp;
-    if (!tmp)
-        return ST_NOMEM;
-    for (long run = 1; run < count; run *= 2) {
-        for (long lo = 0; lo < count; lo += 2 * run) {
-            long mid = lo + run < count ? lo + run : count;
-            long hi = lo + 2 * run < count ? lo + 2 * run : count;
-            for (long i = lo, j = mid, o = lo; o < hi; o++) {
-                long *p = j < hi && (i == mid || cusp_before(s, from + 2 * j, from + 2 * i))
-                              ? from + 2 * j++
-                              : from + 2 * i++;
-                to[2 * o] = p[0];
-                to[2 * o + 1] = p[1];
-            }
-        }
-        long *swap = from;
-        from = to;
-        to = swap;
-    }
-    if (from != cusps)
-        memcpy(cusps, from, (size_t)count * 2 * sizeof(long));
-    free(tmp);
-    return 0;
-}
-
 /* Finishes a closure that fl_scan_step completed, in one walk of t_next:
  * counts the T-cycles (the cusps) and adds the cylinders of the first
  * key of each, as many times as the cycle is long, to the histogram.  T
@@ -674,8 +634,8 @@ static int sort_cusps(const struct scan *s, long *cusps, long count)
  * ends anywhere but at its start: T is invertible, so its graph on a
  * complete orbit is a union of cycles, and a tail or an unexpanded key
  * (t_next -1) means the closure was not.  It frees the slot table, which
- * only the search reads, and on failure t_next too: a later step or
- * walk then returns ST_TAIL, and fl_scan_cusp_list NULL. */
+ * only the search reads, and on failure t_next too: a later step, walk or
+ * fl_scan_cusp_list then returns ST_TAIL. */
 long fl_scan_cusps(struct scan *s)
 {
     if (!s->t_next || !s->slots)
@@ -712,24 +672,38 @@ long fl_scan_cusps(struct scan *s)
     return s->cusp_count = count;
 }
 
-/* The (width, least key index) pairs of the T-cycles of a closure that
- * fl_scan_cusps finished, sorted by width and then by least key: made by
- * a second walk of t_next on the first call, which only a caller that
- * reads the cusps makes.  NULL when out of memory or not finished.
- * Threads that make the list at once each make their own; the first to
- * publish it wins, and the others free theirs. */
-const long *fl_scan_cusp_list(struct scan *s)
+/* The one key order, memcmp over a key's bytes.  qsort and bsearch pass
+ * their comparators no context, so a caller sets the key length, and for
+ * by_cusp the keys, on its own thread first. */
+static _Thread_local size_t sort_width;
+static _Thread_local const u8 *sort_keys;
+
+static int by_key(const void *a, const void *b) { return memcmp(a, b, sort_width); }
+
+/* (width, key index) pairs by width, then by the key they index */
+static int by_cusp(const void *a, const void *b)
 {
-    long *cusps = atomic_load(&s->cusps), *first = NULL;
-    if (cusps || s->slots || !s->t_next)
-        return cusps;
+    const long *p = a, *q = b;
+    if (p[0] != q[0])
+        return p[0] < q[0] ? -1 : 1;
+    return by_key(sort_keys + (size_t)p[1] * sort_width, sort_keys + (size_t)q[1] * sort_width);
+}
+
+/* Writes the (width, least key index) pair of each T-cycle of a closure
+ * that fl_scan_cusps finished into pairs[0 .. 2 cusp_count), a buffer the
+ * caller owns, sorted by width and then by least key (by_cusp): a second
+ * walk of t_next, which only a caller that reads the cusps makes.  It
+ * writes nothing else, so threads may read one closure's list at once.
+ * Returns 0; ST_NOMEM; or ST_TAIL when the closure is not finished. */
+int fl_scan_cusp_list(const struct scan *s, long *pairs)
+{
+    if (s->slots || !s->t_next)
+        return ST_TAIL;
     u8 *seen = calloc((size_t)s->n + 1, 1);
-    cusps = malloc(((size_t)s->cusp_count + 1) * 2 * sizeof(long));
-    if (!seen || !cusps) {
-        free(seen);
-        free(cusps);
-        return NULL;
-    }
+    if (!seen)
+        return ST_NOMEM;
+    sort_width = (size_t)s->k;
+    sort_keys = s->keys;
     for (long start = 0, count = 0; start < s->n; start++) {
         if (seen[start])
             continue;
@@ -737,38 +711,27 @@ const long *fl_scan_cusp_list(struct scan *s)
         for (long x = start; !seen[x]; x = s->t_next[x]) {
             seen[x] = 1;
             width++;
-            if (memcmp(s->keys + x * s->k, s->keys + least * s->k, (size_t)s->k) < 0)
+            if (by_key(s->keys + x * s->k, s->keys + least * s->k) < 0)
                 least = x;
         }
-        cusps[2 * count] = width;
-        cusps[2 * count++ + 1] = least;
+        pairs[2 * count] = width;
+        pairs[2 * count++ + 1] = least;
     }
     free(seen);
-    if (sort_cusps(s, cusps, s->cusp_count)) {
-        free(cusps);
-        return NULL;
-    }
-    if (!atomic_compare_exchange_strong(&s->cusps, &first, cusps)) {
-        free(cusps);
-        return first;
-    }
-    return cusps;
+    qsort(pairs, (size_t)s->cusp_count, 2 * sizeof(long), by_cusp);
+    return 0;
 }
 
 /* -- sorted key sets ---------------------------------------------------
  *
  * A key set is a struct scan that scan_alloc made, filled by visit(): by
  * the exhaustive scan (fl_enum_take) or from a list (fl_set_of).  Once
- * handed out it is sorted and its slot table freed, so membership is a
- * binary search and the set takes no more keys.  The orbit partition
- * closes one orbit at a time from the least key no orbit holds yet;
- * fl_set_mark checks that every key of the closure is in the set and not
- * yet held, and marks it, one byte per key in an array the caller owns. */
-
-/* the key length by_key compares; qsort passes no context */
-static _Thread_local size_t sort_width;
-
-static int by_key(const void *a, const void *b) { return memcmp(a, b, sort_width); }
+ * handed out it is sorted by by_key and its slot table freed, so
+ * membership is a bsearch by the same order and the set takes no more
+ * keys.  The orbit partition closes one orbit at a time from the least
+ * key no orbit holds yet; fl_set_mark checks that every key of the
+ * closure is in the set and not yet held, and marks it, one byte per key
+ * in an array the caller owns. */
 
 /* s with its keys sorted, and its slot table and spare room freed; NULL,
  * with s freed, when s is NULL or out of memory. */
@@ -808,19 +771,13 @@ struct scan *fl_set_of(int d, const u8 *keys, long count)
  * marked already. */
 int fl_set_mark(const struct scan *s, u8 *marks, const struct scan *orbit)
 {
+    sort_width = (size_t)s->k;
     for (long i = 0; i < orbit->n; i++) {
-        const u8 *key = orbit->keys + i * orbit->k;
-        long lo = 0, hi = s->n;   /* lo: the first key not below it */
-        while (lo < hi) {
-            long mid = lo + (hi - lo) / 2;
-            if (memcmp(s->keys + mid * s->k, key, (size_t)s->k) < 0)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        if (lo == s->n || memcmp(s->keys + lo * s->k, key, (size_t)s->k) || marks[lo])
+        const u8 *at = bsearch(orbit->keys + i * orbit->k, s->keys, (size_t)s->n, (size_t)s->k, by_key);
+        long j = at ? (at - s->keys) / s->k : 0;
+        if (!at || marks[j])
             return ST_OPEN;
-        marks[lo] = 1;
+        marks[j] = 1;
     }
     return 0;
 }

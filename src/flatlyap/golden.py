@@ -62,7 +62,10 @@ class CheckResult:
 
 def load_golden(path=None) -> list[GoldenCheck]:
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except (OSError, ValueError) as exc:   # UnicodeDecodeError is a ValueError
+            raise InputError(f"cannot read golden file {str(path)!r}: {exc}") from None
     else:
         text = (
             importlib.resources.files("flatlyap") / "data" / "golden.txt"

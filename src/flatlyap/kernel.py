@@ -136,7 +136,7 @@ def _declare(lib) -> None:
         "fl_scan_keys": (ptr, [ptr]),
         "fl_scan_hist": (ptr, [ptr]),
         "fl_scan_cusps": (c_long, [ptr]),
-        "fl_scan_cusp_list": (ptr, [ptr]),
+        "fl_scan_cusp_list": (c_int, [ptr, ptr]),
         "fl_scan_least": (c_long, [ptr]),
         "fl_enum_new": (ptr, [c_int, c_int, ctypes.c_char_p, c_int, ctypes.c_char_p]),
         "fl_enum_step": (c_int, [ptr, c_long]),
@@ -309,9 +309,9 @@ class OrbitScan:
     """A closed SL(2,Z) orbit (``orbit_closure``): its ``size``, its members'
     horizontal cylinders by (width, height) ``hist`` and their sum of h/w
     ``total_hw``, its ``cusp_count`` and ``least`` key; the ``keys`` in
-    discovery order and the ``cusps`` are copied when first read.  A
-    compiled closure (``lib``, ``handle``) stays in C memory until the
-    OrbitScan is freed, as a KeySet does; the Python one sets both lists."""
+    discovery order are copied, and the ``cusps`` sorted in C into a buffer
+    of its own, when first read.  A compiled closure (``lib``, ``handle``)
+    stays in C memory until the OrbitScan is freed, as a KeySet does."""
 
     def __init__(self, degree: int, lib=None, handle=None):
         self.degree, self._lib, self._handle = degree, lib, handle
@@ -334,10 +334,10 @@ class OrbitScan:
     @functools.cached_property
     def cusps(self) -> list[tuple[int, bytes]]:
         """(width, least key) per T-cycle, sorted."""
-        at = self._lib.fl_scan_cusp_list(self._handle)
-        if not at:
-            raise MemoryError("no memory for the cusp list")
-        pairs = array("l", ctypes.string_at(at, 2 * self.cusp_count * _LONG))
+        pairs = (ctypes.c_long * (2 * self.cusp_count))()
+        status = self._lib.fl_scan_cusp_list(self._handle, pairs)
+        if status:
+            _raise_status(status)
         first, k = self._lib.fl_scan_keys(self._handle), 2 * self.degree
         return [(w, ctypes.string_at(first + i * k, k)) for w, i in zip(pairs[::2], pairs[1::2])]
 

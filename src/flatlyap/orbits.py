@@ -232,9 +232,13 @@ class OrbitCache:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
     def _load(self) -> None:
-        if not self.path.exists():
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
             return
-        for raw in self.path.read_bytes().splitlines():
+        except OSError as exc:
+            raise InputError(f"cannot read the orbit cache {str(self.path)!r}: {exc}") from None
+        for raw in data.splitlines():
             try:
                 line = raw.decode().strip()
                 if not line or line.startswith("#"):
@@ -266,11 +270,14 @@ class OrbitCache:
     def _append(self, digest: str, entry: tuple[int, int, Fraction]) -> None:
         if digest in self._entries:
             return
-        self._entries[digest] = entry
         n, cusp_count, total = entry
         payload = f"{digest} {n} {cusp_count} {format_rational(total)}"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as fh:
-            # one writer at a time: closing the file flushes the line, then unlocks
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            fh.write(f"{payload} {self._line_hash(payload)}\n")
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "a") as fh:
+                # one writer at a time: closing the file flushes the line, then unlocks
+                fcntl.flock(fh, fcntl.LOCK_EX)
+                fh.write(f"{payload} {self._line_hash(payload)}\n")
+        except OSError as exc:
+            raise InputError(f"cannot write the orbit cache {str(self.path)!r}: {exc}") from None
+        self._entries[digest] = entry   # only once its line is written

@@ -232,6 +232,30 @@ def test_cache_with_an_undecodable_line_is_recomputed(tmp_path, capsys):
     assert json.loads(out)["L"] == "4/3"
 
 
+@pytest.mark.parametrize("through", ["--cache-dir", "FLATLYAP_CACHE_DIR"])
+def test_a_regular_file_as_cache_directory_is_an_input_error(tmp_path, capsys, monkeypatch, through):
+    # exit 1 means a verification mismatch; a path that cannot hold the
+    # cache is bad input, named in the message
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    if through == "--cache-dir":
+        code, out, err = run(capsys, "lyap", FIG1, "--cache-dir", str(plain))
+    else:
+        monkeypatch.setenv("FLATLYAP_CACHE_DIR", str(plain))
+        code, out, err = run(capsys, "lyap", FIG1)
+    assert code == 2
+    assert out == ""
+    assert str(plain / "orbits.cache") in err
+
+
+def test_a_missing_golden_file_is_an_input_error(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(capsys, "verify-tables", "--golden", str(missing))
+    assert code == 2
+    assert out == ""
+    assert str(missing) in err
+
+
 def test_verify_tables_quick(capsys):
     code, out, _ = run(capsys, "verify-tables", "3", "--skip-enumeration")
     assert code == 0

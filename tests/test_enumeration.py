@@ -1,4 +1,7 @@
+import functools
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -146,6 +149,122 @@ def test_enumerate_contains_fig1():
 def test_enumerate_rejects_bad_degree():
     with pytest.raises(InputError):
         enumerate_origamis(0, Stratum((2,)))
+
+
+# -- count oracle -------------------------------------------------------------------
+#
+# Frobenius: the pairs of S_d whose commutator is one given g of cycle type
+# mu number d! * sum over irreducible characters chi(g) / chi(1), so the
+# pairs of commutator type mu number F(mu) = |C_mu| d! sum chi(mu) / chi(1).
+# Splitting off the block of <r, u> that holds square 1, of size k, with
+# commutator type nu on it and the rest on the other d - k squares, gives
+# the transitive count T(mu) = F(mu) - sum over 0 < k < d of
+# C(d-1, k-1) T(nu) F(mu \ nu) (Eskin-Okounkov, arXiv:math/0006171).
+# Conjugation by S_d moves a class of automorphism group Aut through
+# d! / |Aut| pairs, so the classes a scan finds must have
+# sum 1/|Aut| = T(mu) / d!.
+
+def _beta(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The beta set of a partition: lambda_i + n - i for its n parts."""
+    return tuple(sorted(p + len(parts) - i for i, p in enumerate(parts, start=1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _character(beta: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """chi_lambda(mu) by Murnaghan-Nakayama, lambda given by its beta set:
+    removing a rim hook of length m moves one beta number b down to
+    b - m, with sign -1 per beta number passed."""
+    if not mu:
+        return 1
+    m, total = mu[0], 0
+    for b in beta:
+        if b >= m and b - m not in beta:
+            passed = sum(1 for c in beta if b - m < c < b)
+            rest = tuple(sorted(set(beta) - {b} | {b - m}))
+            total += (-1) ** passed * _character(rest, mu[1:])
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(mu: tuple[int, ...]) -> int:
+    """F(mu): the pairs in S_d, d = sum(mu), whose commutator has cycle type mu."""
+    d = sum(mu)
+    z = math.prod(m**a * math.factorial(a) for m, a in Counter(mu).items())
+    ratio = Fraction(0)
+    for parts in partitions(d):
+        beta = _beta(parts)
+        ratio += Fraction(_character(beta, mu), _character(beta, (1,) * d))
+    count = math.factorial(d) // z * math.factorial(d) * ratio
+    assert count.denominator == 1
+    return int(count)
+
+
+@functools.lru_cache(maxsize=None)
+def _transitive(mu: tuple[int, ...]) -> int:
+    """T(mu): the transitive pairs among them."""
+    d, held = sum(mu), Counter(mu)
+    count = _pairs(mu)
+    for taken in itertools.product(*(range(a + 1) for a in held.values())):
+        nu = tuple(sorted(Counter(dict(zip(held, taken))).elements(), reverse=True))
+        rest = tuple(sorted((held - Counter(nu)).elements(), reverse=True))
+        if 0 < sum(nu) < d:
+            count -= math.comb(d - 1, sum(nu) - 1) * _transitive(nu) * _pairs(rest)
+    return count
+
+
+def _automorphisms(key: bytes) -> int:
+    """|Aut| of a canonical key: the base squares whose BFS relabelling
+    (r first, then u) gives the key back."""
+    d = len(key) // 2
+
+    def gives_back(base: int) -> bool:
+        label, order = {base: 0}, [base]
+        for i, x in enumerate(order):
+            for y, want in ((key[x], key[i]), (key[d + x], key[d + i])):
+                if y not in label:
+                    label[y] = len(order)
+                    order.append(y)
+                if label[y] != want:
+                    return False
+        return True
+
+    return sum(gives_back(base) for base in range(d))
+
+
+def _check_class_count(orders: tuple[int, ...], d: int) -> None:
+    mu = commutator_cycle_type(Stratum(orders), d)
+    found = sum(Fraction(1, _automorphisms(key)) for key in enumerate_origamis(d, Stratum(orders)))
+    assert found == Fraction(_transitive(mu), math.factorial(d)), (orders, d)
+
+
+def test_count_oracle_characters():
+    # S_3: the sign character is -1 on a transposition, the standard one 0
+    # on it and -1 on a 3-cycle; F counts each of the 6 * 6 pairs once, and
+    # none has an odd commutator
+    sign, standard = _beta((1, 1, 1)), _beta((2, 1))
+    assert _character(sign, (2, 1)) == -1
+    assert _character(standard, (2, 1)) == 0
+    assert _character(standard, (3,)) == -1
+    assert sum(_pairs(mu) for mu in partitions(3)) == 36
+    assert _pairs((2, 1)) == 0
+
+
+_GENUS_2_3_AND_6 = [(2,), (1, 1), (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1), (6,)]
+
+
+@pytest.mark.parametrize("orders", _GENUS_2_3_AND_6, ids=str)
+def test_scans_count_every_class_once(orders):
+    # from the stratum's support up to d=8: 26 (stratum, degree) pairs;
+    # some sums are not integers ((2,2) at d=6 gives 189/2), so the count
+    # needs |Aut| and not just the number of classes
+    for d in range(sum(m + 1 for m in orders), 9):
+        _check_class_count(orders, d)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("orders", _GENUS_2_3_AND_6 + [(4, 2), (3, 3), (2, 2, 2)], ids=str)
+def test_scans_count_every_class_once_at_degree_9(orders):
+    _check_class_count(orders, 9)
 
 
 # -- orbit partition -------------------------------------------------------------------

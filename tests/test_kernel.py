@@ -6,6 +6,7 @@ kernel call through the Python code (``on_both`` and the ``backend``
 fixture of conftest.py).  Tests that need the compiled library are
 skipped where it does not build.
 """
+import ctypes
 import itertools
 import math
 import os
@@ -280,10 +281,13 @@ def test_compiled_cusps_reject_an_unfinished_closure():
     start = kernel.canonical_key((1, 2, 3, 0), (0, 1, 2, 3))
     scan = lib.fl_scan_new(4, start)
     try:
-        # never stepped: the start has no T image yet (t_next -1)
+        # never stepped: the start has no T image yet (t_next -1), and an
+        # unfinished closure has no cusp list either
+        assert lib.fl_scan_cusp_list(scan, (ctypes.c_long * 2)()) == -6
         status = lib.fl_scan_cusps(scan)
         with pytest.raises(InternalCheckError, match="T-orbit left"):
             kernel._raise_status(status)
+        assert lib.fl_scan_cusp_list(scan, (ctypes.c_long * 2)()) == -6
     finally:
         lib.fl_scan_free(scan)
 
@@ -506,16 +510,18 @@ def test_c_source_compiles_without_warnings(tmp_path):
 
 # FIG1 closed in steps of 4 keys, its cusps walked twice, a step after
 # them and its cusp list made, the same closure capped at 10 keys, with no
-# cusp list before its walk nor after the walk fails; TEN_3111 closed in steps of
-# 1000 keys, so that batches split across calls, its cusp list made by two
-# threads at once, which must get the same list, checked to be sorted and
-# its least key to be the least, and capped one key
+# cusp list (ST_TAIL) before its walk nor after the walk fails; TEN_3111
+# closed in steps of 1000 keys, so that batches split across calls, its
+# cusp list read by two threads at once, each into its own buffer of
+# exactly 2 * cusp count longs, which must hold the same list, checked to
+# be sorted, and its least key checked to be the least, and capped one key
 # short, in the middle of a batch; one degree-5 scan for the commutator
 # types of H(2) and H(1,1); and one degree-8 scan for H(3,1), whose key
 # set outgrows its first 1,024 keys; with every object freed
 _SANITIZER_DRIVER = r"""
 #include <pthread.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 typedef unsigned char u8;
 struct scan;
@@ -526,7 +532,7 @@ int fl_scan_step(struct scan *s, long max_size, long budget);
 long fl_scan_cusps(struct scan *s);
 long fl_scan_size(const struct scan *s);
 const u8 *fl_scan_keys(const struct scan *s);
-const long *fl_scan_cusp_list(struct scan *s);
+int fl_scan_cusp_list(const struct scan *s, long *pairs);
 long fl_scan_least(const struct scan *s);
 void fl_scan_free(struct scan *s);
 struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
@@ -537,9 +543,18 @@ void fl_enum_free(struct enumeration *e);
 struct scan *fl_set_of(int d, const u8 *keys, long count);
 int fl_set_mark(const struct scan *s, u8 *marks, const struct scan *orbit);
 
-static void *cusp_list(void *s)
+/* one thread's read of a closure's cusp list, into its own buffer */
+struct reader {
+    struct scan *s;
+    long *pairs;
+    int status;
+};
+
+static void *cusp_list(void *arg)
 {
-    return (void *)fl_scan_cusp_list(s);
+    struct reader *r = arg;
+    r->status = fl_scan_cusp_list(r->s, r->pairs);
+    return NULL;
 }
 
 /* appends to rights, 8 bytes each, one permutation of 8 symbols per
@@ -570,19 +585,24 @@ int main(void)
         ;
     long cusps = fl_scan_cusps(s), again = fl_scan_cusps(s), widths = 0;
     int step = fl_scan_step(s, 100, 4);
-    const long *pairs = fl_scan_cusp_list(s);
+    long *pairs = malloc(2 * cusps * sizeof(long));
+    if (fl_scan_cusp_list(s, pairs))
+        return 1;
     for (long i = 0; i < cusps; i++)
         widths += pairs[2 * i];
     printf("%ld %ld %ld %d %ld\n", fl_scan_size(s), cusps, again, step, widths);
+    free(pairs);
     fl_scan_free(s);
 
     s = fl_scan_new(5, key);
     int status;
     while ((status = fl_scan_step(s, 10, 4)) == 1)
         ;
-    int unfinished = !fl_scan_cusp_list(s);
+    long none[2];
+    int unfinished = fl_scan_cusp_list(s, none) == -6;
     long tail = fl_scan_cusps(s);
-    printf("%d %ld %d %ld %d\n", status, fl_scan_size(s), unfinished, tail, !fl_scan_cusp_list(s));
+    printf("%d %ld %d %ld %d\n", status, fl_scan_size(s), unfinished, tail,
+           fl_scan_cusp_list(s, none) == -6);
     fl_scan_free(s);
 
     const u8 r10[10] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 0}, u10[10] = {3, 6, 5, 4, 7, 9, 8, 2, 1, 0};
@@ -595,13 +615,17 @@ int main(void)
     long n = fl_scan_size(s), count = fl_scan_cusps(s), width = 0, least = fl_scan_least(s);
     const u8 *keys = fl_scan_keys(s);
     pthread_t threads[2];
-    void *made[2];
+    struct reader readers[2];
+    for (int t = 0; t < 2; t++) {
+        readers[t] = (struct reader){s, malloc(2 * count * sizeof(long)), -1};
+        pthread_create(&threads[t], NULL, cusp_list, &readers[t]);
+    }
     for (int t = 0; t < 2; t++)
-        pthread_create(&threads[t], NULL, cusp_list, s);
-    for (int t = 0; t < 2; t++)
-        pthread_join(threads[t], &made[t]);
-    const long *list = made[0];
-    int sorted = 1, is_least = 1, same = made[0] && made[0] == made[1] && list == fl_scan_cusp_list(s);
+        pthread_join(threads[t], NULL);
+    const long *list = readers[0].pairs;
+    int sorted = 1, is_least = 1;
+    int same = !readers[0].status && !readers[1].status &&
+               !memcmp(list, readers[1].pairs, 2 * count * sizeof(long));
     for (long i = 0; i < count; i++) {
         width += list[2 * i];
         if (i > 0 && (list[2 * i - 2] > list[2 * i] ||
@@ -613,6 +637,8 @@ int main(void)
         if (memcmp(keys + 20 * j, keys + 20 * least, 20) < 0)
             is_least = 0;
     printf("%d %ld %ld %ld %d %d %d\n", status, n, count, width, sorted, is_least, same);
+    free(readers[0].pairs);
+    free(readers[1].pairs);
     fl_scan_free(s);
 
     s = fl_scan_new(10, key10);
@@ -680,12 +706,13 @@ int main(void)
 # 18 keys in 5 cusps, whose widths add up to 18; a second cusp walk and a
 # later step find no T map (ST_TAIL); the cap stops at 10 keys (ST_CAP),
 # and the walk of that closure finds a tail; TEN_3111 closes with 23,328
-# keys in 2,616 cusps whose widths add up to the size, sorted, one list for
-# both threads, with the least key found, and its cap stops one key short; 27 and 24 classes;
-# the 27 loaded twice are 27, sorted; the partition marks orbits of 18 and
-# 9, a second marking of an orbit fails (ST_OPEN), and so does the orbit
-# of 18 in the set that lacks the largest key; 4,032 classes of H(3,1) at
-# d=8
+# keys in 2,616 cusps whose widths add up to the size, sorted, the same
+# list in both threads' buffers, with the least key found, and its cap
+# stops one key short; 27 and 24 classes; the 27 loaded twice are 27,
+# sorted; the partition marks orbits of 18 and 9, a second marking of an
+# orbit fails (ST_OPEN: bsearch finds the key marked), and so does the
+# orbit of 18 in the set that lacks the largest key (bsearch finds no
+# key); 4,032 classes of H(3,1) at d=8
 _SANITIZER_STDOUT = [
     "18 5 -6 -6 18", "-1 10 1 -6 1", "0 23328 2616 23328 1 1 1", "-1 23327", "27 24",
     "0 27 26 1", "18 0 -7 -7", "9 0 -7 0", "4032", "",

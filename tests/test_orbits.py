@@ -29,7 +29,7 @@ from flatlyap.orbits import (
 from flatlyap.permutation import Permutation, is_transitive
 
 from conftest import (
-    FIG1, NINE_SQUARE_MAX, TEN_3111, TORUS, WOLLMILCHSAU, origami, random_permutation,
+    FIG1, NINE_SQUARE_MAX, TEN_3111, TORUS, WOLLMILCHSAU, on_both, origami, random_permutation,
 )
 
 
@@ -192,6 +192,22 @@ def test_cusp_widths_partition_orbit():
     assert len(cusp_list) == summary.cusp_count
     for _, rep, decomposition in cusp_list:
         assert decomposition.total_area == o.degree
+
+
+@pytest.mark.parametrize("text", [FIG1, TEN_3111])
+def test_cusp_list_is_the_same_from_any_start_in_the_orbit(text):
+    # each start has its own canonical key, so each closure finds the keys
+    # in another order and walks the T-cycles from other keys
+    o = origami(text)
+    starts = [o, act_T(o), act_S(o), act_S(act_T(o))]
+    assert len({canon(x) for x in starts}) == len(starts)
+    lists = [
+        widths
+        for x in starts
+        for widths in on_both(lambda: list(orbit_scan(x).cusp_widths()))
+    ]
+    assert lists[0] == sorted(lists[0])
+    assert all(widths == lists[0] for widths in lists)
 
 
 def test_single_cusp_orbit():
@@ -377,6 +393,15 @@ def test_cache_requires_directory(monkeypatch):
     monkeypatch.delenv(OrbitCache.ENV_VAR, raising=False)
     with pytest.raises(InputError):
         OrbitCache()
+
+
+def test_a_cache_that_cannot_be_written_keeps_no_entry(tmp_path):
+    # the directory turns into a regular file after the cache loaded
+    cache = OrbitCache(tmp_path / "gone")
+    (tmp_path / "gone").write_text("")
+    with pytest.raises(InputError, match="cannot write the orbit cache"):
+        lyapunov_sum(origami(FIG1), cache=cache)
+    assert all(cache.lookup_any(canon(o)) is None for o in orbit(origami(FIG1)))
 
 
 def test_cache_detects_corruption(tmp_path):
