@@ -45,6 +45,6 @@ from .orbits import (
     lyapunov_sum,
     orbit,
 )
-from .permutation import Permutation, canonical_form, compose, cycle_type, is_transitive, parse_cycles
+from .permutation import Permutation, compose, cycle_type, is_transitive, parse_cycles
 
 __version__ = "0.1.0"

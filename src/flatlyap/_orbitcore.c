@@ -18,12 +18,12 @@
  * passes buffers of the stated lengths; fl_canonical checks that r and u
  * are permutations, fl_scan_new takes only keys that fl_canonical
  * produced, and fl_enum_new takes permutations and cycle types that
- * kernel.py has checked.  The scan's key sets outlive it: fl_enum_take
- * hands each one over sorted, and the orbit partition marks the members
- * of each closure in it (fl_set_mark).  fl_scan_step may run a helper
- * thread, which it joins before it returns; every other function runs on
- * its caller's thread alone, and several threads may read one finished
- * closure at once.
+ * kernel.py has checked.  Key sets come only from the scan and outlive
+ * it: fl_enum_take hands each one over sorted, and the orbit partition
+ * marks the members of each closure in it (fl_set_mark).  fl_scan_step
+ * may run a helper thread, which it joins before it returns; every other
+ * function runs on its caller's thread alone, and several threads may
+ * read one finished closure at once.
  */
 #define _GNU_SOURCE       /* sched_getaffinity, sched_getcpu, CPU_COUNT */
 #include <limits.h>
@@ -724,47 +724,13 @@ int fl_scan_cusp_list(const struct scan *s, long *pairs)
 
 /* -- sorted key sets ---------------------------------------------------
  *
- * A key set is a struct scan that scan_alloc made, filled by visit(): by
- * the exhaustive scan (fl_enum_take) or from a list (fl_set_of).  Once
- * handed out it is sorted by by_key and its slot table freed, so
- * membership is a bsearch by the same order and the set takes no more
- * keys.  The orbit partition closes one orbit at a time from the least
- * key no orbit holds yet; fl_set_mark checks that every key of the
- * closure is in the set and not yet held, and marks it, one byte per key
- * in an array the caller owns. */
-
-/* s with its keys sorted, and its slot table and spare room freed; NULL,
- * with s freed, when s is NULL or out of memory. */
-static struct scan *sorted_set(struct scan *s)
-{
-    u8 *keys = s ? realloc(s->keys, (size_t)(s->n ? s->n : 1) * (size_t)s->k) : NULL;
-    if (!keys) {
-        fl_scan_free(s);
-        return NULL;
-    }
-    s->keys = keys;
-    s->room = s->n ? s->n : 1;
-    free(s->slots);   /* before the sort, which may take as much again */
-    s->slots = NULL;
-    sort_width = (size_t)s->k;
-    qsort(s->keys, (size_t)s->n, (size_t)s->k, by_key);
-    return s;
-}
-
-/* The sorted key set of ``count`` packed keys of degree d, repeats
- * dropped; NULL when out of memory. */
-struct scan *fl_set_of(int d, const u8 *keys, long count)
-{
-    struct scan *s = scan_alloc(d);
-    for (long i = 0; s && i < count; i++) {
-        const u8 *key = keys + i * s->k;
-        if (visit(s, key, hash(key, s->k), LONG_MAX) < 0) {
-            fl_scan_free(s);
-            s = NULL;
-        }
-    }
-    return sorted_set(s);
-}
+ * A key set is a struct scan that scan_alloc made and the exhaustive scan
+ * filled by visit(); nothing else makes one.  fl_enum_take hands it out
+ * sorted by by_key, with its slot table freed, so membership is a bsearch
+ * by the same order and the set takes no more keys.  The orbit partition
+ * closes one orbit at a time from the least key no orbit holds yet;
+ * fl_set_mark checks that every key of the closure is in the set and not
+ * yet held, and marks it, one byte per key in an array the caller owns. */
 
 /* Marks every key of the closure ``orbit`` in the sorted set s, one byte
  * per key of s in marks[]; 0, or ST_OPEN at a key that is not in s or is
@@ -1178,11 +1144,23 @@ int fl_enum_step(struct enumeration *e, long budget)
     return e->right < e->nrights ? ST_MORE : ST_DONE;
 }
 
-/* The key set of target t, sorted, which the caller now owns and frees
- * with fl_scan_free; NULL when out of memory. */
+/* The key set of target t, which the caller now owns and frees with
+ * fl_scan_free: its keys sorted, its slot table and spare room freed;
+ * NULL, with the set freed, when out of memory. */
 struct scan *fl_enum_take(struct enumeration *e, int t)
 {
     struct scan *s = e->sets[t];
     e->sets[t] = NULL;
-    return sorted_set(s);
+    u8 *keys = realloc(s->keys, (size_t)(s->n ? s->n : 1) * (size_t)s->k);
+    if (!keys) {
+        fl_scan_free(s);
+        return NULL;
+    }
+    s->keys = keys;
+    s->room = s->n ? s->n : 1;
+    free(s->slots);   /* before the sort, which may take as much again */
+    s->slots = NULL;
+    sort_width = (size_t)s->k;
+    qsort(s->keys, (size_t)s->n, (size_t)s->k, by_key);
+    return s;
 }

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .components import component_label
 from .errors import InputError, ResourceCapError
-from .kernel import KeySet, key_set, partition, scan_degree
+from .kernel import KeySet, partition, scan_degree
 from .origami import Origami, Stratum
 from .orbits import OrbitSummary, _summary_from_parts, format_rational, orbit_scan
 
@@ -140,22 +140,16 @@ class OrbitClass:
         return tuple(sorted(orbit_scan(self.representative).keys))
 
 
-def orbit_partition(keys: KeySet | list[bytes]) -> list[OrbitClass]:
-    """Partition the canonical keys of one degree and stratum, a KeySet or
-    a list (loaded into one by ``kernel.key_set``), into SL(2,Z) orbits in
-    the order of their least keys; see ``kernel.partition``.
+def orbit_partition(keys: KeySet) -> list[OrbitClass]:
+    """Partition the KeySet of one degree and stratum that
+    ``enumerate_origamis`` returns into SL(2,Z) orbits, in the order of
+    their least keys; see ``kernel.partition``.
 
-    The input must be closed under the action, as the scan's output is.
     Only the least key of each orbit becomes an ``Origami``, and every key
     lands in a closed orbit, so checking the stratum of each orbit's least
-    key checks the whole input.  Keys of two lengths, duplicate keys, keys
-    that are not canonical and two strata raise InputError.  Each summary
+    key checks the whole input: two strata raise InputError.  Each summary
     comes from its orbit's closure; no cache is read.
     """
-    if not len(keys):
-        return []
-    if not isinstance(keys, KeySet):
-        keys = key_set(keys)
     d = keys.degree
     stratum = None
     out = []

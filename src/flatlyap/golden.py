@@ -61,6 +61,9 @@ class CheckResult:
 
 
 def load_golden(path=None) -> list[GoldenCheck]:
+    """The checks of the golden file at ``path``, by default the packaged
+    ``data/golden.txt``; errors name the file that was read."""
+    name = "golden.txt" if path is None else str(path)
     if path is not None:
         try:
             text = Path(path).read_text()
@@ -77,13 +80,13 @@ def load_golden(path=None) -> list[GoldenCheck]:
             continue
         parts = line.split()
         if len(parts) < 2:
-            raise InputError(f"golden.txt line {lineno}: too few fields")
+            raise InputError(f"{name} line {lineno}: too few fields")
         cid, kind = parts[0], parts[1]
         fields = {}
         for tok in parts[2:]:
             key, sep, value = tok.partition("=")
             if not sep:
-                raise InputError(f"golden.txt line {lineno}: bad token {tok!r}")
+                raise InputError(f"{name} line {lineno}: bad token {tok!r}")
             fields[key] = value
         checks.append(GoldenCheck(cid, kind, fields))
     return checks

@@ -58,8 +58,6 @@ _STEP_BUDGET = 8192
 #: units of work the compiled scan does per call (see fl_enum_step), for
 #: the same reason
 _SCAN_BUDGET = 1 << 17
-#: keys a KeySet copies out of C memory per step of an iteration
-_ITER_CHUNK = 4096
 _LONG = ctypes.sizeof(ctypes.c_long)
 _LONG_MAX = 2 ** (8 * _LONG - 1) - 1
 
@@ -141,7 +139,6 @@ def _declare(lib) -> None:
         "fl_enum_new": (ptr, [c_int, c_int, ctypes.c_char_p, c_int, ctypes.c_char_p]),
         "fl_enum_step": (c_int, [ptr, c_long]),
         "fl_enum_take": (ptr, [ptr, c_int]),
-        "fl_set_of": (ptr, [c_int, ctypes.c_char_p, c_long]),
         "fl_set_mark": (c_int, [ptr, ptr, ptr]),
         "fl_enum_free": (None, [ptr]),
     }
@@ -454,10 +451,12 @@ def _py_cusps(keys, t_next) -> list[tuple[int, bytes]]:
 # -- key sets and the orbit partition ----------------------------------------
 
 class KeySet:
-    """Packed keys of one degree, distinct and sorted: ``len`` counts them
-    and iterating yields them in order.  The pure-Python path keeps a
-    sorted list; a set from the compiled library (``lib``, ``handle``)
-    stays in C memory and is freed with the KeySet."""
+    """The canonical keys of one degree that a scan (``scan_degree``)
+    found, distinct and sorted: ``len`` counts them and iterating yields
+    them in order.  The pure-Python scan passes its sorted list as
+    ``keys``, which the KeySet trusts and does not check; a set from the
+    compiled scan (``lib``, ``handle``) stays in C memory and is freed
+    with the KeySet."""
 
     def __init__(self, degree: int, keys=(), lib=None, handle=None):
         self.degree, self._keys, self._lib, self._handle = degree, keys, lib, handle
@@ -471,45 +470,30 @@ class KeySet:
         if self._lib is None:
             yield from self._keys
             return
-        n, k = len(self), 2 * self.degree
-        for lo in range(0, n, _ITER_CHUNK):
-            at = self._lib.fl_scan_keys(self._handle) + lo * k
-            blob = ctypes.string_at(at, min(_ITER_CHUNK, n - lo) * k)
-            yield from (blob[j : j + k] for j in range(0, len(blob), k))
+        # one view over the C keys: the generator holds self, so the keys
+        # outlive the view
+        k = 2 * self.degree
+        at = self._lib.fl_scan_keys(self._handle)
+        view = (ctypes.c_char * (len(self) * k)).from_address(at)
+        for lo in range(0, len(view), k):
+            yield view[lo : lo + k]
 
     def __del__(self):
         if getattr(self, "_handle", None):
             self._lib.fl_scan_free(self._handle)
 
 
-def key_set(keys) -> KeySet:
-    """A non-empty list of distinct packed keys of one degree as a KeySet;
-    InputError for keys of two lengths, of an odd length or of a degree
-    past 255, and for a repeated key."""
-    lengths = {len(k) for k in keys}
-    d, odd = divmod(max(lengths), 2)
-    if len(lengths) != 1 or odd or not 0 < d <= MAX_DEGREE:
-        raise InputError(f"a key set needs keys of a single degree d <= {MAX_DEGREE}")
-    lib = _library()
-    if lib is None:
-        out = KeySet(d, sorted(set(keys)))
-    else:
-        out = KeySet(d, lib=lib, handle=lib.fl_set_of(d, b"".join(keys), len(keys)))
-    if len(out) != len(keys):
-        raise InputError("duplicate keys in the input")
-    return out
-
-
 def partition(keys: KeySet) -> list[tuple[bytes, int, Fraction, int]]:
-    """The SL(2,Z) orbits of a key set closed under T and S, in the order
-    of their least keys: (least key, size, ``total_hw``, cusp count) per
-    orbit, as ``orbit_closure`` gives them.
+    """The SL(2,Z) orbits of a scan's key set, which is closed under T and
+    S, in the order of their least keys: (least key, size, ``total_hw``,
+    cusp count) per orbit, as ``orbit_closure`` gives them.
 
     Each orbit is closed from the least key that no orbit holds yet, which
     is then its least key, and every key it reaches must be in the set
     and held by no orbit before it; one mark per key records that.  Raises
-    InputError at a least key that is not canonical, and
-    InternalCheckError when the set is not closed.
+    InternalCheckError when the set is not closed.  A closure reaches only
+    canonical keys and marks each once, so a key that is not canonical, or
+    a repeated one, stays unmarked until its own closure fails that way.
     """
     lib = keys._lib if _library() is not None else None
     listed = list(keys) if lib is None else None
@@ -521,9 +505,6 @@ def partition(keys: KeySet) -> list[tuple[bytes, int, Fraction, int]]:
         while remaining:
             at = marks.find(0, at)
             least = listed[at] if lib is None else ctypes.string_at(first + at * 2 * d, 2 * d)
-            # a closure canonicalises any start: only this catches a bad key
-            if canonical_key(least[:d], least[d:]) != least:
-                raise InputError("orbit partition needs canonical keys")
             size, total, count = _close_and_mark(keys, listed, marks, least, remaining)
             out.append((least, size, total, count))
             remaining -= size

@@ -3,11 +3,8 @@
 Permutations are stored as a tuple ``images`` with ``images[i-1]`` the
 image of the symbol ``i``.  The composition convention is fixed once and
 for all as ``(p * q)(x) = p(q(x))`` (right-to-left); every formula in the
-rest of the package assumes it.
-
-Besides the basic group operations this module provides the canonical
-form of a permutation *pair* under simultaneous conjugation, which is
-what makes hash-based orbit enumeration possible.
+rest of the package assumes it.  The canonical form of a pair under
+simultaneous conjugation is ``kernel.canonical_key``.
 """
 from __future__ import annotations
 
@@ -16,7 +13,7 @@ import re
 from typing import Sequence
 
 from .errors import InputError
-from .kernel import canonical_key, invert
+from .kernel import invert
 
 _TOKEN = re.compile(r"\d+")
 _ONE_LINE = re.compile(r"\s*(\d+(\s*[,\s]\s*\d+)*\s*)?")
@@ -220,20 +217,3 @@ def is_transitive(r: Permutation, u: Permutation) -> bool:
                 count += 1
                 stack.append(y)
     return count == d
-
-
-def canonical_form(r: Permutation, u: Permutation) -> tuple[Permutation, Permutation]:
-    """Least pair among all simultaneous conjugates of ``(r, u)``.
-
-    For every base square the pair is relabelled by BFS order over the
-    moves (r first, then u); the lexicographic minimum over base squares
-    is a normal form: two transitive pairs are simultaneously conjugate
-    iff their canonical forms coincide (see ``kernel.canonical_key``).
-    """
-    key = canonical_key(r.zero_based(), u.zero_based())
-    d = r.degree
-    return (
-        Permutation(tuple(x + 1 for x in key[:d])),
-        Permutation(tuple(x + 1 for x in key[d:])),
-    )
-

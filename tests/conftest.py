@@ -1,10 +1,12 @@
+import functools
 import math
 
 import pytest
 
-from flatlyap import kernel
-from flatlyap.origami import Origami
-from flatlyap.permutation import Permutation, canonical_form, compose
+from flatlyap import enumeration, kernel
+from flatlyap.kernel import KeySet, canonical_key
+from flatlyap.origami import Origami, Stratum
+from flatlyap.permutation import Permutation, compose
 
 
 @pytest.fixture(autouse=True)
@@ -46,6 +48,56 @@ def backend(request, monkeypatch):
     lib = compiled_library() if request.param == "compiled" else None
     monkeypatch.setattr(kernel, "_lib", lib)
     return request.param
+
+
+# -- one scan per degree for the oracles -------------------------------------------
+#
+# The oracles read the classes and orbits of many strata at each degree.
+# One multi-target walk per degree finds them all, and the test run keeps
+# each key set and each partition it makes, so no oracle scans a stratum
+# on its own.  Tests of the public names, of backends or of call counts
+# call enumerate_origamis and orbit_partition themselves.
+
+#: every stratum, by its zero orders, whose classes an oracle reads
+ORACLE_STRATA = (
+    (2,), (1, 1), (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1),
+    (6,), (5, 1), (4, 2), (3, 3), (3, 2, 1), (2, 2, 2), (4, 1, 1),
+    (2, 2, 1, 1), (3, 1, 1, 1), (8,), (6, 2), (5, 3), (4, 4),
+)
+
+
+@functools.cache
+def _scan(d: int) -> dict:
+    """The KeySet of every stratum of ORACLE_STRATA that fits in degree d,
+    from one walk."""
+    targets = {}
+    for orders in ORACLE_STRATA:
+        target = enumeration.commutator_cycle_type(Stratum(orders), d)
+        if target is not None:
+            targets[Stratum(orders)] = target
+    return enumeration._scan_degree(d, targets)
+
+
+def scanned_classes(d: int, orders) -> KeySet:
+    """``enumerate_origamis(d, Stratum(orders))`` for a stratum of
+    ORACLE_STRATA, from the one walk of degree d."""
+    assert tuple(orders) in ORACLE_STRATA, orders
+    return _scan(d).get(Stratum(orders), KeySet(d))
+
+
+@functools.cache
+def scanned_orbits(d: int, orders) -> list:
+    """``orbit_partition`` of ``scanned_classes(d, orders)``."""
+    return enumeration.orbit_partition(scanned_classes(d, orders))
+
+
+def scanned_orbits_by_degree(orders, d_max: int):
+    """(degree, OrbitClass) for every orbit of the stratum, degree by
+    degree from its support to d_max, as ``orbits_by_degree`` gives them."""
+    for d in range(sum(m + 1 for m in orders), d_max + 1):
+        for oc in scanned_orbits(d, orders):
+            yield d, oc
+
 
 # named surfaces used across the suite
 FIG1 = "r=(1 2 3 4)(5); u=(1 5); d=5"
@@ -92,6 +144,18 @@ def commutator(o: Origami) -> Permutation:
     points."""
     r, u = o.right, o.up
     return compose(compose(u.inverse(), r.inverse()), compose(u, r))
+
+
+def canonical_form(r: Permutation, u: Permutation) -> tuple[Permutation, Permutation]:
+    """Least pair among all simultaneous conjugates of ``(r, u)``: the
+    pair of ``kernel.canonical_key``, which two transitive pairs share iff
+    they are simultaneously conjugate."""
+    key = canonical_key(r.zero_based(), u.zero_based())
+    d = r.degree
+    return (
+        Permutation(tuple(x + 1 for x in key[:d])),
+        Permutation(tuple(x + 1 for x in key[d:])),
+    )
 
 
 def canonical(o: Origami) -> Origami:

@@ -14,7 +14,6 @@ from flatlyap.components import component_label, hyperelliptic_involution, spin_
 from flatlyap.enumeration import enumerate_origamis
 from flatlyap.origami import Origami, Stratum
 from flatlyap.orbits import horizontal_cylinders, lyapunov_sum, orbit
-from flatlyap.permutation import canonical_form
 
 from conftest import (
     ELEVEN_10_EVEN,
@@ -26,6 +25,7 @@ from conftest import (
     TEN_44_EVEN,
     TEN_44_ODD,
     WOLLMILCHSAU,
+    canonical_form,
     conjugate,
     origami,
     random_permutation,

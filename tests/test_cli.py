@@ -256,6 +256,15 @@ def test_a_missing_golden_file_is_an_input_error(tmp_path, capsys):
     assert str(missing) in err
 
 
+def test_a_malformed_golden_file_is_named_in_its_error(tmp_path, capsys):
+    notes = tmp_path / "notes.txt"
+    notes.write_text("core: not a golden line\n")
+    code, out, err = run(capsys, "verify-tables", "--golden", str(notes))
+    assert code == 2
+    assert out == ""
+    assert f"{notes} line 1: bad token" in err and "golden.txt" not in err
+
+
 def test_verify_tables_quick(capsys):
     code, out, _ = run(capsys, "verify-tables", "3", "--skip-enumeration")
     assert code == 0

@@ -13,7 +13,7 @@ from flatlyap.components import (
     in_hyperelliptic_component,
     spin_parity,
 )
-from flatlyap.enumeration import enumerate_origamis, orbit_partition, orbits_by_degree
+from flatlyap.enumeration import enumerate_origamis
 from flatlyap.errors import InputError
 from flatlyap.kernel import corner_walk
 from flatlyap.moduli import double_cover_stratum, hyperelliptic_locus_L
@@ -42,6 +42,9 @@ from conftest import (
     identity,
     origami,
     random_permutation,
+    scanned_classes,
+    scanned_orbits,
+    scanned_orbits_by_degree,
 )
 
 
@@ -225,7 +228,7 @@ EVEN_STRATA = ((2,), (4,), (2, 2), (6,), (4, 2), (2, 2, 2))
 def _classes(strata, dmax):
     for orders in strata:
         for d in range(1, dmax + 1):
-            yield from map(Origami.from_key, enumerate_origamis(d, Stratum(orders)))
+            yield from map(Origami.from_key, scanned_classes(d, orders))
 
 
 def test_spin_parity_matches_drawing_on_small_classes():
@@ -324,7 +327,7 @@ def _locus_oracle(strata, d_max) -> int:
     involution; returns how many orbits were checked."""
     checked = 0
     for orders in strata:
-        for d, oc in orbits_by_degree(Stratum(orders), d_max):
+        for d, oc in scanned_orbits_by_degree(orders, d_max):
             inv = hyperelliptic_involution(oc.representative)
             if inv is not None:
                 assert hyperelliptic_locus_L(inv.quotient) == oc.summary.L, (orders, d)
@@ -482,7 +485,7 @@ def _labels_constant_on_orbits(strata, d) -> int:
     ``d`` gets the same label kind; returns how many classes were read."""
     classes = 0
     for orders in strata:
-        for oc in orbit_partition(enumerate_origamis(d, Stratum(orders))):
+        for oc in scanned_orbits(d, orders):
             members = oc.members
             kinds = {component_label(Origami.from_key(k)).kind for k in members}
             assert len(kinds) == 1, (orders, oc.representative, kinds)
@@ -512,7 +515,7 @@ def test_hyperelliptic_parity():
     for orders, d_max in (((2,), 10), ((4,), 10), ((2, 2), 9), ((6,), 9)):
         s = Stratum(orders)
         expected = ("even", "odd")[(s.genus + 1) // 2 % 2]
-        for d, oc in orbits_by_degree(s, d_max):
+        for d, oc in scanned_orbits_by_degree(orders, d_max):
             label = component_label(oc.representative)
             if label.kind == "hyperelliptic":
                 assert label.parity == expected, (orders, d, oc.representative)

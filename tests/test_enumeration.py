@@ -16,12 +16,21 @@ from flatlyap.enumeration import (
     partitions,
 )
 from flatlyap.errors import InputError, InternalCheckError, ResourceCapError
-from flatlyap.kernel import key_set
+from flatlyap.kernel import KeySet
 from flatlyap.origami import Origami, Stratum
 from flatlyap.orbits import canonical_key, lyapunov_sum, orbit
 from flatlyap.permutation import Permutation, cycle_type, is_transitive
 
-from conftest import FIG1, TEN_44_EVEN, canonical, commutator, on_both, on_each, origami
+from conftest import (
+    FIG1,
+    TEN_44_EVEN,
+    canonical,
+    commutator,
+    on_both,
+    on_each,
+    origami,
+    scanned_classes,
+)
 
 
 def key_of(o: Origami) -> bytes:
@@ -127,9 +136,7 @@ def test_enumerate_empty_below_support():
     assert list(enumerate_origamis(2, Stratum((2,)))) == []
 
 
-def test_enumeration_is_a_sized_sorted_key_set(backend, monkeypatch):
-    # copied out of C memory 100 keys at a time, so that chunks meet
-    monkeypatch.setattr(kernel, "_ITER_CHUNK", 100)
+def test_enumeration_is_a_sized_sorted_key_set(backend):
     for d, orders, count in ((5, (2,), 27), (6, (2, 2), 126), (7, (3, 1), 1024)):
         classes = enumerate_origamis(d, Stratum(orders))
         keys = list(classes)
@@ -233,7 +240,7 @@ def _automorphisms(key: bytes) -> int:
 
 def _check_class_count(orders: tuple[int, ...], d: int) -> None:
     mu = commutator_cycle_type(Stratum(orders), d)
-    found = sum(Fraction(1, _automorphisms(key)) for key in enumerate_origamis(d, Stratum(orders)))
+    found = sum(Fraction(1, _automorphisms(key)) for key in scanned_classes(d, orders))
     assert found == Fraction(_transitive(mu), math.factorial(d)), (orders, d)
 
 
@@ -325,45 +332,45 @@ def test_partition_summaries_match_direct_computation():
         assert oc.summary == lyapunov_sum(oc.representative)
 
 
-# each input goes in as a list of keys, and loaded into a KeySet first
-INPUTS = (list, key_set)
-
-
-def test_partition_rejects_mixed_input():
-    mixed = [*enumerate_origamis(4, Stratum((2,))), *enumerate_origamis(5, Stratum((2,)))]
-    for make in INPUTS:
-        with pytest.raises(InputError):
-            orbit_partition(make(mixed))
+def hand_built(keys) -> KeySet:
+    """A KeySet that no scan made: the keys, of one degree, sorted."""
+    return KeySet(len(keys[0]) // 2, sorted(keys))
 
 
 def test_partition_rejects_mixed_strata():
-    # same degree, two strata: the check runs on each orbit's least class
-    mixed = [*enumerate_origamis(5, Stratum((2,))), *enumerate_origamis(5, Stratum((1, 1)))]
-    for make in INPUTS:
+    # same degree, two strata: the check runs on each orbit's least class,
+    # with the compiled kernel and in pure Python
+    mixed = hand_built(
+        [*enumerate_origamis(5, Stratum((2,))), *enumerate_origamis(5, Stratum((1, 1)))]
+    )
+
+    def rejects():
         with pytest.raises(InputError, match="single degree and stratum"):
-            orbit_partition(make(mixed))
-        with pytest.raises(InputError, match="single degree and stratum"):
-            orbit_partition(make(mixed[::-1]))
+            orbit_partition(mixed)
+
+    on_each(rejects)
 
 
 def test_partition_rejects_set_not_closed_under_the_action():
-    # with the compiled kernel and in pure Python, from both inputs
-    on_each(lambda: [_rejects_set_not_closed(make) for make in INPUTS])
+    # closures with the compiled kernel and in pure Python; a hand-built
+    # set is marked by the Python search either way, a scan's set by
+    # fl_set_mark in test_partition_rejects_a_scan_of_one_right
+    on_each(_rejects_set_not_closed)
 
 
-def _rejects_set_not_closed(make):
+def _rejects_set_not_closed():
     # one orbit of 9: the scan from the least class outgrows the 8 left
     single = enumerate_origamis(4, Stratum((2,)))
     assert len(orbit_partition(single)) == 1
     with pytest.raises(InternalCheckError, match="not closed"):
-        orbit_partition(make(list(single)[1:]))
+        orbit_partition(hand_built(list(single)[1:]))
     # orbits of 18 and 9: whichever class is missing, its orbit's scan
     # reaches a key outside the input
     classes = list(enumerate_origamis(5, Stratum((2,))))
-    assert len(orbit_partition(make(classes))) == 2
+    assert len(orbit_partition(hand_built(classes))) == 2
     for i in range(len(classes)):
         with pytest.raises(InternalCheckError, match="not closed"):
-            orbit_partition(make(classes[:i] + classes[i + 1 :]))
+            orbit_partition(hand_built(classes[:i] + classes[i + 1 :]))
     # ten orbits: drop a class of the last one, after nine closed orbits
     classes = enumerate_origamis(6, Stratum((2, 2)))
     parts = orbit_partition(classes)
@@ -371,39 +378,46 @@ def _rejects_set_not_closed(make):
     dropped = parts[-1].members[0]
     assert Origami.from_key(dropped) == parts[-1].representative
     with pytest.raises(InternalCheckError, match="not closed"):
-        orbit_partition(make([k for k in classes if k != dropped]))
+        orbit_partition(hand_built([k for k in classes if k != dropped]))
+    # a key repeated, or one that is not canonical: a relabelling of a
+    # class is the same class under another key, and no closure reaches it
+    classes = list(classes)
+    k = Origami.from_key(classes[3])
+    swap = Permutation((2, 1, 3, 4, 5, 6))
+    relabelled = Origami(swap * k.right * swap, swap * k.up * swap)
+    other = bytes(relabelled.right.zero_based()) + bytes(relabelled.up.zero_based())
+    assert other != classes[3] and key_of(relabelled) == classes[3]
+    for keys in ([other], classes + [other], classes + [classes[-1]]):
+        with pytest.raises(InternalCheckError, match="not closed"):
+            orbit_partition(hand_built(keys))
+
+
+def test_partition_rejects_a_scan_of_one_right(backend, monkeypatch):
+    # a scan with one right finds only the classes whose right has its
+    # cycle type, and no orbit keeps to one: the compiled partition finds
+    # an orbit key outside its C key set (ST_OPEN), not an orbit past the
+    # keys left
+    statuses = []
+    raise_status = kernel._raise_status
+
+    def recording(status, *rest):
+        statuses.append(status)
+        raise_status(status, *rest)
+
+    monkeypatch.setattr(kernel, "_raise_status", recording)
+    # each set holds more keys than the orbit of its least key
+    for d, orders, parts in ((6, (2, 2), (6,)), (6, (3, 1), (5, 1))):
+        target = commutator_cycle_type(Stratum(orders), d)
+        (keys,) = kernel.scan_degree(d, [partition_representative(parts)], [target])
+        assert 0 < len(keys) < len(enumerate_origamis(d, Stratum(orders)))
+        with pytest.raises(InternalCheckError, match="not closed"):
+            orbit_partition(keys)
+    assert statuses == ([-7, -7] if backend == "compiled" else [])
 
 
 def test_partition_can_run_twice_on_one_key_set(backend):
     classes = enumerate_origamis(6, Stratum((2, 2)))
     assert orbit_partition(classes) == orbit_partition(classes)
-
-
-def test_partition_rejects_bad_keys(backend):
-    classes = list(enumerate_origamis(6, Stratum((2, 2))))
-    # a relabelling of a class is the same class under a key that is not
-    # canonical; nothing else in the input would fail
-    k = classes[3]
-    swap = Permutation((2, 1, 3, 4, 5, 6))
-    relabelled = Origami.from_key(k)
-    relabelled = Origami(
-        swap * relabelled.right * swap, swap * relabelled.up * swap
-    )
-    other = bytes(relabelled.right.zero_based()) + bytes(relabelled.up.zero_based())
-    assert other != k and key_of(relabelled) == k
-    for make in INPUTS:
-        for keys in ([other], classes + [other]):
-            with pytest.raises(InputError, match="canonical keys"):
-                orbit_partition(make(keys))
-        # keys of two lengths
-        with pytest.raises(InputError, match="single degree"):
-            orbit_partition(make(classes + list(enumerate_origamis(7, Stratum((2, 2))))[:1]))
-        # halves that are not permutations, sorting first and last
-        for bad in (bytes(12), bytes([11] * 12)):
-            with pytest.raises(InputError):
-                orbit_partition(make(classes + [bad]))
-        with pytest.raises(InputError, match="duplicate"):
-            orbit_partition(make(classes + [classes[-1]]))
 
 
 def test_from_key_inverts_canonical_key(backend):

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from flatlyap.errors import DisconnectedError, InputError
 from flatlyap.permutation import (
     Permutation,
-    canonical_form,
     compose,
     cycle_type,
     is_transitive,
     parse_cycles,
 )
 
-from conftest import conjugate, identity, order, random_permutation
+from conftest import canonical_form, conjugate, identity, order, random_permutation
 
 
 def perms(max_degree=8):
