@@ -680,6 +680,86 @@ static _Thread_local const u8 *sort_keys;
 
 static int by_key(const void *a, const void *b) { return memcmp(a, b, sort_width); }
 
+static void swap_keys(u8 *a, u8 *b)
+{
+    u8 t[512];
+    memcpy(t, a, sort_width);
+    memcpy(a, b, sort_width);
+    memcpy(b, t, sort_width);
+}
+
+/* Moves keys[root] down the max-heap keys[0..n) to its place. */
+static void sift_down(u8 *keys, size_t root, size_t n)
+{
+    size_t k = sort_width;
+    for (size_t child; (child = 2 * root + 1) < n; root = child) {
+        if (child + 1 < n && by_key(keys + child * k, keys + (child + 1) * k) < 0)
+            child++;
+        if (by_key(keys + root * k, keys + child * k) >= 0)
+            return;
+        swap_keys(keys + root * k, keys + child * k);
+    }
+}
+
+/* Sorts n keys by by_key in place: quicksort on the median of three,
+ * recursing into the smaller side, and heapsort for a part still longer
+ * than 16 keys after ``depth`` splits, so that no input takes more than
+ * O(n log n) compares.  glibc's qsort would merge through a copy of
+ * every key. */
+static void sort_in_place(u8 *keys, size_t n, int depth)
+{
+    size_t k = sort_width;
+    u8 t[512];
+    while (n > 16) {
+        if (depth-- == 0) {
+            for (size_t i = n / 2; i-- > 0;)
+                sift_down(keys, i, n);
+            for (size_t end = n; end-- > 1;) {
+                swap_keys(keys, keys + end * k);
+                sift_down(keys, 0, end);
+            }
+            return;
+        }
+        u8 *lo = keys, *mid = keys + n / 2 * k, *hi = keys + (n - 1) * k;
+        if (by_key(mid, lo) < 0)
+            swap_keys(mid, lo);
+        if (by_key(hi, mid) < 0) {
+            swap_keys(hi, mid);
+            if (by_key(mid, lo) < 0)
+                swap_keys(mid, lo);
+        }
+        /* Hoare's partition around a copy of the median: the first and
+         * the last key stop the two scans, and the split j is below n - 1 */
+        memcpy(t, mid, k);
+        size_t i = 0, j = n - 1;
+        for (;; i++, j--) {
+            while (by_key(keys + i * k, t) < 0)
+                i++;
+            while (by_key(t, keys + j * k) < 0)
+                j--;
+            if (i >= j)
+                break;
+            swap_keys(keys + i * k, keys + j * k);
+        }
+        if (j + 1 < n - j - 1) {
+            sort_in_place(keys, j + 1, depth);
+            keys += (j + 1) * k;
+            n -= j + 1;
+        } else {
+            sort_in_place(keys + (j + 1) * k, n - j - 1, depth);
+            n = j + 1;
+        }
+    }
+    for (size_t i = 1; i < n; i++) {   /* insertion sort of the rest */
+        size_t j = i;
+        memcpy(t, keys + i * k, k);
+        while (j > 0 && by_key(t, keys + (j - 1) * k) < 0)
+            j--;
+        memmove(keys + (j + 1) * k, keys + j * k, (i - j) * k);
+        memcpy(keys + j * k, t, k);
+    }
+}
+
 /* (width, key index) pairs by width, then by the key they index */
 static int by_cusp(const void *a, const void *b)
 {
@@ -774,9 +854,13 @@ int fl_canonical(int d, const u8 *r, const u8 *u, u8 *out)
  * canonical key, into that target's key set.
  *
  * The commutator is s r with s = u^-1 r^-1 u, a conjugate of r, so each
- * right walks its conjugacy class for s and tests the cycle type of s r:
- * d!/z elements, z the order of the centralizer C(r), where a walk of u
- * would test d!.  The u of one s are those with u s = r^-1 u; they map
+ * right walks its conjugacy class for s, d!/z elements with z the order
+ * of the centralizer C(r), where a walk of u would test d!.  s r fixes
+ * the symbols x where s leaves r^-1 alone at r(x), so the walk fills s
+ * one position at a time and drops each branch whose count of symbols
+ * where s leaves r^-1 cannot reach the support of any target
+ * (walk_advance); the few complete s left have the cycle type of s r
+ * tested.  The u of one s are those with u s = r^-1 u; they map
  * each cycle of s onto a cycle of r^-1 of the same length, at any
  * rotation, z of them in all.  Conjugating by c in C(r) fixes r and
  * carries the u of s onto those of c s c^-1, which give the same classes,
@@ -807,16 +891,25 @@ struct enumeration {
     struct scan **sets; /* one key set per target */
     int *hits;          /* the nhits targets the survivor s matched */
     int nhits;
-    /* PH_TEST: test s; PH_LEAST: compare s with its conjugate under the
-     * element of C(r) after m; PH_EXPAND: visit the pair (r, u) of m */
+    /* PH_TEST: walk to the next s and test it; PH_LEAST: compare s with
+     * its conjugate under the element of C(r) after m; PH_EXPAND: visit
+     * the pair (r, u) of m */
     int phase;
     struct cycles rc, ric, sc;   /* of r, of r^-1 (slot by slot), of s */
     struct matching m;
+    /* the supports (symbols a target's commutator moves) of the targets
+     * lie in least..most; want[f] when some target fixes f symbols */
+    int least, most;
+    u8 want[256];
     /* the class walk: s in cycle notation as seq[0..d), each cycle
      * starting at its least symbol, which is the least one unused; the
      * cycle through position p starts at position head[p] and is
-     * clen[head[p]] long; left[l] cycles of length l are still to open */
-    u8 seq[256], head[256], clen[256], used[256], left[256], s[256];
+     * clen[head[p]] long; left[l] cycles of length l are still to open;
+     * the values of s set by positions 0..p leave r^-1 (rinv) at dis[p]
+     * symbols.  The walk stands at position at, which holds a choice to
+     * replace when redo is set and is empty otherwise. */
+    int at, redo;
+    u8 seq[256], head[256], clen[256], used[256], left[256], s[256], rinv[256], dis[256];
 };
 
 void fl_enum_free(struct enumeration *e)
@@ -936,84 +1029,116 @@ static void matching_apply(const struct matching *m, const struct cycles *src,
     }
 }
 
-/* Writes x at position p of the walk; head[p] and the length of its
- * cycle are set. */
-static void walk_put(struct enumeration *e, int p, int x)
+/* Steps the walk to the next element s of the class whose commutator
+ * s r can have a target's cycle type, spending one unit of *budget per
+ * position it fills.  Positions take their choices in order: a cycle's
+ * head is the least unused symbol and chooses the length of its cycle
+ * among those left, shortest first; any other position chooses an unused
+ * symbol, least first.  s r fixes x exactly when s(y) = r^-1(y) for
+ * y = r(x), so a target that fixes f symbols needs s to leave r^-1 at
+ * d - f symbols, its support.  A branch is dropped once the values of s
+ * it has set leave r^-1 at more symbols than the largest support, or
+ * once the values still unset cannot bring them up to the smallest; a
+ * complete s is kept when want[] holds its fixed points.  Returns 1 at a
+ * kept s, 0 when the class is done and -1 when the budget runs out; the
+ * next call goes on from where this one stopped. */
+static int walk_advance(struct enumeration *e, long *budget)
 {
-    int h = e->head[p];
-    e->seq[p] = (u8)x;
-    e->used[x] = 1;
-    if (p > h)
-        e->s[e->seq[p - 1]] = (u8)x;
-    if (p == h + e->clen[h] - 1)
-        e->s[x] = e->seq[h];
-}
-
-/* Fills positions p..d-1 with their first choices: the least unused
- * symbol, and the shortest length left where a cycle opens. */
-static void walk_fill(struct enumeration *e, int p)
-{
-    for (int x = 0; p < e->d; p++) {
-        while (e->used[x])
-            x++;
-        if (p == 0 || p == e->head[p - 1] + e->clen[e->head[p - 1]]) {
-            int l = 1;
-            while (!e->left[l])
-                l++;
-            e->left[l]--;
-            e->head[p] = (u8)p;
-            e->clen[p] = (u8)l;
-        } else {
-            e->head[p] = e->head[p - 1];
-        }
-        walk_put(e, p, x);
-    }
-}
-
-/* Steps s to the next element of the class: the last position that has
- * a next choice takes it (a longer length left for a cycle's head, a
- * larger unused symbol elsewhere) and the positions after it start over;
- * returns 0 after the last element. */
-static int walk_next(struct enumeration *e)
-{
-    int d = e->d;
-    for (int p = d - 1; p >= 0; p--) {
-        int x = e->seq[p];
-        e->used[x] = 0;
-        if (e->head[p] == p) {
-            int l = e->clen[p];
-            e->left[l]++;
-            while (++l <= d && !e->left[l])
-                ;
-            if (l <= d) {
+    int d = e->d, p = e->at;
+    while (*budget > 0) {
+        int x, h;
+        if (e->redo) {   /* take back position p's choice and make its next */
+            x = e->seq[p];
+            e->used[x] = 0;
+            h = e->head[p];
+            int more;
+            if (h == p) {
+                int l = e->clen[p];
+                e->left[l]++;
+                while (++l <= d && !e->left[l])
+                    ;
+                if ((more = l <= d)) {
+                    e->left[l]--;
+                    e->clen[p] = (u8)l;
+                }
+            } else if (e->dis[p - 1] == e->most) {
+                more = 0;   /* the one choice is made */
+            } else {
+                while (++x < d && e->used[x])
+                    ;
+                more = x < d;
+            }
+            if (!more) {
+                if (p == 0)
+                    return 0;
+                p--;
+                continue;
+            }
+        } else {         /* position p's first choice */
+            h = p > 0 && p < e->head[p - 1] + e->clen[e->head[p - 1]] ? e->head[p - 1] : p;
+            if (h < p && e->dis[p - 1] == e->most) {
+                /* at the largest support, r^-1 of the symbol before is
+                 * the one choice */
+                x = e->rinv[e->seq[p - 1]];
+                if (e->used[x]) {
+                    p--;
+                    e->redo = 1;
+                    continue;
+                }
+            } else {
+                x = 0;
+                while (e->used[x])
+                    x++;
+            }
+            if (h == p) {
+                int l = 1;
+                while (!e->left[l])
+                    l++;
                 e->left[l]--;
                 e->clen[p] = (u8)l;
-                walk_put(e, p, x);
-                walk_fill(e, p + 1);
-                return 1;
             }
-        } else {
-            int y = x + 1;
-            while (y < d && e->used[y])
-                y++;
-            if (y < d) {
-                walk_put(e, p, y);
-                walk_fill(e, p + 1);
-                return 1;
-            }
+            e->head[p] = (u8)h;
+        }
+        (*budget)--;
+        e->seq[p] = (u8)x;
+        e->used[x] = 1;
+        int dis = p > 0 ? e->dis[p - 1] : 0, last = h + e->clen[h] - 1;
+        if (p > h) {
+            int y = e->seq[p - 1];
+            e->s[y] = (u8)x;
+            dis += x != e->rinv[y];
+        }
+        if (p == last) {
+            e->s[x] = e->seq[h];
+            dis += e->seq[h] != e->rinv[x];
+        }
+        e->dis[p] = (u8)dis;
+        e->redo = 1;
+        if (dis > e->most || dis + d - 1 - p + (p != last) < e->least)
+            continue;
+        if (p < d - 1) {
+            p++;
+            e->redo = 0;
+        } else if (e->want[d - dis]) {
+            e->at = p;
+            return 1;
         }
     }
-    return 0;
+    e->at = p;
+    return -1;
 }
 
 /* Starts the class walk of the current right. */
 static void enum_start_right(struct enumeration *e)
 {
     int d = e->d;
-    cycles_of(d, e->rights + (size_t)e->right * (size_t)d, &e->rc);
+    const u8 *r = e->rights + (size_t)e->right * (size_t)d;
+    cycles_of(d, r, &e->rc);
     e->ric = e->rc;
     memset(e->used, 0, (size_t)d);
     memset(e->left, 0, (size_t)d + 1);
+    for (int x = 0; x < d; x++)
+        e->rinv[r[x]] = (u8)x;
     for (int i = 0; i < e->rc.n; i++) {
         int l = e->rc.len[i];
         const u8 *a = e->rc.sym + e->rc.off[i];
@@ -1021,16 +1146,9 @@ static void enum_start_right(struct enumeration *e)
             e->ric.sym[e->rc.off[i] + k] = a[l - k];
         e->left[l]++;
     }
-    walk_fill(e, 0);
+    e->at = 0;
+    e->redo = 0;
     e->phase = PH_TEST;
-}
-
-/* Done with s: on to the next element of the class, or the next right. */
-static void enum_advance(struct enumeration *e)
-{
-    e->phase = PH_TEST;
-    if (!walk_next(e) && ++e->right < e->nrights)
-        enum_start_right(e);
 }
 
 /* A scan of the given rights against the given targets, where
@@ -1056,11 +1174,19 @@ struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
     }
     memcpy(e->rights, rights, (size_t)nrights * (size_t)d);
     memcpy(e->targets, targets, (size_t)ntargets * (size_t)(d + 1));
-    for (int t = 0; t < ntargets; t++)
+    e->least = d;
+    for (int t = 0; t < ntargets; t++) {
         if (!(e->sets[t] = scan_alloc(d))) {
             fl_enum_free(e);
             return NULL;
         }
+        int fixed = targets[(size_t)t * (size_t)(d + 1) + 1];
+        e->want[fixed] = 1;
+        if (d - fixed < e->least)
+            e->least = d - fixed;
+        if (d - fixed > e->most)
+            e->most = d - fixed;
+    }
     if (nrights > 0)
         enum_start_right(e);
     return e;
@@ -1080,10 +1206,10 @@ static int conjugate_is_less(int d, const u8 *c, const u8 *s)
     return 0;
 }
 
-/* Does at most ``budget`` units of work: testing one class element or
- * one conjugate is a unit, canonicalising one pair is d.  Returns
- * ST_DONE, ST_MORE or ST_NOMEM; a pair that is not transitive is
- * skipped. */
+/* Does at most ``budget`` units of work: filling one position of the
+ * class walk or testing one conjugate is a unit, canonicalising one pair
+ * is d.  Returns ST_DONE, ST_MORE or ST_NOMEM; a pair that is not
+ * transitive is skipped. */
 int fl_enum_step(struct enumeration *e, long budget)
 {
     int d = e->d;
@@ -1091,7 +1217,14 @@ int fl_enum_step(struct enumeration *e, long budget)
     while (budget > 0 && e->right < e->nrights) {
         const u8 *r = e->rights + (size_t)e->right * (size_t)d;
         if (e->phase == PH_TEST) {
-            budget--;
+            int found = walk_advance(e, &budget);
+            if (found < 0)
+                break;
+            if (!found) {
+                if (++e->right < e->nrights)
+                    enum_start_right(e);
+                continue;
+            }
             for (int x = 0; x < d; x++)
                 c[x] = e->s[r[x]];
             memset(cycles, 0, (size_t)d + 1);
@@ -1112,10 +1245,8 @@ int fl_enum_step(struct enumeration *e, long budget)
             for (int t = 0; t < e->ntargets; t++)
                 if (!memcmp(cycles, e->targets + (size_t)t * (size_t)(d + 1), (size_t)d + 1))
                     e->hits[e->nhits++] = t;
-            if (!e->nhits) {
-                enum_advance(e);
+            if (!e->nhits)
                 continue;
-            }
             cycles_of(d, e->s, &e->sc);
             matching_first(&e->m, e->rc.n);
             e->phase = PH_LEAST;
@@ -1127,7 +1258,7 @@ int fl_enum_step(struct enumeration *e, long budget)
             }
             matching_apply(&e->m, &e->rc, &e->rc, c);
             if (conjugate_is_less(d, c, e->s))
-                enum_advance(e);
+                e->phase = PH_TEST;
         } else {
             budget -= d;
             matching_apply(&e->m, &e->sc, &e->ric, c);
@@ -1138,7 +1269,7 @@ int fl_enum_step(struct enumeration *e, long budget)
                         return (int)j;
                 }
             if (!matching_next(&e->m, &e->sc))
-                enum_advance(e);
+                e->phase = PH_TEST;
         }
     }
     return e->right < e->nrights ? ST_MORE : ST_DONE;
@@ -1158,9 +1289,12 @@ struct scan *fl_enum_take(struct enumeration *e, int t)
     }
     s->keys = keys;
     s->room = s->n ? s->n : 1;
-    free(s->slots);   /* before the sort, which may take as much again */
+    free(s->slots);
     s->slots = NULL;
     sort_width = (size_t)s->k;
-    qsort(s->keys, (size_t)s->n, (size_t)s->k, by_key);
+    int depth = 0;
+    for (long m = s->n; m > 1; m >>= 1)
+        depth += 2;
+    sort_in_place(s->keys, (size_t)s->n, depth);
     return s;
 }

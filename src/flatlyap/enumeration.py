@@ -7,10 +7,11 @@ non-increasing length on consecutive symbols).  So it suffices to fix
 ``up`` u whose commutator u^-1 r^-1 u r has the cycle type demanded by
 the stratum; canonical forms deduplicate the pairs.  The scan itself is
 ``kernel.scan_degree``.  It walks the conjugacy class of r for
-s = u^-1 r^-1 u, so the commutator is s r, and the classes of all the
-representatives hold d! elements in all.  Only the u of one s per orbit
-of the centralizer of r are canonicalised.  A degree whose d! passes
-``SCAN_CAP`` is refused before its scan starts.
+s = u^-1 r^-1 u, so the commutator is s r; the classes of all the
+representatives hold d! elements, and the walk skips each branch whose
+s r can fix no target's number of symbols.  Only the u of one s
+per orbit of the centralizer of r are canonicalised.  A degree whose d!
+passes ``SCAN_CAP`` is refused before its scan starts.
 
 Classes travel as packed canonical keys, ``bytes(r) + bytes(u)`` of the
 0-based images, in a ``kernel.KeySet``: ``enumerate_origamis`` returns
@@ -37,7 +38,7 @@ from .origami import Origami, Stratum
 from .orbits import OrbitSummary, _summary_from_parts, format_rational, orbit_scan
 
 
-#: the most class elements one degree's scan walks: d! <= 12!, so d <= 12
+#: the most class elements under one degree's walk, before it prunes: d! <= 12!, so d <= 12
 SCAN_CAP = math.factorial(12)
 
 

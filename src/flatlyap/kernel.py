@@ -8,8 +8,8 @@ The closed orbit splits into its T-cycles, the cusps; T keeps the
 horizontal cylinders, so L = kappa + (1/N) sum over cusps of width *
 sum h/w needs the cylinders of one member per cusp.  An exhaustive
 enumeration walks, for each right permutation r, the conjugacy class of
-r for the s = u^-1 r^-1 u that make the commutator s r, tests its cycle
-type, and canonicalises the pairs (r, u) of the survivors into a
+r for the s = u^-1 r^-1 u that make the commutator s r, pruned by the
+fixed points of the targets, and canonicalises the survivors' (r, u) into a
 ``KeySet``, which ``partition`` splits into orbits, one closure each.
 This module runs all of it in two interchangeable ways:
 
@@ -55,8 +55,8 @@ _FLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 #: elements the compiled closure expands per call (about 15 ms), so that
 #: signal handlers (Ctrl-C, timers) run during long scans
 _STEP_BUDGET = 8192
-#: units of work the compiled scan does per call (see fl_enum_step), for
-#: the same reason
+#: units of work the compiled scan does per call, one per class-walk
+#: position filled (see fl_enum_step), for the same reason
 _SCAN_BUDGET = 1 << 17
 _LONG = ctypes.sizeof(ctypes.c_long)
 _LONG_MAX = 2 ** (8 * _LONG - 1) - 1
@@ -542,7 +542,9 @@ def scan_degree(d: int, rights, targets) -> list[KeySet]:
 
     The commutator is s r with s = u^-1 r^-1 u, so s runs over the
     conjugacy class of r, d!/z elements where z is the order of the
-    centralizer C(r).  The u of one s are the z maps with u s = r^-1 u.
+    centralizer C(r).  The compiled walk drops each branch whose number
+    of fixed points of s r misses every target's.  The u of one s are
+    the z maps with u s = r^-1 u.
     Conjugating by c in C(r) carries them onto the u of c s c^-1 and keeps
     every class, so only the least s of each C(r)-orbit is expanded."""
     if not 0 < d <= MAX_DEGREE or any(sorted(r) != list(range(d)) for r in rights):

@@ -189,6 +189,31 @@ def test_class_walk_visits_each_element_once(parts):
     assert all(sorted(_cycle_lengths(s), reverse=True) == list(parts) for s in images)
 
 
+@pytest.mark.slow
+def test_enumeration_scan_matches_python_at_degree_8():
+    # one walk for every genus-2/3 stratum and the torus: its supports run
+    # from 0 (the torus) to 5 (H(1,1,1,1)), so both bounds of the class
+    # walk cut branches, and the torus keeps the identity right
+    targets = {**_targets(8), Stratum(()): (1,) * 8}
+    compiled, python = on_both(lambda: _scan_sets(8, targets))
+    assert compiled == python
+    assert len(compiled) == 8 and all(compiled.values())
+
+
+@pytest.mark.parametrize("budget", [1, 7])
+def test_compiled_scan_is_the_same_in_any_step_budget(monkeypatch, budget):
+    # budgets of 1 and 7 stop the class walk between positions, at a
+    # dropped branch and inside an expansion; the walk must not see where
+    # the calls split, and the torus puts a support of 0 beside those of
+    # genus 2 and 3
+    compiled_library()
+    targets = {**_targets(6), Stratum(()): (1,) * 6}
+    expected = _scan_sets(6, targets)
+    monkeypatch.setattr(kernel, "_SCAN_BUDGET", budget)
+    assert _scan_sets(6, targets) == expected
+    assert all(expected.values())
+
+
 def test_one_scan_serves_every_target(backend):
     targets = _targets(6)
     together = _scan_sets(6, targets)
@@ -510,6 +535,73 @@ def test_c_source_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+# includes the kernel source for its static sort; one line per case:
+# whether sort_in_place and qsort agree on random keys, keys with many
+# ties, equal keys, ascending and descending keys, at every key count up
+# to 200 and at 20,000, with no split left (heapsort) and with 2 log2 n
+_SORT_DRIVER = r"""
+#include KERNEL
+#include <stdio.h>
+
+static unsigned long state = 88172645463325252UL;
+
+static unsigned long next_random(void)
+{
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+}
+
+static int agrees(int kind, size_t n, size_t k, int depth)
+{
+    u8 *a = malloc(n * k + 1), *b = malloc(n * k + 1);
+    for (size_t i = 0; i < n * k; i++) {
+        /* kinds 3 and 4: key j is j or n - 1 - j in its first 3 bytes */
+        size_t at = kind == 4 ? n - 1 - i / k : i / k;
+        unsigned long v = kind == 0 ? next_random() : kind == 1 ? next_random() % 3 : kind == 2 ? 7 : at >> (8 * (2 - i % k % 3));
+        a[i] = (u8)v;
+    }
+    memcpy(b, a, n * k);
+    sort_width = k;
+    qsort(b, n, k, by_key);
+    sort_in_place(a, n, depth);
+    int same = !memcmp(a, b, n * k);
+    free(a);
+    free(b);
+    return same;
+}
+
+int main(void)
+{
+    for (int kind = 0; kind < 5; kind++) {
+        int same = 1;
+        for (size_t n = 0; n <= 200; n++)
+            same &= agrees(kind, n, 1 + n % 24, 0) && agrees(kind, n, 1 + n % 24, 14);
+        same &= agrees(kind, 20000, 22, 0) && agrees(kind, 20000, 22, 28);
+        printf("%d\n", same);
+    }
+    return 0;
+}
+"""
+
+
+def test_in_place_key_sort_matches_qsort(tmp_path):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    source = _SORT_DRIVER.replace("KERNEL", '"' + str(kernel._SOURCE) + '"')
+    (tmp_path / "sort.c").write_text(source)
+    built = subprocess.run(
+        [cc, "-O1", "-pthread", "-o", str(tmp_path / "sort"), str(tmp_path / "sort.c")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert built.returncode == 0, built.stderr
+    done = subprocess.run([str(tmp_path / "sort")], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1"] * 5
+
+
 def test_c_exports_are_what_kernel_declares_and_calls():
     # every function _orbitcore.c exports is declared by _declare and
     # called from kernel.py outside it: a dead export or a stale
@@ -541,7 +633,9 @@ def test_c_exports_are_what_kernel_declares_and_calls():
 # short, in the middle of a batch; one degree-5 scan for the commutator
 # types of H(2) and H(1,1), and one for H(2) with a right left out, whose
 # sets the partition of H(2) marks; and one degree-8 scan for H(3,1),
-# whose key set outgrows its first 1,024 keys; with every object freed
+# whose key set outgrows its first 1,024 keys; the degree-5 scan again
+# with the identity right and a torus target, one unit of work per step;
+# with every object freed
 _SANITIZER_DRIVER = r"""
 #include <pthread.h>
 #include <stdio.h>
@@ -726,6 +820,23 @@ int main(void)
     fl_enum_free(e);
     printf("%ld\n", fl_scan_size(s));
     fl_scan_free(s);
+
+    /* the degree-5 scan again, one unit per step, with the identity right
+     * and a torus target, whose support is empty */
+    u8 rights5[35];
+    const u8 targets5[] = {0, 2, 0, 1, 0, 0, 0, 1, 2, 0, 0, 0, 0, 5, 0, 0, 0, 0};
+    memcpy(rights5, rights, 30);
+    for (int x = 0; x < 5; x++)
+        rights5[30 + x] = (u8)x;
+    e = fl_enum_new(5, 7, rights5, 3, targets5);
+    while (fl_enum_step(e, 1) == 1)
+        ;
+    for (int t = 0; t < 3; t++) {
+        s = fl_enum_take(e, t);
+        printf(t < 2 ? "%ld " : "%ld\n", fl_scan_size(s));
+        fl_scan_free(s);
+    }
+    fl_enum_free(e);
     return 0;
 }
 """
@@ -740,10 +851,12 @@ int main(void)
 # (4,1), and both H(2) sets sorted; the partition marks orbits of 18 and
 # 9, a second marking of an orbit fails (ST_OPEN: bsearch finds the key
 # marked), and so does the orbit of 18 in the set that lacks its (4,1)
-# classes (bsearch finds no key); 4,032 classes of H(3,1) at d=8
+# classes (bsearch finds no key); 4,032 classes of H(3,1) at d=8; the
+# same 27 and 24 classes a step at a time, and the 6 tori of degree 5,
+# one per sublattice of index 5 in Z^2
 _SANITIZER_STDOUT = [
     "18 5 -6 -6 18", "-1 10 1 -6 1", "0 23328 2616 23328 1 1 1", "-1 23327", "27 24",
-    "23 1", "18 0 -7 -7", "9 0 -7 0", "4032", "",
+    "23 1", "18 0 -7 -7", "9 0 -7 0", "4032", "27 24 6", "",
 ]
 
 # creates and joins one thread
