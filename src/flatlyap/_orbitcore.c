@@ -19,11 +19,12 @@
  * are permutations, fl_scan_new takes only keys that fl_canonical
  * produced, and fl_enum_new takes permutations and cycle types that
  * kernel.py has checked.  Key sets come only from the scan and outlive
- * it: fl_enum_take hands each one over sorted, and the orbit partition
- * marks the members of each closure in it (fl_set_mark).  fl_scan_step
- * may run a helper thread, which it joins before it returns; every other
- * function runs on its caller's thread alone, and several threads may
- * read one finished closure at once.
+ * it: fl_enum_take hands each one over sorted, and
+ * the orbit partition marks the members of each closure in it
+ * (fl_set_mark).  fl_scan_step and fl_enum_step may each run a helper
+ * thread, which they join before they return; every other function runs
+ * on its caller's thread alone, and several threads may read one
+ * finished closure at once.
  */
 #define _GNU_SOURCE       /* sched_getaffinity, sched_getcpu, CPU_COUNT */
 #include <limits.h>
@@ -46,7 +47,8 @@ enum {
     ST_DISCONNECTED = -4, /* a pair that is not transitive */
     ST_RANGE = -5,        /* images that are not a permutation of 0..d-1 */
     ST_TAIL = -6,         /* a T-walk that does not close up into a cycle */
-    ST_OPEN = -7          /* an orbit key outside a key set, or already marked */
+    ST_OPEN = -7,         /* an orbit key outside a key set, or already marked */
+    ST_REPEAT = -8        /* a key in both cursors' sets of one target */
 };
 
 #define UNSET 0xff        /* no label yet; labels are 0..d-1 <= 254 */
@@ -460,17 +462,18 @@ static void *help(void *arg)
     }
 }
 
-/* Starts the helper when this thread may run on more than one CPU, on
- * the CPUs other than the one this thread is on (a new thread is
- * otherwise often placed beside its creator, where the two would take
- * turns), and with every signal blocked, so that they all reach the
- * caller; whether it did.  Elsewhere than on Linux it never starts. */
-static int start_helper(struct crew *cr, pthread_t *helper)
+/* Starts a helper thread that runs run(arg), when this thread may run on
+ * more than one CPU: on the CPUs other than the one this thread is on (a
+ * new thread is otherwise often placed beside its creator, where the two
+ * would take turns), and with every signal blocked, so that they all
+ * reach the caller; whether it did.  Elsewhere than on Linux it never
+ * starts. */
+static int start_helper(void *(*run)(void *), void *arg, pthread_t *helper)
 {
 #ifndef __linux__
-    (void)cr;
+    (void)run;
+    (void)arg;
     (void)helper;
-    (void)help;
     return 0;
 #else
     cpu_set_t cpus;
@@ -485,13 +488,10 @@ static int start_helper(struct crew *cr, pthread_t *helper)
         return 0;
     sigfillset(&all);
     pthread_sigmask(SIG_SETMASK, &all, &old);
-    cr->chunk = CHUNK;
     int failed = pthread_attr_setaffinity_np(&attr, sizeof cpus, &cpus) ||
-                 pthread_create(helper, &attr, help, cr);
+                 pthread_create(helper, &attr, run, arg);
     pthread_sigmask(SIG_SETMASK, &old, NULL);
     pthread_attr_destroy(&attr);
-    if (failed)
-        cr->chunk = BATCH;
     return !failed;
 #endif
 }
@@ -572,7 +572,10 @@ int fl_scan_step(struct scan *s, long max_size, long budget)
             batch = budget;
         if (!tried && batch >= HELPER_MIN) {
             tried = 1;
-            helping = start_helper(&cr, &helper);
+            cr.chunk = CHUNK;   /* before the helper reads it */
+            helping = start_helper(help, &cr, &helper);
+            if (!helping)
+                cr.chunk = BATCH;
         }
         if (batch > BATCH)
             batch = BATCH;
@@ -865,7 +868,24 @@ int fl_canonical(int d, const u8 *r, const u8 *u, u8 *out)
  * rotation, z of them in all.  Conjugating by c in C(r) fixes r and
  * carries the u of s onto those of c s c^-1, which give the same classes,
  * so a survivor s is expanded only when it is the least image array among
- * its conjugates under C(r). */
+ * its conjugates under C(r).
+ *
+ * Two cursors split the walk by right.  A cursor holds the walk of one
+ * right and a key set per target of its own; when it finishes a right,
+ * it claims the next one nobody has from one atomic counter.  A
+ * canonical key keeps the cycle type of r, so rights of one cycle type
+ * give the same classes, and fl_enum_new keeps only the first of them;
+ * then no class comes from two rights, and the two sets of a target are
+ * disjoint.  A cursor that finds no right left sorts its sets
+ * on the thread that works it, and fl_enum_take merges the two sorted
+ * sets of a target, checking that no key is in both.  fl_enum_step works
+ * the first cursor on the calling thread.  Once the scan has done
+ * SCAN_HELPER_MIN units, when the step has that many left and there are
+ * rights for both cursors, a helper thread (start_helper) works the
+ * second one, SLICE units at a time, until the caller has spent its
+ * budget or finds no right left; then the caller stops and joins it.
+ * Otherwise, and on one CPU, the caller works the cursors in turn alone,
+ * through the same loop. */
 
 /* The cycles of a permutation, longest first: cycle i is
  * sym[off[i] .. off[i] + len[i]), each symbol followed by its image. */
@@ -883,11 +903,15 @@ struct matching {
 
 enum { PH_TEST, PH_LEAST, PH_EXPAND };
 
-struct enumeration {
-    int d, nrights, ntargets;
-    int right;          /* index of the current right, nrights when done */
-    u8 *rights;         /* nrights images of length d */
-    u8 *targets;        /* ntargets rows of d + 1 cycle counts by length */
+/* units of work the calling thread does alone before the helper may
+ * start, units the helper works between two looks at its stop flag, and
+ * keys of a key set fl_enum_take merges between two shrinks of its array */
+enum { SCAN_HELPER_MIN = 4096, SLICE = 1024, PIECE = 1 << 16 };
+
+/* One walker of the scan: the class walk of the right it holds, and the
+ * key sets that the classes of all its rights go into. */
+struct cursor {
+    _Alignas(64) int right;   /* index of the right it walks, -1 for none */
     struct scan **sets; /* one key set per target */
     int *hits;          /* the nhits targets the survivor s matched */
     int nhits;
@@ -897,10 +921,6 @@ struct enumeration {
     int phase;
     struct cycles rc, ric, sc;   /* of r, of r^-1 (slot by slot), of s */
     struct matching m;
-    /* the supports (symbols a target's commutator moves) of the targets
-     * lie in least..most; want[f] when some target fixes f symbols */
-    int least, most;
-    u8 want[256];
     /* the class walk: s in cycle notation as seq[0..d), each cycle
      * starting at its least symbol, which is the least one unused; the
      * cycle through position p starts at position head[p] and is
@@ -912,15 +932,33 @@ struct enumeration {
     u8 seq[256], head[256], clen[256], used[256], left[256], s[256], rinv[256], dis[256];
 };
 
+struct enumeration {
+    int d, nrights, ntargets;
+    u8 *rights;         /* nrights images of length d */
+    u8 *targets;        /* ntargets rows of d + 1 cycle counts by length */
+    /* the supports (symbols a target's commutator moves) of the targets
+     * lie in least..most; want[f] when some target fixes f symbols */
+    int least, most;
+    u8 want[256];
+    long spent;         /* units the calling thread has worked */
+    int helper_status;  /* how the helper's last run ended: 0 or ST_NOMEM */
+    _Alignas(64) _Atomic int next;   /* the first right no cursor has claimed */
+    _Atomic int stop;   /* set when the helper is to return */
+    struct cursor cur[2];   /* the caller's, then the helper's */
+};
+
 void fl_enum_free(struct enumeration *e)
 {
     if (!e)
         return;
-    if (e->sets)
-        for (int t = 0; t < e->ntargets; t++)
-            fl_scan_free(e->sets[t]);
-    free(e->sets);
-    free(e->hits);
+    for (int i = 0; i < 2; i++) {
+        struct cursor *c = &e->cur[i];
+        if (c->sets)
+            for (int t = 0; t < e->ntargets; t++)
+                fl_scan_free(c->sets[t]);
+        free(c->sets);
+        free(c->hits);
+    }
     free(e->rights);
     free(e->targets);
     free(e);
@@ -1042,29 +1080,29 @@ static void matching_apply(const struct matching *m, const struct cycles *src,
  * complete s is kept when want[] holds its fixed points.  Returns 1 at a
  * kept s, 0 when the class is done and -1 when the budget runs out; the
  * next call goes on from where this one stopped. */
-static int walk_advance(struct enumeration *e, long *budget)
+static int walk_advance(const struct enumeration *e, struct cursor *c, long *budget)
 {
-    int d = e->d, p = e->at;
+    int d = e->d, p = c->at;
     while (*budget > 0) {
         int x, h;
-        if (e->redo) {   /* take back position p's choice and make its next */
-            x = e->seq[p];
-            e->used[x] = 0;
-            h = e->head[p];
+        if (c->redo) {   /* take back position p's choice and make its next */
+            x = c->seq[p];
+            c->used[x] = 0;
+            h = c->head[p];
             int more;
             if (h == p) {
-                int l = e->clen[p];
-                e->left[l]++;
-                while (++l <= d && !e->left[l])
+                int l = c->clen[p];
+                c->left[l]++;
+                while (++l <= d && !c->left[l])
                     ;
                 if ((more = l <= d)) {
-                    e->left[l]--;
-                    e->clen[p] = (u8)l;
+                    c->left[l]--;
+                    c->clen[p] = (u8)l;
                 }
-            } else if (e->dis[p - 1] == e->most) {
+            } else if (c->dis[p - 1] == e->most) {
                 more = 0;   /* the one choice is made */
             } else {
-                while (++x < d && e->used[x])
+                while (++x < d && c->used[x])
                     ;
                 more = x < d;
             }
@@ -1075,111 +1113,156 @@ static int walk_advance(struct enumeration *e, long *budget)
                 continue;
             }
         } else {         /* position p's first choice */
-            h = p > 0 && p < e->head[p - 1] + e->clen[e->head[p - 1]] ? e->head[p - 1] : p;
-            if (h < p && e->dis[p - 1] == e->most) {
+            h = p > 0 && p < c->head[p - 1] + c->clen[c->head[p - 1]] ? c->head[p - 1] : p;
+            if (h < p && c->dis[p - 1] == e->most) {
                 /* at the largest support, r^-1 of the symbol before is
                  * the one choice */
-                x = e->rinv[e->seq[p - 1]];
-                if (e->used[x]) {
+                x = c->rinv[c->seq[p - 1]];
+                if (c->used[x]) {
                     p--;
-                    e->redo = 1;
+                    c->redo = 1;
                     continue;
                 }
             } else {
                 x = 0;
-                while (e->used[x])
+                while (c->used[x])
                     x++;
             }
             if (h == p) {
                 int l = 1;
-                while (!e->left[l])
+                while (!c->left[l])
                     l++;
-                e->left[l]--;
-                e->clen[p] = (u8)l;
+                c->left[l]--;
+                c->clen[p] = (u8)l;
             }
-            e->head[p] = (u8)h;
+            c->head[p] = (u8)h;
         }
         (*budget)--;
-        e->seq[p] = (u8)x;
-        e->used[x] = 1;
-        int dis = p > 0 ? e->dis[p - 1] : 0, last = h + e->clen[h] - 1;
+        c->seq[p] = (u8)x;
+        c->used[x] = 1;
+        int dis = p > 0 ? c->dis[p - 1] : 0, last = h + c->clen[h] - 1;
         if (p > h) {
-            int y = e->seq[p - 1];
-            e->s[y] = (u8)x;
-            dis += x != e->rinv[y];
+            int y = c->seq[p - 1];
+            c->s[y] = (u8)x;
+            dis += x != c->rinv[y];
         }
         if (p == last) {
-            e->s[x] = e->seq[h];
-            dis += e->seq[h] != e->rinv[x];
+            c->s[x] = c->seq[h];
+            dis += c->seq[h] != c->rinv[x];
         }
-        e->dis[p] = (u8)dis;
-        e->redo = 1;
+        c->dis[p] = (u8)dis;
+        c->redo = 1;
         if (dis > e->most || dis + d - 1 - p + (p != last) < e->least)
             continue;
         if (p < d - 1) {
             p++;
-            e->redo = 0;
+            c->redo = 0;
         } else if (e->want[d - dis]) {
-            e->at = p;
+            c->at = p;
             return 1;
         }
     }
-    e->at = p;
+    c->at = p;
     return -1;
 }
 
-/* Starts the class walk of the current right. */
-static void enum_start_right(struct enumeration *e)
+/* Starts the class walk of the right that c holds. */
+static void start_right(const struct enumeration *e, struct cursor *c)
 {
     int d = e->d;
-    const u8 *r = e->rights + (size_t)e->right * (size_t)d;
-    cycles_of(d, r, &e->rc);
-    e->ric = e->rc;
-    memset(e->used, 0, (size_t)d);
-    memset(e->left, 0, (size_t)d + 1);
+    const u8 *r = e->rights + (size_t)c->right * (size_t)d;
+    cycles_of(d, r, &c->rc);
+    c->ric = c->rc;
+    memset(c->used, 0, (size_t)d);
+    memset(c->left, 0, (size_t)d + 1);
     for (int x = 0; x < d; x++)
-        e->rinv[r[x]] = (u8)x;
-    for (int i = 0; i < e->rc.n; i++) {
-        int l = e->rc.len[i];
-        const u8 *a = e->rc.sym + e->rc.off[i];
+        c->rinv[r[x]] = (u8)x;
+    for (int i = 0; i < c->rc.n; i++) {
+        int l = c->rc.len[i];
+        const u8 *a = c->rc.sym + c->rc.off[i];
         for (int k = 1; k < l; k++)   /* r^-1 from the same first symbol */
-            e->ric.sym[e->rc.off[i] + k] = a[l - k];
-        e->left[l]++;
+            c->ric.sym[c->rc.off[i] + k] = a[l - k];
+        c->left[l]++;
     }
-    e->at = 0;
-    e->redo = 0;
-    e->phase = PH_TEST;
+    c->at = 0;
+    c->redo = 0;
+    c->phase = PH_TEST;
 }
 
-/* A scan of the given rights against the given targets, where
- * targets[t * (d + 1) + l] counts the l-cycles of target t; NULL when out
- * of memory. */
+/* Gives c the next right that no cursor has claimed and starts its walk;
+ * whether one was left. */
+static int claim_right(struct enumeration *e, struct cursor *c)
+{
+    int r = atomic_load_explicit(&e->next, memory_order_relaxed);
+    while (r < e->nrights &&
+           !atomic_compare_exchange_weak_explicit(&e->next, &r, r + 1, memory_order_relaxed,
+                                                  memory_order_relaxed))
+        ;
+    if (r >= e->nrights)
+        return 0;
+    c->right = r;
+    start_right(e, c);
+    return 1;
+}
+
+/* Whether c holds a right or can claim one. */
+static int has_work(struct enumeration *e, const struct cursor *c)
+{
+    return c->right >= 0 || atomic_load_explicit(&e->next, memory_order_relaxed) < e->nrights;
+}
+
+/* A scan of the given rights, the first of each cycle type, against the
+ * given targets, where targets[t * (d + 1) + l] counts the l-cycles of
+ * target t; NULL when out of memory. */
 struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
                                 int ntargets, const u8 *targets)
 {
-    struct enumeration *e = calloc(1, sizeof *e);
+    struct enumeration *e = aligned_alloc(_Alignof(struct enumeration), sizeof *e);
     if (!e)
         return NULL;
+    memset(e, 0, sizeof *e);
     e->d = d;
-    e->nrights = nrights;
     e->ntargets = ntargets;
+    atomic_init(&e->next, 0);
+    atomic_init(&e->stop, 0);
     /* one spare byte or slot each: malloc(0) may return NULL */
     e->rights = malloc((size_t)nrights * (size_t)d + 1);
     e->targets = malloc((size_t)ntargets * (size_t)(d + 1) + 1);
-    e->sets = calloc((size_t)ntargets + 1, sizeof *e->sets);
-    e->hits = malloc(((size_t)ntargets + 1) * sizeof *e->hits);
-    if (!e->rights || !e->targets || !e->sets || !e->hits) {
+    u8 *types = calloc((size_t)nrights * (size_t)d + 1, 1);
+    int ok = e->rights && e->targets && types;
+    for (int i = 0; i < 2; i++) {
+        struct cursor *c = &e->cur[i];
+        c->right = -1;
+        c->sets = calloc((size_t)ntargets + 1, sizeof *c->sets);
+        c->hits = malloc(((size_t)ntargets + 1) * sizeof *c->hits);
+        ok = ok && c->sets && c->hits;
+        for (int t = 0; ok && t < ntargets; t++)
+            ok = (c->sets[t] = scan_alloc(d)) != NULL;
+    }
+    if (!ok) {
+        free(types);
         fl_enum_free(e);
         return NULL;
     }
-    memcpy(e->rights, rights, (size_t)nrights * (size_t)d);
+    /* the cycle lengths of each right kept, longest first, padded with 0 */
+    for (int i = 0; i < nrights; i++) {
+        const u8 *r = rights + (size_t)i * (size_t)d;
+        u8 *type = types + (size_t)e->nrights * (size_t)d;
+        struct cycles c;
+        cycles_of(d, r, &c);
+        memcpy(type, c.len, (size_t)c.n);
+        int j = 0;
+        while (j < e->nrights && memcmp(types + (size_t)j * (size_t)d, type, (size_t)d))
+            j++;
+        if (j == e->nrights)
+            memcpy(e->rights + (size_t)e->nrights++ * (size_t)d, r, (size_t)d);
+        else
+            memset(type, 0, (size_t)c.n);
+    }
+    free(types);
     memcpy(e->targets, targets, (size_t)ntargets * (size_t)(d + 1));
     e->least = d;
     for (int t = 0; t < ntargets; t++) {
-        if (!(e->sets[t] = scan_alloc(d))) {
-            fl_enum_free(e);
-            return NULL;
-        }
         int fixed = targets[(size_t)t * (size_t)(d + 1) + 1];
         e->want[fixed] = 1;
         if (d - fixed < e->least)
@@ -1187,8 +1270,6 @@ struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
         if (d - fixed > e->most)
             e->most = d - fixed;
     }
-    if (nrights > 0)
-        enum_start_right(e);
     return e;
 }
 
@@ -1206,89 +1287,12 @@ static int conjugate_is_less(int d, const u8 *c, const u8 *s)
     return 0;
 }
 
-/* Does at most ``budget`` units of work: filling one position of the
- * class walk or testing one conjugate is a unit, canonicalising one pair
- * is d.  Returns ST_DONE, ST_MORE or ST_NOMEM; a pair that is not
- * transitive is skipped. */
-int fl_enum_step(struct enumeration *e, long budget)
+/* Sorts the keys of a set that is still taking keys, and frees its slot
+ * table: it takes no more keys then. */
+static void sort_set(struct scan *s)
 {
-    int d = e->d;
-    u8 c[256], cycles[256], key[512];
-    while (budget > 0 && e->right < e->nrights) {
-        const u8 *r = e->rights + (size_t)e->right * (size_t)d;
-        if (e->phase == PH_TEST) {
-            int found = walk_advance(e, &budget);
-            if (found < 0)
-                break;
-            if (!found) {
-                if (++e->right < e->nrights)
-                    enum_start_right(e);
-                continue;
-            }
-            for (int x = 0; x < d; x++)
-                c[x] = e->s[r[x]];
-            memset(cycles, 0, (size_t)d + 1);
-            /* each cycle of s r is walked once and erased as it goes */
-            for (int x = 0; x < d; x++) {
-                if (c[x] == UNSET)
-                    continue;
-                int len = 0, y = x;
-                do {
-                    int next = c[y];
-                    c[y] = UNSET;
-                    y = next;
-                    len++;
-                } while (y != x);
-                cycles[len]++;
-            }
-            e->nhits = 0;
-            for (int t = 0; t < e->ntargets; t++)
-                if (!memcmp(cycles, e->targets + (size_t)t * (size_t)(d + 1), (size_t)d + 1))
-                    e->hits[e->nhits++] = t;
-            if (!e->nhits)
-                continue;
-            cycles_of(d, e->s, &e->sc);
-            matching_first(&e->m, e->rc.n);
-            e->phase = PH_LEAST;
-        } else if (e->phase == PH_LEAST) {
-            budget--;
-            if (!matching_next(&e->m, &e->rc)) {
-                e->phase = PH_EXPAND;   /* m is the first map again */
-                continue;
-            }
-            matching_apply(&e->m, &e->rc, &e->rc, c);
-            if (conjugate_is_less(d, c, e->s))
-                e->phase = PH_TEST;
-        } else {
-            budget -= d;
-            matching_apply(&e->m, &e->sc, &e->ric, c);
-            if (!canonical(d, r, c, key))
-                for (int i = 0; i < e->nhits; i++) {
-                    long j = visit(e->sets[e->hits[i]], key, hash(key, 2 * d), LONG_MAX);
-                    if (j < 0)
-                        return (int)j;
-                }
-            if (!matching_next(&e->m, &e->sc))
-                e->phase = PH_TEST;
-        }
-    }
-    return e->right < e->nrights ? ST_MORE : ST_DONE;
-}
-
-/* The key set of target t, which the caller now owns and frees with
- * fl_scan_free: its keys sorted, its slot table and spare room freed;
- * NULL, with the set freed, when out of memory. */
-struct scan *fl_enum_take(struct enumeration *e, int t)
-{
-    struct scan *s = e->sets[t];
-    e->sets[t] = NULL;
-    u8 *keys = realloc(s->keys, (size_t)(s->n ? s->n : 1) * (size_t)s->k);
-    if (!keys) {
-        fl_scan_free(s);
-        return NULL;
-    }
-    s->keys = keys;
-    s->room = s->n ? s->n : 1;
+    if (!s->slots)
+        return;
     free(s->slots);
     s->slots = NULL;
     sort_width = (size_t)s->k;
@@ -1296,5 +1300,213 @@ struct scan *fl_enum_take(struct enumeration *e, int t)
     for (long m = s->n; m > 1; m >>= 1)
         depth += 2;
     sort_in_place(s->keys, (size_t)s->n, depth);
-    return s;
+}
+
+/* Works cursor c for at most *budget units, taking them off *budget:
+ * filling one position of the class walk or testing one conjugate is a
+ * unit, canonicalising one pair is d.  When c finishes a right it claims
+ * the next.  Returns ST_DONE when c holds no right and none is left,
+ * ST_MORE when the budget is spent first, or ST_NOMEM; a pair that is
+ * not transitive is skipped. */
+static int cursor_work(struct enumeration *e, struct cursor *c, long *budget)
+{
+    int d = e->d;
+    u8 perm[256], cycles[256], key[512];
+    while (*budget > 0) {
+        if (c->right < 0 && !claim_right(e, c)) {
+            /* c is done: its own thread sorts its sets */
+            for (int t = 0; t < e->ntargets; t++)
+                sort_set(c->sets[t]);
+            return ST_DONE;
+        }
+        const u8 *r = e->rights + (size_t)c->right * (size_t)d;
+        if (c->phase == PH_TEST) {
+            int found = walk_advance(e, c, budget);
+            if (found < 0)
+                break;
+            if (!found) {
+                c->right = -1;
+                continue;
+            }
+            for (int x = 0; x < d; x++)
+                perm[x] = c->s[r[x]];
+            memset(cycles, 0, (size_t)d + 1);
+            /* each cycle of s r is walked once and erased as it goes */
+            for (int x = 0; x < d; x++) {
+                if (perm[x] == UNSET)
+                    continue;
+                int len = 0, y = x;
+                do {
+                    int next = perm[y];
+                    perm[y] = UNSET;
+                    y = next;
+                    len++;
+                } while (y != x);
+                cycles[len]++;
+            }
+            c->nhits = 0;
+            for (int t = 0; t < e->ntargets; t++)
+                if (!memcmp(cycles, e->targets + (size_t)t * (size_t)(d + 1), (size_t)d + 1))
+                    c->hits[c->nhits++] = t;
+            if (!c->nhits)
+                continue;
+            cycles_of(d, c->s, &c->sc);
+            matching_first(&c->m, c->rc.n);
+            c->phase = PH_LEAST;
+        } else if (c->phase == PH_LEAST) {
+            (*budget)--;
+            if (!matching_next(&c->m, &c->rc)) {
+                c->phase = PH_EXPAND;   /* m is the first map again */
+                continue;
+            }
+            matching_apply(&c->m, &c->rc, &c->rc, perm);
+            if (conjugate_is_less(d, perm, c->s))
+                c->phase = PH_TEST;
+        } else {
+            *budget -= d;
+            matching_apply(&c->m, &c->sc, &c->ric, perm);
+            if (!canonical(d, r, perm, key))
+                for (int i = 0; i < c->nhits; i++) {
+                    long j = visit(c->sets[c->hits[i]], key, hash(key, 2 * d), LONG_MAX);
+                    if (j < 0)
+                        return (int)j;
+                }
+            if (!matching_next(&c->m, &c->sc))
+                c->phase = PH_TEST;
+        }
+    }
+    return ST_MORE;
+}
+
+/* The helper's part of a step: the second cursor, SLICE units at a time,
+ * until it has no right left or is told to stop. */
+static void *work_second(void *arg)
+{
+    struct enumeration *e = arg;
+    int st;
+    do {
+        long slice = SLICE;
+        st = cursor_work(e, &e->cur[1], &slice);
+    } while (st == ST_MORE && !atomic_load_explicit(&e->stop, memory_order_relaxed));
+    e->helper_status = st < 0 ? st : 0;
+    return NULL;
+}
+
+/* Tells the helper to return, joins it and gives its status. */
+static int stop_helper(struct enumeration *e, pthread_t helper)
+{
+    atomic_store_explicit(&e->stop, 1, memory_order_relaxed);
+    pthread_join(helper, NULL);
+    return e->helper_status;
+}
+
+/* Does at most ``budget`` units of work on the calling thread, see
+ * cursor_work, and as much as it gets done on a helper thread meanwhile.
+ * Returns ST_DONE, ST_MORE or ST_NOMEM. */
+int fl_enum_step(struct enumeration *e, long budget)
+{
+    int st = 0, helping = 0, tried = 0;
+    pthread_t helper;
+    while (!st && budget > 0) {
+        struct cursor *c = &e->cur[0];
+        if (!has_work(e, c)) {
+            if (helping) {   /* the helper holds the last right: take it over */
+                st = stop_helper(e, helper);
+                helping = 0;
+                continue;
+            }
+            c = &e->cur[1];
+            if (!has_work(e, c))
+                break;
+        }
+        long slice = budget;
+        if (!tried && c == &e->cur[0]) {
+            if (e->spent < SCAN_HELPER_MIN) {   /* a small scan never starts the helper */
+                if (slice > SCAN_HELPER_MIN - e->spent)
+                    slice = SCAN_HELPER_MIN - e->spent;
+            } else {
+                tried = 1;
+                int rights = e->nrights - atomic_load_explicit(&e->next, memory_order_relaxed) +
+                             (e->cur[0].right >= 0) + (e->cur[1].right >= 0);
+                if (budget >= SCAN_HELPER_MIN && rights >= 2) {
+                    atomic_store_explicit(&e->stop, 0, memory_order_relaxed);
+                    helping = start_helper(work_second, e, &helper);
+                }
+            }
+        }
+        long left = slice;
+        st = cursor_work(e, c, &left);
+        if (st > 0)
+            st = 0;
+        e->spent += slice - left;
+        budget -= slice - left;
+    }
+    if (helping) {
+        int helped = stop_helper(e, helper);
+        if (!st)
+            st = helped;
+    }
+    if (st)
+        return st;
+    return has_work(e, &e->cur[0]) || has_work(e, &e->cur[1]) ? ST_MORE : ST_DONE;
+}
+
+/* Merges the sorted keys of o into the sorted keys of s, with exactly
+ * the room for them all, and frees o.  Returns 0, or ST_NOMEM or
+ * ST_REPEAT (a key in both), after which s is fit only to be freed.  The
+ * merged keys fill a new array from its end, and each input array
+ * shrinks after every PIECE keys it gives, so that few keys are held
+ * twice. */
+static int merge_sets(struct scan *s, struct scan *o)
+{
+    long k = s->k, n = s->n + o->n, left[2] = {s->n, o->n};
+    struct scan *from[2] = {s, o};
+    u8 *keys = malloc((size_t)(n ? n : 1) * (size_t)k);
+    int st = keys ? 0 : ST_NOMEM;
+    sort_width = (size_t)k;
+    while (!st && left[0] + left[1] > 0) {
+        int c = !left[1] ? 1 : !left[0] ? -1
+              : by_key(s->keys + (left[0] - 1) * k, o->keys + (left[1] - 1) * k);
+        if (!c) {
+            st = ST_REPEAT;
+            break;
+        }
+        int i = c < 0;   /* the input whose last key is the greater */
+        long at = --left[i];
+        memcpy(keys + (left[0] + left[1]) * k, from[i]->keys + at * k, (size_t)k);
+        u8 *less = at && at % PIECE == 0 ? realloc(from[i]->keys, (size_t)(at * k)) : NULL;
+        if (less)   /* a shrink that fails only keeps the memory */
+            from[i]->keys = less;
+    }
+    fl_scan_free(o);
+    if (st) {
+        free(keys);
+        return st;
+    }
+    free(s->keys);
+    s->keys = keys;
+    s->n = n;
+    s->room = n ? n : 1;
+    return 0;
+}
+
+/* The key set of target t into *out, which the caller then owns and frees
+ * with fl_scan_free: the sorted sets of the two cursors (sort_set)
+ * merged.  Returns 0; ST_NOMEM; or ST_REPEAT when a key is in both sets,
+ * which rights of distinct cycle types never give.  On failure the set
+ * is freed and *out is NULL. */
+int fl_enum_take(struct enumeration *e, int t, struct scan **out)
+{
+    struct scan *s = e->cur[0].sets[t], *o = e->cur[1].sets[t];
+    e->cur[0].sets[t] = e->cur[1].sets[t] = NULL;
+    *out = NULL;
+    sort_set(s);   /* unless its cursor has */
+    sort_set(o);
+    int st = merge_sets(s, o);
+    if (st) {
+        fl_scan_free(s);
+        return st;
+    }
+    *out = s;
+    return 0;
 }

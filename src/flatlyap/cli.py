@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 from . import golden, moduli
@@ -252,7 +253,10 @@ def cmd_verify_tables(args) -> int:
     cache, reports = _cache_from(args), {}
     failures = 0
     for check in selected:
+        start = time.perf_counter()
         result = golden.run_check(check, cache=cache, reports=reports)
+        # the check's time goes to stderr, so stdout stays the same run to run
+        print(f"{check.id} {time.perf_counter() - start:.3f} s", file=sys.stderr)
         if not result.ok:
             failures += 1
             print(result.diff_line())

@@ -10,8 +10,13 @@ the stratum; canonical forms deduplicate the pairs.  The scan itself is
 s = u^-1 r^-1 u, so the commutator is s r; the classes of all the
 representatives hold d! elements, and the walk skips each branch whose
 s r can fix no target's number of symbols.  Only the u of one s
-per orbit of the centralizer of r are canonicalised.  A degree whose d!
-passes ``SCAN_CAP`` is refused before its scan starts.
+per orbit of the centralizer of r are canonicalised.  The compiled walk
+splits the representatives between the calling thread and, where a
+second CPU is usable, one helper thread: each walks whole
+representatives into key sets of its own, and a canonical key keeps the
+cycle type of r, so the two sets are disjoint and are merged when the
+scan ends.  A degree whose d! passes ``SCAN_CAP`` is refused before its
+scan starts.
 
 Classes travel as packed canonical keys, ``bytes(r) + bytes(u)`` of the
 0-based images, in a ``kernel.KeySet``: ``enumerate_origamis`` returns

@@ -18,8 +18,9 @@ This module runs all of it in two interchangeable ways:
   the source and flags, and loaded with ctypes on the first call.  A
   scan's KeySet and a closure's OrbitScan stay in C memory, and the
   partition marks each orbit's members in the KeySet, so no class becomes
-  a Python object; a closure step may run a helper thread on another CPU
-  (``fl_scan_step``); results are byte-identical either way;
+  a Python object; a closure step and a scan step may each run a helper
+  thread on another CPU (``fl_scan_step``, ``fl_enum_step``); results are
+  byte-identical either way;
 * in pure Python, the code below, which is the oracle the compiled code
   must match byte for byte.
 
@@ -55,8 +56,9 @@ _FLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 #: elements the compiled closure expands per call (about 15 ms), so that
 #: signal handlers (Ctrl-C, timers) run during long scans
 _STEP_BUDGET = 8192
-#: units of work the compiled scan does per call, one per class-walk
-#: position filled (see fl_enum_step), for the same reason
+#: units of work the compiled scan does per call on the calling thread,
+#: one per class-walk position filled (see fl_enum_step), for the same
+#: reason; a helper thread may do about as many beside it
 _SCAN_BUDGET = 1 << 17
 _LONG = ctypes.sizeof(ctypes.c_long)
 _LONG_MAX = 2 ** (8 * _LONG - 1) - 1
@@ -138,7 +140,7 @@ def _declare(lib) -> None:
         "fl_scan_least": (c_long, [ptr]),
         "fl_enum_new": (ptr, [c_int, c_int, ctypes.c_char_p, c_int, ctypes.c_char_p]),
         "fl_enum_step": (c_int, [ptr, c_long]),
-        "fl_enum_take": (ptr, [ptr, c_int]),
+        "fl_enum_take": (c_int, [ptr, c_int, ptr]),
         "fl_set_mark": (c_int, [ptr, ptr, ptr]),
         "fl_enum_free": (None, [ptr]),
     }
@@ -397,6 +399,7 @@ def _raise_status(status: int, max_size: int = 0):
         -4: (DisconnectedError, _DISCONNECTED_MESSAGE),
         -6: (InternalCheckError, _TAIL_MESSAGE),
         -7: (InternalCheckError, _OPEN_MESSAGE),
+        -8: (InternalCheckError, "the scan found one class from two rights"),
     }.get(status, (InputError, _RANGE_MESSAGE))
     raise kind(message)
 
@@ -546,7 +549,10 @@ def scan_degree(d: int, rights, targets) -> list[KeySet]:
     of fixed points of s r misses every target's.  The u of one s are
     the z maps with u s = r^-1 u.
     Conjugating by c in C(r) carries them onto the u of c s c^-1 and keeps
-    every class, so only the least s of each C(r)-orbit is expanded."""
+    every class, so only the least s of each C(r)-orbit is expanded.  A
+    canonical key keeps the cycle type of r, so rights of one cycle type
+    give the same classes: the compiled walk walks the first of each, and
+    may split them between two threads, which then find no class twice."""
     if not 0 < d <= MAX_DEGREE or any(sorted(r) != list(range(d)) for r in rights):
         raise InputError(_RANGE_MESSAGE)
     if any(sum(t) != d or min(t) < 1 for t in targets):
@@ -570,7 +576,14 @@ def scan_degree(d: int, rights, targets) -> list[KeySet]:
                 break
             if status != 1:
                 _raise_status(status)
-        return [KeySet(d, lib=lib, handle=lib.fl_enum_take(scan, i)) for i in range(len(targets))]
+        sets = []
+        for i in range(len(targets)):
+            handle = ctypes.c_void_p()
+            status = lib.fl_enum_take(scan, i, ctypes.byref(handle))
+            if status:
+                _raise_status(status)
+            sets.append(KeySet(d, lib=lib, handle=handle.value))
+        return sets
     finally:
         lib.fl_enum_free(scan)
 

@@ -272,6 +272,18 @@ def test_verify_tables_quick(capsys):
     assert "MISMATCH" not in out
 
 
+def test_verify_tables_times_each_check_on_stderr(capsys):
+    # one line per check, its id and seconds, on stderr only: stdout is
+    # the same as a run that times nothing would print
+    code, out, err = run(capsys, "verify-tables", "2", "--skip-enumeration")
+    selected = golden.select_checks(golden.load_golden(), genus="2", skip_enumeration=True)
+    assert code == 0
+    assert out == f"{len(selected)}/{len(selected)} checks passed\n"
+    lines = [line.split(" ") for line in err.splitlines()]
+    assert [line[0] for line in lines] == [check.id for check in selected]
+    assert all(len(line) == 3 and line[2] == "s" and float(line[1]) >= 0 for line in lines)
+
+
 def test_verify_tables_detects_corruption(tmp_path, capsys):
     import importlib.resources
 

@@ -214,6 +214,32 @@ def test_compiled_scan_is_the_same_in_any_step_budget(monkeypatch, budget):
     assert all(expected.values())
 
 
+def _all_rights(d: int) -> list:
+    return [enumeration.partition_representative(p) for p in enumeration.partitions(d)]
+
+
+def test_compiled_scan_with_its_helper_matches_python_at_degree_7(monkeypatch):
+    # one step of 2^20 units: the caller walks 4,096 units alone, then a
+    # helper thread walks some rights beside it, wherever two CPUs are usable
+    compiled_library()
+    monkeypatch.setattr(kernel, "_SCAN_BUDGET", 1 << 20)
+    rights, targets = _all_rights(7), list(_targets(7).values())
+    compiled = [set(keys) for keys in kernel.scan_degree(7, rights, targets)]
+    assert compiled == kernel._py_scan_degree(7, rights, targets)
+    assert all(compiled)
+
+
+def test_rights_of_one_cycle_type_give_the_same_classes(backend):
+    # a conjugate of each right beside it finds no class the rights alone
+    # do not; the compiled walk keeps the first right of each cycle type
+    rights = _all_rights(6)
+    shifted = [tuple((r[(x - 1) % 6] + 1) % 6 for x in range(6)) for r in rights]
+    targets = list(_targets(6).values())
+    once = [set(keys) for keys in kernel.scan_degree(6, rights, targets)]
+    assert [set(keys) for keys in kernel.scan_degree(6, shifted + rights, targets)] == once
+    assert all(once)
+
+
 def test_one_scan_serves_every_target(backend):
     targets = _targets(6)
     together = _scan_sets(6, targets)
@@ -442,6 +468,50 @@ def test_compiled_closures_agree_when_threads_outnumber_cpus():
     assert results == [expected] * 4
 
 
+def _scan_in_pinned_process(d: int, cpu: int) -> list:
+    """The sorted keys of each genus-2/3 target of the degree-d scan, made
+    in a subprocess pinned to the given CPU."""
+    script = (
+        "import os, pickle, sys\n"
+        "from flatlyap import enumeration, kernel\n"
+        "from flatlyap.origami import Stratum\n"
+        f"os.sched_setaffinity(0, {{{cpu}}})\n"
+        f"targets = {_targets(d)!r}\n"
+        f"sets = enumeration._scan_degree({d}, targets).values()\n"
+        "sys.stdout.write(pickle.dumps([list(keys) for keys in sets]).hex())\n"
+    )
+    proc = _run_with_src(script)
+    out = proc.communicate(timeout=120)[0]
+    assert proc.returncode == 0
+    return pickle.loads(bytes.fromhex(out))
+
+
+def test_compiled_scan_is_the_same_on_one_cpu():
+    # a process pinned to one CPU walks every right on the calling thread
+    compiled_library()
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("only one CPU is usable")
+    expected = [list(keys) for keys in enumeration._scan_degree(8, _targets(8)).values()]
+    assert _scan_in_pinned_process(8, cpus[0]) == expected
+    assert sum(map(len, expected)) == 11599
+
+
+def test_compiled_scan_joins_its_helper_thread():
+    # fl_enum_step joins its helper before it returns, also when a signal
+    # handler cuts the walk short between two steps: the seven genus-2/3
+    # targets at d=9 take about 80 ms
+    compiled_library()
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    targets = _targets(9)
+    before = len(os.listdir("/proc/self/task"))
+    assert sum(map(len, enumeration._scan_degree(9, targets).values())) == 37003
+    assert _threads_settle_at(before)
+    _raises_on_alarm(lambda: enumeration._scan_degree(9, targets))
+    assert _threads_settle_at(before)
+
+
 GENUS_4 = [Stratum(p) for p in [(6,), (5, 1), (4, 2), (3, 3), (3, 2, 1), (2, 2, 2)]]
 
 
@@ -586,20 +656,65 @@ int main(void)
 """
 
 
-def test_in_place_key_sort_matches_qsort(tmp_path):
+def _run_with_kernel(tmp_path, driver: str) -> list[str]:
+    """The output lines of a driver that includes the kernel source as
+    KERNEL, for its static functions and struct layouts."""
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler")
-    source = _SORT_DRIVER.replace("KERNEL", '"' + str(kernel._SOURCE) + '"')
-    (tmp_path / "sort.c").write_text(source)
+    source = driver.replace("KERNEL", '"' + str(kernel._SOURCE) + '"')
+    (tmp_path / "driver.c").write_text(source)
     built = subprocess.run(
-        [cc, "-O1", "-pthread", "-o", str(tmp_path / "sort"), str(tmp_path / "sort.c")],
+        [cc, "-O1", "-pthread", "-o", str(tmp_path / "driver"), str(tmp_path / "driver.c")],
         capture_output=True, text=True, timeout=120,
     )
     assert built.returncode == 0, built.stderr
-    done = subprocess.run([str(tmp_path / "sort")], capture_output=True, text=True, timeout=120)
+    done = subprocess.run([str(tmp_path / "driver")], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1"] * 5
+    return done.stdout.splitlines()
+
+
+def test_in_place_key_sort_matches_qsort(tmp_path):
+    assert _run_with_kernel(tmp_path, _SORT_DRIVER) == ["1"] * 5
+
+
+# the H(2) scan of degree 5 stepped to its end, alone in steps of 64
+# units, once as it is and once with the first key of the caller's set put
+# into the other cursor's set too, which never ran and so still takes
+# keys, as a broken split of the rights would: one line per take, its
+# status and set size
+_REPEAT_DRIVER = r"""
+#include KERNEL
+#include <stdio.h>
+
+int main(void)
+{
+    const u8 rights[] = {1, 2, 3, 4, 0, 1, 2, 3, 0, 4, 1, 2, 0, 4, 3,
+                         1, 2, 0, 3, 4, 1, 0, 3, 2, 4, 1, 0, 2, 3, 4};
+    const u8 target[] = {0, 2, 0, 1, 0, 0};
+    for (int repeat = 0; repeat < 2; repeat++) {
+        struct enumeration *e = fl_enum_new(5, 6, rights, 1, target);
+        while (fl_enum_step(e, 64) == 1)
+            ;
+        if (repeat) {
+            const u8 *key = e->cur[0].sets[0]->keys;
+            visit(e->cur[1].sets[0], key, hash(key, 10), 1);
+        }
+        struct scan *s;
+        int status = fl_enum_take(e, 0, &s);
+        printf("%d %ld\n", status, s ? fl_scan_size(s) : -1L);
+        fl_scan_free(s);
+        fl_enum_free(e);
+    }
+    return 0;
+}
+"""
+
+
+def test_a_class_found_from_two_rights_is_an_internal_error(tmp_path):
+    assert _run_with_kernel(tmp_path, _REPEAT_DRIVER) == ["0 27", "-8 -1"]
+    with pytest.raises(InternalCheckError, match="two rights"):
+        kernel._raise_status(-8)
 
 
 def test_c_exports_are_what_kernel_declares_and_calls():
@@ -635,6 +750,8 @@ def test_c_exports_are_what_kernel_declares_and_calls():
 # sets the partition of H(2) marks; and one degree-8 scan for H(3,1),
 # whose key set outgrows its first 1,024 keys; the degree-5 scan again
 # with the identity right and a torus target, one unit of work per step;
+# and one degree-7 scan for H(2,2) in steps of 2^17 units, which start
+# the helper thread of fl_enum_step wherever more than one CPU is usable;
 # with every object freed
 _SANITIZER_DRIVER = r"""
 #include <pthread.h>
@@ -656,7 +773,7 @@ void fl_scan_free(struct scan *s);
 struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
                                 int ntargets, const u8 *targets);
 int fl_enum_step(struct enumeration *e, long budget);
-struct scan *fl_enum_take(struct enumeration *e, int t);
+int fl_enum_take(struct enumeration *e, int t, struct scan **out);
 void fl_enum_free(struct enumeration *e);
 int fl_set_mark(const struct scan *s, u8 *marks, const struct scan *orbit);
 
@@ -674,13 +791,14 @@ static void *cusp_list(void *arg)
     return NULL;
 }
 
-/* appends to rights, 8 bytes each, one permutation of 8 symbols per
+/* appends to rights, d bytes each, one permutation of d symbols per
  * partition of ``left`` into parts of at most ``most``, as consecutive
- * cycles after the first ``start`` symbols of images; returns the count */
+ * cycles after the first ``start`` = d - left symbols of images; returns
+ * the count */
 static int partitions(int left, int most, int start, u8 *images, u8 *rights, int n)
 {
     if (!left) {
-        memcpy(rights + 8 * n, images, 8);
+        memcpy(rights + start * n, images, (size_t)start);
         return n + 1;
     }
     for (int len = left < most ? left : most; len >= 1; len--) {
@@ -689,6 +807,15 @@ static int partitions(int left, int most, int start, u8 *images, u8 *rights, int
         n = partitions(left - len, len, start + len, images, rights, n);
     }
     return n;
+}
+
+/* the key set of target t, which must be handed over */
+static struct scan *take(struct enumeration *e, int t)
+{
+    struct scan *s;
+    if (fl_enum_take(e, t, &s))
+        exit(1);
+    return s;
 }
 
 int main(void)
@@ -770,7 +897,7 @@ int main(void)
     struct enumeration *e = fl_enum_new(5, 6, rights, 2, targets);
     while (fl_enum_step(e, 64) == 1)
         ;
-    struct scan *h2 = fl_enum_take(e, 0), *h11 = fl_enum_take(e, 1);
+    struct scan *h2 = take(e, 0), *h11 = take(e, 1);
     fl_enum_free(e);
     printf("%ld %ld\n", fl_scan_size(h2), fl_scan_size(h11));
     fl_scan_free(h11);
@@ -782,7 +909,7 @@ int main(void)
     e = fl_enum_new(5, 5, short_rights, 1, targets);
     while (fl_enum_step(e, 64) == 1)
         ;
-    struct scan *short_ = fl_enum_take(e, 0);
+    struct scan *short_ = take(e, 0);
     fl_enum_free(e);
     sorted = 1;
     for (int t = 0; t < 2; t++) {
@@ -816,7 +943,7 @@ int main(void)
     e = fl_enum_new(8, partitions(8, 8, 0, images8, rights8, 0), rights8, 1, target8);
     while (fl_enum_step(e, 4096) == 1)
         ;
-    s = fl_enum_take(e, 0);
+    s = take(e, 0);
     fl_enum_free(e);
     printf("%ld\n", fl_scan_size(s));
     fl_scan_free(s);
@@ -832,11 +959,26 @@ int main(void)
     while (fl_enum_step(e, 1) == 1)
         ;
     for (int t = 0; t < 3; t++) {
-        s = fl_enum_take(e, t);
+        s = take(e, t);
         printf(t < 2 ? "%ld " : "%ld\n", fl_scan_size(s));
         fl_scan_free(s);
     }
     fl_enum_free(e);
+
+    u8 images7[7], rights7[15 * 7];
+    const u8 target7[] = {0, 1, 0, 2, 0, 0, 0, 0};
+    e = fl_enum_new(7, partitions(7, 7, 0, images7, rights7, 0), rights7, 1, target7);
+    while (fl_enum_step(e, 1 << 17) == 1)
+        ;
+    s = take(e, 0);
+    fl_enum_free(e);
+    keys = fl_scan_keys(s);
+    sorted = 1;
+    for (long j = 1; j < fl_scan_size(s); j++)
+        if (memcmp(keys + 14 * (j - 1), keys + 14 * j, 14) >= 0)
+            sorted = 0;
+    printf("%ld %d\n", fl_scan_size(s), sorted);
+    fl_scan_free(s);
     return 0;
 }
 """
@@ -853,10 +995,11 @@ int main(void)
 # marked), and so does the orbit of 18 in the set that lacks its (4,1)
 # classes (bsearch finds no key); 4,032 classes of H(3,1) at d=8; the
 # same 27 and 24 classes a step at a time, and the 6 tori of degree 5,
-# one per sublattice of index 5 in Z^2
+# one per sublattice of index 5 in Z^2; 486 classes of H(2,2) at d=7,
+# sorted across the two cursors' sets
 _SANITIZER_STDOUT = [
     "18 5 -6 -6 18", "-1 10 1 -6 1", "0 23328 2616 23328 1 1 1", "-1 23327", "27 24",
-    "23 1", "18 0 -7 -7", "9 0 -7 0", "4032", "27 24 6", "",
+    "23 1", "18 0 -7 -7", "9 0 -7 0", "4032", "27 24 6", "486 1", "",
 ]
 
 # creates and joins one thread
@@ -904,7 +1047,8 @@ def test_c_source_runs_clean_under_sanitizers(tmp_path):
 
 def test_c_source_runs_clean_under_thread_sanitizer(tmp_path):
     # the 23,328-key closure and its cap run with the helper thread of
-    # fl_scan_step wherever more than one CPU is usable
+    # fl_scan_step, and the degree-7 scan with that of fl_enum_step,
+    # wherever more than one CPU is usable
     done = _run_under_sanitizer(tmp_path, "thread", _THREADED_PROGRAM)
     assert done.returncode == 0, done.stderr
     assert "ThreadSanitizer" not in done.stderr, done.stderr
