@@ -8,8 +8,8 @@
  * cylinders of one key per cycle, weighted by its width, and finds the
  * least key; the keys (fl_scan_keys) stay in the closure until they are
  * read, and fl_scan_cusp_list sorts the cusps into a buffer the caller
- * owns.  Keys have one order, by_key's memcmp: it sorts and searches the
- * key sets, and breaks the ties between cusps of one width.
+ * owns.  Keys have one order, memcmp over their bytes: it picks each
+ * closure's least key and breaks the ties between cusps of one width.
  *
  * kernel.py builds this file into a shared library, calls it through
  * ctypes and holds the pure-Python oracle of every function here; the
@@ -19,8 +19,8 @@
  * are permutations, fl_scan_new takes only keys that fl_canonical
  * produced, and fl_enum_new takes permutations and cycle types that
  * kernel.py has checked.  Key sets come only from the scan and outlive
- * it: fl_enum_take hands each one over sorted, and
- * the orbit partition marks the members of each closure in it
+ * it: fl_enum_take hands each one over as the hash table the scan filled,
+ * and the orbit partition marks the members of each closure in it
  * (fl_set_mark).  fl_scan_step and fl_enum_step may each run a helper
  * thread, which they join before they return; every other function runs
  * on its caller's thread alone, and several threads may read one
@@ -191,7 +191,7 @@ struct scan {
     long *t_next;       /* index of the T image of each expanded key;
                          * closures only, NULL in a scan's key sets */
     uint32_t *slots;    /* open addressing: key index + 1, 0 when free;
-                         * NULL in a sorted key set and a finished closure */
+                         * NULL in a finished closure */
     size_t mask;        /* slot count - 1, a power of two less one */
     long *hist;         /* closures only: (d + 1)^2 cylinder counts, by
                          * w * (d + 1) + h */
@@ -247,6 +247,37 @@ static int grow(struct scan *s, long extra)
     return 0;
 }
 
+/* The slot of key, whose hash is h: the one that holds it, or the free
+ * one where its search ends.  Inline, so that visit() searches without a
+ * call on the closure's hot path. */
+static inline size_t probe(const struct scan *s, const u8 *key, size_t h)
+{
+    size_t i = h & s->mask;
+    while (s->slots[i] && memcmp(s->keys + (long)(s->slots[i] - 1) * s->k, key, (size_t)s->k))
+        i = (i + 1) & s->mask;
+    return i;
+}
+
+/* Replaces the slot table with one of mask + 1 slots over the n keys; 0,
+ * ST_NOMEM, or ST_REPEAT at a key that is there twice. */
+static int rehash(struct scan *s, size_t mask)
+{
+    uint32_t *slots = calloc(mask + 1, sizeof(uint32_t));
+    if (!slots)
+        return ST_NOMEM;
+    free(s->slots);
+    s->slots = slots;
+    s->mask = mask;
+    for (long j = 0; j < s->n; j++) {
+        const u8 *key = s->keys + j * s->k;
+        size_t i = probe(s, key, hash(key, s->k));
+        if (slots[i])
+            return ST_REPEAT;
+        slots[i] = (uint32_t)(j + 1);
+    }
+    return 0;
+}
+
 /* Room for one more key: grows the key arrays when full and doubles the
  * slot table when it would pass half full. */
 static int reserve(struct scan *s)
@@ -258,21 +289,8 @@ static int reserve(struct scan *s)
         if (st)
             return st;
     }
-    if (2 * (size_t)(s->n + 1) > s->mask + 1) {
-        size_t mask = 2 * (s->mask + 1) - 1;
-        uint32_t *slots = calloc(mask + 1, sizeof(uint32_t));
-        if (!slots)
-            return ST_NOMEM;
-        for (long j = 0; j < s->n; j++) {
-            size_t i = hash(s->keys + j * s->k, s->k) & mask;
-            while (slots[i])
-                i = (i + 1) & mask;
-            slots[i] = (uint32_t)(j + 1);
-        }
-        free(s->slots);
-        s->slots = slots;
-        s->mask = mask;
-    }
+    if (2 * (size_t)(s->n + 1) > s->mask + 1)
+        return rehash(s, 2 * (s->mask + 1) - 1);
     return 0;
 }
 
@@ -284,13 +302,9 @@ static long visit(struct scan *s, const u8 *key, size_t h, long max_size)
     int st = reserve(s);
     if (st)
         return st;
-    size_t i = h & s->mask;
-    while (s->slots[i]) {
-        long j = (long)s->slots[i] - 1;
-        if (!memcmp(s->keys + j * s->k, key, (size_t)s->k))
-            return j;
-        i = (i + 1) & s->mask;
-    }
+    size_t i = probe(s, key, h);
+    if (s->slots[i])
+        return (long)s->slots[i] - 1;
     if (s->n >= max_size)
         return ST_CAP;
     memcpy(s->keys + s->n * s->k, key, (size_t)s->k);
@@ -675,93 +689,13 @@ long fl_scan_cusps(struct scan *s)
     return s->cusp_count = count;
 }
 
-/* The one key order, memcmp over a key's bytes.  qsort and bsearch pass
- * their comparators no context, so a caller sets the key length, and for
- * by_cusp the keys, on its own thread first. */
+/* The one key order, memcmp over a key's bytes.  qsort passes its
+ * comparator no context, so fl_scan_cusp_list sets the key length and the
+ * keys for by_cusp on its own thread first. */
 static _Thread_local size_t sort_width;
 static _Thread_local const u8 *sort_keys;
 
 static int by_key(const void *a, const void *b) { return memcmp(a, b, sort_width); }
-
-static void swap_keys(u8 *a, u8 *b)
-{
-    u8 t[512];
-    memcpy(t, a, sort_width);
-    memcpy(a, b, sort_width);
-    memcpy(b, t, sort_width);
-}
-
-/* Moves keys[root] down the max-heap keys[0..n) to its place. */
-static void sift_down(u8 *keys, size_t root, size_t n)
-{
-    size_t k = sort_width;
-    for (size_t child; (child = 2 * root + 1) < n; root = child) {
-        if (child + 1 < n && by_key(keys + child * k, keys + (child + 1) * k) < 0)
-            child++;
-        if (by_key(keys + root * k, keys + child * k) >= 0)
-            return;
-        swap_keys(keys + root * k, keys + child * k);
-    }
-}
-
-/* Sorts n keys by by_key in place: quicksort on the median of three,
- * recursing into the smaller side, and heapsort for a part still longer
- * than 16 keys after ``depth`` splits, so that no input takes more than
- * O(n log n) compares.  glibc's qsort would merge through a copy of
- * every key. */
-static void sort_in_place(u8 *keys, size_t n, int depth)
-{
-    size_t k = sort_width;
-    u8 t[512];
-    while (n > 16) {
-        if (depth-- == 0) {
-            for (size_t i = n / 2; i-- > 0;)
-                sift_down(keys, i, n);
-            for (size_t end = n; end-- > 1;) {
-                swap_keys(keys, keys + end * k);
-                sift_down(keys, 0, end);
-            }
-            return;
-        }
-        u8 *lo = keys, *mid = keys + n / 2 * k, *hi = keys + (n - 1) * k;
-        if (by_key(mid, lo) < 0)
-            swap_keys(mid, lo);
-        if (by_key(hi, mid) < 0) {
-            swap_keys(hi, mid);
-            if (by_key(mid, lo) < 0)
-                swap_keys(mid, lo);
-        }
-        /* Hoare's partition around a copy of the median: the first and
-         * the last key stop the two scans, and the split j is below n - 1 */
-        memcpy(t, mid, k);
-        size_t i = 0, j = n - 1;
-        for (;; i++, j--) {
-            while (by_key(keys + i * k, t) < 0)
-                i++;
-            while (by_key(t, keys + j * k) < 0)
-                j--;
-            if (i >= j)
-                break;
-            swap_keys(keys + i * k, keys + j * k);
-        }
-        if (j + 1 < n - j - 1) {
-            sort_in_place(keys, j + 1, depth);
-            keys += (j + 1) * k;
-            n -= j + 1;
-        } else {
-            sort_in_place(keys + (j + 1) * k, n - j - 1, depth);
-            n = j + 1;
-        }
-    }
-    for (size_t i = 1; i < n; i++) {   /* insertion sort of the rest */
-        size_t j = i;
-        memcpy(t, keys + i * k, k);
-        while (j > 0 && by_key(t, keys + (j - 1) * k) < 0)
-            j--;
-        memmove(keys + (j + 1) * k, keys + j * k, (i - j) * k);
-        memcpy(keys + j * k, t, k);
-    }
-}
 
 /* (width, key index) pairs by width, then by the key they index */
 static int by_cusp(const void *a, const void *b)
@@ -805,28 +739,27 @@ int fl_scan_cusp_list(const struct scan *s, long *pairs)
     return 0;
 }
 
-/* -- sorted key sets ---------------------------------------------------
+/* -- key sets -----------------------------------------------------------
  *
  * A key set is a struct scan that scan_alloc made and the exhaustive scan
  * filled by visit(); nothing else makes one.  fl_enum_take hands it out
- * sorted by by_key, with its slot table freed, so membership is a bsearch
- * by the same order and the set takes no more keys.  The orbit partition
- * closes one orbit at a time from the least key no orbit holds yet;
- * fl_set_mark checks that every key of the closure is in the set and not
- * yet held, and marks it, one byte per key in an array the caller owns. */
+ * with its slot table, so membership is one probe by the hash visit()
+ * uses.  The orbit partition closes one orbit at a time from a key no
+ * orbit holds yet; fl_set_mark checks that every key of the closure is in
+ * the set and not yet held, and marks it, one byte per key in an array
+ * the caller owns. */
 
-/* Marks every key of the closure ``orbit`` in the sorted set s, one byte
- * per key of s in marks[]; 0, or ST_OPEN at a key that is not in s or is
+/* Marks every key of the closure ``orbit`` in the key set s, one byte per
+ * key of s in marks[]; 0, or ST_OPEN at a key that is not in s or is
  * marked already. */
 int fl_set_mark(const struct scan *s, u8 *marks, const struct scan *orbit)
 {
-    sort_width = (size_t)s->k;
     for (long i = 0; i < orbit->n; i++) {
-        const u8 *at = bsearch(orbit->keys + i * orbit->k, s->keys, (size_t)s->n, (size_t)s->k, by_key);
-        long j = at ? (at - s->keys) / s->k : 0;
-        if (!at || marks[j])
+        const u8 *key = orbit->keys + i * orbit->k;
+        uint32_t j = s->slots[probe(s, key, hash(key, s->k))];
+        if (!j || marks[j - 1])
             return ST_OPEN;
-        marks[j] = 1;
+        marks[j - 1] = 1;
     }
     return 0;
 }
@@ -876,9 +809,8 @@ int fl_canonical(int d, const u8 *r, const u8 *u, u8 *out)
  * canonical key keeps the cycle type of r, so rights of one cycle type
  * give the same classes, and fl_enum_new keeps only the first of them;
  * then no class comes from two rights, and the two sets of a target are
- * disjoint.  A cursor that finds no right left sorts its sets
- * on the thread that works it, and fl_enum_take merges the two sorted
- * sets of a target, checking that no key is in both.  fl_enum_step works
+ * disjoint.  fl_enum_take joins the two sets of a target into one,
+ * checking that no key is in both.  fl_enum_step works
  * the first cursor on the calling thread.  Once the scan has done
  * SCAN_HELPER_MIN units, when the step has that many left and there are
  * rights for both cursors, a helper thread (start_helper) works the
@@ -905,7 +837,7 @@ enum { PH_TEST, PH_LEAST, PH_EXPAND };
 
 /* units of work the calling thread does alone before the helper may
  * start, units the helper works between two looks at its stop flag, and
- * keys of a key set fl_enum_take merges between two shrinks of its array */
+ * keys fl_enum_take moves between two shrinks of the second set's array */
 enum { SCAN_HELPER_MIN = 4096, SLICE = 1024, PIECE = 1 << 16 };
 
 /* One walker of the scan: the class walk of the right it holds, and the
@@ -1287,21 +1219,6 @@ static int conjugate_is_less(int d, const u8 *c, const u8 *s)
     return 0;
 }
 
-/* Sorts the keys of a set that is still taking keys, and frees its slot
- * table: it takes no more keys then. */
-static void sort_set(struct scan *s)
-{
-    if (!s->slots)
-        return;
-    free(s->slots);
-    s->slots = NULL;
-    sort_width = (size_t)s->k;
-    int depth = 0;
-    for (long m = s->n; m > 1; m >>= 1)
-        depth += 2;
-    sort_in_place(s->keys, (size_t)s->n, depth);
-}
-
 /* Works cursor c for at most *budget units, taking them off *budget:
  * filling one position of the class walk or testing one conjugate is a
  * unit, canonicalising one pair is d.  When c finishes a right it claims
@@ -1313,12 +1230,8 @@ static int cursor_work(struct enumeration *e, struct cursor *c, long *budget)
     int d = e->d;
     u8 perm[256], cycles[256], key[512];
     while (*budget > 0) {
-        if (c->right < 0 && !claim_right(e, c)) {
-            /* c is done: its own thread sorts its sets */
-            for (int t = 0; t < e->ntargets; t++)
-                sort_set(c->sets[t]);
+        if (c->right < 0 && !claim_right(e, c))
             return ST_DONE;
-        }
         const u8 *r = e->rights + (size_t)c->right * (size_t)d;
         if (c->phase == PH_TEST) {
             int found = walk_advance(e, c, budget);
@@ -1451,58 +1364,45 @@ int fl_enum_step(struct enumeration *e, long budget)
     return has_work(e, &e->cur[0]) || has_work(e, &e->cur[1]) ? ST_MORE : ST_DONE;
 }
 
-/* Merges the sorted keys of o into the sorted keys of s, with exactly
- * the room for them all, and frees o.  Returns 0, or ST_NOMEM or
- * ST_REPEAT (a key in both), after which s is fit only to be freed.  The
- * merged keys fill a new array from its end, and each input array
- * shrinks after every PIECE keys it gives, so that few keys are held
- * twice. */
-static int merge_sets(struct scan *s, struct scan *o)
-{
-    long k = s->k, n = s->n + o->n, left[2] = {s->n, o->n};
-    struct scan *from[2] = {s, o};
-    u8 *keys = malloc((size_t)(n ? n : 1) * (size_t)k);
-    int st = keys ? 0 : ST_NOMEM;
-    sort_width = (size_t)k;
-    while (!st && left[0] + left[1] > 0) {
-        int c = !left[1] ? 1 : !left[0] ? -1
-              : by_key(s->keys + (left[0] - 1) * k, o->keys + (left[1] - 1) * k);
-        if (!c) {
-            st = ST_REPEAT;
-            break;
-        }
-        int i = c < 0;   /* the input whose last key is the greater */
-        long at = --left[i];
-        memcpy(keys + (left[0] + left[1]) * k, from[i]->keys + at * k, (size_t)k);
-        u8 *less = at && at % PIECE == 0 ? realloc(from[i]->keys, (size_t)(at * k)) : NULL;
-        if (less)   /* a shrink that fails only keeps the memory */
-            from[i]->keys = less;
-    }
-    fl_scan_free(o);
-    if (st) {
-        free(keys);
-        return st;
-    }
-    free(s->keys);
-    s->keys = keys;
-    s->n = n;
-    s->room = n ? n : 1;
-    return 0;
-}
-
 /* The key set of target t into *out, which the caller then owns and frees
- * with fl_scan_free: the sorted sets of the two cursors (sort_set)
- * merged.  Returns 0; ST_NOMEM; or ST_REPEAT when a key is in both sets,
- * which rights of distinct cycle types never give.  On failure the set
- * is freed and *out is NULL. */
+ * with fl_scan_free: the keys of the second cursor's set after those of
+ * the first, under one slot table.  Returns 0; ST_NOMEM; or ST_REPEAT
+ * when a key is in both sets, which rights of distinct cycle types never
+ * give.  On failure the set is freed and *out is NULL.  Both slot tables
+ * go first and the new one is made last, and the second set's keys are
+ * moved from its end, its array shrinking after every PIECE keys, so that
+ * few keys are held twice. */
 int fl_enum_take(struct enumeration *e, int t, struct scan **out)
 {
     struct scan *s = e->cur[0].sets[t], *o = e->cur[1].sets[t];
     e->cur[0].sets[t] = e->cur[1].sets[t] = NULL;
     *out = NULL;
-    sort_set(s);   /* unless its cursor has */
-    sort_set(o);
-    int st = merge_sets(s, o);
+    long k = s->k, n = s->n + o->n;
+    free(s->slots);
+    free(o->slots);
+    s->slots = o->slots = NULL;
+    u8 *keys = realloc(s->keys, (size_t)(n ? n : 1) * (size_t)k);
+    int st = keys ? 0 : ST_NOMEM;
+    if (keys) {
+        s->keys = keys;
+        s->room = n ? n : 1;
+    }
+    while (!st && o->n > 0) {
+        long lo = (o->n - 1) / PIECE * PIECE;   /* the last piece */
+        memcpy(s->keys + (s->n + lo) * k, o->keys + lo * k, (size_t)((o->n - lo) * k));
+        o->n = lo;
+        u8 *less = lo ? realloc(o->keys, (size_t)(lo * k)) : NULL;
+        if (less)   /* a shrink that fails only keeps the memory */
+            o->keys = less;
+    }
+    fl_scan_free(o);
+    if (!st) {
+        size_t mask = s->mask;
+        while (2 * (size_t)n > mask + 1)
+            mask = 2 * mask + 1;
+        s->n = n;
+        st = rehash(s, mask);
+    }
     if (st) {
         fl_scan_free(s);
         return st;

@@ -14,17 +14,17 @@ per orbit of the centralizer of r are canonicalised.  The compiled walk
 splits the representatives between the calling thread and, where a
 second CPU is usable, one helper thread: each walks whole
 representatives into key sets of its own, and a canonical key keeps the
-cycle type of r, so the two sets are disjoint and are merged when the
-scan ends.  A degree whose d! passes ``SCAN_CAP`` is refused before its
-scan starts.
+cycle type of r, so the two sets are disjoint and are joined into one
+hash table when the scan ends.  A degree whose d! passes ``SCAN_CAP`` is
+refused before its scan starts.
 
 Classes travel as packed canonical keys, ``bytes(r) + bytes(u)`` of the
 0-based images, in a ``kernel.KeySet``: ``enumerate_origamis`` returns
 the scan's key set, which the compiled kernel keeps in C memory, and
 ``orbit_partition`` takes it.  The partition (``kernel.partition``)
-closes each orbit in C from the least key no orbit holds yet and marks
-its members in the set, so it makes no Python object per class: only
-the least key of each orbit becomes an ``Origami``
+closes each orbit in C from a key no orbit holds yet and marks its
+members in the set, so it makes no Python object per class: only the
+least key of each orbit, which its closure finds, becomes an ``Origami``
 (``Origami.from_key``), and ``OrbitClass.members`` is closed again from
 it when read.
 """

@@ -111,9 +111,10 @@ def run_check(
     if check.kind == "enum":
         return _check_enum(check, {} if reports is None else reports)
     try:
-        return _DISPATCH[check.kind](check, cache)
+        handler = _DISPATCH[check.kind]
     except KeyError:
         raise InputError(f"unknown golden check kind {check.kind!r}") from None
+    return handler(check, cache)
 
 
 def _result(check, expected, actual) -> CheckResult:

@@ -16,11 +16,11 @@ This module runs all of it in two interchangeable ways:
 * compiled, from ``_orbitcore.c``: built once with the system C compiler
   into ``${XDG_CACHE_HOME:-~/.cache}/flatlyap/``, named by the sha256 of
   the source and flags, and loaded with ctypes on the first call.  A
-  scan's KeySet and a closure's OrbitScan stay in C memory, and the
-  partition marks each orbit's members in the KeySet, so no class becomes
-  a Python object; a closure step and a scan step may each run a helper
-  thread on another CPU (``fl_scan_step``, ``fl_enum_step``); results are
-  byte-identical either way;
+  scan's KeySet, the hash table the scan filled, and a closure's OrbitScan
+  stay in C memory, and the partition marks each orbit's members in the
+  KeySet, so no class becomes a Python object; a closure step and a scan
+  step may each run a helper thread on another CPU (``fl_scan_step``,
+  ``fl_enum_step``); results are byte-identical either way;
 * in pure Python, the code below, which is the oracle the compiled code
   must match byte for byte.
 
@@ -31,7 +31,6 @@ key ``bytes(r) + bytes(u)``, whose lexicographic order is tuple order.
 """
 from __future__ import annotations
 
-import bisect
 import ctypes
 import functools
 import hashlib
@@ -454,12 +453,12 @@ def _py_cusps(keys, t_next) -> list[tuple[int, bytes]]:
 # -- key sets and the orbit partition ----------------------------------------
 
 class KeySet:
-    """The canonical keys of one degree that a scan (``scan_degree``)
-    found, distinct and sorted: ``len`` counts them and iterating yields
-    them in order.  The pure-Python scan passes its sorted list as
-    ``keys``, which the KeySet trusts and does not check; a set from the
-    compiled scan (``lib``, ``handle``) stays in C memory and is freed
-    with the KeySet."""
+    """The distinct canonical keys of one degree that a scan
+    (``scan_degree``) found: ``len`` counts them and iterating yields them
+    sorted.  The pure-Python scan passes its keys as ``keys``, in any
+    order, which the KeySet trusts and does not check; a set from the
+    compiled scan (``lib``, ``handle``) stays in C memory as the scan's hash
+    table and is freed with the KeySet."""
 
     def __init__(self, degree: int, keys=(), lib=None, handle=None):
         self.degree, self._keys, self._lib, self._handle = degree, keys, lib, handle
@@ -470,16 +469,18 @@ class KeySet:
         return len(self._keys) if self._lib is None else self._lib.fl_scan_size(self._handle)
 
     def __iter__(self):
+        keys = self._table_order()
+        keys.sort()
+        return iter(keys)
+
+    def _table_order(self) -> list[bytes]:
+        """The keys in the order they are stored, which the marks of
+        ``partition`` follow."""
         if self._lib is None:
-            yield from self._keys
-            return
-        # one view over the C keys: the generator holds self, so the keys
-        # outlive the view
+            return list(self._keys)
         k = 2 * self.degree
-        at = self._lib.fl_scan_keys(self._handle)
-        view = (ctypes.c_char * (len(self) * k)).from_address(at)
-        for lo in range(0, len(view), k):
-            yield view[lo : lo + k]
+        blob = ctypes.string_at(self._lib.fl_scan_keys(self._handle), len(self) * k)
+        return [blob[i : i + k] for i in range(0, len(blob), k)]
 
     def __del__(self):
         if getattr(self, "_handle", None):
@@ -491,15 +492,16 @@ def partition(keys: KeySet) -> list[tuple[bytes, int, Fraction, int]]:
     S, in the order of their least keys: (least key, size, ``total_hw``,
     cusp count) per orbit, as ``orbit_closure`` gives them.
 
-    Each orbit is closed from the least key that no orbit holds yet, which
-    is then its least key, and every key it reaches must be in the set
-    and held by no orbit before it; one mark per key records that.  Raises
+    Each orbit is closed from the first key in storage order that no orbit
+    holds yet, and every key it reaches must be in the set and held by no
+    orbit before it; one mark per key records that.  Raises
     InternalCheckError when the set is not closed.  A closure reaches only
     canonical keys and marks each once, so a key that is not canonical, or
     a repeated one, stays unmarked until its own closure fails that way.
     """
     lib = keys._lib if _library() is not None else None
-    listed = list(keys) if lib is None else None
+    listed = keys._table_order() if lib is None else None
+    index = None if listed is None else {key: i for i, key in enumerate(listed)}
     first = None if lib is None else lib.fl_scan_keys(keys._handle)
     d, remaining = keys.degree, len(keys)
     marks = bytearray(remaining)
@@ -507,24 +509,24 @@ def partition(keys: KeySet) -> list[tuple[bytes, int, Fraction, int]]:
     try:
         while remaining:
             at = marks.find(0, at)
-            least = listed[at] if lib is None else ctypes.string_at(first + at * 2 * d, 2 * d)
-            size, total, count = _close_and_mark(keys, listed, marks, least, remaining)
-            out.append((least, size, total, count))
-            remaining -= size
+            start = listed[at] if lib is None else ctypes.string_at(first + at * 2 * d, 2 * d)
+            out.append(_close_and_mark(keys, index, marks, start, remaining))
+            remaining -= out[-1][1]
     except ResourceCapError:   # an orbit with more keys than the set has left
         raise InternalCheckError(_OPEN_MESSAGE) from None
-    return out
+    return sorted(out)
 
 
-def _close_and_mark(keys, listed, marks, least, max_size) -> tuple[int, Fraction, int]:
-    """Closes the orbit of ``least`` and marks its keys: in the C key set,
-    or by binary search in ``listed`` when that is not None.  The closure
-    is freed on return."""
-    scan = orbit_closure(least[: keys.degree], least[keys.degree :], max_size)
-    if listed is not None:
+def _close_and_mark(keys, index, marks, start, max_size) -> tuple[bytes, int, Fraction, int]:
+    """Closes the orbit of ``start`` and marks its keys: in the C key set,
+    or at their position in ``index`` when that is not None.  Returns the
+    orbit's entry of ``partition``; the closure is freed on return, before
+    the next one starts."""
+    scan = orbit_closure(start[: keys.degree], start[keys.degree :], max_size)
+    if index is not None:
         for key in scan.keys:
-            at = bisect.bisect_left(listed, key)
-            if listed[at : at + 1] != [key] or marks[at]:
+            at = index.get(key)
+            if at is None or marks[at]:
                 raise InternalCheckError(_OPEN_MESSAGE)
             marks[at] = 1
     else:
@@ -532,7 +534,7 @@ def _close_and_mark(keys, listed, marks, least, max_size) -> tuple[int, Fraction
         status = keys._lib.fl_set_mark(keys._handle, held, scan._handle)
         if status:
             _raise_status(status)
-    return scan.size, scan.total_hw, scan.cusp_count
+    return scan.least, scan.size, scan.total_hw, scan.cusp_count
 
 
 # -- exhaustive scan ---------------------------------------------------------
@@ -559,7 +561,7 @@ def scan_degree(d: int, rights, targets) -> list[KeySet]:
         raise InternalCheckError("cycle-type target does not fill the degree")
     lib = _library()
     if lib is None:
-        return [KeySet(d, sorted(keys)) for keys in _py_scan_degree(d, rights, targets)]
+        return [KeySet(d, keys) for keys in _py_scan_degree(d, rights, targets)]
     counts = bytearray(len(targets) * (d + 1))
     for i, target in enumerate(targets):
         for length in target:

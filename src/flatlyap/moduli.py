@@ -276,18 +276,19 @@ def slope_from_disjoint_divisor(
             f"divisor has {D.n_marks} marked points, stratum marking has "
             f"{len(ms.marks)}"
         )
-    k = kappa(ms.stratum)
-    orders = ms.marked_orders()
-    t = sum(
-        (ci / ((m + 1) * k) for ci, m in zip(D.c, orders)),
-        Fraction(0),
-    )
-    denom = t / 12 - D.b0
-    if denom == 0:
+    # C.D = lam C.lambda + delta C.delta once each C.omega_{i,rel} is
+    # substituted, and C.D = 0 gives the slope s = C.delta / C.lambda
+    lam, delta = Fraction(D.a), Fraction(D.b0)
+    for i, ci in enumerate(D.c, start=1):
+        alpha, beta = omega_ratio(ms, i)
+        lam += ci * alpha
+        delta += ci * beta
+    if delta == 0:
         raise InputError("divisor gives no slope constraint (zero denominator)")
-    s = (D.a + t) / denom
+    s = -lam / delta
     if not 0 < s < 12:
         raise InputError(f"slope {s} outside (0, 12): no Teichmueller curve fits")
+    k = kappa(ms.stratum)
     L = 12 * k / (12 - s)
     return s, L, L - k
 

@@ -8,6 +8,7 @@ import pytest
 
 from flatlyap import cli, golden
 from flatlyap.cli import main
+from flatlyap.errors import InputError
 from flatlyap.orbits import orbit
 from flatlyap.origami import Origami, Stratum
 
@@ -326,6 +327,19 @@ def test_verify_tables_makes_one_report_per_scan(tmp_path, capsys, monkeypatch):
         code, out, _ = run(capsys, "verify-tables", "--golden", str(path))
         assert code == 0 and "3/3 checks passed" in out
         assert calls == [(Stratum((2, 2)), 7), (Stratum((2,)), 6)] * runs
+
+
+def test_a_key_error_inside_a_check_is_not_an_unknown_kind(monkeypatch):
+    # only the lookup of the kind turns a KeyError into "unknown kind"
+    def broken(check, cache):
+        raise KeyError("inside the check")
+
+    monkeypatch.setitem(golden._DISPATCH, "triple", broken)
+    check = next(c for c in golden.load_golden() if c.kind == "triple")
+    with pytest.raises(KeyError, match="inside the check"):
+        golden.run_check(check)
+    with pytest.raises(InputError, match="unknown golden check kind 'nope'"):
+        golden.run_check(golden.GoldenCheck("x", "nope", {}))
 
 
 def test_max_orbit_must_be_positive(capsys):

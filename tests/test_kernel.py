@@ -229,6 +229,20 @@ def test_compiled_scan_with_its_helper_matches_python_at_degree_7(monkeypatch):
     assert all(compiled)
 
 
+def test_partition_of_sets_both_cursors_fill_matches_python(monkeypatch):
+    # the d=8 genus-2/3 walk in one step of 2^20 units, where the helper
+    # walks some rights into the second cursor's sets: the orbits come by
+    # least key, whichever thread found which class, so both backends and
+    # the same keys in sorted order give one partition
+    compiled_library()
+    monkeypatch.setattr(kernel, "_SCAN_BUDGET", 1 << 20)
+    rights, targets = _all_rights(8), list(_targets(8).values())
+    for keys in kernel.scan_degree(8, rights, targets):
+        compiled, python = on_both(lambda: kernel.partition(keys))
+        assert compiled == python == kernel.partition(kernel.KeySet(8, sorted(keys)))
+        assert sum(size for _, size, *_ in compiled) == len(keys)
+
+
 def test_rights_of_one_cycle_type_give_the_same_classes(backend):
     # a conjugate of each right beside it finds no class the rights alone
     # do not; the compiled walk keeps the first right of each cycle type
@@ -522,6 +536,18 @@ def test_compiled_enumeration_scan_lets_signal_handlers_run():
     _raises_on_alarm(lambda: enumeration._scan_degree(10, targets))
 
 
+def test_compiled_partition_lets_signal_handlers_run():
+    # H(6) at d=10: 142,835 classes in 13 orbits, about 0.1 s of closures
+    # that return to Python every 8,192 keys; the scan runs before the
+    # alarm is armed, and the key set is whole after the interruption
+    compiled_library()
+    keys = enumeration.enumerate_origamis(10, Stratum((6,)))
+    expected = kernel.partition(keys)
+    assert len(keys) == 142835 and len(expected) == 13
+    _raises_on_alarm(lambda: kernel.partition(keys))
+    assert kernel.partition(keys) == expected
+
+
 def _run_with_src(script: str, **env):
     src = str(Path(kernel.__file__).resolve().parents[1])
     env = dict(os.environ, **env)
@@ -605,57 +631,6 @@ def test_c_source_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-# includes the kernel source for its static sort; one line per case:
-# whether sort_in_place and qsort agree on random keys, keys with many
-# ties, equal keys, ascending and descending keys, at every key count up
-# to 200 and at 20,000, with no split left (heapsort) and with 2 log2 n
-_SORT_DRIVER = r"""
-#include KERNEL
-#include <stdio.h>
-
-static unsigned long state = 88172645463325252UL;
-
-static unsigned long next_random(void)
-{
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-}
-
-static int agrees(int kind, size_t n, size_t k, int depth)
-{
-    u8 *a = malloc(n * k + 1), *b = malloc(n * k + 1);
-    for (size_t i = 0; i < n * k; i++) {
-        /* kinds 3 and 4: key j is j or n - 1 - j in its first 3 bytes */
-        size_t at = kind == 4 ? n - 1 - i / k : i / k;
-        unsigned long v = kind == 0 ? next_random() : kind == 1 ? next_random() % 3 : kind == 2 ? 7 : at >> (8 * (2 - i % k % 3));
-        a[i] = (u8)v;
-    }
-    memcpy(b, a, n * k);
-    sort_width = k;
-    qsort(b, n, k, by_key);
-    sort_in_place(a, n, depth);
-    int same = !memcmp(a, b, n * k);
-    free(a);
-    free(b);
-    return same;
-}
-
-int main(void)
-{
-    for (int kind = 0; kind < 5; kind++) {
-        int same = 1;
-        for (size_t n = 0; n <= 200; n++)
-            same &= agrees(kind, n, 1 + n % 24, 0) && agrees(kind, n, 1 + n % 24, 14);
-        same &= agrees(kind, 20000, 22, 0) && agrees(kind, 20000, 22, 28);
-        printf("%d\n", same);
-    }
-    return 0;
-}
-"""
-
-
 def _run_with_kernel(tmp_path, driver: str) -> list[str]:
     """The output lines of a driver that includes the kernel source as
     KERNEL, for its static functions and struct layouts."""
@@ -672,10 +647,6 @@ def _run_with_kernel(tmp_path, driver: str) -> list[str]:
     done = subprocess.run([str(tmp_path / "driver")], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
-
-
-def test_in_place_key_sort_matches_qsort(tmp_path):
-    assert _run_with_kernel(tmp_path, _SORT_DRIVER) == ["1"] * 5
 
 
 # the H(2) scan of degree 5 stepped to its end, alone in steps of 64
@@ -776,6 +747,27 @@ int fl_enum_step(struct enumeration *e, long budget);
 int fl_enum_take(struct enumeration *e, int t, struct scan **out);
 void fl_enum_free(struct enumeration *e);
 int fl_set_mark(const struct scan *s, u8 *marks, const struct scan *orbit);
+
+/* whether the keys of a key set, of length k, are distinct: a sorted
+ * copy has no two equal neighbours */
+static size_t key_length;
+
+static int by_key(const void *a, const void *b) { return memcmp(a, b, key_length); }
+
+static int distinct(const struct scan *s, int k)
+{
+    long n = fl_scan_size(s);
+    u8 *copy = malloc((size_t)(n * k) + 1);
+    memcpy(copy, fl_scan_keys(s), (size_t)(n * k));
+    key_length = (size_t)k;
+    qsort(copy, (size_t)n, (size_t)k, by_key);
+    int ok = 1;
+    for (long j = 1; j < n; j++)
+        if (!memcmp(copy + (j - 1) * k, copy + j * k, (size_t)k))
+            ok = 0;
+    free(copy);
+    return ok;
+}
 
 /* one thread's read of a closure's cusp list, into its own buffer */
 struct reader {
@@ -903,7 +895,7 @@ int main(void)
     fl_scan_free(h11);
 
     /* H(2) again without the right of cycle type (4,1), whose 4 classes
-     * lie in the orbit of 18; both sets sorted */
+     * lie in the orbit of 18; both sets distinct */
     const u8 short_rights[] = {1, 2, 3, 4, 0, 1, 2, 0, 4, 3, 1, 2, 0, 3, 4,
                                1, 0, 3, 2, 4, 1, 0, 2, 3, 4};
     e = fl_enum_new(5, 5, short_rights, 1, targets);
@@ -911,16 +903,8 @@ int main(void)
         ;
     struct scan *short_ = take(e, 0);
     fl_enum_free(e);
-    sorted = 1;
-    for (int t = 0; t < 2; t++) {
-        const struct scan *set = t ? short_ : h2;
-        keys = fl_scan_keys(set);
-        for (long j = 1; j < fl_scan_size(set); j++)
-            if (memcmp(keys + 10 * (j - 1), keys + 10 * j, 10) >= 0)
-                sorted = 0;
-    }
-    printf("%ld %d\n", fl_scan_size(short_), sorted);
-    /* the partition: each orbit closed from the least key not yet marked */
+    printf("%ld %d\n", fl_scan_size(short_), distinct(h2, 10) && distinct(short_, 10));
+    /* the partition: each orbit closed from the first key not yet marked */
     keys = fl_scan_keys(h2);
     u8 marks[27] = {0}, short_marks[23] = {0};
     for (long at = 0; at < 27; at++) {
@@ -972,12 +956,7 @@ int main(void)
         ;
     s = take(e, 0);
     fl_enum_free(e);
-    keys = fl_scan_keys(s);
-    sorted = 1;
-    for (long j = 1; j < fl_scan_size(s); j++)
-        if (memcmp(keys + 14 * (j - 1), keys + 14 * j, 14) >= 0)
-            sorted = 0;
-    printf("%ld %d\n", fl_scan_size(s), sorted);
+    printf("%ld %d\n", fl_scan_size(s), distinct(s, 14));
     fl_scan_free(s);
     return 0;
 }
@@ -990,13 +969,13 @@ int main(void)
 # keys in 2,616 cusps whose widths add up to the size, sorted, the same
 # list in both threads' buffers, with the least key found, and its cap
 # stops one key short; 27 and 24 classes; 23 classes without the right
-# (4,1), and both H(2) sets sorted; the partition marks orbits of 18 and
-# 9, a second marking of an orbit fails (ST_OPEN: bsearch finds the key
+# (4,1), and both H(2) sets distinct; the partition marks orbits of 18
+# and 9, a second marking of an orbit fails (ST_OPEN: the key is found
 # marked), and so does the orbit of 18 in the set that lacks its (4,1)
-# classes (bsearch finds no key); 4,032 classes of H(3,1) at d=8; the
+# classes (a key is not found); 4,032 classes of H(3,1) at d=8; the
 # same 27 and 24 classes a step at a time, and the 6 tori of degree 5,
 # one per sublattice of index 5 in Z^2; 486 classes of H(2,2) at d=7,
-# sorted across the two cursors' sets
+# distinct across the two cursors' sets
 _SANITIZER_STDOUT = [
     "18 5 -6 -6 18", "-1 10 1 -6 1", "0 23328 2616 23328 1 1 1", "-1 23327", "27 24",
     "23 1", "18 0 -7 -7", "9 0 -7 0", "4032", "27 24 6", "486 1", "",
