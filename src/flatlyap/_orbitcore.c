@@ -1,6 +1,7 @@
 /* The compiled half of the orbit core: the canonical form of a pair, the
- * breadth-first closure of a canonical pair under T and S, and the
- * exhaustive scan for pairs with a given commutator cycle type.
+ * breadth-first closure of a canonical pair under T and S, the
+ * exhaustive scan for pairs with a given commutator cycle type, and the
+ * orbit partition of the scan's key sets.
  *
  * The closure makes only the two canonical images of each key
  * (fl_scan_step).  Everything else runs once per T-cycle (cusp), or once
@@ -20,11 +21,11 @@
  * produced, and fl_enum_new takes permutations and cycle types that
  * kernel.py has checked.  Key sets come only from the scan and outlive
  * it: fl_enum_take hands each one over as the hash table the scan filled,
- * and the orbit partition marks the members of each closure in it
- * (fl_set_mark).  fl_scan_step and fl_enum_step may each run a helper
- * thread, which they join before they return; every other function runs
- * on its caller's thread alone, and several threads may read one
- * finished closure at once.
+ * and fl_set_partition splits it into orbits by the set indices of the T
+ * and S images of its keys, with no closure.  fl_scan_step, fl_enum_step
+ * and fl_set_partition may each run a helper thread, which they join
+ * before they return; every other function runs on its caller's thread
+ * alone, and several threads may read one finished closure at once.
  */
 #define _GNU_SOURCE       /* sched_getaffinity, sched_getcpu, CPU_COUNT */
 #include <limits.h>
@@ -47,7 +48,7 @@ enum {
     ST_DISCONNECTED = -4, /* a pair that is not transitive */
     ST_RANGE = -5,        /* images that are not a permutation of 0..d-1 */
     ST_TAIL = -6,         /* a T-walk that does not close up into a cycle */
-    ST_OPEN = -7,         /* an orbit key outside a key set, or already marked */
+    ST_OPEN = -7,         /* a key set not closed under T and S */
     ST_REPEAT = -8        /* a key in both cursors' sets of one target */
 };
 
@@ -201,6 +202,7 @@ struct scan {
      * sides of BATCH keys each, the caller's and the helper's */
     u8 *images;         /* T, S images, canonical: 2 per key */
     struct made *made;  /* the rest: 1 per key */
+    struct parting *part;   /* key sets only: fl_set_partition's state */
 };
 
 /* What expand() made of key b of a batch, besides its images. */
@@ -314,10 +316,13 @@ static long visit(struct scan *s, const u8 *key, size_t h, long max_size)
     return s->n++;
 }
 
+static void parting_free(struct parting *p);
+
 void fl_scan_free(struct scan *s)
 {
     if (!s)
         return;
+    parting_free(s->part);
     free(s->keys);
     free(s->t_next);
     free(s->slots);
@@ -366,25 +371,33 @@ struct scan *fl_scan_new(int d, const u8 *start)
     return s;
 }
 
-/* Makes the canonical T image (r, u r^-1) and S image (u^-1, r) of key b
- * of the batch that starts at ``first``, with their hashes, on one side
- * (0: the caller, 1: the helper).  That is all the closure does per key:
- * the cylinders are counted per T-cycle, by fl_scan_cusps.  T and S
+/* The canonical T image (r, u r^-1) and S image (u^-1, r) of the key
+ * r || u of degree d into img[0..4d); 0, or ST_DISCONNECTED.  T and S
  * generate the same group as r and u, so both images are transitive or
  * neither is. */
-static void expand(const struct scan *s, const u8 *first, long b, int side)
+static int t_s_images(int d, const u8 *r, u8 *img)
 {
-    int d = s->d, k = s->k;
-    const u8 *r = first + b * k, *u = r + d;
-    u8 inv[256], moved[256], *img = s->images + (side * BATCH + b) * 2 * k;
-    struct made *m = s->made + side * BATCH + b;
+    const u8 *u = r + d;
+    u8 inv[256], moved[256];
     for (int x = 0; x < d; x++)
         inv[r[x]] = (u8)x;
     for (int x = 0; x < d; x++)
         moved[x] = u[inv[x]];
     for (int x = 0; x < d; x++)
         inv[u[x]] = (u8)x;
-    if (canonical(d, r, moved, img) || canonical(d, inv, r, img + k)) {
+    return canonical(d, r, moved, img) || canonical(d, inv, r, img + 2 * d) ? ST_DISCONNECTED : 0;
+}
+
+/* Makes the images of key b of the batch that starts at ``first``, with
+ * their hashes, on one side (0: the caller, 1: the helper).  That is all
+ * the closure does per key: the cylinders are counted per T-cycle, by
+ * fl_scan_cusps. */
+static void expand(const struct scan *s, const u8 *first, long b, int side)
+{
+    int k = s->k;
+    u8 *img = s->images + (side * BATCH + b) * 2 * k;
+    struct made *m = s->made + side * BATCH + b;
+    if (t_s_images(s->d, first + b * k, img)) {
         m->status = ST_DISCONNECTED;
         return;
     }
@@ -739,29 +752,298 @@ int fl_scan_cusp_list(const struct scan *s, long *pairs)
     return 0;
 }
 
-/* -- key sets -----------------------------------------------------------
+/* -- key sets and their orbit partition -----------------------------------
  *
  * A key set is a struct scan that scan_alloc made and the exhaustive scan
  * filled by visit(); nothing else makes one.  fl_enum_take hands it out
  * with its slot table, so membership is one probe by the hash visit()
- * uses.  The orbit partition closes one orbit at a time from a key no
- * orbit holds yet; fl_set_mark checks that every key of the closure is in
- * the set and not yet held, and marks it, one byte per key in an array
- * the caller owns. */
+ * uses.  fl_set_partition splits a key set into its SL(2,Z) orbits over
+ * set indices alone, without a copy of any key and without a closure:
+ *
+ * 1. The image table: for every index i, the set index of the canonical
+ *    T image and of the canonical S image of key i, each found by one
+ *    probe (MISS when it is not in the set, LOST when it is not
+ *    transitive).  The rows are independent and the set is only read, so
+ *    a step of at least PART_HELPER_MIN rows shares them with a helper
+ *    thread (start_helper), ROWS at a time from one atomic counter, and
+ *    joins it before it returns.  The helper allocates nothing.
+ * 2. The orbits.  Both columns must be permutations of the set, else
+ *    ST_OPEN: on a set closed under T and S they are, and a key that is
+ *    missing, repeated or not canonical breaks one of them.  The orbits
+ *    are then the components of the two columns, each walked from the
+ *    first index no orbit holds, and the cusps the cycles of the T
+ *    column.  The walk takes in whole T-cycles and follows the S column
+ *    out of them; each cycle adds the cylinders of its first key,
+ *    weighted by its width, to the orbit's histogram, as fl_scan_cusps
+ *    does, and each key is compared with the orbit's least so far.
+ *
+ * A step returns to the caller after ``budget`` rows or keys; the state
+ * stays with the set, so a partition cut short between steps goes on at
+ * the next call, and one that has finished starts over.  One partition of
+ * a set runs at a time. */
 
-/* Marks every key of the closure ``orbit`` in the key set s, one byte per
- * key of s in marks[]; 0, or ST_OPEN at a key that is not in s or is
- * marked already. */
-int fl_set_mark(const struct scan *s, u8 *marks, const struct scan *orbit)
+/* an image outside the set, and one that is not transitive: neither is a
+ * set index, since reserve() keeps those below UINT32_MAX - 1 */
+#define MISS UINT32_MAX
+#define LOST (UINT32_MAX - 1)
+
+/* rows a thread claims at a time, and rows a step needs to start the
+ * helper (256 did no better on the key sets of d <= 8) */
+enum { ROWS = 8, PART_HELPER_MIN = 1024 };
+enum { P_IMAGES, P_CHECK, P_ORBITS, P_DONE };
+/* per key: the T column reaches it, the S column reaches it, an orbit
+ * holds it */
+enum { HIT_T = 1, HIT_S = 2, HELD = 4 };
+
+struct parting {
+    int phase;
+    long at;            /* the next index of the phase's pass */
+    uint32_t *img;      /* per key: its T image's index, then its S image's */
+    u8 *mark;           /* per key: HIT_T | HIT_S | HELD */
+    uint32_t *order;    /* the keys orbit by orbit, in the order held */
+    /* order[begin .. filled) is the open orbit, and order[head] its next
+     * key whose S image is to be followed */
+    long begin, head, filled;
+    long least, cusps;  /* the open orbit's least key and T-cycles */
+    long *hist;         /* its cylinder counts, by w * (d + 1) + h */
+    /* out[0] = used - 1, then per orbit: least key, size, cusps, the
+     * count of nonzero histogram cells, and (cell, count) for each */
+    long *out, used, room;
+};
+
+static void parting_free(struct parting *p)
 {
-    for (long i = 0; i < orbit->n; i++) {
-        const u8 *key = orbit->keys + i * orbit->k;
-        uint32_t j = s->slots[probe(s, key, hash(key, s->k))];
-        if (!j || marks[j - 1])
-            return ST_OPEN;
-        marks[j - 1] = 1;
+    if (!p)
+        return;
+    free(p->img);
+    free(p->mark);
+    free(p->order);
+    free(p->hist);
+    free(p->out);
+    free(p);
+}
+
+static struct parting *parting_new(const struct scan *s)
+{
+    struct parting *p = calloc(1, sizeof *p);
+    if (!p)
+        return NULL;
+    size_t n = (size_t)s->n, cells = (size_t)(s->d + 1) * (size_t)(s->d + 1);
+    /* one spare entry each: malloc(0) may return NULL */
+    p->img = malloc((2 * n + 1) * sizeof *p->img);
+    p->mark = calloc(n + 1, 1);
+    p->order = malloc((n + 1) * sizeof *p->order);
+    p->hist = calloc(cells, sizeof *p->hist);
+    p->room = 4 * (long)cells;
+    p->out = malloc((size_t)p->room * sizeof *p->out);
+    p->used = 1;
+    if (!p->img || !p->mark || !p->order || !p->hist || !p->out) {
+        parting_free(p);
+        return NULL;
+    }
+    return p;
+}
+
+/* Phase 1, shared by the caller and the helper. */
+struct imager {
+    _Alignas(64) _Atomic long next;   /* the first row nobody has claimed */
+    const struct scan *s;
+    uint32_t *img;
+    long end;
+};
+
+/* Fills the image rows of im, ROWS at a time, until none is left: first
+ * the images of a claim, then a probe for each.  Probing right after
+ * each key's images took phase 1 about 1.5 times as long at H(8),
+ * d=11. */
+static void image_rows(struct imager *im)
+{
+    const struct scan *s = im->s;
+    int k = s->k;
+    u8 made[ROWS][1024];
+    size_t h[ROWS][2];
+    int lost[ROWS];
+    for (;;) {
+        long lo = atomic_fetch_add_explicit(&im->next, ROWS, memory_order_relaxed);
+        if (lo >= im->end)
+            return;
+        long rows = lo + ROWS < im->end ? ROWS : im->end - lo;
+        for (long b = 0; b < rows; b++) {
+            if ((lost[b] = t_s_images(s->d, s->keys + (lo + b) * k, made[b])))
+                continue;
+            for (int c = 0; c < 2; c++)
+                h[b][c] = hash(made[b] + c * k, k);
+        }
+        for (long b = 0; b < rows; b++)
+            for (int c = 0; c < 2; c++) {
+                uint32_t j = lost[b] ? 0 : s->slots[probe(s, made[b] + c * k, h[b][c])];
+                im->img[2 * (lo + b) + c] = lost[b] ? LOST : j ? j - 1 : MISS;
+            }
+    }
+}
+
+static void *help_image(void *arg)
+{
+    image_rows(arg);
+    return NULL;
+}
+
+/* Fills the image rows from p->at on, at most *budget of them. */
+static void make_images(const struct scan *s, struct parting *p, long *budget)
+{
+    struct imager im = {.s = s, .img = p->img};
+    pthread_t helper;
+    im.end = s->n - p->at < *budget ? s->n : p->at + *budget;
+    atomic_init(&im.next, p->at);
+    int helping = im.end - p->at >= PART_HELPER_MIN && start_helper(help_image, &im, &helper);
+    image_rows(&im);
+    if (helping)
+        pthread_join(helper, NULL);
+    *budget -= im.end - p->at;
+    p->at = im.end;
+    if (p->at == s->n) {
+        p->phase = P_CHECK;
+        p->at = 0;
+    }
+}
+
+/* Checks image rows from p->at on: each image in the set and transitive,
+ * and no key the image of two keys in one column. */
+static int check_images(const struct scan *s, struct parting *p, long *budget)
+{
+    long end = s->n - p->at < *budget ? s->n : p->at + *budget;
+    for (long i = p->at; i < end; i++)
+        for (int c = 0; c < 2; c++) {
+            uint32_t j = p->img[2 * i + c];
+            if (j == LOST)
+                return ST_DISCONNECTED;
+            if (j == MISS || p->mark[j] & (HIT_T << c))
+                return ST_OPEN;
+            p->mark[j] |= (u8)(HIT_T << c);
+        }
+    *budget -= end - p->at;
+    p->at = end;
+    if (p->at == s->n) {
+        p->phase = P_ORBITS;
+        p->at = 0;
     }
     return 0;
+}
+
+/* Takes the T-cycle of x, which no orbit holds, into the open orbit, and
+ * its cylinders, weighted by its width, into the orbit's histogram. */
+static int hold_cycle(const struct scan *s, struct parting *p, uint32_t x, long *budget)
+{
+    long width = 0;
+    const u8 *key = s->keys + (size_t)x * (size_t)s->k;
+    /* the T column is a permutation, so the walk comes back to x */
+    for (uint32_t y = x; !(p->mark[y] & HELD); y = p->img[2 * (size_t)y]) {
+        p->mark[y] |= HELD;
+        p->order[p->filled++] = y;
+        if (memcmp(s->keys + (size_t)y * (size_t)s->k, s->keys + p->least * s->k,
+                   (size_t)s->k) < 0)
+            p->least = y;
+        width++;
+    }
+    *budget -= width;
+    p->cusps++;
+    return cylinders(s->d, key, key + s->d, p->hist, width);
+}
+
+/* Appends the record of the open orbit, which is complete, to out[] and
+ * clears its histogram. */
+static int close_orbit(const struct scan *s, struct parting *p)
+{
+    long cells = (long)(s->d + 1) * (s->d + 1);
+    if (p->used + 4 + 2 * cells > p->room) {   /* room >= 4 cells: once is enough */
+        long *out = realloc(p->out, 2 * (size_t)p->room * sizeof *out);
+        if (!out)
+            return ST_NOMEM;
+        p->out = out;
+        p->room *= 2;
+    }
+    long *rec = p->out + p->used, n = 0;
+    rec[0] = p->least;
+    rec[1] = p->filled - p->begin;
+    rec[2] = p->cusps;
+    for (long c = 0; c < cells; c++)
+        if (p->hist[c]) {
+            rec[4 + 2 * n] = c;
+            rec[5 + 2 * n++] = p->hist[c];
+            p->hist[c] = 0;
+        }
+    rec[3] = n;
+    p->used += 4 + 2 * n;
+    p->begin = p->filled;
+    p->cusps = 0;
+    return 0;
+}
+
+/* Walks orbits until the budget is spent or every key is held: a unit
+ * per key held and per S image followed. */
+static int walk_orbits(const struct scan *s, struct parting *p, long *budget)
+{
+    int st = 0;
+    while (!st && *budget > 0) {
+        if (p->head < p->filled) {   /* the S image of the next key */
+            uint32_t y = p->img[2 * (size_t)p->order[p->head++] + 1];
+            --*budget;
+            if (!(p->mark[y] & HELD))
+                st = hold_cycle(s, p, y, budget);
+        } else if (p->begin < p->filled) {
+            st = close_orbit(s, p);
+        } else {   /* the next orbit, from the first key no orbit holds */
+            while (p->at < s->n && p->mark[p->at] & HELD)
+                p->at++;
+            if (p->at == s->n) {
+                p->phase = P_DONE;
+                break;
+            }
+            p->least = p->at;
+            st = hold_cycle(s, p, (uint32_t)p->at, budget);
+        }
+    }
+    return st;
+}
+
+/* Does at most ``budget`` rows or keys of the orbit partition of the key
+ * set s, see above.  Returns ST_MORE; ST_DONE, with *out set to the
+ * records, which stay s's until the next call or fl_scan_free; ST_OPEN
+ * when the set is not closed under T and S; ST_DISCONNECTED; ST_AREA; or
+ * ST_NOMEM.  A failure drops the state, so the next call starts over. */
+int fl_set_partition(struct scan *s, long budget, const long **out)
+{
+    struct parting *p = s->part;
+    int st = 0;
+    if (!p || p->phase == P_DONE) {
+        parting_free(p);
+        if (!(p = s->part = parting_new(s)))
+            return ST_NOMEM;
+    }
+    while (!st && budget > 0 && p->phase != P_DONE) {
+        if (p->phase == P_IMAGES)
+            make_images(s, p, &budget);
+        else if (p->phase == P_CHECK)
+            st = check_images(s, p, &budget);
+        else
+            st = walk_orbits(s, p, &budget);
+    }
+    if (st) {
+        parting_free(p);
+        s->part = NULL;
+        return st;
+    }
+    if (p->phase != P_DONE)
+        return ST_MORE;
+    /* only the records are left to read */
+    free(p->img);
+    free(p->mark);
+    free(p->order);
+    p->img = p->order = NULL;
+    p->mark = NULL;
+    p->out[0] = p->used - 1;
+    *out = p->out;
+    return ST_DONE;
 }
 
 long fl_scan_size(const struct scan *s) { return s->n; }

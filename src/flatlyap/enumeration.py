@@ -22,11 +22,10 @@ Classes travel as packed canonical keys, ``bytes(r) + bytes(u)`` of the
 0-based images, in a ``kernel.KeySet``: ``enumerate_origamis`` returns
 the scan's key set, which the compiled kernel keeps in C memory, and
 ``orbit_partition`` takes it.  The partition (``kernel.partition``)
-closes each orbit in C from a key no orbit holds yet and marks its
-members in the set, so it makes no Python object per class: only the
-least key of each orbit, which its closure finds, becomes an ``Origami``
-(``Origami.from_key``), and ``OrbitClass.members`` is closed again from
-it when read.
+splits the set in C by the set positions of the T and S images of its
+keys, so it makes no Python object per class: only the least key of
+each orbit becomes an ``Origami`` (``Origami.from_key``), and
+``OrbitClass.members`` is closed from it when read.
 """
 from __future__ import annotations
 

@@ -10,17 +10,17 @@ sum h/w needs the cylinders of one member per cusp.  An exhaustive
 enumeration walks, for each right permutation r, the conjugacy class of
 r for the s = u^-1 r^-1 u that make the commutator s r, pruned by the
 fixed points of the targets, and canonicalises the survivors' (r, u) into a
-``KeySet``, which ``partition`` splits into orbits, one closure each.
-This module runs all of it in two interchangeable ways:
+``KeySet``, which ``partition`` splits into orbits by the T and S images
+of its keys.  This module runs all of it in two interchangeable ways:
 
 * compiled, from ``_orbitcore.c``: built once with the system C compiler
   into ``${XDG_CACHE_HOME:-~/.cache}/flatlyap/``, named by the sha256 of
   the source and flags, and loaded with ctypes on the first call.  A
   scan's KeySet, the hash table the scan filled, and a closure's OrbitScan
-  stay in C memory, and the partition marks each orbit's members in the
-  KeySet, so no class becomes a Python object; a closure step and a scan
-  step may each run a helper thread on another CPU (``fl_scan_step``,
-  ``fl_enum_step``); results are byte-identical either way;
+  stay in C memory, and the partition works on the KeySet's indices, so
+  no class becomes a Python object; a closure, scan or partition step may
+  run a helper thread on another CPU (``fl_scan_step``, ``fl_enum_step``,
+  ``fl_set_partition``); results are byte-identical either way;
 * in pure Python, the code below, which is the oracle the compiled code
   must match byte for byte.
 
@@ -39,6 +39,7 @@ import math
 import os
 import shutil
 import tempfile
+import threading
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -140,7 +141,7 @@ def _declare(lib) -> None:
         "fl_enum_new": (ptr, [c_int, c_int, ctypes.c_char_p, c_int, ctypes.c_char_p]),
         "fl_enum_step": (c_int, [ptr, c_long]),
         "fl_enum_take": (c_int, [ptr, c_int, ptr]),
-        "fl_set_mark": (c_int, [ptr, ptr, ptr]),
+        "fl_set_partition": (c_int, [ptr, c_long, ptr]),
         "fl_enum_free": (None, [ptr]),
     }
     for name, (restype, argtypes) in signatures.items():
@@ -458,10 +459,11 @@ class KeySet:
     sorted.  The pure-Python scan passes its keys as ``keys``, in any
     order, which the KeySet trusts and does not check; a set from the
     compiled scan (``lib``, ``handle``) stays in C memory as the scan's hash
-    table and is freed with the KeySet."""
+    table, with the state of its partition, and is freed with the KeySet."""
 
     def __init__(self, degree: int, keys=(), lib=None, handle=None):
         self.degree, self._keys, self._lib, self._handle = degree, keys, lib, handle
+        self._partitioning = threading.Lock()   # one partition of the C set at a time
         if lib is not None and not handle:
             raise MemoryError("no memory for the key set")
 
@@ -474,8 +476,7 @@ class KeySet:
         return iter(keys)
 
     def _table_order(self) -> list[bytes]:
-        """The keys in the order they are stored, which the marks of
-        ``partition`` follow."""
+        """The keys in storage order, in which the Python ``partition`` marks them."""
         if self._lib is None:
             return list(self._keys)
         k = 2 * self.degree
@@ -492,49 +493,48 @@ def partition(keys: KeySet) -> list[tuple[bytes, int, Fraction, int]]:
     S, in the order of their least keys: (least key, size, ``total_hw``,
     cusp count) per orbit, as ``orbit_closure`` gives them.
 
-    Each orbit is closed from the first key in storage order that no orbit
-    holds yet, and every key it reaches must be in the set and held by no
-    orbit before it; one mark per key records that.  Raises
-    InternalCheckError when the set is not closed.  A closure reaches only
-    canonical keys and marks each once, so a key that is not canonical, or
-    a repeated one, stays unmarked until its own closure fails that way.
+    Compiled, ``fl_set_partition`` finds the T and S image of every key in
+    the set's hash table, in steps of ``_STEP_BUDGET`` keys; the orbits
+    are the components of these two index columns, and the cusps the
+    cycles of the T column.  The Python oracle closes each orbit from the
+    first key in storage order that no orbit holds yet.  Raises
+    InternalCheckError when the set is not closed: a missing, repeated or
+    non-canonical key breaks a column's permutation or a closure's marks.
     """
-    lib = keys._lib if _library() is not None else None
-    listed = keys._table_order() if lib is None else None
-    index = None if listed is None else {key: i for i, key in enumerate(listed)}
-    first = None if lib is None else lib.fl_scan_keys(keys._handle)
-    d, remaining = keys.degree, len(keys)
-    marks = bytearray(remaining)
-    out, at = [], 0
+    d, lib, out = keys.degree, keys._lib if _library() is not None else None, []
+    if lib is not None:
+        rec, first = ctypes.POINTER(ctypes.c_long)(), lib.fl_scan_keys(keys._handle)
+        with keys._partitioning:   # the set holds the steps' state and the records
+            while (st := lib.fl_set_partition(keys._handle, _STEP_BUDGET, ctypes.byref(rec))) == 1:
+                pass
+            if st:
+                _raise_status(st)
+            rows = iter(rec[1 : 1 + rec[0]])
+        # per orbit: least key index, size, cusps, cells, then (cell, count) per cell
+        for at, size, cusps, cells in zip(rows, rows, rows, rows):
+            hist = {divmod(next(rows), d + 1): next(rows) for _ in range(cells)}
+            least = ctypes.string_at(first + at * 2 * d, 2 * d)
+            scan = OrbitScan(d)._set(size, hist, cusps, least)
+            out.append((scan.least, scan.size, scan.total_hw, scan.cusp_count))
+        return sorted(out)
+    listed, at = keys._table_order(), 0
+    index = {key: i for i, key in enumerate(listed)}
+    marks, remaining = bytearray(len(listed)), len(listed)
     try:
         while remaining:
             at = marks.find(0, at)
-            start = listed[at] if lib is None else ctypes.string_at(first + at * 2 * d, 2 * d)
-            out.append(_close_and_mark(keys, index, marks, start, remaining))
-            remaining -= out[-1][1]
+            scan = orbit_closure(listed[at][:d], listed[at][d:], remaining)
+            for key in scan.keys:
+                j = index.get(key)
+                if j is None or marks[j]:
+                    raise InternalCheckError(_OPEN_MESSAGE)
+                marks[j] = 1
+            out.append((scan.least, scan.size, scan.total_hw, scan.cusp_count))
+            remaining -= scan.size
+            del scan   # a compiled closure is freed before the next one starts
     except ResourceCapError:   # an orbit with more keys than the set has left
         raise InternalCheckError(_OPEN_MESSAGE) from None
     return sorted(out)
-
-
-def _close_and_mark(keys, index, marks, start, max_size) -> tuple[bytes, int, Fraction, int]:
-    """Closes the orbit of ``start`` and marks its keys: in the C key set,
-    or at their position in ``index`` when that is not None.  Returns the
-    orbit's entry of ``partition``; the closure is freed on return, before
-    the next one starts."""
-    scan = orbit_closure(start[: keys.degree], start[keys.degree :], max_size)
-    if index is not None:
-        for key in scan.keys:
-            at = index.get(key)
-            if at is None or marks[at]:
-                raise InternalCheckError(_OPEN_MESSAGE)
-            marks[at] = 1
-    else:
-        held = (ctypes.c_char * len(marks)).from_buffer(marks)
-        status = keys._lib.fl_set_mark(keys._handle, held, scan._handle)
-        if status:
-            _raise_status(status)
-    return scan.least, scan.size, scan.total_hw, scan.cusp_count
 
 
 # -- exhaustive scan ---------------------------------------------------------

@@ -353,8 +353,9 @@ def test_partition_rejects_mixed_strata():
 
 def test_partition_rejects_set_not_closed_under_the_action():
     # closures with the compiled kernel and in pure Python; a hand-built
-    # set is marked by the Python search either way, a scan's set by
-    # fl_set_mark in test_partition_rejects_a_scan_of_one_right
+    # set is marked by the Python search either way; a scan's set is
+    # split by fl_set_partition in test_partition_rejects_a_scan_of_one_right
+    # and in test_kernel.py's driver with a key that is not canonical
     on_each(_rejects_set_not_closed)
 
 

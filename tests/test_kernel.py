@@ -233,7 +233,9 @@ def test_partition_of_sets_both_cursors_fill_matches_python(monkeypatch):
     # the d=8 genus-2/3 walk in one step of 2^20 units, where the helper
     # walks some rights into the second cursor's sets: the orbits come by
     # least key, whichever thread found which class, so both backends and
-    # the same keys in sorted order give one partition
+    # the same keys in sorted order give one partition; the compiled one
+    # makes the image rows of each set of 1,024 keys or more with the
+    # helper of fl_set_partition, wherever two CPUs are usable
     compiled_library()
     monkeypatch.setattr(kernel, "_SCAN_BUDGET", 1 << 20)
     rights, targets = _all_rights(8), list(_targets(8).values())
@@ -511,6 +513,30 @@ def test_compiled_scan_is_the_same_on_one_cpu():
     assert sum(map(len, expected)) == 11599
 
 
+def test_compiled_partition_is_the_same_on_one_cpu():
+    # a process pinned to one CPU makes every image row of the partition
+    # on the calling thread
+    compiled_library()
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("only one CPU is usable")
+    script = (
+        "import os, pickle, sys\n"
+        "from flatlyap import enumeration, kernel\n"
+        "from flatlyap.origami import Stratum\n"
+        f"os.sched_setaffinity(0, {{{cpus[0]}}})\n"
+        f"sets = enumeration._scan_degree(8, {_targets(8)!r}).values()\n"
+        "sys.stdout.write(pickle.dumps([kernel.partition(keys) for keys in sets]).hex())\n"
+    )
+    proc = _run_with_src(script)
+    out = proc.communicate(timeout=120)[0]
+    assert proc.returncode == 0
+    sets = enumeration._scan_degree(8, _targets(8)).values()
+    expected = [kernel.partition(keys) for keys in sets]
+    assert pickle.loads(bytes.fromhex(out)) == expected
+    assert max(sum(size for _, size, *_ in parts) for parts in expected) == 4032
+
+
 def test_compiled_scan_joins_its_helper_thread():
     # fl_enum_step joins its helper before it returns, also when a signal
     # handler cuts the walk short between two steps: the seven genus-2/3
@@ -546,6 +572,45 @@ def test_compiled_partition_lets_signal_handlers_run():
     assert len(keys) == 142835 and len(expected) == 13
     _raises_on_alarm(lambda: kernel.partition(keys))
     assert kernel.partition(keys) == expected
+
+
+@pytest.mark.parametrize("budget", [1, 7])
+def test_compiled_partition_is_the_same_in_any_step_budget(monkeypatch, budget):
+    # steps of 1 and 7 rows or keys end each phase of fl_set_partition at
+    # any point, and the next step goes on from there
+    compiled_library()
+    sets = enumeration._scan_degree(7, _targets(7)).values()
+    expected = [kernel.partition(keys) for keys in sets]
+    monkeypatch.setattr(kernel, "_STEP_BUDGET", budget)
+    assert [kernel.partition(keys) for keys in sets] == expected
+    assert sum(len(parts) for parts in expected) > 10
+
+
+def test_partitions_of_one_key_set_from_threads_agree(monkeypatch):
+    # four Python threads (ctypes releases the GIL) partition one KeySet
+    # three times each, in steps of 64 keys, with a short switch interval:
+    # the set holds its partition's state, so they take turns
+    compiled_library()
+    keys = enumeration.enumerate_origamis(8, Stratum((3, 1)))
+    expected = kernel.partition(keys)
+    monkeypatch.setattr(kernel, "_STEP_BUDGET", 64)
+    results = [None] * 4
+
+    def partition(i):
+        results[i] = [kernel.partition(keys) for _ in range(3)]
+
+    threads = [threading.Thread(target=partition, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[expected] * 3] * 4 and len(expected) == 5
 
 
 def _run_with_src(script: str, **env):
@@ -688,6 +753,73 @@ def test_a_class_found_from_two_rights_is_an_internal_error(tmp_path):
         kernel._raise_status(-8)
 
 
+# the H(2) key set of degree 5 partitioned as it is; with one key
+# replaced by the relabelling of its class that swaps squares 0 and 1,
+# which is not canonical, under a slot table made again; and with the key
+# back and its relabelling added beside it: one line with the first
+# status, whether the relabelling differs from the key and has its
+# canonical form, and the other two statuses
+_RELABEL_DRIVER = r"""
+#include KERNEL
+#include <stdio.h>
+
+static int partition(struct scan *s)
+{
+    const long *out;
+    int status;
+    while ((status = fl_set_partition(s, 4, &out)) == 1)
+        ;
+    return status;
+}
+
+int main(void)
+{
+    const u8 rights[] = {1, 2, 3, 4, 0, 1, 2, 3, 0, 4, 1, 2, 0, 4, 3,
+                         1, 2, 0, 3, 4, 1, 0, 3, 2, 4, 1, 0, 2, 3, 4};
+    const u8 target[] = {0, 2, 0, 1, 0, 0};
+    struct enumeration *e = fl_enum_new(5, 6, rights, 1, target);
+    while (fl_enum_step(e, 64) == 1)
+        ;
+    struct scan *s;
+    if (fl_enum_take(e, 0, &s))
+        return 1;
+    fl_enum_free(e);
+    int whole = partition(s);
+    u8 *key = s->keys + 3 * 10, swapped[10], again[10];
+    for (int x = 0; x < 5; x++) {
+        int y = x < 2 ? 1 - x : x;
+        for (int half = 0; half < 10; half += 5) {
+            int image = key[half + x];
+            swapped[half + y] = (u8)(image < 2 ? 1 - image : image);
+        }
+    }
+    int relabelled = memcmp(swapped, key, 10) && !fl_canonical(5, swapped, swapped + 5, again) &&
+                     !memcmp(again, key, 10);
+    u8 kept[10];
+    memcpy(kept, key, 10);
+    memcpy(key, swapped, 10);
+    if (rehash(s, s->mask))
+        return 1;
+    int replaced = partition(s);
+    memcpy(s->keys + 3 * 10, kept, 10);
+    if (rehash(s, s->mask) || visit(s, swapped, hash(swapped, 10), LONG_MAX) != 27)
+        return 1;
+    printf("%d %d %d %d\n", whole, relabelled, replaced, partition(s));
+    fl_scan_free(s);
+    return 0;
+}
+"""
+
+
+def test_a_key_set_with_a_key_that_is_not_canonical_is_not_closed(tmp_path):
+    # a relabelled key has the T and S images of its class's key: in
+    # place of that key, some images miss the set; beside it, two keys
+    # have one T image; either way the partition fails (ST_OPEN)
+    assert _run_with_kernel(tmp_path, _RELABEL_DRIVER) == ["0 1 -7 -7"]
+    with pytest.raises(InternalCheckError, match="not closed"):
+        kernel._raise_status(-7)
+
+
 def test_c_exports_are_what_kernel_declares_and_calls():
     # every function _orbitcore.c exports is declared by _declare and
     # called from kernel.py outside it: a dead export or a stale
@@ -718,8 +850,11 @@ def test_c_exports_are_what_kernel_declares_and_calls():
 # be sorted, and its least key checked to be the least, and capped one key
 # short, in the middle of a batch; one degree-5 scan for the commutator
 # types of H(2) and H(1,1), and one for H(2) with a right left out, whose
-# sets the partition of H(2) marks; and one degree-8 scan for H(3,1),
-# whose key set outgrows its first 1,024 keys; the degree-5 scan again
+# sets the partition of H(2) splits, a step at a time, while an unfinished
+# partition of H(1,1) is freed with its set; and one degree-8 scan for
+# H(3,1), whose key set outgrows its first 1,024 keys and is partitioned
+# in one step, with the helper thread of fl_set_partition wherever more
+# than one CPU is usable; the degree-5 scan again
 # with the identity right and a torus target, one unit of work per step;
 # and one degree-7 scan for H(2,2) in steps of 2^17 units, which start
 # the helper thread of fl_enum_step wherever more than one CPU is usable;
@@ -746,7 +881,7 @@ struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
 int fl_enum_step(struct enumeration *e, long budget);
 int fl_enum_take(struct enumeration *e, int t, struct scan **out);
 void fl_enum_free(struct enumeration *e);
-int fl_set_mark(const struct scan *s, u8 *marks, const struct scan *orbit);
+int fl_set_partition(struct scan *s, long budget, const long **out);
 
 /* whether the keys of a key set, of length k, are distinct: a sorted
  * copy has no two equal neighbours */
@@ -808,6 +943,22 @@ static struct scan *take(struct enumeration *e, int t)
     if (fl_enum_take(e, t, &s))
         exit(1);
     return s;
+}
+
+/* the orbit partition of s in steps of ``budget`` rows or keys: its
+ * status, and a copy of its records when it succeeds */
+static int partition(struct scan *s, long budget, long **records)
+{
+    const long *out;
+    int status;
+    while ((status = fl_set_partition(s, budget, &out)) == 1)
+        ;
+    *records = NULL;
+    if (!status) {
+        *records = malloc((size_t)(out[0] + 1) * sizeof(long));
+        memcpy(*records, out, (size_t)(out[0] + 1) * sizeof(long));
+    }
+    return status;
 }
 
 int main(void)
@@ -892,6 +1043,8 @@ int main(void)
     struct scan *h2 = take(e, 0), *h11 = take(e, 1);
     fl_enum_free(e);
     printf("%ld %ld\n", fl_scan_size(h2), fl_scan_size(h11));
+    const long *unread;   /* a partition cut short, freed with its set */
+    fl_set_partition(h11, 4, &unread);
     fl_scan_free(h11);
 
     /* H(2) again without the right of cycle type (4,1), whose 4 classes
@@ -904,21 +1057,17 @@ int main(void)
     struct scan *short_ = take(e, 0);
     fl_enum_free(e);
     printf("%ld %d\n", fl_scan_size(short_), distinct(h2, 10) && distinct(short_, 10));
-    /* the partition: each orbit closed from the first key not yet marked */
-    keys = fl_scan_keys(h2);
-    u8 marks[27] = {0}, short_marks[23] = {0};
-    for (long at = 0; at < 27; at++) {
-        if (marks[at])
-            continue;
-        s = fl_scan_new(5, keys + 10 * at);
-        while ((status = fl_scan_step(s, 27, 4)) == 1)
-            ;
-        fl_scan_cusps(s);
-        int in_full = fl_set_mark(h2, marks, s), again = fl_set_mark(h2, marks, s);
-        printf("%ld %d %d %d\n", fl_scan_size(s), in_full, again,
-               fl_set_mark(short_, short_marks, s));
-        fl_scan_free(s);
-    }
+    /* the partition of H(2) in steps of 4, again in one step, and that of
+     * the set without the (4,1) classes */
+    long *parts, *rerun = NULL;
+    status = partition(h2, 4, &parts);
+    int repeats = !status && !partition(h2, 1 << 10, &rerun) && rerun[0] == parts[0] &&
+               !memcmp(parts, rerun, (size_t)(parts[0] + 1) * sizeof(long));
+    for (long i = 1; !status && i <= parts[0]; i += 4 + 2 * parts[i + 3])
+        printf("%ld %ld ", parts[i + 1], parts[i + 2]);
+    free(rerun);
+    printf("%d %d\n", repeats, partition(short_, 4, &rerun));
+    free(parts);
     fl_scan_free(h2);
     fl_scan_free(short_);
 
@@ -929,7 +1078,14 @@ int main(void)
         ;
     s = take(e, 0);
     fl_enum_free(e);
-    printf("%ld\n", fl_scan_size(s));
+    /* its partition in one step, which starts the helper thread of
+     * fl_set_partition wherever more than one CPU is usable */
+    long orbits = 0, held = 0;
+    status = partition(s, 1 << 13, &parts);
+    for (long i = 1; !status && i <= parts[0]; i += 4 + 2 * parts[i + 3], orbits++)
+        held += parts[i + 1];
+    printf("%ld %d %ld %ld\n", fl_scan_size(s), status, orbits, held);
+    free(parts);
     fl_scan_free(s);
 
     /* the degree-5 scan again, one unit per step, with the identity right
@@ -969,16 +1125,16 @@ int main(void)
 # keys in 2,616 cusps whose widths add up to the size, sorted, the same
 # list in both threads' buffers, with the least key found, and its cap
 # stops one key short; 27 and 24 classes; 23 classes without the right
-# (4,1), and both H(2) sets distinct; the partition marks orbits of 18
-# and 9, a second marking of an orbit fails (ST_OPEN: the key is found
-# marked), and so does the orbit of 18 in the set that lacks its (4,1)
-# classes (a key is not found); 4,032 classes of H(3,1) at d=8; the
-# same 27 and 24 classes a step at a time, and the 6 tori of degree 5,
+# (4,1), and both H(2) sets distinct; the partition finds orbits of 18
+# keys in 5 cusps and 9 in 3, the same records when it runs again, and
+# fails on the set that lacks the (4,1) classes (ST_OPEN: an image is not
+# found); 4,032 classes of H(3,1) at d=8 in 5 orbits that hold them all;
+# the same 27 and 24 classes a step at a time, and the 6 tori of degree 5,
 # one per sublattice of index 5 in Z^2; 486 classes of H(2,2) at d=7,
 # distinct across the two cursors' sets
 _SANITIZER_STDOUT = [
     "18 5 -6 -6 18", "-1 10 1 -6 1", "0 23328 2616 23328 1 1 1", "-1 23327", "27 24",
-    "23 1", "18 0 -7 -7", "9 0 -7 0", "4032", "27 24 6", "486 1", "",
+    "23 1", "18 5 9 3 1 -7", "4032 0 5 4032", "27 24 6", "486 1", "",
 ]
 
 # creates and joins one thread
