@@ -3,14 +3,14 @@
  * exhaustive scan for pairs with a given commutator cycle type, and the
  * orbit partition of the scan's key sets.
  *
- * The closure makes only the two canonical images of each key
- * (fl_scan_step).  Everything else runs once per T-cycle (cusp), or once
- * a caller asks for it: fl_scan_cusps counts the cycles, adds the
- * cylinders of one key per cycle, weighted by its width, and finds the
- * least key; the keys (fl_scan_keys) stay in the closure until they are
- * read, and fl_scan_cusp_list sorts the cusps into a buffer the caller
- * owns.  Keys have one order, memcmp over their bytes: it picks each
- * closure's least key and breaks the ties between cusps of one width.
+ * The closure makes only the two canonical images of each key and notes
+ * their indices (fl_scan_step): a closed orbit is a key set of one orbit
+ * with its image table made, which fl_set_partition finishes in one walk
+ * of its T-cycles (cusps), as it does any key set.  The keys
+ * (fl_scan_keys) stay in the closure until they are read, and
+ * fl_scan_cusp_list sorts the cusps into a buffer the caller owns.  Keys
+ * have one order, memcmp over their bytes: it picks each orbit's and each
+ * cusp's least key and breaks the ties between cusps of one width.
  *
  * kernel.py builds this file into a shared library, calls it through
  * ctypes and holds the pure-Python oracle of every function here; the
@@ -19,10 +19,10 @@
  * passes buffers of the stated lengths; fl_canonical checks that r and u
  * are permutations, fl_scan_new takes only keys that fl_canonical
  * produced, and fl_enum_new takes permutations and cycle types that
- * kernel.py has checked.  Key sets come only from the scan and outlive
- * it: fl_enum_take hands each one over as the hash table the scan filled,
- * and fl_set_partition splits it into orbits by the set indices of the T
- * and S images of its keys, with no closure.  fl_scan_step, fl_enum_step
+ * kernel.py has checked.  The scan's key sets outlive it: fl_enum_take
+ * hands each one over as the hash table the scan filled, and
+ * fl_set_partition splits it into orbits by the set indices of the T and
+ * S images of its keys, with no closure.  fl_scan_step, fl_enum_step
  * and fl_set_partition may each run a helper thread, which they join
  * before they return; every other function runs on its caller's thread
  * alone, and several threads may read one finished closure at once.
@@ -47,8 +47,7 @@ enum {
     ST_AREA = -3,         /* cylinder areas do not add up to d */
     ST_DISCONNECTED = -4, /* a pair that is not transitive */
     ST_RANGE = -5,        /* images that are not a permutation of 0..d-1 */
-    ST_TAIL = -6,         /* a T-walk that does not close up into a cycle */
-    ST_OPEN = -7,         /* a key set not closed under T and S */
+    ST_OPEN = -7,         /* a key set not closed under T and S, or used out of turn */
     ST_REPEAT = -8        /* a key in both cursors' sets of one target */
 };
 
@@ -189,15 +188,11 @@ struct scan {
     long n, head;       /* keys found, keys expanded */
     long room;          /* keys the arrays hold */
     u8 *keys;           /* n keys in discovery order */
-    long *t_next;       /* index of the T image of each expanded key;
-                         * closures only, NULL in a scan's key sets */
+    uint32_t *img[2];   /* closures only, until their finish: the T and S
+                         * images of each expanded key, as in struct parting */
     uint32_t *slots;    /* open addressing: key index + 1, 0 when free;
-                         * NULL in a finished closure */
+                         * NULL once a closure's finish has begun */
     size_t mask;        /* slot count - 1, a power of two less one */
-    long *hist;         /* closures only: (d + 1)^2 cylinder counts, by
-                         * w * (d + 1) + h */
-    /* fl_scan_cusps: how many T-cycles, and the index of the least key */
-    long cusp_count, least;
     /* fl_scan_step: what expand() made of the keys of a batch, on two
      * sides of BATCH keys each, the caller's and the helper's */
     u8 *images;         /* T, S images, canonical: 2 per key */
@@ -226,7 +221,7 @@ static size_t hash(const u8 *key, int k)
     return (size_t)(h ^ (h >> 29));
 }
 
-/* Room for ``extra`` more keys in the key arrays (keys, and t_next when
+/* Room for ``extra`` more keys in the key arrays (keys, and img when
  * there is one), doubling them as often as needed; 0 or ST_NOMEM. */
 static int grow(struct scan *s, long extra)
 {
@@ -239,11 +234,11 @@ static int grow(struct scan *s, long extra)
     if (!keys)
         return ST_NOMEM;
     s->keys = keys;
-    if (s->t_next) {
-        long *t_next = realloc(s->t_next, (size_t)room * sizeof(long));
-        if (!t_next)
+    for (int c = 0; c < 2 && s->img[c]; c++) {
+        uint32_t *img = realloc(s->img[c], (size_t)room * sizeof *img);
+        if (!img)
             return ST_NOMEM;
-        s->t_next = t_next;
+        s->img[c] = img;
     }
     s->room = room;
     return 0;
@@ -310,8 +305,6 @@ static long visit(struct scan *s, const u8 *key, size_t h, long max_size)
     if (s->n >= max_size)
         return ST_CAP;
     memcpy(s->keys + s->n * s->k, key, (size_t)s->k);
-    if (s->t_next)
-        s->t_next[s->n] = -1;
     s->slots[i] = (uint32_t)(s->n + 1);
     return s->n++;
 }
@@ -324,9 +317,9 @@ void fl_scan_free(struct scan *s)
         return;
     parting_free(s->part);
     free(s->keys);
-    free(s->t_next);
+    free(s->img[0]);
+    free(s->img[1]);
     free(s->slots);
-    free(s->hist);
     free(s->images);
     free(s->made);
     free(s);
@@ -359,11 +352,11 @@ struct scan *fl_scan_new(int d, const u8 *start)
     struct scan *s = scan_alloc(d);
     if (!s)
         return NULL;
-    s->t_next = malloc((size_t)s->room * sizeof(long));
-    s->hist = calloc((size_t)(d + 1) * (size_t)(d + 1), sizeof(long));
+    for (int c = 0; c < 2; c++)
+        s->img[c] = malloc((size_t)s->room * sizeof *s->img[c]);
     s->images = malloc(2 * BATCH * 2 * (size_t)s->k);
     s->made = malloc(2 * BATCH * sizeof *s->made);
-    if (!s->t_next || !s->hist || !s->images || !s->made) {
+    if (!s->img[0] || !s->img[1] || !s->images || !s->made) {
         fl_scan_free(s);
         return NULL;
     }
@@ -391,7 +384,7 @@ static int t_s_images(int d, const u8 *r, u8 *img)
 /* Makes the images of key b of the batch that starts at ``first``, with
  * their hashes, on one side (0: the caller, 1: the helper).  That is all
  * the closure does per key: the cylinders are counted per T-cycle, by
- * fl_scan_cusps. */
+ * fl_set_partition. */
 static void expand(const struct scan *s, const u8 *first, long b, int side)
 {
     int k = s->k;
@@ -569,9 +562,9 @@ static void prefetch_image(const struct scan *s, int side, long i)
 }
 
 /* Expands at most ``budget`` keys in discovery order: visits each one's
- * T image (r, u r^-1), then its S image (u^-1, r), and records the index
- * of the T image in t_next.  Returns a status from the enum above; once
- * fl_scan_cusps has finished the closure, ST_TAIL.
+ * T image (r, u r^-1), then its S image (u^-1, r), and records both
+ * indices in img.  Returns a status from the enum above; ST_OPEN once
+ * fl_set_partition has begun to finish the closure, or on a key set.
  *
  * Keys go in batches of at most BATCH that are already in the set, and
  * a batch in chunks: the images of a chunk are all made
@@ -585,8 +578,8 @@ int fl_scan_step(struct scan *s, long max_size, long budget)
     unsigned long claims = 0;   /* chunks the helper has claimed, so far as known */
     struct crew cr;
     pthread_t helper;
-    if (!s->t_next || !s->slots)
-        return ST_TAIL;
+    if (!s->img[0])
+        return ST_OPEN;
     cr.s = s;
     cr.chunk = BATCH;
     atomic_init(&cr.claim, 0);
@@ -636,8 +629,7 @@ int fl_scan_step(struct scan *s, long max_size, long budget)
                         st = (int)j;
                         break;
                     }
-                    if (i == 0)
-                        s->t_next[s->head] = j;
+                    s->img[i][s->head] = (uint32_t)j;
                 }
                 if (st)
                     break;
@@ -655,110 +647,14 @@ int fl_scan_step(struct scan *s, long max_size, long budget)
     return s->head < s->n ? ST_MORE : ST_DONE;
 }
 
-/* Finishes a closure that fl_scan_step completed, in one walk of t_next:
- * counts the T-cycles (the cusps) and adds the cylinders of the first
- * key of each, as many times as the cycle is long, to the histogram.  T
- * is a horizontal shear, so it keeps the horizontal cylinders: every key
- * of a cycle has the same.  Then one pass over the keys finds the least.
- * Returns the cycle count; ST_AREA; ST_NOMEM; or ST_TAIL when a walk
- * ends anywhere but at its start: T is invertible, so its graph on a
- * complete orbit is a union of cycles, and a tail or an unexpanded key
- * (t_next -1) means the closure was not.  It frees the slot table, which
- * only the search reads, and on failure t_next too: a later step, walk or
- * fl_scan_cusp_list then returns ST_TAIL. */
-long fl_scan_cusps(struct scan *s)
-{
-    if (!s->t_next || !s->slots)
-        return ST_TAIL;
-    free(s->slots);
-    s->slots = NULL;
-    u8 *seen = calloc((size_t)s->n + 1, 1);
-    long count = 0, st = seen ? 0 : ST_NOMEM;
-    for (long start = 0; !st && start < s->n; start++) {
-        if (seen[start])
-            continue;
-        long width = 0, x = start;
-        for (; x >= 0 && !seen[x]; x = s->t_next[x]) {
-            seen[x] = 1;
-            width++;
-        }
-        const u8 *key = s->keys + start * s->k;
-        if (x != start)
-            st = ST_TAIL;
-        else
-            st = cylinders(s->d, key, key + s->d, s->hist, width);
-        count++;
-    }
-    free(seen);
-    if (st) {
-        free(s->t_next);
-        s->t_next = NULL;
-        return st;
-    }
-    s->least = 0;
-    for (long j = 1; j < s->n; j++)
-        if (memcmp(s->keys + j * s->k, s->keys + s->least * s->k, (size_t)s->k) < 0)
-            s->least = j;
-    return s->cusp_count = count;
-}
-
-/* The one key order, memcmp over a key's bytes.  qsort passes its
- * comparator no context, so fl_scan_cusp_list sets the key length and the
- * keys for by_cusp on its own thread first. */
-static _Thread_local size_t sort_width;
-static _Thread_local const u8 *sort_keys;
-
-static int by_key(const void *a, const void *b) { return memcmp(a, b, sort_width); }
-
-/* (width, key index) pairs by width, then by the key they index */
-static int by_cusp(const void *a, const void *b)
-{
-    const long *p = a, *q = b;
-    if (p[0] != q[0])
-        return p[0] < q[0] ? -1 : 1;
-    return by_key(sort_keys + (size_t)p[1] * sort_width, sort_keys + (size_t)q[1] * sort_width);
-}
-
-/* Writes the (width, least key index) pair of each T-cycle of a closure
- * that fl_scan_cusps finished into pairs[0 .. 2 cusp_count), a buffer the
- * caller owns, sorted by width and then by least key (by_cusp): a second
- * walk of t_next, which only a caller that reads the cusps makes.  It
- * writes nothing else, so threads may read one closure's list at once.
- * Returns 0; ST_NOMEM; or ST_TAIL when the closure is not finished. */
-int fl_scan_cusp_list(const struct scan *s, long *pairs)
-{
-    if (s->slots || !s->t_next)
-        return ST_TAIL;
-    u8 *seen = calloc((size_t)s->n + 1, 1);
-    if (!seen)
-        return ST_NOMEM;
-    sort_width = (size_t)s->k;
-    sort_keys = s->keys;
-    for (long start = 0, count = 0; start < s->n; start++) {
-        if (seen[start])
-            continue;
-        long width = 0, least = start;
-        for (long x = start; !seen[x]; x = s->t_next[x]) {
-            seen[x] = 1;
-            width++;
-            if (by_key(s->keys + x * s->k, s->keys + least * s->k) < 0)
-                least = x;
-        }
-        pairs[2 * count] = width;
-        pairs[2 * count++ + 1] = least;
-    }
-    free(seen);
-    qsort(pairs, (size_t)s->cusp_count, 2 * sizeof(long), by_cusp);
-    return 0;
-}
-
 /* -- key sets and their orbit partition -----------------------------------
  *
  * A key set is a struct scan that scan_alloc made and the exhaustive scan
- * filled by visit(); nothing else makes one.  fl_enum_take hands it out
- * with its slot table, so membership is one probe by the hash visit()
- * uses.  fl_set_partition splits a key set into its SL(2,Z) orbits over
- * set indices alone, without a copy of any key and without a closure:
+ * filled by visit(), or a closure that fl_scan_step completed.
+ * fl_enum_take hands a scan's set out with its slot table, so membership
+ * is one probe by the hash visit() uses.  fl_set_partition splits a key
+ * set into its SL(2,Z) orbits over set indices alone, without a copy of
+ * any key and without a closure:
  *
  * 1. The image table: for every index i, the set index of the canonical
  *    T image and of the canonical S image of key i, each found by one
@@ -766,21 +662,23 @@ int fl_scan_cusp_list(const struct scan *s, long *pairs)
  *    transitive).  The rows are independent and the set is only read, so
  *    a step of at least PART_HELPER_MIN rows shares them with a helper
  *    thread (start_helper), ROWS at a time from one atomic counter, and
- *    joins it before it returns.  The helper allocates nothing.
+ *    joins it before it returns.  The helper allocates nothing.  A
+ *    closure made its table as it went, and starts at step 2.
  * 2. The orbits.  Both columns must be permutations of the set, else
  *    ST_OPEN: on a set closed under T and S they are, and a key that is
  *    missing, repeated or not canonical breaks one of them.  The orbits
  *    are then the components of the two columns, each walked from the
  *    first index no orbit holds, and the cusps the cycles of the T
- *    column.  The walk takes in whole T-cycles and follows the S column
- *    out of them; each cycle adds the cylinders of its first key,
- *    weighted by its width, to the orbit's histogram, as fl_scan_cusps
- *    does, and each key is compared with the orbit's least so far.
+ *    column.  The walk takes in whole T-cycles, and stacks the S image
+ *    of each key that no orbit holds yet; each cycle adds the cylinders
+ *    of its first key, weighted by its width, to the orbit's histogram,
+ *    and its (width, least key) to the orbit's cycle list.
  *
  * A step returns to the caller after ``budget`` rows or keys; the state
  * stays with the set, so a partition cut short between steps goes on at
- * the next call, and one that has finished starts over.  One partition of
- * a set runs at a time. */
+ * the next call, and one that has finished starts over.  A closure is
+ * finished once: its slot table and image table go to its finish.  One
+ * partition of a set runs at a time. */
 
 /* an image outside the set, and one that is not transitive: neither is a
  * set index, since reserve() keeps those below UINT32_MAX - 1 */
@@ -798,13 +696,15 @@ enum { HIT_T = 1, HIT_S = 2, HELD = 4 };
 struct parting {
     int phase;
     long at;            /* the next index of the phase's pass */
-    uint32_t *img;      /* per key: its T image's index, then its S image's */
+    uint32_t *img[2];   /* per key: its T image's index, and its S image's */
     u8 *mark;           /* per key: HIT_T | HIT_S | HELD */
-    uint32_t *order;    /* the keys orbit by orbit, in the order held */
-    /* order[begin .. filled) is the open orbit, and order[head] its next
-     * key whose S image is to be followed */
-    long begin, head, filled;
-    long least, cusps;  /* the open orbit's least key and T-cycles */
+    /* stack[0 .. filled): S images of the open orbit's keys that no orbit
+     * held when stacked; a key is the S image of one, so n at most */
+    uint32_t *stack;
+    long filled;
+    long size, least;   /* the open orbit's keys and least key */
+    long cusps, cycle_room;   /* its T-cycles, (width, least key) each in cycles[] */
+    uint32_t *cycles;
     long *hist;         /* its cylinder counts, by w * (d + 1) + h */
     /* out[0] = used - 1, then per orbit: least key, size, cusps, the
      * count of nonzero histogram cells, and (cell, count) for each */
@@ -815,29 +715,42 @@ static void parting_free(struct parting *p)
 {
     if (!p)
         return;
-    free(p->img);
+    free(p->img[0]);
+    free(p->img[1]);
     free(p->mark);
-    free(p->order);
+    free(p->stack);
+    free(p->cycles);
     free(p->hist);
     free(p->out);
     free(p);
 }
 
-static struct parting *parting_new(const struct scan *s)
+/* The state of a new partition of s.  A closure's image table and slot
+ * table go to it, and it starts at the check. */
+static struct parting *parting_new(struct scan *s)
 {
     struct parting *p = calloc(1, sizeof *p);
     if (!p)
         return NULL;
     size_t n = (size_t)s->n, cells = (size_t)(s->d + 1) * (size_t)(s->d + 1);
-    /* one spare entry each: malloc(0) may return NULL */
-    p->img = malloc((2 * n + 1) * sizeof *p->img);
+    if (s->img[0]) {
+        p->phase = P_CHECK;
+        free(s->slots);   /* only the search reads it */
+        s->slots = NULL;
+    }
+    for (int c = 0; c < 2; c++) {   /* one spare entry each: malloc(0) may return NULL */
+        p->img[c] = s->img[c] ? s->img[c] : malloc((n + 1) * sizeof *p->img[c]);
+        s->img[c] = NULL;
+    }
     p->mark = calloc(n + 1, 1);
-    p->order = malloc((n + 1) * sizeof *p->order);
+    p->stack = malloc((n + 1) * sizeof *p->stack);
+    p->cycle_room = 64;
+    p->cycles = malloc(2 * (size_t)p->cycle_room * sizeof *p->cycles);
     p->hist = calloc(cells, sizeof *p->hist);
     p->room = 4 * (long)cells;
     p->out = malloc((size_t)p->room * sizeof *p->out);
     p->used = 1;
-    if (!p->img || !p->mark || !p->order || !p->hist || !p->out) {
+    if (!p->img[0] || !p->img[1] || !p->mark || !p->stack || !p->cycles || !p->hist || !p->out) {
         parting_free(p);
         return NULL;
     }
@@ -848,7 +761,7 @@ static struct parting *parting_new(const struct scan *s)
 struct imager {
     _Alignas(64) _Atomic long next;   /* the first row nobody has claimed */
     const struct scan *s;
-    uint32_t *img;
+    uint32_t **img;
     long end;
 };
 
@@ -877,7 +790,7 @@ static void image_rows(struct imager *im)
         for (long b = 0; b < rows; b++)
             for (int c = 0; c < 2; c++) {
                 uint32_t j = lost[b] ? 0 : s->slots[probe(s, made[b] + c * k, h[b][c])];
-                im->img[2 * (lo + b) + c] = lost[b] ? LOST : j ? j - 1 : MISS;
+                im->img[c][lo + b] = lost[b] ? LOST : j ? j - 1 : MISS;
             }
     }
 }
@@ -914,7 +827,7 @@ static int check_images(const struct scan *s, struct parting *p, long *budget)
     long end = s->n - p->at < *budget ? s->n : p->at + *budget;
     for (long i = p->at; i < end; i++)
         for (int c = 0; c < 2; c++) {
-            uint32_t j = p->img[2 * i + c];
+            uint32_t j = p->img[c][i];
             if (j == LOST)
                 return ST_DISCONNECTED;
             if (j == MISS || p->mark[j] & (HIT_T << c))
@@ -930,28 +843,45 @@ static int check_images(const struct scan *s, struct parting *p, long *budget)
     return 0;
 }
 
-/* Takes the T-cycle of x, which no orbit holds, into the open orbit, and
- * its cylinders, weighted by its width, into the orbit's histogram. */
+/* Takes the T-cycle of x, which no orbit holds, into the open orbit: the
+ * S image of each key onto the stack unless an orbit holds it, the
+ * cycle's (width, least key) onto the cycle list, and its cylinders,
+ * which T, a horizontal shear, keeps on every key of the cycle, weighted
+ * by its width, into the orbit's histogram.  Each key is compared with
+ * the cycle's least, and that with the orbit's once. */
 static int hold_cycle(const struct scan *s, struct parting *p, uint32_t x, long *budget)
 {
-    long width = 0;
-    const u8 *key = s->keys + (size_t)x * (size_t)s->k;
-    /* the T column is a permutation, so the walk comes back to x */
-    for (uint32_t y = x; !(p->mark[y] & HELD); y = p->img[2 * (size_t)y]) {
-        p->mark[y] |= HELD;
-        p->order[p->filled++] = y;
-        if (memcmp(s->keys + (size_t)y * (size_t)s->k, s->keys + p->least * s->k,
-                   (size_t)s->k) < 0)
-            p->least = y;
-        width++;
+    size_t k = (size_t)s->k;
+    const u8 *keys = s->keys;
+    uint32_t least = x, width = 0, y = x;
+    if (p->cusps == p->cycle_room) {
+        uint32_t *cycles = realloc(p->cycles, 4 * (size_t)p->cycle_room * sizeof *cycles);
+        if (!cycles)
+            return ST_NOMEM;
+        p->cycles = cycles;
+        p->cycle_room *= 2;
     }
+    /* the T column is a permutation, so the walk comes back to x; an S
+     * image is stacked without a branch, and stays unless an orbit holds it */
+    do {
+        p->mark[y] |= HELD;
+        p->stack[p->filled] = p->img[1][y];
+        p->filled += !(p->mark[p->img[1][y]] & HELD);
+        if (memcmp(keys + y * k, keys + least * k, k) < 0)
+            least = y;
+        width++;
+    } while ((y = p->img[0][y]) != x);
+    if (memcmp(keys + least * k, keys + (size_t)p->least * k, k) < 0)
+        p->least = least;
+    p->cycles[2 * p->cusps] = width;
+    p->cycles[2 * p->cusps++ + 1] = least;
+    p->size += width;
     *budget -= width;
-    p->cusps++;
-    return cylinders(s->d, key, key + s->d, p->hist, width);
+    return cylinders(s->d, keys + x * k, keys + x * k + s->d, p->hist, width);
 }
 
 /* Appends the record of the open orbit, which is complete, to out[] and
- * clears its histogram. */
+ * clears its histogram; its cycle list stays until the next orbit. */
 static int close_orbit(const struct scan *s, struct parting *p)
 {
     long cells = (long)(s->d + 1) * (s->d + 1);
@@ -964,7 +894,7 @@ static int close_orbit(const struct scan *s, struct parting *p)
     }
     long *rec = p->out + p->used, n = 0;
     rec[0] = p->least;
-    rec[1] = p->filled - p->begin;
+    rec[1] = p->size;
     rec[2] = p->cusps;
     for (long c = 0; c < cells; c++)
         if (p->hist[c]) {
@@ -974,23 +904,22 @@ static int close_orbit(const struct scan *s, struct parting *p)
         }
     rec[3] = n;
     p->used += 4 + 2 * n;
-    p->begin = p->filled;
-    p->cusps = 0;
+    p->size = 0;
     return 0;
 }
 
 /* Walks orbits until the budget is spent or every key is held: a unit
- * per key held and per S image followed. */
+ * per key held and per S image taken off the stack. */
 static int walk_orbits(const struct scan *s, struct parting *p, long *budget)
 {
     int st = 0;
     while (!st && *budget > 0) {
-        if (p->head < p->filled) {   /* the S image of the next key */
-            uint32_t y = p->img[2 * (size_t)p->order[p->head++] + 1];
+        if (p->filled) {   /* the last S image stacked */
+            uint32_t y = p->stack[--p->filled];
             --*budget;
             if (!(p->mark[y] & HELD))
                 st = hold_cycle(s, p, y, budget);
-        } else if (p->begin < p->filled) {
+        } else if (p->size) {
             st = close_orbit(s, p);
         } else {   /* the next orbit, from the first key no orbit holds */
             while (p->at < s->n && p->mark[p->at] & HELD)
@@ -1000,6 +929,7 @@ static int walk_orbits(const struct scan *s, struct parting *p, long *budget)
                 break;
             }
             p->least = p->at;
+            p->cusps = 0;
             st = hold_cycle(s, p, (uint32_t)p->at, budget);
         }
     }
@@ -1009,13 +939,16 @@ static int walk_orbits(const struct scan *s, struct parting *p, long *budget)
 /* Does at most ``budget`` rows or keys of the orbit partition of the key
  * set s, see above.  Returns ST_MORE; ST_DONE, with *out set to the
  * records, which stay s's until the next call or fl_scan_free; ST_OPEN
- * when the set is not closed under T and S; ST_DISCONNECTED; ST_AREA; or
+ * when the set is not closed under T and S, or s is a closure that is
+ * not complete or already finished; ST_DISCONNECTED; ST_AREA; or
  * ST_NOMEM.  A failure drops the state, so the next call starts over. */
 int fl_set_partition(struct scan *s, long budget, const long **out)
 {
     struct parting *p = s->part;
     int st = 0;
     if (!p || p->phase == P_DONE) {
+        if (!s->slots || (s->img[0] && s->head < s->n))
+            return ST_OPEN;
         parting_free(p);
         if (!(p = s->part = parting_new(s)))
             return ST_NOMEM;
@@ -1035,21 +968,55 @@ int fl_set_partition(struct scan *s, long budget, const long **out)
     }
     if (p->phase != P_DONE)
         return ST_MORE;
-    /* only the records are left to read */
-    free(p->img);
+    /* only the records and the last orbit's cycle list are left to read */
+    free(p->img[0]);
+    free(p->img[1]);
     free(p->mark);
-    free(p->order);
-    p->img = p->order = NULL;
+    free(p->stack);
+    p->img[0] = p->img[1] = p->stack = NULL;
     p->mark = NULL;
     p->out[0] = p->used - 1;
     *out = p->out;
     return ST_DONE;
 }
 
+/* The one key order, memcmp over a key's bytes.  qsort passes its
+ * comparator no context, so fl_scan_cusp_list sets the key length and the
+ * keys for by_cusp on its own thread first. */
+static _Thread_local size_t sort_width;
+static _Thread_local const u8 *sort_keys;
+
+/* (width, key index) pairs by width, then by the key they index */
+static int by_cusp(const void *a, const void *b)
+{
+    const long *p = a, *q = b;
+    if (p[0] != q[0])
+        return p[0] < q[0] ? -1 : 1;
+    return memcmp(sort_keys + (size_t)p[1] * sort_width, sort_keys + (size_t)q[1] * sort_width,
+                  sort_width);
+}
+
+/* Copies the (width, least key index) pair of each T-cycle of the last
+ * orbit fl_set_partition walked in s, all of a closure, into pairs[0 ..
+ * 2 cusp count), a buffer the caller owns, and sorts them by width and
+ * then by least key (by_cusp).  It writes nothing else, so threads may
+ * read one closure's list at once.  Returns 0, or ST_OPEN when no
+ * partition of s has finished. */
+int fl_scan_cusp_list(const struct scan *s, long *pairs)
+{
+    const struct parting *p = s->part;
+    if (!p || p->phase != P_DONE)
+        return ST_OPEN;
+    for (long i = 0; i < 2 * p->cusps; i++)
+        pairs[i] = p->cycles[i];
+    sort_width = (size_t)s->k;
+    sort_keys = s->keys;
+    qsort(pairs, (size_t)p->cusps, 2 * sizeof(long), by_cusp);
+    return 0;
+}
+
 long fl_scan_size(const struct scan *s) { return s->n; }
 const u8 *fl_scan_keys(const struct scan *s) { return s->keys; }
-const long *fl_scan_hist(const struct scan *s) { return s->hist; }
-long fl_scan_least(const struct scan *s) { return s->least; }
 
 /* Canonical key of (r, u) into out[0..2d); 0, ST_RANGE or
  * ST_DISCONNECTED. */

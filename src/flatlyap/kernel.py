@@ -17,9 +17,10 @@ of its keys.  This module runs all of it in two interchangeable ways:
   into ``${XDG_CACHE_HOME:-~/.cache}/flatlyap/``, named by the sha256 of
   the source and flags, and loaded with ctypes on the first call.  A
   scan's KeySet, the hash table the scan filled, and a closure's OrbitScan
-  stay in C memory, and the partition works on the KeySet's indices, so
-  no class becomes a Python object; a closure, scan or partition step may
-  run a helper thread on another CPU (``fl_scan_step``, ``fl_enum_step``,
+  stay in C memory; ``fl_set_partition`` splits a KeySet, or finishes a
+  closure as a key set of one orbit, over set indices, so no class becomes
+  a Python object; a closure, scan or partition step may run a helper
+  thread on another CPU (``fl_scan_step``, ``fl_enum_step``,
   ``fl_set_partition``); results are byte-identical either way;
 * in pure Python, the code below, which is the oracle the compiled code
   must match byte for byte.
@@ -40,7 +41,6 @@ import os
 import shutil
 import tempfile
 import threading
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,14 +60,13 @@ _STEP_BUDGET = 8192
 #: one per class-walk position filled (see fl_enum_step), for the same
 #: reason; a helper thread may do about as many beside it
 _SCAN_BUDGET = 1 << 17
-_LONG = ctypes.sizeof(ctypes.c_long)
-_LONG_MAX = 2 ** (8 * _LONG - 1) - 1
+_LONG_MAX = 2 ** (8 * ctypes.sizeof(ctypes.c_long) - 1) - 1
 
 _DISCONNECTED_MESSAGE = "canonical form needs a transitive pair"
 _RANGE_MESSAGE = "a pair needs two permutations of 0..d-1"
 _CAP_MESSAGE = "orbit exceeds the configured cap of {} elements"
 _TAIL_MESSAGE = "T-orbit left the computed SL(2,Z) orbit"
-_OPEN_MESSAGE = "enumerated set is not closed under T and S"
+_OPEN_MESSAGE = "key set is not closed under T and S"
 
 _UNLOADED = object()
 #: the ctypes library, None when it cannot be built or loaded, or
@@ -134,10 +133,7 @@ def _declare(lib) -> None:
         "fl_scan_free": (None, [ptr]),
         "fl_scan_size": (c_long, [ptr]),
         "fl_scan_keys": (ptr, [ptr]),
-        "fl_scan_hist": (ptr, [ptr]),
-        "fl_scan_cusps": (c_long, [ptr]),
         "fl_scan_cusp_list": (c_int, [ptr, ptr]),
-        "fl_scan_least": (c_long, [ptr]),
         "fl_enum_new": (ptr, [c_int, c_int, ctypes.c_char_p, c_int, ctypes.c_char_p]),
         "fl_enum_step": (c_int, [ptr, c_long]),
         "fl_enum_take": (c_int, [ptr, c_int, ptr]),
@@ -308,8 +304,8 @@ class OrbitScan:
     """A closed SL(2,Z) orbit (``orbit_closure``): its ``size``, its members'
     horizontal cylinders by (width, height) ``hist`` and their sum of h/w
     ``total_hw``, its ``cusp_count`` and ``least`` key; the ``keys`` in
-    discovery order are copied, and the ``cusps`` sorted in C into a buffer
-    of its own, when first read.  A compiled closure (``lib``, ``handle``)
+    discovery order, and the ``cusps`` its finish listed, sorted in C, are
+    copied when first read.  A compiled closure (``lib``, ``handle``)
     stays in C memory until the OrbitScan is freed, as a KeySet does."""
 
     def __init__(self, degree: int, lib=None, handle=None):
@@ -379,14 +375,13 @@ def orbit_closure(rz, uz, max_size: int) -> OrbitScan:
     at = scan._handle
     while (status := lib.fl_scan_step(at, min(max_size, _LONG_MAX), _STEP_BUDGET)) == 1:
         pass
-    # the cusp walk counts the cylinders, once per T-cycle
-    count = lib.fl_scan_cusps(at) if status == 0 else status
-    if count < 0:
-        _raise_status(count, max_size)
-    least = ctypes.string_at(lib.fl_scan_keys(at) + lib.fl_scan_least(at) * 2 * d, 2 * d)
-    counts = array("l", ctypes.string_at(lib.fl_scan_hist(at), (d + 1) ** 2 * _LONG))
-    hist = Counter({divmod(i, d + 1): c for i, c in enumerate(counts) if c})
-    return scan._set(lib.fl_scan_size(at), hist, count, least)
+    if status:
+        _raise_status(status, max_size)
+    # finished as a key set of one orbit, in one walk of its T-cycles
+    orbits = _orbits(lib, at, d)
+    if len(orbits) != 1:
+        raise InternalCheckError(_OPEN_MESSAGE)
+    return scan._set(*orbits[0])
 
 
 def _raise_status(status: int, max_size: int = 0):
@@ -397,7 +392,6 @@ def _raise_status(status: int, max_size: int = 0):
         -2: (MemoryError, "no memory for the orbit search"),
         -3: (InternalCheckError, "cylinder areas do not add up to the degree"),
         -4: (DisconnectedError, _DISCONNECTED_MESSAGE),
-        -6: (InternalCheckError, _TAIL_MESSAGE),
         -7: (InternalCheckError, _OPEN_MESSAGE),
         -8: (InternalCheckError, "the scan found one class from two rights"),
     }.get(status, (InputError, _RANGE_MESSAGE))
@@ -503,20 +497,9 @@ def partition(keys: KeySet) -> list[tuple[bytes, int, Fraction, int]]:
     """
     d, lib, out = keys.degree, keys._lib if _library() is not None else None, []
     if lib is not None:
-        rec, first = ctypes.POINTER(ctypes.c_long)(), lib.fl_scan_keys(keys._handle)
         with keys._partitioning:   # the set holds the steps' state and the records
-            while (st := lib.fl_set_partition(keys._handle, _STEP_BUDGET, ctypes.byref(rec))) == 1:
-                pass
-            if st:
-                _raise_status(st)
-            rows = iter(rec[1 : 1 + rec[0]])
-        # per orbit: least key index, size, cusps, cells, then (cell, count) per cell
-        for at, size, cusps, cells in zip(rows, rows, rows, rows):
-            hist = {divmod(next(rows), d + 1): next(rows) for _ in range(cells)}
-            least = ctypes.string_at(first + at * 2 * d, 2 * d)
-            scan = OrbitScan(d)._set(size, hist, cusps, least)
-            out.append((scan.least, scan.size, scan.total_hw, scan.cusp_count))
-        return sorted(out)
+            scans = [OrbitScan(d)._set(*orbit) for orbit in _orbits(lib, keys._handle, d)]
+        return sorted((scan.least, scan.size, scan.total_hw, scan.cusp_count) for scan in scans)
     listed, at = keys._table_order(), 0
     index = {key: i for i, key in enumerate(listed)}
     marks, remaining = bytearray(len(listed)), len(listed)
@@ -535,6 +518,22 @@ def partition(keys: KeySet) -> list[tuple[bytes, int, Fraction, int]]:
     except ResourceCapError:   # an orbit with more keys than the set has left
         raise InternalCheckError(_OPEN_MESSAGE) from None
     return sorted(out)
+
+
+def _orbits(lib, handle, d: int) -> list[tuple[int, Counter, int, bytes]]:
+    """(size, ``hist``, cusp count, least key) per orbit, in walk order, of
+    the C key set or closure ``handle``, by ``fl_set_partition``."""
+    rec, first = ctypes.POINTER(ctypes.c_long)(), lib.fl_scan_keys(handle)
+    while (status := lib.fl_set_partition(handle, _STEP_BUDGET, ctypes.byref(rec))) == 1:
+        pass
+    if status:
+        _raise_status(status)
+    rows, out = iter(rec[1 : 1 + rec[0]]), []
+    # per orbit: least key index, size, cusps, cells, then (cell, count) per cell
+    for at, size, cusps, cells in zip(rows, rows, rows, rows):
+        hist = Counter({divmod(next(rows), d + 1): next(rows) for _ in range(cells)})
+        out.append((size, hist, cusps, ctypes.string_at(first + at * 2 * d, 2 * d)))
+    return out
 
 
 # -- exhaustive scan ---------------------------------------------------------

@@ -163,8 +163,9 @@ def _summary_from_parts(
 def cusps(
     o: Origami, max_size: int = DEFAULT_ORBIT_CAP
 ) -> list[tuple[int, Origami, CylinderDecomposition]]:
-    """Cusps of the Teichmueller curve: one (width, representative,
-    cylinder data) triple per T-orbit; widths add up to the orbit size."""
+    """(width, representative, cylinder data) per T-cycle of the SL(2,Z)
+    orbit; widths add up to the orbit size.  Where -I is not in the Veech
+    group, a cusp of the Teichmueller curve is one or two such cycles."""
     s = o.stratum()
     if s.genus < 2:
         raise InputError("cusp data needs genus >= 2")

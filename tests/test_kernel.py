@@ -348,17 +348,37 @@ def test_python_cusps_reject_a_t_walk_with_a_tail():
 def test_compiled_cusps_reject_an_unfinished_closure():
     lib = compiled_library()
     start = kernel.canonical_key((1, 2, 3, 0), (0, 1, 2, 3))
+    rec = ctypes.POINTER(ctypes.c_long)()
     scan = lib.fl_scan_new(4, start)
     try:
-        # never stepped: the start has no T image yet (t_next -1), and an
-        # unfinished closure has no cusp list either
-        assert lib.fl_scan_cusp_list(scan, (ctypes.c_long * 2)()) == -6
-        status = lib.fl_scan_cusps(scan)
-        with pytest.raises(InternalCheckError, match="T-orbit left"):
+        # never stepped: the start has no images yet, so the closure can
+        # be neither finished nor read
+        status = lib.fl_set_partition(scan, 100, ctypes.byref(rec))
+        with pytest.raises(InternalCheckError, match="not closed"):
             kernel._raise_status(status)
-        assert lib.fl_scan_cusp_list(scan, (ctypes.c_long * 2)()) == -6
+        assert lib.fl_scan_cusp_list(scan, (ctypes.c_long * 2)()) == status
+        # complete but not finished: no cusp list yet
+        assert lib.fl_scan_step(scan, 100, 100) == 0
+        assert lib.fl_scan_cusp_list(scan, (ctypes.c_long * 2)()) == status
+        # finished: one orbit of 6 keys in 3 cusps; then no step, and no
+        # second finish
+        assert lib.fl_set_partition(scan, 100, ctypes.byref(rec)) == 0
+        assert rec[2:4] == [6, 3] and rec[0] == 4 + 2 * rec[4]
+        assert lib.fl_scan_step(scan, 100, 100) == status
+        assert lib.fl_set_partition(scan, 100, ctypes.byref(rec)) == status
+        assert lib.fl_scan_cusp_list(scan, (ctypes.c_long * 6)()) == 0
     finally:
         lib.fl_scan_free(scan)
+
+
+def test_a_closure_finished_into_two_orbits_is_an_internal_error(monkeypatch):
+    # the finish must find one orbit that holds every key
+    compiled_library()
+    finish = kernel._orbits
+    monkeypatch.setattr(kernel, "_orbits", lambda *args: 2 * finish(*args))
+    o = origami(FIG1)
+    with pytest.raises(InternalCheckError, match="not closed"):
+        kernel.orbit_closure(o.right.zero_based(), o.up.zero_based(), 100)
 
 
 @pytest.mark.parametrize(
@@ -820,6 +840,49 @@ def test_a_key_set_with_a_key_that_is_not_canonical_is_not_closed(tmp_path):
         kernel._raise_status(-7)
 
 
+# TEN_3111 closed and finished as it is, then closed again with the T
+# image of its second key overwritten by that of its first, and again with
+# the S image so overwritten: one line with the three finish statuses
+_CORRUPT_DRIVER = r"""
+#include KERNEL
+#include <stdio.h>
+
+static int finish(const u8 *key, int column)
+{
+    struct scan *s = fl_scan_new(10, key);
+    const long *out;
+    int status;
+    while ((status = fl_scan_step(s, 23328, 8192)) == 1)
+        ;
+    if (status)
+        return 1;
+    if (column >= 0)
+        s->img[column][1] = s->img[column][0];
+    while ((status = fl_set_partition(s, 8192, &out)) == 1)
+        ;
+    fl_scan_free(s);
+    return status;
+}
+
+int main(void)
+{
+    const u8 r[10] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 0}, u[10] = {3, 6, 5, 4, 7, 9, 8, 2, 1, 0};
+    u8 key[20];
+    if (fl_canonical(10, r, u, key))
+        return 1;
+    printf("%d %d %d\n", finish(key, -1), finish(key, 0), finish(key, 1));
+    return 0;
+}
+"""
+
+
+def test_a_closure_with_a_repeated_image_is_not_closed(tmp_path):
+    # a closure's finish checks that both of its image columns are
+    # permutations, as a key set's partition does: a key that is the T or
+    # the S image of two keys fails it (ST_OPEN)
+    assert _run_with_kernel(tmp_path, _CORRUPT_DRIVER) == ["0 -7 -7"]
+
+
 def test_c_exports_are_what_kernel_declares_and_calls():
     # every function _orbitcore.c exports is declared by _declare and
     # called from kernel.py outside it: a dead export or a stale
@@ -841,11 +904,12 @@ def test_c_exports_are_what_kernel_declares_and_calls():
     assert [name for name in sorted(exported) if f".{name}(" not in calls] == []
 
 
-# FIG1 closed in steps of 4 keys, its cusps walked twice, a step after
-# them and its cusp list made, the same closure capped at 10 keys, with no
-# cusp list (ST_TAIL) before its walk nor after the walk fails; TEN_3111
-# closed in steps of 1000 keys, so that batches split across calls, its
-# cusp list read by two threads at once, each into its own buffer of
+# FIG1 closed and then finished by fl_set_partition in steps of 4 keys,
+# finished a second time, a step after the finish and its cusp list made;
+# the same closure capped at 10 keys, with no cusp list (ST_OPEN) before
+# its finish nor after the finish fails; TEN_3111 closed in steps of 1000
+# keys, so that batches split across calls, and finished in steps of 1000,
+# its cusp list read by two threads at once, each into its own buffer of
 # exactly 2 * cusp count longs, which must hold the same list, checked to
 # be sorted, and its least key checked to be the least, and capped one key
 # short, in the middle of a batch; one degree-5 scan for the commutator
@@ -870,11 +934,9 @@ struct enumeration;
 int fl_canonical(int d, const u8 *r, const u8 *u, u8 *out);
 struct scan *fl_scan_new(int d, const u8 *start);
 int fl_scan_step(struct scan *s, long max_size, long budget);
-long fl_scan_cusps(struct scan *s);
 long fl_scan_size(const struct scan *s);
 const u8 *fl_scan_keys(const struct scan *s);
 int fl_scan_cusp_list(const struct scan *s, long *pairs);
-long fl_scan_least(const struct scan *s);
 void fl_scan_free(struct scan *s);
 struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
                                 int ntargets, const u8 *targets);
@@ -970,26 +1032,32 @@ int main(void)
     struct scan *s = fl_scan_new(5, key);
     while (fl_scan_step(s, 100, 4) == 1)
         ;
-    long cusps = fl_scan_cusps(s), again = fl_scan_cusps(s), widths = 0;
-    int step = fl_scan_step(s, 100, 4);
+    long *finish, *none, widths = 0;
+    if (partition(s, 4, &finish))
+        return 1;
+    /* one record, of an orbit that holds every key */
+    long cusps = finish[3];
+    int one = finish[0] == 4 + 2 * finish[4] && finish[2] == fl_scan_size(s);
+    int again = partition(s, 4, &none), step = fl_scan_step(s, 100, 4);
     long *pairs = malloc(2 * cusps * sizeof(long));
     if (fl_scan_cusp_list(s, pairs))
         return 1;
     for (long i = 0; i < cusps; i++)
         widths += pairs[2 * i];
-    printf("%ld %ld %ld %d %ld\n", fl_scan_size(s), cusps, again, step, widths);
+    printf("%ld %ld %d %d %ld %d\n", fl_scan_size(s), cusps, again, step, widths, one);
     free(pairs);
+    free(finish);
     fl_scan_free(s);
 
     s = fl_scan_new(5, key);
     int status;
     while ((status = fl_scan_step(s, 10, 4)) == 1)
         ;
-    long none[2];
-    int unfinished = fl_scan_cusp_list(s, none) == -6;
-    long tail = fl_scan_cusps(s);
-    printf("%d %ld %d %ld %d\n", status, fl_scan_size(s), unfinished, tail,
-           fl_scan_cusp_list(s, none) == -6);
+    long empty[2];
+    int unfinished = fl_scan_cusp_list(s, empty) == -7;
+    int tail = partition(s, 4, &none);
+    printf("%d %ld %d %d %d\n", status, fl_scan_size(s), unfinished, tail,
+           fl_scan_cusp_list(s, empty) == -7);
     fl_scan_free(s);
 
     const u8 r10[10] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 0}, u10[10] = {3, 6, 5, 4, 7, 9, 8, 2, 1, 0};
@@ -999,7 +1067,10 @@ int main(void)
     s = fl_scan_new(10, key10);
     while ((status = fl_scan_step(s, 23328, 1000)) == 1)
         ;
-    long n = fl_scan_size(s), count = fl_scan_cusps(s), width = 0, least = fl_scan_least(s);
+    if (partition(s, 1000, &finish))
+        return 1;
+    long n = fl_scan_size(s), count = finish[3], width = 0, least = finish[1];
+    free(finish);
     const u8 *keys = fl_scan_keys(s);
     pthread_t threads[2];
     struct reader readers[2];
@@ -1119,9 +1190,10 @@ int main(void)
 """
 
 
-# 18 keys in 5 cusps, whose widths add up to 18; a second cusp walk and a
-# later step find no T map (ST_TAIL); the cap stops at 10 keys (ST_CAP),
-# and the walk of that closure finds a tail; TEN_3111 closes with 23,328
+# 18 keys in 5 cusps, whose widths add up to 18, in one orbit that holds
+# them all; a second finish and a later step fail (ST_OPEN); the cap stops
+# at 10 keys (ST_CAP), and the finish of that closure fails (ST_OPEN), for
+# its frontier is not empty; TEN_3111 closes with 23,328
 # keys in 2,616 cusps whose widths add up to the size, sorted, the same
 # list in both threads' buffers, with the least key found, and its cap
 # stops one key short; 27 and 24 classes; 23 classes without the right
@@ -1133,7 +1205,7 @@ int main(void)
 # one per sublattice of index 5 in Z^2; 486 classes of H(2,2) at d=7,
 # distinct across the two cursors' sets
 _SANITIZER_STDOUT = [
-    "18 5 -6 -6 18", "-1 10 1 -6 1", "0 23328 2616 23328 1 1 1", "-1 23327", "27 24",
+    "18 5 -7 -7 18 1", "-1 10 1 -7 1", "0 23328 2616 23328 1 1 1", "-1 23327", "27 24",
     "23 1", "18 5 9 3 1 -7", "4032 0 5 4032", "27 24 6", "486 1", "",
 ]
 
