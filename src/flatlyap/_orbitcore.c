@@ -18,11 +18,11 @@
  * of degree d <= 255 is packed as the 2d-byte key r || u.  kernel.py
  * passes buffers of the stated lengths; fl_canonical checks that r and u
  * are permutations, fl_scan_new takes only keys that fl_canonical
- * produced, and fl_enum_new takes permutations and cycle types that
- * kernel.py has checked.  The scan's key sets outlive it: fl_enum_take
- * hands each one over as the hash table the scan filled, and
- * fl_set_partition splits it into orbits by the set indices of the T and
- * S images of its keys, with no closure.  fl_scan_step, fl_enum_step
+ * produced, and fl_enum_new takes permutations, no two of one cycle
+ * type, and cycle types that kernel.py has checked.  The scan's key sets
+ * outlive it: fl_enum_take hands each one over as the hash table the scan
+ * filled, and fl_set_partition splits it into orbits by the set indices
+ * of the T and S images of its keys, with no closure.  fl_scan_step, fl_enum_step
  * and fl_set_partition may each run a helper thread, which they join
  * before they return; every other function runs on its caller's thread
  * alone, and several threads may read one finished closure at once.
@@ -208,10 +208,9 @@ struct made {
 
 /* keys fl_scan_step expands before it visits their images, keys one
  * thread claims at a time while a helper thread runs (alone, the caller
- * claims whole batches), the keys a step must expand for sure to start
- * the helper, and how many images ahead of the one it visits it
- * prefetches the slot of */
-enum { BATCH = 256, CHUNK = 8, HELPER_MIN = 2 * BATCH, AHEAD = 8 };
+ * claims whole batches), and the keys a step must expand for sure to
+ * start the helper */
+enum { BATCH = 256, CHUNK = 8, HELPER_MIN = 2 * BATCH };
 
 static size_t hash(const u8 *key, int k)
 {
@@ -517,11 +516,10 @@ static int start_helper(void *(*run)(void *), void *arg, pthread_t *helper)
 }
 
 /* The side whose images hold chunk c of the batch the claim word was
- * last published for: where[c], the side of each chunk of the batch
- * found so far, or -1.  Unless ``wait`` is 0, it returns only once the
- * chunk is made.  ``claims`` counts the helper's chunks found so far;
- * the helper makes them in that order. */
-static int locate(struct crew *cr, long c, signed char *where, unsigned long *claims, int wait)
+ * last published for, once the chunk is made: where[c], the side of each
+ * chunk of the batch found so far, or -1.  ``claims`` counts the helper's
+ * chunks found so far; the helper makes them in that order. */
+static int locate(struct crew *cr, long c, signed char *where, unsigned long *claims)
 {
     for (int spins = 0; where[c] < 0; spins++) {
         uint64_t w = atomic_load_explicit(&cr->claim, memory_order_relaxed);
@@ -533,8 +531,6 @@ static int locate(struct crew *cr, long c, signed char *where, unsigned long *cl
         } else if (atomic_load_explicit(&cr->made, memory_order_acquire) > *claims) {
             ++*claims;
             where[c] = 1;
-        } else if (!wait) {
-            break;
         } else if (take(cr, &w)) {             /* a later chunk meanwhile */
             make_chunk(cr, w, 0);
             where[(long)(w & 0xffff) / cr->chunk] = 0;
@@ -549,29 +545,17 @@ static int locate(struct crew *cr, long c, signed char *where, unsigned long *cl
     return where[c];
 }
 
-/* Prefetches the slot of image i of the batch, made on the given side. */
-static void prefetch_image(const struct scan *s, int side, long i)
-{
-#ifdef __GNUC__
-    const struct made *m = s->made + side * BATCH + i / 2;
-    if (!m->status)
-        __builtin_prefetch(s->slots + (m->hash[i % 2] & s->mask));
-#else
-    (void)s, (void)side, (void)i;
-#endif
-}
-
 /* Expands at most ``budget`` keys in discovery order: visits each one's
  * T image (r, u r^-1), then its S image (u^-1, r), and records both
  * indices in img.  Returns a status from the enum above; ST_OPEN once
  * fl_set_partition has begun to finish the closure, or on a key set.
  *
  * Keys go in batches of at most BATCH that are already in the set, and
- * a batch in chunks: the images of a chunk are all made
- * before any is visited, so that the slot of each image can be
- * prefetched a few images before its visit.  A key whose images could
- * not be made fails only once the images of the keys before it are
- * visited, so the first status in key order wins. */
+ * a batch in chunks: the images of a chunk are all made, by one thread,
+ * before any is visited, so that the helper can make the chunks ahead in
+ * parallel while the caller visits.  A key whose images could not be made
+ * fails only once the images of the keys before it are visited, so the
+ * first status in key order wins. */
 int fl_scan_step(struct scan *s, long max_size, long budget)
 {
     int k = s->k, st = 0, helping = 0, tried = 0;
@@ -606,24 +590,15 @@ int fl_scan_step(struct scan *s, long max_size, long budget)
             break;
         atomic_store_explicit(&cr.claim, (uint64_t)s->head << 32 | (uint64_t)batch << 16,
                               memory_order_release);
-        /* the slot of each image is prefetched AHEAD images before its
-         * visit, from the next chunk too once that is made */
         for (long c = 0, chunk = cr.chunk; !st && c * chunk < batch; c++) {
             long end = (c + 1) * chunk < batch ? (c + 1) * chunk : batch;
-            int side = locate(&cr, c, where, &claims, 1);
-            int next = end < batch ? locate(&cr, c + 1, where, &claims, 0) : -1;
-            long reach = next < 0 ? end : end + chunk < batch ? end + chunk : batch;
+            int side = locate(&cr, c, where, &claims);
             const u8 *images = s->images + side * BATCH * 2 * k;
             const struct made *made = s->made + side * BATCH;
-            for (long i = 2 * c * chunk; i < 2 * c * chunk + AHEAD && i < 2 * end; i++)
-                prefetch_image(s, side, i);
             for (long b = c * chunk; b < end; b++) {
                 if ((st = made[b].status))
                     break;
                 for (int i = 0; i < 2; i++) {
-                    long ahead = 2 * b + i + AHEAD;
-                    if (ahead < 2 * reach)
-                        prefetch_image(s, ahead < 2 * end ? side : next, ahead);
                     long j = visit(s, images + (2 * b + i) * k, made[b].hash[i], max_size);
                     if (j < 0) {
                         st = (int)j;
@@ -1056,9 +1031,9 @@ int fl_canonical(int d, const u8 *r, const u8 *u, u8 *out)
  * right and a key set per target of its own; when it finishes a right,
  * it claims the next one nobody has from one atomic counter.  A
  * canonical key keeps the cycle type of r, so rights of one cycle type
- * give the same classes, and fl_enum_new keeps only the first of them;
- * then no class comes from two rights, and the two sets of a target are
- * disjoint.  fl_enum_take joins the two sets of a target into one,
+ * give the same classes, and kernel.scan_degree passes only the first of
+ * them; then no class comes from two rights, and the two sets of a target
+ * are disjoint.  fl_enum_take joins the two sets of a target into one,
  * checking that no key is in both.  fl_enum_step works
  * the first cursor on the calling thread.  Once the scan has done
  * SCAN_HELPER_MIN units, when the step has that many left and there are
@@ -1392,7 +1367,7 @@ static int has_work(struct enumeration *e, const struct cursor *c)
     return c->right >= 0 || atomic_load_explicit(&e->next, memory_order_relaxed) < e->nrights;
 }
 
-/* A scan of the given rights, the first of each cycle type, against the
+/* A scan of the given rights, no two of one cycle type, against the
  * given targets, where targets[t * (d + 1) + l] counts the l-cycles of
  * target t; NULL when out of memory. */
 struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
@@ -1403,14 +1378,14 @@ struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
         return NULL;
     memset(e, 0, sizeof *e);
     e->d = d;
+    e->nrights = nrights;
     e->ntargets = ntargets;
     atomic_init(&e->next, 0);
     atomic_init(&e->stop, 0);
     /* one spare byte or slot each: malloc(0) may return NULL */
     e->rights = malloc((size_t)nrights * (size_t)d + 1);
     e->targets = malloc((size_t)ntargets * (size_t)(d + 1) + 1);
-    u8 *types = calloc((size_t)nrights * (size_t)d + 1, 1);
-    int ok = e->rights && e->targets && types;
+    int ok = e->rights && e->targets;
     for (int i = 0; i < 2; i++) {
         struct cursor *c = &e->cur[i];
         c->right = -1;
@@ -1421,26 +1396,10 @@ struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
             ok = (c->sets[t] = scan_alloc(d)) != NULL;
     }
     if (!ok) {
-        free(types);
         fl_enum_free(e);
         return NULL;
     }
-    /* the cycle lengths of each right kept, longest first, padded with 0 */
-    for (int i = 0; i < nrights; i++) {
-        const u8 *r = rights + (size_t)i * (size_t)d;
-        u8 *type = types + (size_t)e->nrights * (size_t)d;
-        struct cycles c;
-        cycles_of(d, r, &c);
-        memcpy(type, c.len, (size_t)c.n);
-        int j = 0;
-        while (j < e->nrights && memcmp(types + (size_t)j * (size_t)d, type, (size_t)d))
-            j++;
-        if (j == e->nrights)
-            memcpy(e->rights + (size_t)e->nrights++ * (size_t)d, r, (size_t)d);
-        else
-            memset(type, 0, (size_t)c.n);
-    }
-    free(types);
+    memcpy(e->rights, rights, (size_t)nrights * (size_t)d);
     memcpy(e->targets, targets, (size_t)ntargets * (size_t)(d + 1));
     e->least = d;
     for (int t = 0; t < ntargets; t++) {

@@ -254,8 +254,10 @@ def nonvarying_report(s: Stratum, d_max: int, d_min: int | None = None) -> Strat
 def orbits_by_degree(s: Stratum, d_max: int, d_min: int | None = None):
     """(degree, OrbitClass) for every orbit of the stratum, degree by
     degree from d_min (at least the stratum's support) to d_max.  Raises
-    ResourceCapError before the first scan when d_max is past the scan
-    cap."""
+    InputError when d_min > d_max, and ResourceCapError before the first
+    scan when d_max is past the scan cap."""
+    if d_min is not None and d_min > d_max:
+        raise InputError(f"the smallest degree {d_min} is above the largest {d_max}")
     _check_scan(d_max)
     support = sum(m + 1 for m in s.orders)
     for d in range(max(d_min or support, support), d_max + 1):

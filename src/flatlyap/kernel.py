@@ -313,11 +313,10 @@ class OrbitScan:
         if lib is not None and not handle:
             raise MemoryError("no memory for the orbit search")
 
-    def _set(self, size: int, hist: Counter, cusp_count: int, least: bytes) -> OrbitScan:
-        self.size, self.hist, self.cusp_count, self.least = size, hist, cusp_count, least
-        # every 1/w over the common denominator lcm(1..d)
-        m = math.lcm(*range(1, self.degree + 1))
-        self.total_hw = Fraction(sum(n * h * (m // w) for (w, h), n in hist.items()), m)
+    def _set(self, size: int, hist: Counter, total_hw: Fraction, cusp_count: int,
+             least: bytes) -> OrbitScan:
+        self.size, self.hist, self.total_hw = size, hist, total_hw
+        self.cusp_count, self.least = cusp_count, least
         return self
 
     @functools.cached_property
@@ -422,7 +421,7 @@ def _py_orbit_closure(start: bytes, max_size: int) -> OrbitScan:
         t_next.append(visit(canonical_key(rz, [uz[x] for x in invert(rz)])))  # T: (r, u r^-1)
         visit(canonical_key(invert(uz), rz))  # S: (u^-1, r)
     cusps = _py_cusps(keys, t_next)
-    scan = OrbitScan(d)._set(len(keys), hist, len(cusps), min(keys))
+    scan = OrbitScan(d)._set(len(keys), hist, _total_hw(d, hist), len(cusps), min(keys))
     scan.keys, scan.cusps = keys, cusps
     return scan
 
@@ -498,8 +497,8 @@ def partition(keys: KeySet) -> list[tuple[bytes, int, Fraction, int]]:
     d, lib, out = keys.degree, keys._lib if _library() is not None else None, []
     if lib is not None:
         with keys._partitioning:   # the set holds the steps' state and the records
-            scans = [OrbitScan(d)._set(*orbit) for orbit in _orbits(lib, keys._handle, d)]
-        return sorted((scan.least, scan.size, scan.total_hw, scan.cusp_count) for scan in scans)
+            orbits = _orbits(lib, keys._handle, d)
+        return sorted((least, size, total, cusps) for size, _, total, cusps, least in orbits)
     listed, at = keys._table_order(), 0
     index = {key: i for i, key in enumerate(listed)}
     marks, remaining = bytearray(len(listed)), len(listed)
@@ -520,20 +519,26 @@ def partition(keys: KeySet) -> list[tuple[bytes, int, Fraction, int]]:
     return sorted(out)
 
 
-def _orbits(lib, handle, d: int) -> list[tuple[int, Counter, int, bytes]]:
-    """(size, ``hist``, cusp count, least key) per orbit, in walk order, of
-    the C key set or closure ``handle``, by ``fl_set_partition``."""
+def _orbits(lib, handle, d: int) -> list[tuple[int, Counter, Fraction, int, bytes]]:
+    """(size, ``hist``, ``total_hw``, cusp count, least key) per orbit, in
+    walk order, of the C key set or closure ``handle``, by ``fl_set_partition``."""
     rec, first = ctypes.POINTER(ctypes.c_long)(), lib.fl_scan_keys(handle)
     while (status := lib.fl_set_partition(handle, _STEP_BUDGET, ctypes.byref(rec))) == 1:
         pass
     if status:
         _raise_status(status)
-    rows, out = iter(rec[1 : 1 + rec[0]]), []
+    rows, out, k = iter(rec[1 : 1 + rec[0]]), [], 2 * d
     # per orbit: least key index, size, cusps, cells, then (cell, count) per cell
     for at, size, cusps, cells in zip(rows, rows, rows, rows):
         hist = Counter({divmod(next(rows), d + 1): next(rows) for _ in range(cells)})
-        out.append((size, hist, cusps, ctypes.string_at(first + at * 2 * d, 2 * d)))
+        out.append((size, hist, _total_hw(d, hist), cusps, ctypes.string_at(first + at * k, k)))
     return out
+
+
+def _total_hw(d: int, hist: Counter) -> Fraction:
+    """The sum of h/w over the cylinders (w, h) counted in ``hist``."""
+    m = math.lcm(*range(1, d + 1))   # every 1/w over this common denominator
+    return Fraction(sum(n * h * (m // w) for (w, h), n in hist.items()), m)
 
 
 # -- exhaustive scan ---------------------------------------------------------
@@ -548,12 +553,12 @@ def scan_degree(d: int, rights, targets) -> list[KeySet]:
     conjugacy class of r, d!/z elements where z is the order of the
     centralizer C(r).  The compiled walk drops each branch whose number
     of fixed points of s r misses every target's.  The u of one s are
-    the z maps with u s = r^-1 u.
-    Conjugating by c in C(r) carries them onto the u of c s c^-1 and keeps
-    every class, so only the least s of each C(r)-orbit is expanded.  A
-    canonical key keeps the cycle type of r, so rights of one cycle type
-    give the same classes: the compiled walk walks the first of each, and
-    may split them between two threads, which then find no class twice."""
+    the z maps with u s = r^-1 u.  Conjugating by c in C(r) carries them
+    onto the u of c s c^-1 and keeps every class, so only the least s of
+    each C(r)-orbit is expanded.  Rights of one cycle type give the same
+    classes, since a canonical key keeps the cycle type of r: the compiled
+    walk gets only the first of each, in order, and may split them between
+    two threads, which find no class twice; the Python oracle walks all."""
     if not 0 < d <= MAX_DEGREE or any(sorted(r) != list(range(d)) for r in rights):
         raise InputError(_RANGE_MESSAGE)
     if any(sum(t) != d or min(t) < 1 for t in targets):
@@ -565,9 +570,10 @@ def scan_degree(d: int, rights, targets) -> list[KeySet]:
     for i, target in enumerate(targets):
         for length in target:
             counts[i * (d + 1) + length] += 1
-    scan = lib.fl_enum_new(
-        d, len(rights), b"".join(bytes(r) for r in rights), len(targets), bytes(counts)
-    )
+    firsts: dict[tuple[int, ...], bytes] = {}   # the first right of each cycle type
+    for r in rights:
+        firsts.setdefault(tuple(map(len, _cycles(r))), bytes(r))
+    scan = lib.fl_enum_new(d, len(firsts), b"".join(firsts.values()), len(targets), bytes(counts))
     if not scan:
         raise MemoryError("no memory for the scan")
     try:

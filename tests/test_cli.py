@@ -216,6 +216,23 @@ def test_enumerate_past_the_scan_cap_exit_code(capsys, extra):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("extra", [(), ("--per-orbit",)])
+def test_enumerate_with_a_reversed_degree_range_exit_code(capsys, extra):
+    code, out, err = run(
+        capsys, "enumerate", "--stratum", "2", "--dmin", "5", "--dmax", "3", *extra
+    )
+    assert code == 2
+    assert out == ""
+    assert "above" in err
+
+
+def test_enumerate_below_the_support_is_an_empty_report(capsys):
+    # H(2) needs 3 squares: nothing to scan at d <= 2
+    code, out, _ = run(capsys, "enumerate", "--stratum", "2", "--dmax", "2")
+    assert code == 0
+    assert out.splitlines() == ["stratum,component,degree,orbit_size,L,c,s,witness"]
+
+
 def test_cache_cli_round_trip(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FLATLYAP_CACHE_DIR", str(tmp_path))
     code, out1, _ = run(capsys, "lyap", FIG1, "--format", "json")

@@ -245,15 +245,28 @@ def test_partition_of_sets_both_cursors_fill_matches_python(monkeypatch):
         assert sum(size for _, size, *_ in compiled) == len(keys)
 
 
-def test_rights_of_one_cycle_type_give_the_same_classes(backend):
+def _conjugate_rights_add_no_class(d: int) -> None:
     # a conjugate of each right beside it finds no class the rights alone
-    # do not; the compiled walk keeps the first right of each cycle type
-    rights = _all_rights(6)
-    shifted = [tuple((r[(x - 1) % 6] + 1) % 6 for x in range(6)) for r in rights]
-    targets = list(_targets(6).values())
-    once = [set(keys) for keys in kernel.scan_degree(6, rights, targets)]
-    assert [set(keys) for keys in kernel.scan_degree(6, shifted + rights, targets)] == once
+    # do not; the compiled walk gets the first right of each cycle type
+    rights = _all_rights(d)
+    shifted = [tuple((r[(x - 1) % d] + 1) % d for x in range(d)) for r in rights]
+    targets = list(_targets(d).values())
+    once = [set(keys) for keys in kernel.scan_degree(d, rights, targets)]
+    assert [set(keys) for keys in kernel.scan_degree(d, shifted + rights, targets)] == once
     assert all(once)
+
+
+def test_rights_of_one_cycle_type_give_the_same_classes(backend):
+    _conjugate_rights_add_no_class(6)
+
+
+def test_rights_of_one_cycle_type_give_the_same_classes_beside_the_helper(monkeypatch):
+    # at d=8 in one step of 2^20 units a helper thread walks some rights
+    # beside the caller, wherever two CPUs are usable: two rights of one
+    # cycle type on two threads would find one class twice (ST_REPEAT)
+    compiled_library()
+    monkeypatch.setattr(kernel, "_SCAN_BUDGET", 1 << 20)
+    _conjugate_rights_add_no_class(8)
 
 
 def test_one_scan_serves_every_target(backend):
