@@ -8,9 +8,9 @@
  * with its image table made, which fl_set_partition finishes in one walk
  * of its T-cycles (cusps), as it does any key set.  The keys
  * (fl_scan_keys) stay in the closure until they are read, and
- * fl_scan_cusp_list sorts the cusps into a buffer the caller owns.  Keys
- * have one order, memcmp over their bytes: it picks each orbit's and each
- * cusp's least key and breaks the ties between cusps of one width.
+ * fl_scan_cusp_list copies the cusps, in walk order, into a buffer the
+ * caller owns; kernel.py sorts them.  Keys have one order, memcmp over
+ * their bytes: it picks each orbit's and each cusp's least key.
  *
  * kernel.py builds this file into a shared library, calls it through
  * ctypes and holds the pure-Python oracle of every function here; the
@@ -18,11 +18,11 @@
  * of degree d <= 255 is packed as the 2d-byte key r || u.  kernel.py
  * passes buffers of the stated lengths; fl_canonical checks that r and u
  * are permutations, fl_scan_new takes only keys that fl_canonical
- * produced, and fl_enum_new takes permutations, no two of one cycle
- * type, and cycle types that kernel.py has checked.  The scan's key sets
- * outlive it: fl_enum_take hands each one over as the hash table the scan
- * filled, and fl_set_partition splits it into orbits by the set indices
- * of the T and S images of its keys, with no closure.  fl_scan_step, fl_enum_step
+ * produced, and fl_enum_new takes permutations and cycle types that
+ * kernel.py has checked.  The scan's key sets outlive it: fl_enum_take
+ * hands each one over as the hash table the scan filled, and
+ * fl_set_partition splits it into orbits by the set indices of the T and
+ * S images of its keys, with no closure.  fl_scan_step, fl_enum_step
  * and fl_set_partition may each run a helper thread, which they join
  * before they return; every other function runs on its caller's thread
  * alone, and several threads may read one finished closure at once.
@@ -47,8 +47,7 @@ enum {
     ST_AREA = -3,         /* cylinder areas do not add up to d */
     ST_DISCONNECTED = -4, /* a pair that is not transitive */
     ST_RANGE = -5,        /* images that are not a permutation of 0..d-1 */
-    ST_OPEN = -7,         /* a key set not closed under T and S, or used out of turn */
-    ST_REPEAT = -8        /* a key in both cursors' sets of one target */
+    ST_OPEN = -7          /* a key set not closed under T and S, or used out of turn */
 };
 
 #define UNSET 0xff        /* no label yet; labels are 0..d-1 <= 254 */
@@ -254,8 +253,9 @@ static inline size_t probe(const struct scan *s, const u8 *key, size_t h)
     return i;
 }
 
-/* Replaces the slot table with one of mask + 1 slots over the n keys; 0,
- * ST_NOMEM, or ST_REPEAT at a key that is there twice. */
+/* Replaces the slot table with one of mask + 1 slots over the n keys,
+ * keeping the first of two equal keys and closing the gap the other
+ * leaves; 0 or ST_NOMEM. */
 static int rehash(struct scan *s, size_t mask)
 {
     uint32_t *slots = calloc(mask + 1, sizeof(uint32_t));
@@ -264,13 +264,17 @@ static int rehash(struct scan *s, size_t mask)
     free(s->slots);
     s->slots = slots;
     s->mask = mask;
+    long n = 0;
     for (long j = 0; j < s->n; j++) {
         const u8 *key = s->keys + j * s->k;
         size_t i = probe(s, key, hash(key, s->k));
         if (slots[i])
-            return ST_REPEAT;
-        slots[i] = (uint32_t)(j + 1);
+            continue;
+        if (n < j)   /* only then: a closure's helper may be reading keys */
+            memcpy(s->keys + n * s->k, key, (size_t)s->k);
+        slots[i] = (uint32_t)++n;
     }
+    s->n = n;
     return 0;
 }
 
@@ -955,28 +959,11 @@ int fl_set_partition(struct scan *s, long budget, const long **out)
     return ST_DONE;
 }
 
-/* The one key order, memcmp over a key's bytes.  qsort passes its
- * comparator no context, so fl_scan_cusp_list sets the key length and the
- * keys for by_cusp on its own thread first. */
-static _Thread_local size_t sort_width;
-static _Thread_local const u8 *sort_keys;
-
-/* (width, key index) pairs by width, then by the key they index */
-static int by_cusp(const void *a, const void *b)
-{
-    const long *p = a, *q = b;
-    if (p[0] != q[0])
-        return p[0] < q[0] ? -1 : 1;
-    return memcmp(sort_keys + (size_t)p[1] * sort_width, sort_keys + (size_t)q[1] * sort_width,
-                  sort_width);
-}
-
 /* Copies the (width, least key index) pair of each T-cycle of the last
- * orbit fl_set_partition walked in s, all of a closure, into pairs[0 ..
- * 2 cusp count), a buffer the caller owns, and sorts them by width and
- * then by least key (by_cusp).  It writes nothing else, so threads may
- * read one closure's list at once.  Returns 0, or ST_OPEN when no
- * partition of s has finished. */
+ * orbit fl_set_partition walked in s, all of a closure, in walk order
+ * into pairs[0 .. 2 cusp count), a buffer the caller owns.  It writes
+ * nothing else, so threads may read one closure's list at once.  Returns
+ * 0, or ST_OPEN when no partition of s has finished. */
 int fl_scan_cusp_list(const struct scan *s, long *pairs)
 {
     const struct parting *p = s->part;
@@ -984,9 +971,6 @@ int fl_scan_cusp_list(const struct scan *s, long *pairs)
         return ST_OPEN;
     for (long i = 0; i < 2 * p->cusps; i++)
         pairs[i] = p->cycles[i];
-    sort_width = (size_t)s->k;
-    sort_keys = s->keys;
-    qsort(pairs, (size_t)p->cusps, 2 * sizeof(long), by_cusp);
     return 0;
 }
 
@@ -1031,17 +1015,15 @@ int fl_canonical(int d, const u8 *r, const u8 *u, u8 *out)
  * right and a key set per target of its own; when it finishes a right,
  * it claims the next one nobody has from one atomic counter.  A
  * canonical key keeps the cycle type of r, so rights of one cycle type
- * give the same classes, and kernel.scan_degree passes only the first of
- * them; then no class comes from two rights, and the two sets of a target
- * are disjoint.  fl_enum_take joins the two sets of a target into one,
- * checking that no key is in both.  fl_enum_step works
- * the first cursor on the calling thread.  Once the scan has done
- * SCAN_HELPER_MIN units, when the step has that many left and there are
- * rights for both cursors, a helper thread (start_helper) works the
- * second one, SLICE units at a time, until the caller has spent its
- * budget or finds no right left; then the caller stops and joins it.
- * Otherwise, and on one CPU, the caller works the cursors in turn alone,
- * through the same loop. */
+ * give the same classes, which the two sets of a target may then share;
+ * fl_enum_take joins them into one set, which keeps each key once.
+ * fl_enum_step works the first cursor on the calling thread.  Once the
+ * scan has done SCAN_HELPER_MIN units, when the step has that many left
+ * and there are rights for both cursors, a helper thread (start_helper)
+ * works the second one, SLICE units at a time, until the caller has
+ * spent its budget or finds no right left; then the caller stops and
+ * joins it.  Otherwise, and on one CPU, the caller works the cursors in
+ * turn alone, through the same loop. */
 
 /* The cycles of a permutation, longest first: cycle i is
  * sym[off[i] .. off[i] + len[i]), each symbol followed by its image. */
@@ -1367,9 +1349,9 @@ static int has_work(struct enumeration *e, const struct cursor *c)
     return c->right >= 0 || atomic_load_explicit(&e->next, memory_order_relaxed) < e->nrights;
 }
 
-/* A scan of the given rights, no two of one cycle type, against the
- * given targets, where targets[t * (d + 1) + l] counts the l-cycles of
- * target t; NULL when out of memory. */
+/* A scan of the given rights against the given targets, where
+ * targets[t * (d + 1) + l] counts the l-cycles of target t; NULL when out
+ * of memory. */
 struct enumeration *fl_enum_new(int d, int nrights, const u8 *rights,
                                 int ntargets, const u8 *targets)
 {
@@ -1574,12 +1556,11 @@ int fl_enum_step(struct enumeration *e, long budget)
 
 /* The key set of target t into *out, which the caller then owns and frees
  * with fl_scan_free: the keys of the second cursor's set after those of
- * the first, under one slot table.  Returns 0; ST_NOMEM; or ST_REPEAT
- * when a key is in both sets, which rights of distinct cycle types never
- * give.  On failure the set is freed and *out is NULL.  Both slot tables
- * go first and the new one is made last, and the second set's keys are
- * moved from its end, its array shrinking after every PIECE keys, so that
- * few keys are held twice. */
+ * the first, under one slot table, where a key in both sets keeps its
+ * first place (rehash).  Returns 0, or ST_NOMEM with the set freed and
+ * *out NULL.  Both slot tables go first and the new one is made last,
+ * and the second set's keys are moved from its end, its array shrinking
+ * after every PIECE keys, so that few keys are held twice. */
 int fl_enum_take(struct enumeration *e, int t, struct scan **out)
 {
     struct scan *s = e->cur[0].sets[t], *o = e->cur[1].sets[t];

@@ -137,7 +137,7 @@ def cmd_lyap(args) -> int:
 def cmd_orbit(args) -> int:
     o = _read_origami(args.origami)
     scan = orbit_scan(o, max_size=args.max_orbit)
-    listed = sorted(scan.keys)[: args.limit] if args.list else []  # only these become origamis
+    listed = list(scan)[: args.limit] if args.list else []  # only these become origamis
     members = [str(Origami.from_key(k)) for k in listed]
     payload = {"orbit_size": scan.size, "members": members if args.list else None}
     _emit(args, payload, [f"orbit_size: {scan.size}", *members])
@@ -208,8 +208,7 @@ def cmd_slope_solve(args) -> int:
     if args.weights and args.divisor in (None, "", "spin"):
         raise InputError("--weights goes with --divisor logan only")
     if args.divisor == "spin":
-        slope = moduli.spin_slope(s.genus)
-        L = moduli.L_from_slope(s, slope)
+        slope, L = moduli.spin_slope_L(s)
         c = L - kappa(s)
         payload["divisor"] = "spin"
     else:

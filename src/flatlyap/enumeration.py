@@ -9,14 +9,15 @@ the stratum; canonical forms deduplicate the pairs.  The scan itself is
 ``kernel.scan_degree``.  It walks the conjugacy class of r for
 s = u^-1 r^-1 u, so the commutator is s r; the classes of all the
 representatives hold d! elements, and the walk skips each branch whose
-s r can fix no target's number of symbols.  Only the u of one s
-per orbit of the centralizer of r are canonicalised.  The compiled walk
-splits the representatives between the calling thread and, where a
-second CPU is usable, one helper thread: each walks whole
-representatives into key sets of its own, and a canonical key keeps the
-cycle type of r, so the two sets are disjoint and are joined into one
-hash table when the scan ends.  A degree whose d! passes ``SCAN_CAP`` is
-refused before its scan starts.
+s r can fix no target's number of symbols: the identity's class, its one
+element, takes at most d steps and gives a class only to a target of all
+ones.  Only the u of one s per orbit of the centralizer of r are
+canonicalised.  The compiled walk splits the representatives between
+the calling thread and, where a second CPU is usable, one helper
+thread: each walks whole representatives into key sets of its own,
+which are joined into one hash table, each key once, when the scan
+ends.  A degree whose d! passes ``SCAN_CAP`` is refused before its scan
+starts.
 
 Classes travel as packed canonical keys, ``bytes(r) + bytes(u)`` of the
 0-based images, in a ``kernel.KeySet``: ``enumerate_origamis`` returns
@@ -98,14 +99,7 @@ def _scan_degree(d: int, targets: dict[Stratum, tuple[int, ...]]) -> dict[Stratu
     if not targets:
         return {}
     _check_scan(d)
-    # a trivial right has a trivial commutator: it serves only H(0)
-    ones = (1,) * d
-    keep_identity = ones in targets.values()
-    rights = [
-        partition_representative(parts)
-        for parts in partitions(d)
-        if keep_identity or parts != ones
-    ]
+    rights = [partition_representative(parts) for parts in partitions(d)]
     strata = list(targets)
     return dict(zip(strata, scan_degree(d, rights, [targets[s] for s in strata])))
 
@@ -142,7 +136,7 @@ class OrbitClass:
     @property
     def members(self) -> tuple[bytes, ...]:
         """The orbit's canonical keys, sorted: closed again on each read."""
-        return tuple(sorted(orbit_scan(self.representative).keys))
+        return tuple(orbit_scan(self.representative))
 
 
 def orbit_partition(keys: KeySet) -> list[OrbitClass]:

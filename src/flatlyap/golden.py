@@ -131,8 +131,7 @@ def _check_slope(check, cache):
     s = Stratum.parse(check.get("stratum"))
     expected = f"s={check.get('s')} L={check.get('L')}"
     if check.get("divisor") == "spin":
-        slope = moduli.spin_slope(s.genus)
-        L = moduli.L_from_slope(s, slope)
+        slope, L = moduli.spin_slope_L(s)
     else:
         ms = moduli.MarkedStratum(s, _marks(check, "marks"))
         D = moduli.catalog_divisor(check.get("divisor"), s.genus, _marks(check, "weights"))

@@ -16,10 +16,10 @@ of its keys.  This module runs all of it in two interchangeable ways:
 * compiled, from ``_orbitcore.c``: built once with the system C compiler
   into ``${XDG_CACHE_HOME:-~/.cache}/flatlyap/``, named by the sha256 of
   the source and flags, and loaded with ctypes on the first call.  A
-  scan's KeySet, the hash table the scan filled, and a closure's OrbitScan
-  stay in C memory; ``fl_set_partition`` splits a KeySet, or finishes a
-  closure as a key set of one orbit, over set indices, so no class becomes
-  a Python object; a closure, scan or partition step may run a helper
+  KeySet, the hash table a scan filled or a closure's (an OrbitScan, a
+  KeySet of one orbit), stays in C memory; ``fl_set_partition`` splits
+  it, or finishes a closure, over set indices, so no class becomes a
+  Python object; a closure, scan or partition step may run a helper
   thread on another CPU (``fl_scan_step``, ``fl_enum_step``,
   ``fl_set_partition``); results are byte-identical either way;
 * in pure Python, the code below, which is the oracle the compiled code
@@ -298,20 +298,51 @@ def corner_walk(rz, uz) -> tuple[list[int], list[int]]:
     return vertex_of, sizes
 
 
-# -- orbit closure -----------------------------------------------------------
+# -- key sets and the orbit closure -----------------------------------------
 
-class OrbitScan:
-    """A closed SL(2,Z) orbit (``orbit_closure``): its ``size``, its members'
-    horizontal cylinders by (width, height) ``hist`` and their sum of h/w
-    ``total_hw``, its ``cusp_count`` and ``least`` key; the ``keys`` in
-    discovery order, and the ``cusps`` its finish listed, sorted in C, are
-    copied when first read.  A compiled closure (``lib``, ``handle``)
-    stays in C memory until the OrbitScan is freed, as a KeySet does."""
+class KeySet:
+    """The distinct canonical keys of one degree that a scan
+    (``scan_degree``) or a closure (``OrbitScan``) found: ``len`` counts
+    them and iterating yields them sorted.  The pure-Python scan and
+    closure pass their keys as ``keys``, in any order, which the KeySet
+    trusts and does not check; a compiled set (``lib``, ``handle``) stays
+    in C memory as the hash table its scan or closure filled, with the
+    state of its partition, and is freed with the KeySet."""
 
-    def __init__(self, degree: int, lib=None, handle=None):
-        self.degree, self._lib, self._handle = degree, lib, handle
+    def __init__(self, degree: int, keys=(), lib=None, handle=None):
+        self.degree, self._keys, self._lib, self._handle = degree, keys, lib, handle
+        self._partitioning = threading.Lock()   # one partition of the C set at a time
         if lib is not None and not handle:
-            raise MemoryError("no memory for the orbit search")
+            raise MemoryError("no memory for the key set")
+
+    def __len__(self) -> int:
+        return len(self._keys) if self._lib is None else self._lib.fl_scan_size(self._handle)
+
+    def __iter__(self):
+        keys = self._table_order()
+        keys.sort()
+        return iter(keys)
+
+    def _table_order(self) -> list[bytes]:
+        """The keys in storage order, a closure's in discovery order: the
+        Python ``partition`` marks them in it."""
+        if self._lib is None:
+            return list(self._keys)
+        k = 2 * self.degree
+        blob = ctypes.string_at(self._lib.fl_scan_keys(self._handle), len(self) * k)
+        return [blob[i : i + k] for i in range(0, len(blob), k)]
+
+    def __del__(self):
+        if getattr(self, "_handle", None):
+            self._lib.fl_scan_free(self._handle)
+
+
+class OrbitScan(KeySet):
+    """A closed SL(2,Z) orbit (``orbit_closure``), a KeySet of one orbit:
+    its ``size``, its members' horizontal cylinders by (width, height)
+    ``hist`` and their sum of h/w ``total_hw``, its ``cusp_count`` and
+    ``least`` key; the ``keys`` in discovery order, and the ``cusps`` its
+    finish listed, sorted, both copied when read."""
 
     def _set(self, size: int, hist: Counter, total_hw: Fraction, cusp_count: int,
              least: bytes) -> OrbitScan:
@@ -319,30 +350,21 @@ class OrbitScan:
         self.cusp_count, self.least = cusp_count, least
         return self
 
-    @functools.cached_property
-    def keys(self) -> list[bytes]:
-        k = 2 * self.degree
-        blob = ctypes.string_at(self._lib.fl_scan_keys(self._handle), self.size * k)
-        return [blob[i : i + k] for i in range(0, len(blob), k)]
+    keys = property(KeySet._table_order)
 
     @functools.cached_property
     def cusps(self) -> list[tuple[int, bytes]]:
         """(width, least key) per T-cycle, sorted."""
         pairs = (ctypes.c_long * (2 * self.cusp_count))()
-        status = self._lib.fl_scan_cusp_list(self._handle, pairs)
-        if status:
-            _raise_status(status)
+        _drive(lambda: self._lib.fl_scan_cusp_list(self._handle, pairs))
         first, k = self._lib.fl_scan_keys(self._handle), 2 * self.degree
-        return [(w, ctypes.string_at(first + i * k, k)) for w, i in zip(pairs[::2], pairs[1::2])]
+        return sorted((w, ctypes.string_at(first + i * k, k))
+                      for w, i in zip(pairs[::2], pairs[1::2]))
 
     def cusp_widths(self) -> _Cusps:
         """(width, least member) per T-orbit, sorted, as a sequence whose
         ``len`` is the cusp count: the pairs are made on first read."""
         return _Cusps(self)
-
-    def __del__(self):
-        if getattr(self, "_handle", None):
-            self._lib.fl_scan_free(self._handle)
 
 
 @dataclass
@@ -370,17 +392,23 @@ def orbit_closure(rz, uz, max_size: int) -> OrbitScan:
     if lib is None:
         return _py_orbit_closure(start, max_size)
     d = len(start) // 2
-    scan = OrbitScan(d, lib, lib.fl_scan_new(d, start))
-    at = scan._handle
-    while (status := lib.fl_scan_step(at, min(max_size, _LONG_MAX), _STEP_BUDGET)) == 1:
-        pass
-    if status:
-        _raise_status(status, max_size)
+    scan = OrbitScan(d, lib=lib, handle=lib.fl_scan_new(d, start))
+    cap = min(max_size, _LONG_MAX)
+    _drive(lambda: lib.fl_scan_step(scan._handle, cap, _STEP_BUDGET), max_size)
     # finished as a key set of one orbit, in one walk of its T-cycles
-    orbits = _orbits(lib, at, d)
+    orbits = _orbits(lib, scan._handle, d)
     if len(orbits) != 1:
         raise InternalCheckError(_OPEN_MESSAGE)
     return scan._set(*orbits[0])
+
+
+def _drive(step, max_size: int = 0) -> None:
+    """Calls ``step``, one call of a C function, while it returns 1, work
+    left; raises for the negative status it may end with."""
+    while (status := step()) == 1:
+        pass
+    if status:
+        _raise_status(status, max_size)
 
 
 def _raise_status(status: int, max_size: int = 0):
@@ -392,7 +420,6 @@ def _raise_status(status: int, max_size: int = 0):
         -3: (InternalCheckError, "cylinder areas do not add up to the degree"),
         -4: (DisconnectedError, _DISCONNECTED_MESSAGE),
         -7: (InternalCheckError, _OPEN_MESSAGE),
-        -8: (InternalCheckError, "the scan found one class from two rights"),
     }.get(status, (InputError, _RANGE_MESSAGE))
     raise kind(message)
 
@@ -421,8 +448,8 @@ def _py_orbit_closure(start: bytes, max_size: int) -> OrbitScan:
         t_next.append(visit(canonical_key(rz, [uz[x] for x in invert(rz)])))  # T: (r, u r^-1)
         visit(canonical_key(invert(uz), rz))  # S: (u^-1, r)
     cusps = _py_cusps(keys, t_next)
-    scan = OrbitScan(d)._set(len(keys), hist, _total_hw(d, hist), len(cusps), min(keys))
-    scan.keys, scan.cusps = keys, cusps
+    scan = OrbitScan(d, keys)._set(len(keys), hist, _total_hw(d, hist), len(cusps), min(keys))
+    scan.cusps = cusps
     return scan
 
 
@@ -444,42 +471,7 @@ def _py_cusps(keys, t_next) -> list[tuple[int, bytes]]:
     return sorted(cusps)
 
 
-# -- key sets and the orbit partition ----------------------------------------
-
-class KeySet:
-    """The distinct canonical keys of one degree that a scan
-    (``scan_degree``) found: ``len`` counts them and iterating yields them
-    sorted.  The pure-Python scan passes its keys as ``keys``, in any
-    order, which the KeySet trusts and does not check; a set from the
-    compiled scan (``lib``, ``handle``) stays in C memory as the scan's hash
-    table, with the state of its partition, and is freed with the KeySet."""
-
-    def __init__(self, degree: int, keys=(), lib=None, handle=None):
-        self.degree, self._keys, self._lib, self._handle = degree, keys, lib, handle
-        self._partitioning = threading.Lock()   # one partition of the C set at a time
-        if lib is not None and not handle:
-            raise MemoryError("no memory for the key set")
-
-    def __len__(self) -> int:
-        return len(self._keys) if self._lib is None else self._lib.fl_scan_size(self._handle)
-
-    def __iter__(self):
-        keys = self._table_order()
-        keys.sort()
-        return iter(keys)
-
-    def _table_order(self) -> list[bytes]:
-        """The keys in storage order, in which the Python ``partition`` marks them."""
-        if self._lib is None:
-            return list(self._keys)
-        k = 2 * self.degree
-        blob = ctypes.string_at(self._lib.fl_scan_keys(self._handle), len(self) * k)
-        return [blob[i : i + k] for i in range(0, len(blob), k)]
-
-    def __del__(self):
-        if getattr(self, "_handle", None):
-            self._lib.fl_scan_free(self._handle)
-
+# -- the orbit partition ----------------------------------------------------
 
 def partition(keys: KeySet) -> list[tuple[bytes, int, Fraction, int]]:
     """The SL(2,Z) orbits of a scan's key set, which is closed under T and
@@ -523,10 +515,7 @@ def _orbits(lib, handle, d: int) -> list[tuple[int, Counter, Fraction, int, byte
     """(size, ``hist``, ``total_hw``, cusp count, least key) per orbit, in
     walk order, of the C key set or closure ``handle``, by ``fl_set_partition``."""
     rec, first = ctypes.POINTER(ctypes.c_long)(), lib.fl_scan_keys(handle)
-    while (status := lib.fl_set_partition(handle, _STEP_BUDGET, ctypes.byref(rec))) == 1:
-        pass
-    if status:
-        _raise_status(status)
+    _drive(lambda: lib.fl_set_partition(handle, _STEP_BUDGET, ctypes.byref(rec)))
     rows, out, k = iter(rec[1 : 1 + rec[0]]), [], 2 * d
     # per orbit: least key index, size, cusps, cells, then (cell, count) per cell
     for at, size, cusps, cells in zip(rows, rows, rows, rows):
@@ -555,10 +544,10 @@ def scan_degree(d: int, rights, targets) -> list[KeySet]:
     of fixed points of s r misses every target's.  The u of one s are
     the z maps with u s = r^-1 u.  Conjugating by c in C(r) carries them
     onto the u of c s c^-1 and keeps every class, so only the least s of
-    each C(r)-orbit is expanded.  Rights of one cycle type give the same
-    classes, since a canonical key keeps the cycle type of r: the compiled
-    walk gets only the first of each, in order, and may split them between
-    two threads, which find no class twice; the Python oracle walks all."""
+    each C(r)-orbit is expanded.  Both walks take every right given, and
+    a class that two rights find, as rights of one cycle type do, since a
+    canonical key keeps the cycle type of r, is kept once; the compiled
+    walk may split the rights between two threads."""
     if not 0 < d <= MAX_DEGREE or any(sorted(r) != list(range(d)) for r in rights):
         raise InputError(_RANGE_MESSAGE)
     if any(sum(t) != d or min(t) < 1 for t in targets):
@@ -570,25 +559,16 @@ def scan_degree(d: int, rights, targets) -> list[KeySet]:
     for i, target in enumerate(targets):
         for length in target:
             counts[i * (d + 1) + length] += 1
-    firsts: dict[tuple[int, ...], bytes] = {}   # the first right of each cycle type
-    for r in rights:
-        firsts.setdefault(tuple(map(len, _cycles(r))), bytes(r))
-    scan = lib.fl_enum_new(d, len(firsts), b"".join(firsts.values()), len(targets), bytes(counts))
+    images = b"".join(map(bytes, rights))
+    scan = lib.fl_enum_new(d, len(rights), images, len(targets), bytes(counts))
     if not scan:
         raise MemoryError("no memory for the scan")
     try:
-        while True:
-            status = lib.fl_enum_step(scan, _SCAN_BUDGET)
-            if status == 0:
-                break
-            if status != 1:
-                _raise_status(status)
+        _drive(lambda: lib.fl_enum_step(scan, _SCAN_BUDGET))
         sets = []
         for i in range(len(targets)):
             handle = ctypes.c_void_p()
-            status = lib.fl_enum_take(scan, i, ctypes.byref(handle))
-            if status:
-                _raise_status(status)
+            _drive(lambda: lib.fl_enum_take(scan, i, ctypes.byref(handle)))
             sets.append(KeySet(d, lib=lib, handle=handle.value))
         return sets
     finally:

@@ -308,6 +308,15 @@ def spin_slope(g: int) -> Rat:
     return Fraction(4 * (g + 8), g + 2)
 
 
+def spin_slope_L(s: Stratum) -> tuple[Rat, Rat]:
+    """(slope, L) of the odd-spin curves of ``s`` by ``spin_slope``;
+    InputError unless every zero of ``s`` has order two."""
+    if any(m != 2 for m in s.orders):
+        raise InputError(f"the spin slope needs every zero of order two, not {s}")
+    slope = spin_slope(s.genus)
+    return slope, L_from_slope(s, slope)
+
+
 def L_from_slope(s: Stratum, slope: Rat) -> Rat:
     """L = 12 kappa / (12 - s)."""
     slope = Fraction(slope)
@@ -368,8 +377,8 @@ def _row_divisor(stratum, component, divisor, marks, method) -> TableRow:
     return TableRow(stratum, component, "nonvarying", L, method=method)
 
 
-def _row_spin(stratum, g) -> TableRow:
-    L = L_from_slope(stratum, spin_slope(g))
+def _row_spin(stratum) -> TableRow:
+    _, L = spin_slope_L(stratum)
     return TableRow(stratum, "odd", "nonvarying", L, method="spin slope")
 
 
@@ -394,7 +403,7 @@ def stratum_table(g: int) -> list[TableRow]:
             _row_divisor(Stratum((4,)), "odd", H, (), "disjoint from H"),
             _row_divisor(Stratum((3, 1)), "connected", H, (), "disjoint from H"),
             _row_hyp(Stratum((2, 2)), 3, "two_zeros"),
-            _row_spin(Stratum((2, 2)), 3),
+            _row_spin(Stratum((2, 2))),
             _row_divisor(
                 Stratum((2, 1, 1)), "connected",
                 logan_divisor(3, (1, 2)), (1, 2),
@@ -421,7 +430,7 @@ def stratum_table(g: int) -> list[TableRow]:
             _row_divisor(Stratum((3, 2, 1)), "connected",
                          logan_divisor(4, (1, 1, 2)), (1, 2, 3),
                          "disjoint pointed Brill-Noether"),
-            _row_spin(Stratum((2, 2, 2)), 4),
+            _row_spin(Stratum((2, 2, 2))),
             _row_bound(Stratum((2, 2, 2)), "even", catalog_divisor("GP", 4), (),
                        "not contained in GP"),
             _row_bound(Stratum((4, 1, 1)), "connected",

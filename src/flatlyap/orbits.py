@@ -99,8 +99,7 @@ def orbit_scan(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> OrbitScan:
 
 def orbit(o: Origami, max_size: int = DEFAULT_ORBIT_CAP) -> list[Origami]:
     """The SL(2,Z) orbit of ``o`` as a sorted list of canonical origamis."""
-    scan = orbit_scan(o, max_size=max_size)
-    return [Origami.from_key(k) for k in sorted(scan.keys)]
+    return [Origami.from_key(k) for k in orbit_scan(o, max_size=max_size)]
 
 
 # -- orbit invariants ---------------------------------------------------------

@@ -128,6 +128,13 @@ def test_slope_solve_spin(capsys):
     assert payload["s"] == "44/5" and payload["L"] == "5/3"
 
 
+@pytest.mark.parametrize("stratum", ["3,1", "6"])
+def test_slope_solve_spin_needs_every_zero_of_order_two(stratum):
+    # the spin slope holds only where every zero has order two: H(6) has
+    # an odd-spin component, but its L is 13/7, not the slope's 12/7
+    _assert_input_error(("slope-solve", "--stratum", stratum, "--divisor", "spin"))
+
+
 def test_slope_solve_explicit_coefficients(capsys):
     code, out, _ = run(
         capsys,

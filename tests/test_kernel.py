@@ -247,7 +247,7 @@ def test_partition_of_sets_both_cursors_fill_matches_python(monkeypatch):
 
 def _conjugate_rights_add_no_class(d: int) -> None:
     # a conjugate of each right beside it finds no class the rights alone
-    # do not; the compiled walk gets the first right of each cycle type
+    # do not, and each class is kept once; both backends walk every right
     rights = _all_rights(d)
     shifted = [tuple((r[(x - 1) % d] + 1) % d for x in range(d)) for r in rights]
     targets = list(_targets(d).values())
@@ -263,7 +263,8 @@ def test_rights_of_one_cycle_type_give_the_same_classes(backend):
 def test_rights_of_one_cycle_type_give_the_same_classes_beside_the_helper(monkeypatch):
     # at d=8 in one step of 2^20 units a helper thread walks some rights
     # beside the caller, wherever two CPUs are usable: two rights of one
-    # cycle type on two threads would find one class twice (ST_REPEAT)
+    # cycle type on two threads find one class in both cursors' sets, and
+    # the join keeps it once
     compiled_library()
     monkeypatch.setattr(kernel, "_SCAN_BUDGET", 1 << 20)
     _conjugate_rights_add_no_class(8)
@@ -750,8 +751,8 @@ def _run_with_kernel(tmp_path, driver: str) -> list[str]:
 # the H(2) scan of degree 5 stepped to its end, alone in steps of 64
 # units, once as it is and once with the first key of the caller's set put
 # into the other cursor's set too, which never ran and so still takes
-# keys, as a broken split of the rights would: one line per take, its
-# status and set size
+# keys, as two rights of one cycle type on two threads would: one line per
+# take, its status and set size
 _REPEAT_DRIVER = r"""
 #include KERNEL
 #include <stdio.h>
@@ -780,10 +781,8 @@ int main(void)
 """
 
 
-def test_a_class_found_from_two_rights_is_an_internal_error(tmp_path):
-    assert _run_with_kernel(tmp_path, _REPEAT_DRIVER) == ["0 27", "-8 -1"]
-    with pytest.raises(InternalCheckError, match="two rights"):
-        kernel._raise_status(-8)
+def test_a_class_found_from_two_rights_is_kept_once(tmp_path):
+    assert _run_with_kernel(tmp_path, _REPEAT_DRIVER) == ["0 27", "0 27"]
 
 
 # the H(2) key set of degree 5 partitioned as it is; with one key
@@ -923,8 +922,8 @@ def test_c_exports_are_what_kernel_declares_and_calls():
 # its finish nor after the finish fails; TEN_3111 closed in steps of 1000
 # keys, so that batches split across calls, and finished in steps of 1000,
 # its cusp list read by two threads at once, each into its own buffer of
-# exactly 2 * cusp count longs, which must hold the same list, checked to
-# be sorted, and its least key checked to be the least, and capped one key
+# exactly 2 * cusp count longs, which must hold the same list, and its
+# least key checked to be the least, and capped one key
 # short, in the middle of a batch; one degree-5 scan for the commutator
 # types of H(2) and H(1,1), and one for H(2) with a right left out, whose
 # sets the partition of H(2) splits, a step at a time, while an unfinished
@@ -1094,20 +1093,15 @@ int main(void)
     for (int t = 0; t < 2; t++)
         pthread_join(threads[t], NULL);
     const long *list = readers[0].pairs;
-    int sorted = 1, is_least = 1;
+    int is_least = 1;
     int same = !readers[0].status && !readers[1].status &&
                !memcmp(list, readers[1].pairs, 2 * count * sizeof(long));
-    for (long i = 0; i < count; i++) {
+    for (long i = 0; i < count; i++)
         width += list[2 * i];
-        if (i > 0 && (list[2 * i - 2] > list[2 * i] ||
-                      (list[2 * i - 2] == list[2 * i] &&
-                       memcmp(keys + 20 * list[2 * i - 1], keys + 20 * list[2 * i + 1], 20) >= 0)))
-            sorted = 0;
-    }
     for (long j = 0; j < n; j++)
         if (memcmp(keys + 20 * j, keys + 20 * least, 20) < 0)
             is_least = 0;
-    printf("%d %ld %ld %ld %d %d %d\n", status, n, count, width, sorted, is_least, same);
+    printf("%d %ld %ld %ld %d %d\n", status, n, count, width, is_least, same);
     free(readers[0].pairs);
     free(readers[1].pairs);
     fl_scan_free(s);
@@ -1207,7 +1201,7 @@ int main(void)
 # them all; a second finish and a later step fail (ST_OPEN); the cap stops
 # at 10 keys (ST_CAP), and the finish of that closure fails (ST_OPEN), for
 # its frontier is not empty; TEN_3111 closes with 23,328
-# keys in 2,616 cusps whose widths add up to the size, sorted, the same
+# keys in 2,616 cusps whose widths add up to the size, the same
 # list in both threads' buffers, with the least key found, and its cap
 # stops one key short; 27 and 24 classes; 23 classes without the right
 # (4,1), and both H(2) sets distinct; the partition finds orbits of 18
@@ -1218,7 +1212,7 @@ int main(void)
 # one per sublattice of index 5 in Z^2; 486 classes of H(2,2) at d=7,
 # distinct across the two cursors' sets
 _SANITIZER_STDOUT = [
-    "18 5 -7 -7 18 1", "-1 10 1 -7 1", "0 23328 2616 23328 1 1 1", "-1 23327", "27 24",
+    "18 5 -7 -7 18 1", "-1 10 1 -7 1", "0 23328 2616 23328 1 1", "-1 23327", "27 24",
     "23 1", "18 5 9 3 1 -7", "4032 0 5 4032", "27 24 6", "486 1", "",
 ]
 

@@ -206,8 +206,8 @@ def test_cusp_list_is_the_same_from_any_start_in_the_orbit(text):
         for x in starts
         for widths in on_both(lambda: list(orbit_scan(x).cusp_widths()))
     ]
-    assert lists[0] == sorted(lists[0])
-    assert all(widths == lists[0] for widths in lists)
+    # each backend's own list is sorted: the compiled one only in Python
+    assert all(widths == sorted(widths) == lists[0] for widths in lists)
 
 
 def test_single_cusp_orbit():
