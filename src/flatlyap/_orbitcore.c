@@ -22,10 +22,12 @@
  * kernel.py has checked.  The scan's key sets outlive it: fl_enum_take
  * hands each one over as the hash table the scan filled, and
  * fl_set_partition splits it into orbits by the set indices of the T and
- * S images of its keys, with no closure.  fl_scan_step, fl_enum_step
- * and fl_set_partition may each run a helper thread, which they join
- * before they return; every other function runs on its caller's thread
- * alone, and several threads may read one finished closure at once.
+ * S images of its keys, which it finds with the closure's own step
+ * (fl_scan_step) given no room for a new key: one routine makes every
+ * image table.  fl_scan_step, also under fl_set_partition, and
+ * fl_enum_step may each run a helper thread, which they join before they
+ * return; every other function runs on its caller's thread alone, and
+ * several threads may read one finished closure at once.
  */
 #define _GNU_SOURCE       /* sched_getaffinity, sched_getcpu, CPU_COUNT */
 #include <limits.h>
@@ -187,13 +189,15 @@ struct scan {
     long n, head;       /* keys found, keys expanded */
     long room;          /* keys the arrays hold */
     u8 *keys;           /* n keys in discovery order */
-    uint32_t *img[2];   /* closures only, until their finish: the T and S
-                         * images of each expanded key, as in struct parting */
+    uint32_t *img[2];   /* the set indices of the T and S images of each
+                         * expanded key: a closure's from its start to its
+                         * finish, a key set's while it is partitioned */
     uint32_t *slots;    /* open addressing: key index + 1, 0 when free;
                          * NULL once a closure's finish has begun */
     size_t mask;        /* slot count - 1, a power of two less one */
-    /* fl_scan_step: what expand() made of the keys of a batch, on two
-     * sides of BATCH keys each, the caller's and the helper's */
+    /* fl_scan_step, from its first call: what expand() made of the keys
+     * of a batch, on two sides of BATCH keys each, the caller's and the
+     * helper's */
     u8 *images;         /* T, S images, canonical: 2 per key */
     struct made *made;  /* the rest: 1 per key */
     struct parting *part;   /* key sets only: fl_set_partition's state */
@@ -296,10 +300,11 @@ static int reserve(struct scan *s)
 
 /* Index of key, whose hash is h, in the visited set, appending it when
  * new; a negative status when it is new and max_size keys are already
- * stored. */
+ * stored.  A full set makes no room, so that a key set stepped with
+ * max_size n keeps its arrays. */
 static long visit(struct scan *s, const u8 *key, size_t h, long max_size)
 {
-    int st = reserve(s);
+    int st = s->n < max_size ? reserve(s) : 0;
     if (st)
         return st;
     size_t i = probe(s, key, h);
@@ -312,16 +317,14 @@ static long visit(struct scan *s, const u8 *key, size_t h, long max_size)
     return s->n++;
 }
 
-static void parting_free(struct parting *p);
+static void parting_free(struct scan *s);
 
 void fl_scan_free(struct scan *s)
 {
     if (!s)
         return;
-    parting_free(s->part);
+    parting_free(s);
     free(s->keys);
-    free(s->img[0]);
-    free(s->img[1]);
     free(s->slots);
     free(s->images);
     free(s->made);
@@ -357,9 +360,7 @@ struct scan *fl_scan_new(int d, const u8 *start)
         return NULL;
     for (int c = 0; c < 2; c++)
         s->img[c] = malloc((size_t)s->room * sizeof *s->img[c]);
-    s->images = malloc(2 * BATCH * 2 * (size_t)s->k);
-    s->made = malloc(2 * BATCH * sizeof *s->made);
-    if (!s->img[0] || !s->img[1] || !s->images || !s->made) {
+    if (!s->img[0] || !s->img[1]) {
         fl_scan_free(s);
         return NULL;
     }
@@ -552,7 +553,10 @@ static int locate(struct crew *cr, long c, signed char *where, unsigned long *cl
 /* Expands at most ``budget`` keys in discovery order: visits each one's
  * T image (r, u r^-1), then its S image (u^-1, r), and records both
  * indices in img.  Returns a status from the enum above; ST_OPEN once
- * fl_set_partition has begun to finish the closure, or on a key set.
+ * fl_set_partition has begun to finish the closure, or on a key set that
+ * it is not partitioning.  fl_set_partition steps a key set with
+ * max_size n: an image outside the set is then ST_CAP, and the arrays do
+ * not grow.
  *
  * Keys go in batches of at most BATCH that are already in the set, and
  * a batch in chunks: the images of a chunk are all made, by one thread,
@@ -566,8 +570,14 @@ int fl_scan_step(struct scan *s, long max_size, long budget)
     unsigned long claims = 0;   /* chunks the helper has claimed, so far as known */
     struct crew cr;
     pthread_t helper;
-    if (!s->img[0])
+    if (!s->img[0] || !s->slots)
         return ST_OPEN;
+    if (!s->images)
+        s->images = malloc(2 * BATCH * 2 * (size_t)k);
+    if (!s->made)
+        s->made = malloc(2 * BATCH * sizeof *s->made);
+    if (!s->images || !s->made)
+        return ST_NOMEM;
     cr.s = s;
     cr.chunk = BATCH;
     atomic_init(&cr.claim, 0);
@@ -587,10 +597,12 @@ int fl_scan_step(struct scan *s, long max_size, long budget)
         }
         if (batch > BATCH)
             batch = BATCH;
-        if (s->n + 2 * batch > s->room)
+        /* room for the batch's new keys: at most two each, and max_size */
+        long extra = max_size - s->n < 2 * batch ? max_size - s->n : 2 * batch;
+        if (s->n + extra > s->room)
             while (atomic_load_explicit(&cr.made, memory_order_acquire) != claims)
                 pause_hint();
-        if ((st = grow(s, 2 * batch)))
+        if ((st = grow(s, extra)))
             break;
         atomic_store_explicit(&cr.claim, (uint64_t)s->head << 32 | (uint64_t)batch << 16,
                               memory_order_release);
@@ -635,14 +647,13 @@ int fl_scan_step(struct scan *s, long max_size, long budget)
  * set into its SL(2,Z) orbits over set indices alone, without a copy of
  * any key and without a closure:
  *
- * 1. The image table: for every index i, the set index of the canonical
- *    T image and of the canonical S image of key i, each found by one
- *    probe (MISS when it is not in the set, LOST when it is not
- *    transitive).  The rows are independent and the set is only read, so
- *    a step of at least PART_HELPER_MIN rows shares them with a helper
- *    thread (start_helper), ROWS at a time from one atomic counter, and
- *    joins it before it returns.  The helper allocates nothing.  A
- *    closure made its table as it went, and starts at step 2.
+ * 1. The image table, img: for every index i, the set index of the
+ *    canonical T image and of the canonical S image of key i.  A closure
+ *    made its table as it went, and starts at step 2.  A key set gets the
+ *    two columns and is stepped from its first key as a closure is
+ *    (fl_scan_step, with its helper thread), with max_size n: an image
+ *    outside the set is the cap, ST_OPEN here, and one that is not
+ *    transitive is ST_DISCONNECTED.
  * 2. The orbits.  Both columns must be permutations of the set, else
  *    ST_OPEN: on a set closed under T and S they are, and a key that is
  *    missing, repeated or not canonical breaks one of them.  The orbits
@@ -653,20 +664,13 @@ int fl_scan_step(struct scan *s, long max_size, long budget)
  *    of its first key, weighted by its width, to the orbit's histogram,
  *    and its (width, least key) to the orbit's cycle list.
  *
- * A step returns to the caller after ``budget`` rows or keys; the state
- * stays with the set, so a partition cut short between steps goes on at
- * the next call, and one that has finished starts over.  A closure is
- * finished once: its slot table and image table go to its finish.  One
- * partition of a set runs at a time. */
+ * A step returns to the caller after ``budget`` keys; the state stays
+ * with the set, so a partition cut short between steps goes on at the
+ * next call, and one that has finished starts over.  A closure is
+ * finished once: its slot table goes to its finish, and the image table
+ * goes with the walk, a key set's too.  One partition of a set runs at a
+ * time. */
 
-/* an image outside the set, and one that is not transitive: neither is a
- * set index, since reserve() keeps those below UINT32_MAX - 1 */
-#define MISS UINT32_MAX
-#define LOST (UINT32_MAX - 1)
-
-/* rows a thread claims at a time, and rows a step needs to start the
- * helper (256 did no better on the key sets of d <= 8) */
-enum { ROWS = 8, PART_HELPER_MIN = 1024 };
 enum { P_IMAGES, P_CHECK, P_ORBITS, P_DONE };
 /* per key: the T column reaches it, the S column reaches it, an orbit
  * holds it */
@@ -675,7 +679,6 @@ enum { HIT_T = 1, HIT_S = 2, HELD = 4 };
 struct parting {
     int phase;
     long at;            /* the next index of the phase's pass */
-    uint32_t *img[2];   /* per key: its T image's index, and its S image's */
     u8 *mark;           /* per key: HIT_T | HIT_S | HELD */
     /* stack[0 .. filled): S images of the open orbit's keys that no orbit
      * held when stacked; a key is the S image of one, so n at most */
@@ -690,12 +693,16 @@ struct parting {
     long *out, used, room;
 };
 
-static void parting_free(struct parting *p)
+/* Frees the partition state of s and its image table. */
+static void parting_free(struct scan *s)
 {
+    struct parting *p = s->part;
+    free(s->img[0]);
+    free(s->img[1]);
+    s->img[0] = s->img[1] = NULL;
+    s->part = NULL;
     if (!p)
         return;
-    free(p->img[0]);
-    free(p->img[1]);
     free(p->mark);
     free(p->stack);
     free(p->cycles);
@@ -704,24 +711,25 @@ static void parting_free(struct parting *p)
     free(p);
 }
 
-/* The state of a new partition of s.  A closure's image table and slot
- * table go to it, and it starts at the check. */
-static struct parting *parting_new(struct scan *s)
+/* A new partition of s into s->part; 0 or ST_NOMEM.  A closure's slot
+ * table goes to it, and it starts at the check; a key set gets the image
+ * table, to be stepped from its first key. */
+static int parting_new(struct scan *s)
 {
-    struct parting *p = calloc(1, sizeof *p);
+    struct parting *p = s->part = calloc(1, sizeof *p);
     if (!p)
-        return NULL;
+        return ST_NOMEM;
     size_t n = (size_t)s->n, cells = (size_t)(s->d + 1) * (size_t)(s->d + 1);
     if (s->img[0]) {
         p->phase = P_CHECK;
         free(s->slots);   /* only the search reads it */
         s->slots = NULL;
+    } else {
+        s->head = 0;
+        for (int c = 0; c < 2; c++)
+            s->img[c] = malloc((size_t)s->room * sizeof *s->img[c]);
     }
-    for (int c = 0; c < 2; c++) {   /* one spare entry each: malloc(0) may return NULL */
-        p->img[c] = s->img[c] ? s->img[c] : malloc((n + 1) * sizeof *p->img[c]);
-        s->img[c] = NULL;
-    }
-    p->mark = calloc(n + 1, 1);
+    p->mark = calloc(n + 1, 1);   /* one spare entry: malloc(0) may return NULL */
     p->stack = malloc((n + 1) * sizeof *p->stack);
     p->cycle_room = 64;
     p->cycles = malloc(2 * (size_t)p->cycle_room * sizeof *p->cycles);
@@ -729,87 +737,33 @@ static struct parting *parting_new(struct scan *s)
     p->room = 4 * (long)cells;
     p->out = malloc((size_t)p->room * sizeof *p->out);
     p->used = 1;
-    if (!p->img[0] || !p->img[1] || !p->mark || !p->stack || !p->cycles || !p->hist || !p->out) {
-        parting_free(p);
-        return NULL;
+    if (!s->img[0] || !s->img[1] || !p->mark || !p->stack || !p->cycles || !p->hist || !p->out) {
+        parting_free(s);
+        return ST_NOMEM;
     }
-    return p;
+    return 0;
 }
 
-/* Phase 1, shared by the caller and the helper. */
-struct imager {
-    _Alignas(64) _Atomic long next;   /* the first row nobody has claimed */
-    const struct scan *s;
-    uint32_t **img;
-    long end;
-};
-
-/* Fills the image rows of im, ROWS at a time, until none is left: first
- * the images of a claim, then a probe for each.  Probing right after
- * each key's images took phase 1 about 1.5 times as long at H(8),
- * d=11. */
-static void image_rows(struct imager *im)
+/* Steps the image table from s->head on, at most *budget keys of it. */
+static int make_images(struct scan *s, struct parting *p, long *budget)
 {
-    const struct scan *s = im->s;
-    int k = s->k;
-    u8 made[ROWS][1024];
-    size_t h[ROWS][2];
-    int lost[ROWS];
-    for (;;) {
-        long lo = atomic_fetch_add_explicit(&im->next, ROWS, memory_order_relaxed);
-        if (lo >= im->end)
-            return;
-        long rows = lo + ROWS < im->end ? ROWS : im->end - lo;
-        for (long b = 0; b < rows; b++) {
-            if ((lost[b] = t_s_images(s->d, s->keys + (lo + b) * k, made[b])))
-                continue;
-            for (int c = 0; c < 2; c++)
-                h[b][c] = hash(made[b] + c * k, k);
-        }
-        for (long b = 0; b < rows; b++)
-            for (int c = 0; c < 2; c++) {
-                uint32_t j = lost[b] ? 0 : s->slots[probe(s, made[b] + c * k, h[b][c])];
-                im->img[c][lo + b] = lost[b] ? LOST : j ? j - 1 : MISS;
-            }
-    }
-}
-
-static void *help_image(void *arg)
-{
-    image_rows(arg);
-    return NULL;
-}
-
-/* Fills the image rows from p->at on, at most *budget of them. */
-static void make_images(const struct scan *s, struct parting *p, long *budget)
-{
-    struct imager im = {.s = s, .img = p->img};
-    pthread_t helper;
-    im.end = s->n - p->at < *budget ? s->n : p->at + *budget;
-    atomic_init(&im.next, p->at);
-    int helping = im.end - p->at >= PART_HELPER_MIN && start_helper(help_image, &im, &helper);
-    image_rows(&im);
-    if (helping)
-        pthread_join(helper, NULL);
-    *budget -= im.end - p->at;
-    p->at = im.end;
-    if (p->at == s->n) {
+    long head = s->head;
+    int st = fl_scan_step(s, s->n, *budget);
+    *budget -= s->head - head;
+    if (st == ST_DONE)
         p->phase = P_CHECK;
-        p->at = 0;
-    }
+    return st == ST_CAP ? ST_OPEN : st == ST_MORE ? 0 : st;
 }
 
-/* Checks image rows from p->at on: each image in the set and transitive,
- * and no key the image of two keys in one column. */
+/* Checks image rows from p->at on: no key the image of two keys in one
+ * column. */
 static int check_images(const struct scan *s, struct parting *p, long *budget)
 {
     long end = s->n - p->at < *budget ? s->n : p->at + *budget;
     for (long i = p->at; i < end; i++)
         for (int c = 0; c < 2; c++) {
-            uint32_t j = p->img[c][i];
-            if (j == LOST)
-                return ST_DISCONNECTED;
-            if (j == MISS || p->mark[j] & (HIT_T << c))
+            uint32_t j = s->img[c][i];
+            if (p->mark[j] & (HIT_T << c))
                 return ST_OPEN;
             p->mark[j] |= (u8)(HIT_T << c);
         }
@@ -844,12 +798,12 @@ static int hold_cycle(const struct scan *s, struct parting *p, uint32_t x, long 
      * image is stacked without a branch, and stays unless an orbit holds it */
     do {
         p->mark[y] |= HELD;
-        p->stack[p->filled] = p->img[1][y];
-        p->filled += !(p->mark[p->img[1][y]] & HELD);
+        p->stack[p->filled] = s->img[1][y];
+        p->filled += !(p->mark[s->img[1][y]] & HELD);
         if (memcmp(keys + y * k, keys + least * k, k) < 0)
             least = y;
         width++;
-    } while ((y = p->img[0][y]) != x);
+    } while ((y = s->img[0][y]) != x);
     if (memcmp(keys + least * k, keys + (size_t)p->least * k, k) < 0)
         p->least = least;
     p->cycles[2 * p->cusps] = width;
@@ -915,12 +869,12 @@ static int walk_orbits(const struct scan *s, struct parting *p, long *budget)
     return st;
 }
 
-/* Does at most ``budget`` rows or keys of the orbit partition of the key
- * set s, see above.  Returns ST_MORE; ST_DONE, with *out set to the
- * records, which stay s's until the next call or fl_scan_free; ST_OPEN
- * when the set is not closed under T and S, or s is a closure that is
- * not complete or already finished; ST_DISCONNECTED; ST_AREA; or
- * ST_NOMEM.  A failure drops the state, so the next call starts over. */
+/* Does at most ``budget`` keys of the orbit partition of the key set s,
+ * see above.  Returns ST_MORE; ST_DONE, with *out set to the records,
+ * which stay s's until the next call or fl_scan_free; ST_OPEN when the
+ * set is not closed under T and S, or s is a closure that is not complete
+ * or already finished; ST_DISCONNECTED; ST_AREA; or ST_NOMEM.  A failure
+ * drops the state and the image table, so the next call starts over. */
 int fl_set_partition(struct scan *s, long budget, const long **out)
 {
     struct parting *p = s->part;
@@ -928,31 +882,32 @@ int fl_set_partition(struct scan *s, long budget, const long **out)
     if (!p || p->phase == P_DONE) {
         if (!s->slots || (s->img[0] && s->head < s->n))
             return ST_OPEN;
-        parting_free(p);
-        if (!(p = s->part = parting_new(s)))
-            return ST_NOMEM;
+        if (p)
+            parting_free(s);
+        if ((st = parting_new(s)))
+            return st;
+        p = s->part;
     }
     while (!st && budget > 0 && p->phase != P_DONE) {
         if (p->phase == P_IMAGES)
-            make_images(s, p, &budget);
+            st = make_images(s, p, &budget);
         else if (p->phase == P_CHECK)
             st = check_images(s, p, &budget);
         else
             st = walk_orbits(s, p, &budget);
     }
     if (st) {
-        parting_free(p);
-        s->part = NULL;
+        parting_free(s);
         return st;
     }
     if (p->phase != P_DONE)
         return ST_MORE;
     /* only the records and the last orbit's cycle list are left to read */
-    free(p->img[0]);
-    free(p->img[1]);
+    free(s->img[0]);
+    free(s->img[1]);
     free(p->mark);
     free(p->stack);
-    p->img[0] = p->img[1] = p->stack = NULL;
+    s->img[0] = s->img[1] = p->stack = NULL;
     p->mark = NULL;
     p->out[0] = p->used - 1;
     *out = p->out;

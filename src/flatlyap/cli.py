@@ -207,6 +207,10 @@ def cmd_slope_solve(args) -> int:
     payload = {"stratum": list(s.orders), "marks": list(args.marks)}
     if args.weights and args.divisor in (None, "", "spin"):
         raise InputError("--weights goes with --divisor logan only")
+    if args.divisor and (args.lam, args.omega, args.delta0) != (None, None, None):
+        raise InputError("--lambda, --omega and --delta0 do not go with --divisor")
+    if args.bound and args.divisor == "spin":
+        raise InputError("--bound does not go with --divisor spin")
     if args.divisor == "spin":
         slope, L = moduli.spin_slope_L(s)
         c = L - kappa(s)
@@ -215,7 +219,7 @@ def cmd_slope_solve(args) -> int:
         if args.divisor:
             D = moduli.catalog_divisor(args.divisor, s.genus, args.weights or ())
         elif args.lam is not None:
-            D = moduli.DivisorClass(args.lam, args.omega, args.delta0)
+            D = moduli.DivisorClass(args.lam, args.omega or (), args.delta0 or 0)
         else:
             raise InputError("give --divisor or explicit --lambda/--omega/--delta0")
         payload["divisor"] = str(D)
@@ -338,12 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--divisor", default=None, help="catalog name, logan, or spin")
     p.add_argument("--weights", type=_list_of(int), help="weights for --divisor logan")
     p.add_argument("--lambda", dest="lam", type=_option(Fraction), help="lambda coefficient")
-    p.add_argument(
-        "--omega", type=_list_of(Fraction), default=(), help="omega coefficients c1,c2,..."
-    )
-    p.add_argument(
-        "--delta0", type=_option(Fraction), default=Fraction(0), help="delta_0 coefficient"
-    )
+    p.add_argument("--omega", type=_list_of(Fraction), help="omega coefficients c1,c2,...")
+    p.add_argument("--delta0", type=_option(Fraction), help="delta_0 coefficient (default 0)")
     p.add_argument(
         "--bound", action="store_true",
         help="treat the divisor as an upper bound (C.D >= 0)",

@@ -19,9 +19,10 @@ of its keys.  This module runs all of it in two interchangeable ways:
   KeySet, the hash table a scan filled or a closure's (an OrbitScan, a
   KeySet of one orbit), stays in C memory; ``fl_set_partition`` splits
   it, or finishes a closure, over set indices, so no class becomes a
-  Python object; a closure, scan or partition step may run a helper
-  thread on another CPU (``fl_scan_step``, ``fl_enum_step``,
-  ``fl_set_partition``); results are byte-identical either way;
+  Python object; a closure or scan step may run a helper thread on
+  another CPU (``fl_scan_step``, ``fl_enum_step``), and so may a
+  partition, which makes a set's T and S images with the closure's step;
+  results are byte-identical either way;
 * in pure Python, the code below, which is the oracle the compiled code
   must match byte for byte.
 
@@ -357,9 +358,9 @@ class OrbitScan(KeySet):
         """(width, least key) per T-cycle, sorted."""
         pairs = (ctypes.c_long * (2 * self.cusp_count))()
         _drive(lambda: self._lib.fl_scan_cusp_list(self._handle, pairs))
-        first, k = self._lib.fl_scan_keys(self._handle), 2 * self.degree
-        return sorted((w, ctypes.string_at(first + i * k, k))
-                      for w, i in zip(pairs[::2], pairs[1::2]))
+        k = 2 * self.degree   # one view of the C keys, sliced per cusp: no copy of them all
+        keys = (ctypes.c_char * (len(self) * k)).from_address(self._lib.fl_scan_keys(self._handle))
+        return sorted((w, keys[i * k : i * k + k]) for w, i in zip(pairs[::2], pairs[1::2]))
 
     def cusp_widths(self) -> _Cusps:
         """(width, least member) per T-orbit, sorted, as a sequence whose
@@ -479,9 +480,10 @@ def partition(keys: KeySet) -> list[tuple[bytes, int, Fraction, int]]:
     cusp count) per orbit, as ``orbit_closure`` gives them.
 
     Compiled, ``fl_set_partition`` finds the T and S image of every key in
-    the set's hash table, in steps of ``_STEP_BUDGET`` keys; the orbits
-    are the components of these two index columns, and the cusps the
-    cycles of the T column.  The Python oracle closes each orbit from the
+    the set's hash table with the closure's own step, given no room for a
+    new key, in steps of ``_STEP_BUDGET`` keys; the orbits are the
+    components of these two index columns, and the cusps the cycles of
+    the T column.  The Python oracle closes each orbit from the
     first key in storage order that no orbit holds yet.  Raises
     InternalCheckError when the set is not closed: a missing, repeated or
     non-canonical key breaks a column's permutation or a closure's marks.

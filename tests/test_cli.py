@@ -443,6 +443,21 @@ def test_weights_without_logan_are_input_errors(how):
     _assert_input_error(("slope-solve", "--stratum", "4", *how, "--weights", "1,2"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--stratum", "3,1", "--divisor", "H", "--omega", "5"),
+        ("--stratum", "3,1", "--divisor", "H", "--delta0", "7"),
+        ("--stratum", "4", "--divisor", "H", "--lambda", "3"),
+        ("--stratum", "2,2", "--divisor", "spin", "--bound"),
+    ],
+)
+def test_options_the_divisor_does_not_read_are_input_errors(argv):
+    # explicit coefficients with a named divisor, and a bound on the spin
+    # equality, would otherwise be dropped without a word
+    _assert_input_error(("slope-solve", *argv))
+
+
 def _assert_input_error(argv, cwd=None):
     # a separate interpreter, so that an escaping exception shows as the
     # traceback and exit code 1 a user would see

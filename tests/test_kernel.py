@@ -234,8 +234,8 @@ def test_partition_of_sets_both_cursors_fill_matches_python(monkeypatch):
     # walks some rights into the second cursor's sets: the orbits come by
     # least key, whichever thread found which class, so both backends and
     # the same keys in sorted order give one partition; the compiled one
-    # makes the image rows of each set of 1,024 keys or more with the
-    # helper of fl_set_partition, wherever two CPUs are usable
+    # makes the images of each set of 512 keys or more with the helper of
+    # fl_scan_step, wherever two CPUs are usable
     compiled_library()
     monkeypatch.setattr(kernel, "_SCAN_BUDGET", 1 << 20)
     rights, targets = _all_rights(8), list(_targets(8).values())
@@ -548,8 +548,8 @@ def test_compiled_scan_is_the_same_on_one_cpu():
 
 
 def test_compiled_partition_is_the_same_on_one_cpu():
-    # a process pinned to one CPU makes every image row of the partition
-    # on the calling thread
+    # a process pinned to one CPU makes every image of the partition on
+    # the calling thread
     compiled_library()
     cpus = sorted(os.sched_getaffinity(0))
     if len(cpus) < 2:
@@ -787,20 +787,29 @@ def test_a_class_found_from_two_rights_is_kept_once(tmp_path):
 
 # the H(2) key set of degree 5 partitioned as it is; with one key
 # replaced by the relabelling of its class that swaps squares 0 and 1,
-# which is not canonical, under a slot table made again; and with the key
-# back and its relabelling added beside it: one line with the first
-# status, whether the relabelling differs from the key and has its
-# canonical form, and the other two statuses
+# which is not canonical, under a slot table made again; with the key
+# back; and with the relabelling added beside it: one line with the first
+# status, whether that partition kept the set's key room and slot count,
+# whether the relabelling differs from the key and has its canonical
+# form, the status with the key replaced, the status with the key back
+# and whether its records are the first partition's, and the last status
 _RELABEL_DRIVER = r"""
 #include KERNEL
 #include <stdio.h>
 
-static int partition(struct scan *s)
+/* the status of the partition of s in steps of 4 keys, and in *records a
+ * copy of its records when it succeeds */
+static int partition(struct scan *s, long **records)
 {
     const long *out;
     int status;
     while ((status = fl_set_partition(s, 4, &out)) == 1)
         ;
+    *records = NULL;
+    if (!status) {
+        size_t size = (size_t)(out[0] + 1) * sizeof *out;
+        *records = memcpy(malloc(size), out, size);
+    }
     return status;
 }
 
@@ -816,8 +825,10 @@ int main(void)
     if (fl_enum_take(e, 0, &s))
         return 1;
     fl_enum_free(e);
-    int whole = partition(s);
-    u8 *key = s->keys + 3 * 10, swapped[10], again[10];
+    long room = s->room, *first, *again, *none;
+    size_t mask = s->mask;
+    int whole = partition(s, &first), kept = s->room == room && s->mask == mask;
+    u8 *key = s->keys + 3 * 10, swapped[10], canonical[10];
     for (int x = 0; x < 5; x++) {
         int y = x < 2 ? 1 - x : x;
         for (int half = 0; half < 10; half += 5) {
@@ -825,18 +836,25 @@ int main(void)
             swapped[half + y] = (u8)(image < 2 ? 1 - image : image);
         }
     }
-    int relabelled = memcmp(swapped, key, 10) && !fl_canonical(5, swapped, swapped + 5, again) &&
-                     !memcmp(again, key, 10);
-    u8 kept[10];
-    memcpy(kept, key, 10);
+    int relabelled = memcmp(swapped, key, 10) && !fl_canonical(5, swapped, swapped + 5, canonical) &&
+                     !memcmp(canonical, key, 10);
+    u8 saved[10];
+    memcpy(saved, key, 10);
     memcpy(key, swapped, 10);
     if (rehash(s, s->mask))
         return 1;
-    int replaced = partition(s);
-    memcpy(s->keys + 3 * 10, kept, 10);
-    if (rehash(s, s->mask) || visit(s, swapped, hash(swapped, 10), LONG_MAX) != 27)
+    int replaced = partition(s, &none);
+    memcpy(s->keys + 3 * 10, saved, 10);
+    if (rehash(s, s->mask))
         return 1;
-    printf("%d %d %d %d\n", whole, relabelled, replaced, partition(s));
+    int restored = partition(s, &again);
+    int same = !restored && !memcmp(first, again, (size_t)(first[0] + 1) * sizeof *first);
+    if (visit(s, swapped, hash(swapped, 10), LONG_MAX) != 27)
+        return 1;
+    printf("%d %d %d %d %d %d %d\n", whole, kept, relabelled, replaced, restored, same,
+           partition(s, &none));
+    free(first);
+    free(again);
     fl_scan_free(s);
     return 0;
 }
@@ -846,8 +864,12 @@ int main(void)
 def test_a_key_set_with_a_key_that_is_not_canonical_is_not_closed(tmp_path):
     # a relabelled key has the T and S images of its class's key: in
     # place of that key, some images miss the set; beside it, two keys
-    # have one T image; either way the partition fails (ST_OPEN)
-    assert _run_with_kernel(tmp_path, _RELABEL_DRIVER) == ["0 1 -7 -7"]
+    # have one T image; either way the partition fails (ST_OPEN).  The
+    # partition steps the set as a closure with no room for a new key, so
+    # it grows neither the key arrays nor the slot table, and a failed
+    # partition leaves nothing behind: with the key back, the set
+    # partitions as it did at first
+    assert _run_with_kernel(tmp_path, _RELABEL_DRIVER) == ["0 1 1 -7 0 1 -7"]
     with pytest.raises(InternalCheckError, match="not closed"):
         kernel._raise_status(-7)
 
@@ -929,8 +951,8 @@ def test_c_exports_are_what_kernel_declares_and_calls():
 # sets the partition of H(2) splits, a step at a time, while an unfinished
 # partition of H(1,1) is freed with its set; and one degree-8 scan for
 # H(3,1), whose key set outgrows its first 1,024 keys and is partitioned
-# in one step, with the helper thread of fl_set_partition wherever more
-# than one CPU is usable; the degree-5 scan again
+# in one step, with the helper thread of fl_scan_step, which makes its
+# images, wherever more than one CPU is usable; the degree-5 scan again
 # with the identity right and a torus target, one unit of work per step;
 # and one degree-7 scan for H(2,2) in steps of 2^17 units, which start
 # the helper thread of fl_enum_step wherever more than one CPU is usable;
@@ -1156,8 +1178,8 @@ int main(void)
         ;
     s = take(e, 0);
     fl_enum_free(e);
-    /* its partition in one step, which starts the helper thread of
-     * fl_set_partition wherever more than one CPU is usable */
+    /* its partition in one step, whose images fl_scan_step makes with
+     * its helper thread wherever more than one CPU is usable */
     long orbits = 0, held = 0;
     status = partition(s, 1 << 13, &parts);
     for (long i = 1; !status && i <= parts[0]; i += 4 + 2 * parts[i + 3], orbits++)
@@ -1260,9 +1282,10 @@ def test_c_source_runs_clean_under_sanitizers(tmp_path):
 
 
 def test_c_source_runs_clean_under_thread_sanitizer(tmp_path):
-    # the 23,328-key closure and its cap run with the helper thread of
-    # fl_scan_step, and the degree-7 scan with that of fl_enum_step,
-    # wherever more than one CPU is usable
+    # the 23,328-key closure, its cap and the partition of the degree-8
+    # key set run with the helper thread of fl_scan_step, and the
+    # degree-7 scan with that of fl_enum_step, wherever more than one CPU
+    # is usable
     done = _run_under_sanitizer(tmp_path, "thread", _THREADED_PROGRAM)
     assert done.returncode == 0, done.stderr
     assert "ThreadSanitizer" not in done.stderr, done.stderr
