@@ -6,11 +6,12 @@
  * The closure makes only the two canonical images of each key and notes
  * their indices (fl_scan_step): a closed orbit is a key set of one orbit
  * with its image table made, which fl_set_partition finishes in one walk
- * of its T-cycles (cusps), as it does any key set.  The keys
- * (fl_scan_keys) stay in the closure until they are read, and
- * fl_scan_cusp_list copies the cusps, in walk order, into a buffer the
- * caller owns; kernel.py sorts them.  Keys have one order, memcmp over
- * their bytes: it picks each orbit's and each cusp's least key.
+ * of its T-cycles (cusps), as it does any key set, checking as it goes
+ * that both image columns are permutations.  The keys (fl_scan_keys)
+ * stay in the closure until they are read, and fl_scan_cusp_list copies
+ * the cusps, in walk order, into a buffer the caller owns; kernel.py
+ * sorts them.  Keys have one order, memcmp over their bytes: it picks
+ * each orbit's and each cusp's least key.
  *
  * kernel.py builds this file into a shared library, calls it through
  * ctypes and holds the pure-Python oracle of every function here; the
@@ -654,15 +655,18 @@ int fl_scan_step(struct scan *s, long max_size, long budget)
  *    (fl_scan_step, with its helper thread), with max_size n: an image
  *    outside the set is the cap, ST_OPEN here, and one that is not
  *    transitive is ST_DISCONNECTED.
- * 2. The orbits.  Both columns must be permutations of the set, else
- *    ST_OPEN: on a set closed under T and S they are, and a key that is
- *    missing, repeated or not canonical breaks one of them.  The orbits
- *    are then the components of the two columns, each walked from the
- *    first index no orbit holds, and the cusps the cycles of the T
+ * 2. The orbits, the components of the two columns, each walked from the
+ *    first index no orbit holds, and the cusps, the cycles of the T
  *    column.  The walk takes in whole T-cycles, and stacks the S image
  *    of each key that no orbit holds yet; each cycle adds the cylinders
  *    of its first key, weighted by its width, to the orbit's histogram,
- *    and its (width, least key) to the orbit's cycle list.
+ *    and its (width, least key) to the orbit's cycle list.  The walk
+ *    also checks that both columns are permutations, else ST_OPEN: a key
+ *    that is missing, repeated or not canonical breaks one.  Each key
+ *    held marks its S image, and the walk fails on one marked already.
+ *    That catches an S image met twice, and a T walk that meets a held
+ *    key other than its start: a T column that is not a permutation has
+ *    a key with no T preimage, whose walk never comes back to it.
  *
  * A step returns to the caller after ``budget`` keys; the state stays
  * with the set, so a partition cut short between steps goes on at the
@@ -671,17 +675,15 @@ int fl_scan_step(struct scan *s, long max_size, long budget)
  * goes with the walk, a key set's too.  One partition of a set runs at a
  * time. */
 
-enum { P_IMAGES, P_CHECK, P_ORBITS, P_DONE };
-/* per key: the T column reaches it, the S column reaches it, an orbit
- * holds it */
-enum { HIT_T = 1, HIT_S = 2, HELD = 4 };
+/* per key: HIT_S, the S image of a held key; HELD, held by an orbit */
+enum { HIT_S = 1, HELD = 2 };
 
 struct parting {
-    int phase;
-    long at;            /* the next index of the phase's pass */
-    u8 *mark;           /* per key: HIT_T | HIT_S | HELD */
+    int done;           /* every key held, the records made */
+    long at;            /* every key before it is held */
+    u8 *mark;           /* per key: HIT_S | HELD */
     /* stack[0 .. filled): S images of the open orbit's keys that no orbit
-     * held when stacked; a key is the S image of one, so n at most */
+     * held when stacked; each is stacked once, HIT_S, so n at most */
     uint32_t *stack;
     long filled;
     long size, least;   /* the open orbit's keys and least key */
@@ -712,7 +714,7 @@ static void parting_free(struct scan *s)
 }
 
 /* A new partition of s into s->part; 0 or ST_NOMEM.  A closure's slot
- * table goes to it, and it starts at the check; a key set gets the image
+ * table goes to it, and it starts at the walk; a key set gets the image
  * table, to be stepped from its first key. */
 static int parting_new(struct scan *s)
 {
@@ -721,7 +723,6 @@ static int parting_new(struct scan *s)
         return ST_NOMEM;
     size_t n = (size_t)s->n, cells = (size_t)(s->d + 1) * (size_t)(s->d + 1);
     if (s->img[0]) {
-        p->phase = P_CHECK;
         free(s->slots);   /* only the search reads it */
         s->slots = NULL;
     } else {
@@ -745,35 +746,12 @@ static int parting_new(struct scan *s)
 }
 
 /* Steps the image table from s->head on, at most *budget keys of it. */
-static int make_images(struct scan *s, struct parting *p, long *budget)
+static int make_images(struct scan *s, long *budget)
 {
     long head = s->head;
     int st = fl_scan_step(s, s->n, *budget);
     *budget -= s->head - head;
-    if (st == ST_DONE)
-        p->phase = P_CHECK;
     return st == ST_CAP ? ST_OPEN : st == ST_MORE ? 0 : st;
-}
-
-/* Checks image rows from p->at on: no key the image of two keys in one
- * column. */
-static int check_images(const struct scan *s, struct parting *p, long *budget)
-{
-    long end = s->n - p->at < *budget ? s->n : p->at + *budget;
-    for (long i = p->at; i < end; i++)
-        for (int c = 0; c < 2; c++) {
-            uint32_t j = s->img[c][i];
-            if (p->mark[j] & (HIT_T << c))
-                return ST_OPEN;
-            p->mark[j] |= (u8)(HIT_T << c);
-        }
-    *budget -= end - p->at;
-    p->at = end;
-    if (p->at == s->n) {
-        p->phase = P_ORBITS;
-        p->at = 0;
-    }
-    return 0;
 }
 
 /* Takes the T-cycle of x, which no orbit holds, into the open orbit: the
@@ -781,7 +759,9 @@ static int check_images(const struct scan *s, struct parting *p, long *budget)
  * cycle's (width, least key) onto the cycle list, and its cylinders,
  * which T, a horizontal shear, keeps on every key of the cycle, weighted
  * by its width, into the orbit's histogram.  Each key is compared with
- * the cycle's least, and that with the orbit's once. */
+ * the cycle's least, and that with the orbit's once.  ST_OPEN on an S
+ * image marked already: every held key marked its own, so this also
+ * stops a walk that meets a held key other than x. */
 static int hold_cycle(const struct scan *s, struct parting *p, uint32_t x, long *budget)
 {
     size_t k = (size_t)s->k;
@@ -794,12 +774,15 @@ static int hold_cycle(const struct scan *s, struct parting *p, uint32_t x, long 
         p->cycles = cycles;
         p->cycle_room *= 2;
     }
-    /* the T column is a permutation, so the walk comes back to x; an S
-     * image is stacked without a branch, and stays unless an orbit holds it */
+    /* an S image is stacked without a branch, and stays unless held */
     do {
+        uint32_t j = s->img[1][y];
+        if (p->mark[j] & HIT_S)
+            return ST_OPEN;
+        p->mark[j] |= HIT_S;
         p->mark[y] |= HELD;
-        p->stack[p->filled] = s->img[1][y];
-        p->filled += !(p->mark[s->img[1][y]] & HELD);
+        p->stack[p->filled] = j;
+        p->filled += !(p->mark[j] & HELD);
         if (memcmp(keys + y * k, keys + least * k, k) < 0)
             least = y;
         width++;
@@ -858,7 +841,7 @@ static int walk_orbits(const struct scan *s, struct parting *p, long *budget)
             while (p->at < s->n && p->mark[p->at] & HELD)
                 p->at++;
             if (p->at == s->n) {
-                p->phase = P_DONE;
+                p->done = 1;
                 break;
             }
             p->least = p->at;
@@ -879,7 +862,7 @@ int fl_set_partition(struct scan *s, long budget, const long **out)
 {
     struct parting *p = s->part;
     int st = 0;
-    if (!p || p->phase == P_DONE) {
+    if (!p || p->done) {
         if (!s->slots || (s->img[0] && s->head < s->n))
             return ST_OPEN;
         if (p)
@@ -888,19 +871,14 @@ int fl_set_partition(struct scan *s, long budget, const long **out)
             return st;
         p = s->part;
     }
-    while (!st && budget > 0 && p->phase != P_DONE) {
-        if (p->phase == P_IMAGES)
-            st = make_images(s, p, &budget);
-        else if (p->phase == P_CHECK)
-            st = check_images(s, p, &budget);
-        else
-            st = walk_orbits(s, p, &budget);
-    }
+    /* images are pending exactly while head < n */
+    while (!st && budget > 0 && !p->done)
+        st = s->head < s->n ? make_images(s, &budget) : walk_orbits(s, p, &budget);
     if (st) {
         parting_free(s);
         return st;
     }
-    if (p->phase != P_DONE)
+    if (!p->done)
         return ST_MORE;
     /* only the records and the last orbit's cycle list are left to read */
     free(s->img[0]);
@@ -922,7 +900,7 @@ int fl_set_partition(struct scan *s, long budget, const long **out)
 int fl_scan_cusp_list(const struct scan *s, long *pairs)
 {
     const struct parting *p = s->part;
-    if (!p || p->phase != P_DONE)
+    if (!p || !p->done)
         return ST_OPEN;
     for (long i = 0; i < 2 * p->cusps; i++)
         pairs[i] = p->cycles[i];

@@ -42,7 +42,7 @@ import os
 import shutil
 import tempfile
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -360,7 +360,10 @@ class OrbitScan(KeySet):
         _drive(lambda: self._lib.fl_scan_cusp_list(self._handle, pairs))
         k = 2 * self.degree   # one view of the C keys, sliced per cusp: no copy of them all
         keys = (ctypes.c_char * (len(self) * k)).from_address(self._lib.fl_scan_keys(self._handle))
-        return sorted((w, keys[i * k : i * k + k]) for w, i in zip(pairs[::2], pairs[1::2]))
+        by_width = defaultdict(list)   # sorted per width, so that sorting compares only keys
+        for w, i in zip(pairs[::2], pairs[1::2]):
+            by_width[w].append(keys[i * k : i * k + k])
+        return [(w, key) for w in sorted(by_width) for key in sorted(by_width[w])]
 
     def cusp_widths(self) -> _Cusps:
         """(width, least member) per T-orbit, sorted, as a sequence whose
@@ -481,10 +484,11 @@ def partition(keys: KeySet) -> list[tuple[bytes, int, Fraction, int]]:
 
     Compiled, ``fl_set_partition`` finds the T and S image of every key in
     the set's hash table with the closure's own step, given no room for a
-    new key, in steps of ``_STEP_BUDGET`` keys; the orbits are the
-    components of these two index columns, and the cusps the cycles of
-    the T column.  The Python oracle closes each orbit from the
-    first key in storage order that no orbit holds yet.  Raises
+    new key, in steps of ``_STEP_BUDGET`` keys.  One walk of these two
+    index columns finds the orbits, which are their components, and the
+    cusps, the cycles of the T column, and checks as it reads them that
+    both columns are permutations.  The Python oracle closes each orbit
+    from the first key in storage order that no orbit holds yet.  Raises
     InternalCheckError when the set is not closed: a missing, repeated or
     non-canonical key breaks a column's permutation or a closure's marks.
     """

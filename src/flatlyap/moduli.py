@@ -62,9 +62,12 @@ class QuadSignature:
                 continue
             base, caret, power = token.partition("^")
             try:
-                orders.extend([int(base)] * (int(power) if caret else 1))
+                order, count = int(base), int(power) if caret else 1
             except ValueError:
                 raise InputError(f"bad signature token {token!r} in {text!r}") from None
+            if count < 1:
+                raise InputError(f"repeat count below 1 in {token!r} of {text!r}")
+            orders.extend([order] * count)
         return cls(orders, quotient_genus)
 
     def __str__(self) -> str:

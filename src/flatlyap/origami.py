@@ -124,6 +124,8 @@ class Origami:
             m = re.fullmatch(r"([rud])\s*=\s*(.*)", part, re.DOTALL)
             if not m:
                 raise InputError(f"cannot parse origami field {part!r}")
+            if m.group(1) in fields:
+                raise InputError(f"origami field {m.group(1)}= given twice")
             fields[m.group(1)] = m.group(2).strip()
         if set(fields) != {"r", "u", "d"}:
             raise InputError("origami text needs exactly the fields r=, u=, d=")

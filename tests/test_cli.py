@@ -409,6 +409,7 @@ def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
         ("orbit", FIG1, "--list", "--limit", "-1"),
         ("enumerate", "--stratum", "2", "--dmax", "0"),
         ("enumerate", "--stratum", "2", "--dmax", "4", "--dmin", "-1"),
+        ("hyp-locus", "--signature", "2,2,-1^8,7^0"),
     ],
 )
 def test_malformed_numbers_are_input_errors(argv):

@@ -610,8 +610,8 @@ def test_compiled_partition_lets_signal_handlers_run():
 
 @pytest.mark.parametrize("budget", [1, 7])
 def test_compiled_partition_is_the_same_in_any_step_budget(monkeypatch, budget):
-    # steps of 1 and 7 rows or keys end each phase of fl_set_partition at
-    # any point, and the next step goes on from there
+    # steps of 1 and 7 keys end the image step and the orbit walk of
+    # fl_set_partition at any point, and the next step goes on from there
     compiled_library()
     sets = enumeration._scan_degree(7, _targets(7)).values()
     expected = [kernel.partition(keys) for keys in sets]
@@ -915,6 +915,75 @@ def test_a_closure_with_a_repeated_image_is_not_closed(tmp_path):
     # permutations, as a key set's partition does: a key that is the T or
     # the S image of two keys fails it (ST_OPEN)
     assert _run_with_kernel(tmp_path, _CORRUPT_DRIVER) == ["0 -7 -7"]
+
+
+# the H(2) key set of degree 5 partitioned as it is; then stepped a key at
+# a time until its image table is made, with the T image of its second key
+# overwritten by that of its first, and partitioned on; then again with
+# the S image so overwritten: one line with the first status, and per
+# column the status of the partition it broke, that of the next one and
+# whether its records are the first partition's
+_KEY_SET_CORRUPT_DRIVER = r"""
+#include KERNEL
+#include <stdio.h>
+
+/* the status of a partition of s in steps of 4 keys, made on from where s
+ * is, and a copy of its records in *records when it succeeds */
+static int finish(struct scan *s, long **records)
+{
+    const long *out;
+    int status;
+    while ((status = fl_set_partition(s, 4, &out)) == 1)
+        ;
+    *records = NULL;
+    if (!status) {
+        size_t size = (size_t)(out[0] + 1) * sizeof *out;
+        *records = memcpy(malloc(size), out, size);
+    }
+    return status;
+}
+
+int main(void)
+{
+    const u8 rights[] = {1, 2, 3, 4, 0, 1, 2, 3, 0, 4, 1, 2, 0, 4, 3,
+                         1, 2, 0, 3, 4, 1, 0, 3, 2, 4, 1, 0, 2, 3, 4};
+    const u8 target[] = {0, 2, 0, 1, 0, 0};
+    struct enumeration *e = fl_enum_new(5, 6, rights, 1, target);
+    while (fl_enum_step(e, 64) == 1)
+        ;
+    struct scan *s;
+    if (fl_enum_take(e, 0, &s))
+        return 1;
+    fl_enum_free(e);
+    long *first, *none, *again;
+    printf("%d", finish(s, &first));
+    for (int column = 0; column < 2; column++) {
+        const long *out;
+        do
+            if (fl_set_partition(s, 1, &out) != 1)
+                return 1;
+        while (s->head < s->n);
+        s->img[column][1] = s->img[column][0];
+        int broken = finish(s, &none), status = finish(s, &again);
+        int same = !status && !memcmp(first, again, (size_t)(first[0] + 1) * sizeof *first);
+        printf(" %d %d %d", broken, status, same);
+        free(again);
+    }
+    printf("\n");
+    free(first);
+    fl_scan_free(s);
+    return 0;
+}
+"""
+
+
+def test_a_key_set_whose_columns_break_after_they_are_made_is_not_closed(tmp_path):
+    # the partition checks both columns in its orbit walk: a key that is
+    # the T image of two keys leaves another with none, whose T walk
+    # meets a held key; one that is the S image of two is marked twice.
+    # Either fails (ST_OPEN) without leaving anything behind: the next
+    # partition makes the columns again and finds the first records
+    assert _run_with_kernel(tmp_path, _KEY_SET_CORRUPT_DRIVER) == ["0 -7 0 1 -7 0 1"]
 
 
 def test_c_exports_are_what_kernel_declares_and_calls():

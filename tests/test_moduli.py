@@ -58,6 +58,9 @@ def test_signature_parse():
     q = QuadSignature.parse("2,2,-1^8")
     assert q.orders == (2, 2) + (-1,) * 8
     assert str(QuadSignature.parse("(3, 1, -1^8)")) == "(3,1,-1,-1,-1,-1,-1,-1,-1,-1)"
+    for text in ("2,2,-1^8,7^0", "2,2,-1^8,3^-2", "-1^0"):
+        with pytest.raises(InputError, match="repeat count"):
+            QuadSignature.parse(text)
 
 
 def test_signature_validation():

@@ -95,6 +95,10 @@ def test_from_text_field_errors():
         Origami.from_text("r=(1 2); d=2")
     with pytest.raises(InputError):
         Origami.from_text("r=(1 2); u=(1 2); d=two")
+    for text in ("r=(1 2 3 4); u=(1 5); d=5; u=(2 5)", "r=(1 2); r=(1 2); u=(1 2); d=2",
+                 "r=(1 2); u=(1 2); d=2; d=2"):
+        with pytest.raises(InputError, match="given twice"):
+            Origami.from_text(text)
 
 
 # -- commutator -------------------------------------------------------------------
