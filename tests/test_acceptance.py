@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatlyap import golden
+from flatlyap import golden, verify
 from flatlyap.components import component_label, hyperelliptic_involution, spin_parity
 from flatlyap.enumeration import enumerate_origamis
 from flatlyap.origami import Origami, Stratum
@@ -43,7 +43,7 @@ def by_kind(kind):
 def run_and_record(number, name, checks, cache=None):
     failures = []
     for check in checks:
-        result = golden.run_check(check, cache=cache)
+        result = verify.run_check(check, cache=cache)
         if not result.ok:
             failures.append(result.diff_line())
     record_acceptance(number, name, not failures)

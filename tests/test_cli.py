@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from flatlyap import cli, golden
+from flatlyap import cli, golden, verify
 from flatlyap.cli import main
 from flatlyap.errors import InputError
 from flatlyap.orbits import orbit
@@ -290,6 +290,26 @@ def test_a_malformed_golden_file_is_named_in_its_error(tmp_path, capsys):
     assert f"{notes} line 1: bad token" in err and "golden.txt" not in err
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("a triple g=2 stratum=2 L=4/3 s=8/1 c=1/3\n# note\n"
+         "a triple g=2 stratum=2 L=4/3 s=8/1 c=1/3\n", "line 3: check id 'a' repeats line 1"),
+        ("a triple g=2 stratum=2 L=1/1 L=4/3 s=8/1 c=1/3\n", "line 1: key 'L' given twice"),
+    ],
+    ids=["repeated-id", "repeated-key"],
+)
+def test_a_golden_line_that_repeats_is_an_input_error(tmp_path, capsys, text, problem):
+    # a repeated id ran its check twice, and the last of two values for
+    # one key was checked without a word
+    path = tmp_path / "golden.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify-tables", "--golden", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{path} {problem}" in err
+
+
 def test_verify_tables_quick(capsys):
     code, out, _ = run(capsys, "verify-tables", "3", "--skip-enumeration")
     assert code == 0
@@ -334,13 +354,13 @@ def test_verify_tables_detects_corruption(tmp_path, capsys):
 def test_verify_tables_makes_one_report_per_scan(tmp_path, capsys, monkeypatch):
     # two rows read the (2,2) scan to d=7: each run makes its report once
     # and both rows share it; a second run makes its own
-    report, calls = golden.nonvarying_report, []
+    report, calls = verify.nonvarying_report, []
 
     def counting(s, d_max, d_min=None):
         calls.append((s, d_max))
         return report(s, d_max, d_min)
 
-    monkeypatch.setattr(golden, "nonvarying_report", counting)
+    monkeypatch.setattr(verify, "nonvarying_report", counting)
     path = tmp_path / "golden.txt"
     path.write_text(
         "a enum g=3 stratum=2,2 dmax=7 mode=const component=odd L=5/3\n"
@@ -358,12 +378,12 @@ def test_a_key_error_inside_a_check_is_not_an_unknown_kind(monkeypatch):
     def broken(check, cache):
         raise KeyError("inside the check")
 
-    monkeypatch.setitem(golden._DISPATCH, "triple", broken)
+    monkeypatch.setitem(verify._DISPATCH, "triple", broken)
     check = next(c for c in golden.load_golden() if c.kind == "triple")
     with pytest.raises(KeyError, match="inside the check"):
-        golden.run_check(check)
+        verify.run_check(check)
     with pytest.raises(InputError, match="unknown golden check kind 'nope'"):
-        golden.run_check(golden.GoldenCheck("x", "nope", {}))
+        verify.run_check(golden.GoldenCheck("x", "nope", {}))
 
 
 def test_max_orbit_must_be_positive(capsys):

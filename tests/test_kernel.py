@@ -26,7 +26,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flatlyap import enumeration, golden, kernel
+from flatlyap import enumeration, golden, kernel, verify
 from flatlyap.errors import DisconnectedError, InputError, InternalCheckError, ResourceCapError
 from flatlyap.orbits import OrbitCache, lyapunov_sum, orbit_scan
 from flatlyap.origami import Stratum
@@ -44,7 +44,7 @@ FAST_LYAP = [
 
 @pytest.mark.parametrize("check", FAST_LYAP, ids=[c.id for c in FAST_LYAP])
 def test_scan_matches_python(check):
-    o = golden._origami(check)
+    o = verify._origami(check)
     compiled, python = on_both(lambda: orbit_scan(o))
     assert compiled.keys == python.keys
     # the per-cusp count against the per-element histogram

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flatlyap import golden, orbits
+from flatlyap import golden, orbits, verify
 from flatlyap.errors import InputError, ResourceCapError
 from flatlyap.kernel import cylinders, invert
 from flatlyap.origami import Origami, kappa
@@ -260,7 +260,7 @@ def _assert_stretch_keeps_L(cid: str, k: int):
     # Teichmueller curve and has the same L; its orbit, cusps and cylinder
     # sums are new ones, at degree k d
     check = GOLDEN[cid]
-    o = stretched(golden._origami(check), k)
+    o = stretched(verify._origami(check), k)
     assert o.degree == k * int(check.get("d"))
     assert lyapunov_sum(o).L == Fraction(check.get("L"))
 
